@@ -136,7 +136,7 @@ def bench_speedup(cfg: RunConfig, seed: int, n_blocks: int,
     """Median-of-repetitions wall-clock cost of per-block homogenization
     (C_H: discretization + solves) versus the surrogate path
     (C_S: rasterization of every block + one batched inference pass)."""
-    from .surrogate.predict import predict_batch
+    from .surrogate.predict import predict_samples
 
     field_, network, grid = fine_model(cfg, seed)
     blocks = []
@@ -163,7 +163,7 @@ def bench_speedup(cfg: RunConfig, seed: int, n_blocks: int,
                    for bid, rect, clipped in blocks]
         t_raster = time.perf_counter() - t0
         if surrogate_model is not None:
-            predict_batch(surrogate_model, samples, surrogate_stats)
+            predict_samples(surrogate_model, samples, surrogate_stats)
         c_s.append(time.perf_counter() - t0)
         c_raster.append(t_raster)
 

@@ -14,12 +14,13 @@ import json
 import logging
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import bench
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, fingerprint
 from .dataset_pipeline import (DatasetConfig, generate_dataset, load_dataset,
                                preprocess)
 from .frac_geom import PowerLawSpec, PhysicalConstants, generate_dfn, \
@@ -28,7 +29,7 @@ from .geometry import Rect
 from .homogenizer import (numeric_backend, upscale_domain,
                           write_block_csv)
 from .random_field import Grid, sample_tensor_field, save_tensor_field
-from .surrogate.model import Architecture, SurrogateModel, stats_fingerprint
+from .surrogate.model import Architecture, SurrogateModel
 from .surrogate.predict import surrogate_backend
 from .surrogate.training import (TrainSchedule, evaluate, train,
                                  write_history_csv)
@@ -190,7 +191,7 @@ def cmd_train(cfg: RunConfig, args):
                             conv_channels=arch.conv_channels[:max_stages],
                             dense_widths=arch.dense_widths)
     model = SurrogateModel(arch, seed=args.seed,
-                           stats_hash=stats_fingerprint(stats))
+                           stats_hash=fingerprint(stats))
     schedule = TrainSchedule(epochs=tc.epochs, batch_size=tc.batch_size,
                              learning_rate=tc.learning_rate,
                              lr_decay=tc.lr_decay, patience=tc.patience,
@@ -215,7 +216,7 @@ def cmd_evaluate(cfg: RunConfig, args):
     out = _out_dir(args)
     images, targets, splits, _, stats = _preprocessed_splits(args.dataset)
     model, model_stats = _load_model(args.model)
-    if stats_fingerprint(stats) != stats_fingerprint(model_stats):
+    if fingerprint(stats) != fingerprint(model_stats):
         raise ValueError("dataset statistics do not match the model")
     metrics = evaluate(model, images[splits["test"]], targets[splits["test"]])
     with open(out / "metrics.json", "w") as f:
@@ -223,19 +224,11 @@ def cmd_evaluate(cfg: RunConfig, args):
     return ["metrics.json"]
 
 
-def cmd_bench_aquifer(cfg: RunConfig, args):
+def cmd_bench_compare(bench_fn, cfg: RunConfig, args):
+    """Two-backend comparison with ``bench.bench_aquifer`` or
+    ``bench.bench_anisotropy``."""
     out = _out_dir(args)
-    report = bench.bench_aquifer(cfg, args.seed, args.n_samples,
-                                 _backends(cfg, args))
-    with open(out / "report.json", "w") as f:
-        json.dump(report.to_dict(), f, indent=2)
-    return ["report.json"]
-
-
-def cmd_bench_anisotropy(cfg: RunConfig, args):
-    out = _out_dir(args)
-    report = bench.bench_anisotropy(cfg, args.seed, args.n_samples,
-                                    _backends(cfg, args))
+    report = bench_fn(cfg, args.seed, args.n_samples, _backends(cfg, args))
     with open(out / "report.json", "w") as f:
         json.dump(report.to_dict(), f, indent=2)
     return ["report.json"]
@@ -277,8 +270,8 @@ COMMANDS = {
     "train": cmd_train,
     "evaluate": cmd_evaluate,
     "upscale": cmd_upscale,
-    "bench-aquifer": cmd_bench_aquifer,
-    "bench-anisotropy": cmd_bench_anisotropy,
+    "bench-aquifer": partial(cmd_bench_compare, bench.bench_aquifer),
+    "bench-anisotropy": partial(cmd_bench_compare, bench.bench_anisotropy),
     "bench-speedup": cmd_bench_speedup,
     "sweep": cmd_sweep,
 }

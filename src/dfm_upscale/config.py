@@ -13,6 +13,12 @@ class ConfigError(ValueError):
     pass
 
 
+def fingerprint(obj) -> str:
+    """First 16 hex digits of the SHA-256 of ``obj`` as key-sorted JSON."""
+    return hashlib.sha256(
+        json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+
+
 def _build(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
@@ -54,7 +60,6 @@ class SrfSection:
 @dataclass
 class SolverSection:
     resolution: int = 32
-    rtol: float = 1e-10
 
 
 @dataclass
@@ -115,8 +120,7 @@ class RunConfig:
         return asdict(self)
 
     def hash(self) -> str:
-        return hashlib.sha256(json.dumps(
-            self.to_dict(), sort_keys=True).encode()).hexdigest()[:16]
+        return fingerprint(self.to_dict())
 
     def write_resolved(self, out_dir):
         out_dir = Path(out_dir)

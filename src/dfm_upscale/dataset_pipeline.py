@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import fingerprint
 from .frac_geom import (PhysicalConstants, PowerLawSpec,
                         generate_dfn, FractureNetwork)
 from .geometry import Rect
@@ -72,11 +73,6 @@ class DatasetConfig:
         d["mean_log"] = list(self.mean_log)
         d["cov_log"] = [list(r) for r in self.cov_log]
         return d
-
-
-def config_hash(obj) -> str:
-    return hashlib.sha256(
-        json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def enforce_ratio(network: FractureNetwork, field_, ratio: float):
@@ -299,7 +295,7 @@ def generate_dataset(cfg: DatasetConfig, seed: int, out_dir,
     for start in range(0, kept, SHARD_RECORDS):
         name = f"shard_{len(shards):05d}.bin"
         payload = b"".join(
-            _record_bytes(images[i].astype(float), targets[i])
+            _record_bytes(images[i], targets[i])
             for i in range(start, min(start + SHARD_RECORDS, kept)))
         (out_dir / "shards" / name).write_bytes(payload)
         shards.append({"file": f"shards/{name}",
@@ -312,7 +308,7 @@ def generate_dataset(cfg: DatasetConfig, seed: int, out_dir,
     cfg_dict = cfg.to_dict()
     manifest = {
         "config": cfg_dict,
-        "config_hash": config_hash(cfg_dict),
+        "config_hash": fingerprint(cfg_dict),
         "seed": seed,
         "n_samples": kept,
         "skipped": skipped,

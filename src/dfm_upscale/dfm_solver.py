@@ -23,6 +23,8 @@ from .geometry import Rect, clip_segment, segment_intersection
 from .random_field import TensorField
 
 FRAC_ELEM_FACTOR = 0.75  # target fracture element length / matrix cell size
+# relative residual above which a direct solve is rejected as inaccurate
+RESIDUAL_GATE = 1e-10 * 1e3
 
 
 class SolverError(RuntimeError):
@@ -116,7 +118,6 @@ class FlowSolution:
     frac_vel: np.ndarray       # (n_fe, 2)
     boundary_flux: dict = field(default_factory=dict)  # side -> outflow
     residual: float = 0.0
-    iterations: int = 0
 
     @property
     def total_outflow(self) -> float:
@@ -388,43 +389,6 @@ def discretize(field_: TensorField, network: FractureNetwork | None,
         merged_fractures=merged)
 
 
-def pcg_jacobi(matrix: sp.csr_matrix, rhs: np.ndarray, rtol: float = 1e-10,
-               max_iter: int | None = None):
-    """Conjugate gradients with Jacobi preconditioning; deterministic."""
-    n = len(rhs)
-    if max_iter is None:
-        max_iter = int(20 * np.sqrt(n)) + 20
-    norm_b = np.linalg.norm(rhs)
-    x = np.zeros(n)
-    if norm_b == 0.0:
-        return x, 0
-    diag = matrix.diagonal().copy()
-    if np.any(diag <= 0.0):
-        raise SolverError("non-positive diagonal: system is not SPD")
-    minv = 1.0 / diag
-    r = rhs.copy()
-    z = minv * r
-    p = z.copy()
-    rz = r @ z
-    for it in range(1, max_iter + 1):
-        ap = matrix @ p
-        pap = p @ ap
-        if pap <= 0.0:
-            raise SolverError("indefinite system detected in CG")
-        alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
-        if np.linalg.norm(r) <= rtol * norm_b:
-            return x, it
-        z = minv * r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise SolverError(
-        f"CG failed to converge in {max_iter} iterations",
-        residual=float(np.linalg.norm(r) / norm_b))
-
-
 def _dirichlet_dofs(system: DiscreteSystem, bc: BoundaryCondition):
     tol = 1e-9 * system.domain.diameter
     coords = system.dof_coords
@@ -447,14 +411,12 @@ def _dirichlet_dofs(system: DiscreteSystem, bc: BoundaryCondition):
     return mask, values, side_of
 
 
-def solve_darcy(system: DiscreteSystem, bc: BoundaryCondition,
-                rtol: float = 1e-10, method: str = "direct") -> FlowSolution:
+def solve_darcy(system: DiscreteSystem, bc: BoundaryCondition) -> FlowSolution:
     """Solve the assembled system under Dirichlet/no-flow boundary data.
 
-    method 'direct' (sparse LU factorization) is the default: the fracture
-    coupling makes the system too ill-conditioned for Jacobi-preconditioned
-    CG to converge within a sane budget at high fracture/matrix contrast.
-    method 'pcg' selects the iterative path.
+    The free-DOF system is solved by sparse LU factorization: the fracture
+    coupling makes it too ill-conditioned for a Jacobi-preconditioned
+    iterative solver at high fracture/matrix contrast.
     """
     a = system.matrix
     mask, values, side_of = _dirichlet_dofs(system, bc)
@@ -462,19 +424,13 @@ def solve_darcy(system: DiscreteSystem, bc: BoundaryCondition,
     h = np.array(values)
     rhs = -a[:, mask] @ values[mask]
     a_ff = a[free][:, free].tocsr()
-    if method == "pcg":
-        h_free, iters = pcg_jacobi(a_ff, rhs[free], rtol=rtol)
-    elif method == "direct":
-        h_free = spla.splu(a_ff.tocsc()).solve(rhs[free])
-        iters = 0
-    else:
-        raise ValueError(f"unknown solve method {method!r}")
+    h_free = spla.splu(a_ff.tocsc()).solve(rhs[free])
     h[free] = h_free
 
     res = np.linalg.norm(a_ff @ h_free - rhs[free])
     scale = np.linalg.norm(rhs[free])
     residual = float(res / scale) if scale > 0 else 0.0
-    if residual > max(rtol, 1e-10) * 1e3:
+    if residual > RESIDUAL_GATE:
         raise SolverError(f"direct solve residual {residual:.2e} too large",
                           residual=residual)
 
@@ -501,4 +457,4 @@ def solve_darcy(system: DiscreteSystem, bc: BoundaryCondition,
     return FlowSolution(system=system, h=h, tri_grad=tri_grad,
                         tri_vel=tri_vel, frac_grad=frac_grad,
                         frac_vel=frac_vel, boundary_flux=boundary_flux,
-                        residual=residual, iterations=iters)
+                        residual=residual)

@@ -11,9 +11,7 @@ overlapping fractures resolve by larger aperture (then lower id).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -75,43 +73,3 @@ def rasterize_block(field_: TensorField, network: FractureNetwork | None,
         image[rows, cols, 3] = fr.aperture
 
     return RasterSample(image=image, metadata=dict(metadata or {}))
-
-
-def save_raster(sample: RasterSample, path):
-    """Four float32-LE planes, 3 target floats, one JSON metadata line."""
-    path = Path(path)
-    with open(path, "wb") as f:
-        np.ascontiguousarray(
-            sample.image.transpose(2, 0, 1)).astype("<f4").tofile(f)
-        target = sample.target if sample.target is not None \
-            else np.full(3, np.nan)
-        np.asarray(target, dtype="<f4").tofile(f)
-        meta = dict(sample.metadata, resolution=sample.resolution)
-        f.write(json.dumps(meta).encode() + b"\n")
-
-
-def load_raster(path) -> RasterSample:
-    path = Path(path)
-    raw = Path(path).read_bytes()
-    # metadata is the trailing JSON line; binary data may contain '{' bytes,
-    # so probe candidate starts from the end until one parses and the
-    # remaining byte count matches the record size it declares
-    meta = None
-    start = len(raw)
-    while True:
-        start = raw.rindex(b"{", 0, start)
-        try:
-            candidate = json.loads(raw[start:-1])
-        except (ValueError, UnicodeDecodeError):
-            continue
-        if isinstance(candidate, dict) and "resolution" in candidate \
-                and start == 4 * (4 * candidate["resolution"] ** 2 + 3):
-            meta = candidate
-            break
-    r = meta["resolution"]
-    data = np.frombuffer(raw[:start], dtype="<f4")
-    image = data[:4 * r * r].reshape(4, r, r).transpose(1, 2, 0).astype(float)
-    target = data[4 * r * r:4 * r * r + 3].astype(float)
-    if np.all(np.isnan(target)):
-        target = None
-    return RasterSample(image=image, target=target, metadata=meta)

@@ -1,14 +1,13 @@
 from .metrics import Metrics, compute_metrics
-from .model import Architecture, SurrogateModel, stats_fingerprint
-from .predict import predict_batch, predict_tensor, surrogate_backend
+from .model import Architecture, SurrogateModel
+from .predict import predict_samples, surrogate_backend
 from .training import (Adam, TrainResult, TrainSchedule, evaluate,
                        predict_in_batches, train, validation_loss,
                        write_history_csv)
 
 __all__ = [
     "Adam", "Architecture", "Metrics", "SurrogateModel", "TrainResult",
-    "TrainSchedule", "compute_metrics", "evaluate", "predict_batch",
-    "predict_in_batches",
-    "predict_tensor", "stats_fingerprint", "surrogate_backend", "train",
-    "validation_loss", "write_history_csv",
+    "TrainSchedule", "compute_metrics", "evaluate", "predict_in_batches",
+    "predict_samples", "surrogate_backend", "train", "validation_loss",
+    "write_history_csv",
 ]

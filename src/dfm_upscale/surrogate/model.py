@@ -8,7 +8,6 @@ followed by dense layers [2048, 2048, 1024] and a 3-wide linear output.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -158,10 +157,6 @@ class SurrogateModel:
             for key in layer.params:
                 yield f"{name}.{key}", layer, key
 
-    def parameter_count(self) -> int:
-        return sum(layer.params[key].size for _, layer, key
-                   in self.named_params())
-
     def copy_params(self):
         params = {name: layer.params[key].copy()
                   for name, layer, key in self.named_params()}
@@ -215,8 +210,3 @@ class SurrogateModel:
                     state.setdefault(lname, {})[skey] = blobs[key]
             model.load_params(params, state)
         return model
-
-
-def stats_fingerprint(stats: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(stats, sort_keys=True).encode()).hexdigest()[:16]

@@ -1,43 +1,24 @@
-"""Inference path: raster sample -> equivalent tensor in physical units."""
+"""Inference path: raster samples -> equivalent tensors in physical units."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..config import fingerprint
 from ..dataset_pipeline import inverse_target, preprocess
 from ..homogenizer import EquivalentTensor
-from ..rasterizer import RasterSample
-from .model import SurrogateModel, stats_fingerprint
+from .model import SurrogateModel
+from .training import predict_in_batches
 
 
-def predict_tensor(model: SurrogateModel, sample: RasterSample, stats: dict,
-                   preprocessed: bool = False,
-                   xbar: float | None = None) -> EquivalentTensor:
-    """Forward pass plus exact inversion of the dataset preprocessing.
+def predict_samples(model: SurrogateModel, samples, stats: dict) -> np.ndarray:
+    """Raw-space (k_xx, k_xy, k_yy) per raster sample, shape (n, 3).
 
-    For preprocessed inputs the sample's matrix mean (xbar) must be supplied;
-    raw inputs are preprocessed here with the given statistics.
+    Each sample is preprocessed with the given statistics, the forward
+    passes run in batches, and every prediction is mapped back through the
+    exact inverse of its sample's preprocessing.
     """
-    if model.stats_hash and model.stats_hash != stats_fingerprint(stats):
-        raise ValueError("preprocessing statistics do not match the model")
-    if preprocessed:
-        if xbar is None:
-            raise ValueError("xbar is required for preprocessed inputs")
-        image = sample.image
-    else:
-        image, _, xbar = preprocess(sample.image, None, stats)
-    pred_std = model.forward(image[None], train=False)[0]
-    pred = inverse_target(pred_std.astype(float), stats, xbar)
-    return EquivalentTensor(kxx=float(pred[0]), kxy=float(pred[1]),
-                            kyy=float(pred[2]),
-                            block_id=sample.metadata.get("block_id", -1))
-
-
-def predict_batch(model: SurrogateModel, samples, stats: dict,
-                  batch_size: int = 64) -> np.ndarray:
-    """Raw-space predictions for many raster samples with batched forward
-    passes; one inverse preprocessing per sample."""
-    if model.stats_hash and model.stats_hash != stats_fingerprint(stats):
+    if model.stats_hash and model.stats_hash != fingerprint(stats):
         raise ValueError("preprocessing statistics do not match the model")
     images = []
     xbars = []
@@ -45,28 +26,27 @@ def predict_batch(model: SurrogateModel, samples, stats: dict,
         image, _, xbar = preprocess(sample.image, None, stats)
         images.append(image)
         xbars.append(xbar)
-    images = np.asarray(images, np.float32)
-    preds = []
-    for start in range(0, len(images), batch_size):
-        preds.append(model.forward(images[start:start + batch_size],
-                                   train=False))
-    preds = np.concatenate(preds).astype(float)
+    preds = predict_in_batches(model, np.asarray(images, np.float32))
     return np.stack([inverse_target(p, stats, xb)
-                     for p, xb in zip(preds, xbars)])
+                     for p, xb in zip(preds.astype(float), xbars)])
 
 
-def surrogate_backend(model: SurrogateModel, stats: dict,
-                      raster_resolution: int | None = None):
-    """Per-block backend for upscaling: rasterize then predict."""
+def surrogate_backend(model: SurrogateModel, stats: dict):
+    """Per-block backend for upscaling: rasterize then predict.
+
+    Each block gets its own forward pass on purpose: batching all blocks
+    would hold every raster and a larger activation cache at once and raise
+    peak memory.
+    """
     from ..rasterizer import rasterize_block
 
-    res = raster_resolution or model.architecture.resolution
+    res = model.architecture.resolution
 
     def run(field, clipped, block, block_id):
         sample = rasterize_block(field, clipped, block, res,
                                  metadata={"block_id": block_id})
-        eq = predict_tensor(model, sample, stats)
-        eq.block_id = block_id
-        return eq
+        kxx, kxy, kyy = predict_samples(model, [sample], stats)[0]
+        return EquivalentTensor(kxx=float(kxx), kxy=float(kxy),
+                                kyy=float(kyy), block_id=block_id)
 
     return run

@@ -26,7 +26,7 @@ from dfm_upscale.random_field import Grid, sample_gaussian_field, \
 from dfm_upscale.rasterizer import rasterize_block
 from dfm_upscale.surrogate import (Architecture, SurrogateModel,
                                    TrainSchedule, compute_metrics, evaluate,
-                                   predict_batch, train)
+                                   predict_samples, train)
 
 from conftest import (finite_difference_grad_errors, layered_field,
                       uniform_field)
@@ -381,7 +381,7 @@ def test_criterion_13_determinism(tmp_path):
     from dfm_upscale.rasterizer import RasterSample
     samples = [RasterSample(image=img) for img in images]
     model = SurrogateModel(arch, seed=1)
-    preds = [predict_batch(model, samples, stats) for _ in range(2)]
+    preds = [predict_samples(model, samples, stats) for _ in range(2)]
     checks["prediction"] = np.array_equal(preds[0], preds[1])
 
     ok = all(checks.values())

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from dfm_upscale.config import ConfigError, RunConfig
+from dfm_upscale.cli import main
+from dfm_upscale.config import ConfigError, RunConfig, fingerprint
 
 
 class TestDefaults:
@@ -59,6 +60,33 @@ class TestHashAndResolved:
         assert a.hash() == b.hash()
         assert a.hash() != c.hash()
         assert len(a.hash()) == 16
+        assert RunConfig().hash() == fingerprint(RunConfig().to_dict())
+        assert RunConfig().hash() == "aeb229ee3e1e9732"
+        # the hash function itself is unchanged: the defaults plus the former
+        # solver.rtol field hash to the value older resolved configs carry
+        with_rtol = RunConfig().to_dict()
+        with_rtol["solver"]["rtol"] = 1e-10
+        assert fingerprint(with_rtol) == "71ed63038c00e13e"
+
+    def test_artifact_hashes_are_fingerprints(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "srf": {"resolution": 16}, "raster": {"resolution": 16},
+            "dfn": {"rho_2d": 2.0},
+            "dataset": {"n_samples": 10, "srf_resolution": 16,
+                        "solver_resolution": 12},
+            "train": {"conv_channels": [2, 3], "dense_widths": [8],
+                      "epochs": 1, "batch_size": 4}}))
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["build-dataset", "--config", str(config),
+                     "--out", str(data)]) == 0
+        assert main(["train", "--config", str(config), "--dataset", str(data),
+                     "--out", str(run)]) == 0
+        manifest = json.loads((data / "manifest.json").read_text())
+        assert manifest["config_hash"] == fingerprint(manifest["config"])
+        stats = json.loads((data / "stats.json").read_text())
+        header = json.loads((run / "model" / "model.json").read_text())
+        assert header["stats_hash"] == fingerprint(stats)
 
     def test_write_resolved(self, tmp_path):
         cfg = RunConfig.from_dict({"dfn": {"alpha": 2.3}})

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from dfm_upscale.dfm_solver import (BoundaryCondition, SolverError, aquifer_bc,
-                                    discretize, linear_head, locate_triangle,
-                                    pcg_jacobi, solve_darcy)
+from dfm_upscale.dfm_solver import (BoundaryCondition, aquifer_bc, discretize,
+                                    linear_head, locate_triangle, solve_darcy)
 from dfm_upscale.geometry import Rect
 from dfm_upscale.random_field import Grid, TensorField
 
@@ -249,50 +247,21 @@ class TestMonotonicity:
 
 
 class TestSolvers:
-    def make_spd(self, n, seed):
-        rng = np.random.default_rng(seed)
-        b = rng.standard_normal((n, n))
-        return sp.csr_matrix(b @ b.T + n * np.eye(n))
-
-    def test_pcg_matches_dense_solve(self):
-        a = self.make_spd(50, 0)
-        rhs = np.random.default_rng(1).standard_normal(50)
-        x, iters = pcg_jacobi(a, rhs, rtol=1e-12)
-        assert iters > 0
-        assert np.allclose(a @ x, rhs, rtol=0, atol=1e-9 * np.linalg.norm(rhs))
-
-    def test_pcg_zero_rhs(self):
-        a = self.make_spd(10, 2)
-        x, iters = pcg_jacobi(a, np.zeros(10))
-        assert iters == 0 and np.all(x == 0)
-
-    def test_pcg_iteration_cap_reports_residual(self):
-        a = self.make_spd(50, 3)
-        rhs = np.ones(50)
-        with pytest.raises(SolverError) as err:
-            pcg_jacobi(a, rhs, rtol=1e-16, max_iter=1)
-        assert err.value.residual is not None
-        assert err.value.residual > 0
-
-    def test_pcg_rejects_non_spd(self):
-        a = sp.csr_matrix(np.diag([1.0, -1.0]))
-        with pytest.raises(SolverError):
-            pcg_jacobi(a, np.ones(2))
-
-    def test_direct_and_pcg_agree(self, unit_rect):
+    def test_direct_matches_dense_solve(self, unit_rect):
         field = random_tensor_field(unit_rect, 16, seed=5, log_spread=0.5)
         sys_ = discretize(field, None, unit_rect, 16, 16)
-        direct = solve_darcy(sys_, aquifer_bc(1.0), method="direct")
-        pcg = solve_darcy(sys_, aquifer_bc(1.0), method="pcg")
-        assert direct.iterations == 0
-        assert pcg.iterations > 0
-        assert np.allclose(direct.h, pcg.h, atol=1e-8 * np.abs(direct.h).max())
-
-    def test_unknown_method(self, unit_rect):
-        sys_ = discretize(uniform_field(unit_rect, 1.0), None, unit_rect,
-                          4, 4)
-        with pytest.raises(ValueError):
-            solve_darcy(sys_, linear_head("x"), method="nope")
+        sol = solve_darcy(sys_, aquifer_bc(1.0))
+        # independent reference: dense solve of the reduced free-DOF system
+        x = sys_.dof_coords[:, 0]
+        left = np.isclose(x, 0.0)
+        fixed = left | np.isclose(x, 1.0)
+        free = ~fixed
+        a = sys_.matrix.toarray()
+        h_ref = np.where(left, 1.0, 0.0)
+        h_ref[free] = np.linalg.solve(a[np.ix_(free, free)],
+                                      -a[np.ix_(free, fixed)] @ h_ref[fixed])
+        assert np.allclose(sol.h, h_ref, rtol=0,
+                           atol=1e-10 * np.abs(h_ref).max())
 
 
 class TestBoundaryConditions:

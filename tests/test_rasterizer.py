@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from dfm_upscale.geometry import Rect
-from dfm_upscale.rasterizer import (RasterSample, load_raster,
-                                    rasterize_block, save_raster)
+from dfm_upscale.rasterizer import rasterize_block
 from dfm_upscale.random_field import Grid, TensorField
 
 from conftest import make_fracture, network_of, uniform_field
@@ -126,28 +125,3 @@ class TestFracturePixels:
         a = rasterize_block(field, net, unit_rect, 64)
         b = rasterize_block(field, net, unit_rect, 64)
         assert np.array_equal(a.image, b.image)
-
-
-class TestSerialization:
-    def test_round_trip_with_target(self, unit_rect, tmp_path):
-        field = uniform_field(unit_rect, 1e-6)
-        net = network_of(make_fracture((0.1, 0.4), (0.9, 0.6)))
-        s = rasterize_block(field, net, unit_rect, 16,
-                            metadata={"block_id": 7})
-        s.target = np.array([2e-6, 1e-8, 1e-6])
-        path = tmp_path / "sample.bin"
-        save_raster(s, path)
-        back = load_raster(path)
-        assert back.resolution == 16
-        assert back.metadata["block_id"] == 7
-        assert np.allclose(back.image, s.image, rtol=1e-6)
-        assert np.allclose(back.target, s.target, rtol=1e-6)
-
-    def test_round_trip_without_target(self, unit_rect, tmp_path):
-        field = uniform_field(unit_rect, 1e-6)
-        s = rasterize_block(field, None, unit_rect, 8)
-        path = tmp_path / "sample.bin"
-        save_raster(s, path)
-        back = load_raster(path)
-        assert back.target is None
-        assert np.allclose(back.image, s.image, rtol=1e-6)

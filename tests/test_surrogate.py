@@ -3,10 +3,10 @@ import pytest
 
 from dfm_upscale.dataset_pipeline import compute_stats, inverse_target, preprocess
 from dfm_upscale.rasterizer import RasterSample
+from dfm_upscale.config import fingerprint
 from dfm_upscale.surrogate import (Adam, Architecture, SurrogateModel,
                                    TrainSchedule, compute_metrics, evaluate,
-                                   predict_batch, predict_in_batches,
-                                   predict_tensor, stats_fingerprint, train,
+                                   predict_in_batches, predict_samples, train,
                                    validation_loss, write_history_csv)
 from dfm_upscale.surrogate.layers import BatchNorm, Dense
 from dfm_upscale.seeding import substream
@@ -297,51 +297,40 @@ class TestPrediction:
         images, targets = synthetic_dataset(rng, 8)
         stats = compute_stats(images.astype(float), targets, np.arange(8))
         model = small_model(seed=4)
-        model.stats_hash = stats_fingerprint(stats)
+        model.stats_hash = fingerprint(stats)
         return model, images, stats
 
     def test_matches_manual_inverse(self):
         model, images, stats = self.make_fixture()
         sample = RasterSample(image=images[0].astype(float))
-        eq = predict_tensor(model, sample, stats)
+        kxx, kxy, kyy = predict_samples(model, [sample], stats)[0]
         img, _, xbar = preprocess(images[0].astype(float), None, stats)
         raw = inverse_target(
             model.forward(img[None].astype(np.float32))[0].astype(float),
             stats, xbar)
-        assert eq.kxx == pytest.approx(raw[0], rel=1e-12)
-        assert eq.kxy == pytest.approx(raw[1], rel=1e-12)
-        assert eq.kyy == pytest.approx(raw[2], rel=1e-12)
-        assert eq.kxx > 0 and eq.kyy > 0  # log parameterization
-
-    def test_preprocessed_path_agrees(self):
-        model, images, stats = self.make_fixture()
-        raw = RasterSample(image=images[0].astype(float))
-        eq_raw = predict_tensor(model, raw, stats)
-        img, _, xbar = preprocess(images[0].astype(float), None, stats)
-        eq_pre = predict_tensor(model, RasterSample(image=img), stats,
-                                preprocessed=True, xbar=xbar)
-        assert np.allclose(eq_pre.as_array(), eq_raw.as_array(), rtol=1e-6)
-        with pytest.raises(ValueError, match="xbar"):
-            predict_tensor(model, RasterSample(image=img), stats,
-                           preprocessed=True)
+        assert kxx == pytest.approx(raw[0], rel=1e-12)
+        assert kxy == pytest.approx(raw[1], rel=1e-12)
+        assert kyy == pytest.approx(raw[2], rel=1e-12)
+        assert kxx > 0 and kyy > 0  # log parameterization
 
     def test_stats_mismatch_rejected(self):
         model, images, stats = self.make_fixture()
         other = {k: {kk: {"avg": vv["avg"] + 1.0, "std": vv["std"]}
                      for kk, vv in v.items()} for k, v in stats.items()}
         with pytest.raises(ValueError, match="statistics"):
-            predict_tensor(model, RasterSample(image=images[0].astype(float)),
-                           other)
+            predict_samples(model,
+                            [RasterSample(image=images[0].astype(float))],
+                            other)
 
     def test_batch_matches_single(self):
         model, images, stats = self.make_fixture()
         samples = [RasterSample(image=images[i].astype(float))
                    for i in range(5)]
-        batch = predict_batch(model, samples, stats, batch_size=2)
+        batch = predict_samples(model, samples, stats)
         assert batch.shape == (5, 3)
         for i, s in enumerate(samples):
-            single = predict_tensor(model, s, stats)
-            assert np.allclose(batch[i], single.as_array(), rtol=1e-6)
+            single = predict_samples(model, [s], stats)[0]
+            assert np.allclose(batch[i], single, rtol=1e-6)
 
     def test_evaluate_and_batches(self):
         model, images, stats = self.make_fixture()
