@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .frac_geom import FractureNetwork
-from .geometry import Rect, clip_segment, segment_intersection
+from .geometry import Rect, clip_segment, segment_intersections
 from .random_field import TensorField
 
 FRAC_ELEM_FACTOR = 0.75  # target fracture element length / matrix cell size
@@ -92,6 +92,9 @@ class DiscreteSystem:
     matrix: sp.csr_matrix      # assembled stiffness, no BCs applied
     dropped_fractures: int = 0
     merged_fractures: int = 0
+    # (Dirichlet mask bytes, a_ff, a[:, mask], LU of a_ff) of the last solve
+    _factor: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     @property
     def n_matrix_dofs(self) -> int:
@@ -162,27 +165,15 @@ def _p1_gradients(nodes, tris):
     return area, grads
 
 
-def locate_triangle(domain: Rect, nx: int, ny: int, x: float, y: float) -> int:
-    """Index of the triangle containing (x, y); edge hits resolve toward the
-    larger cell index, diagonal hits toward the lower triangle."""
-    hx = domain.width / nx
-    hy = domain.height / ny
-    fx = (x - domain.x0) / hx
-    fy = (y - domain.y0) / hy
-    ix = min(max(int(np.floor(fx)), 0), nx - 1)
-    iy = min(max(int(np.floor(fy)), 0), ny - 1)
-    lx = fx - ix
-    ly = fy - iy
-    cell = ix * ny + iy
-    return 2 * cell + (0 if lx >= ly else 1)
-
-
-def _barycentric(nodes, tris, tri_idx, point):
-    p = nodes[tris[tri_idx]]
-    t = np.array([[p[0, 0] - p[2, 0], p[1, 0] - p[2, 0]],
-                  [p[0, 1] - p[2, 1], p[1, 1] - p[2, 1]]])
-    w01 = np.linalg.solve(t, np.asarray(point, float) - p[2])
-    return np.array([w01[0], w01[1], 1.0 - w01[0] - w01[1]])
+def locate_triangle(domain: Rect, nx: int, ny: int, x, y):
+    """Index of the triangle containing (x, y), elementwise over arrays;
+    edge hits resolve toward the larger cell index, diagonal hits toward the
+    lower triangle."""
+    fx = (np.asarray(x, float) - domain.x0) / (domain.width / nx)
+    fy = (np.asarray(y, float) - domain.y0) / (domain.height / ny)
+    ix = np.clip(np.floor(fx), 0, nx - 1).astype(np.int64)
+    iy = np.clip(np.floor(fy), 0, ny - 1).astype(np.int64)
+    return 2 * (ix * ny + iy) + (fx - ix < fy - iy)
 
 
 def _clip_network(network: FractureNetwork, domain: Rect):
@@ -200,39 +191,53 @@ def _clip_network(network: FractureNetwork, domain: Rect):
 
 
 def _merge_collinear(segs, tol):
-    """Merge overlapping collinear segments; the wider-aperture fracture wins."""
-    merged = 0
+    """Merge overlapping collinear segments; the wider-aperture fracture wins.
+
+    Each segment is tested against all later ones at once; a merge changes
+    only the earlier segment, so the later ones keep their original arrays.
+    """
     out = list(segs)
-    i = 0
-    while i < len(out):
-        fr_i, a0, a1 = out[i]
-        di = a1 - a0
-        li = np.hypot(*di)
+    start = np.array([b0 for _, b0, _ in segs]).reshape(-1, 2)
+    delta = np.array([b1 - b0 for _, b0, b1 in segs]).reshape(-1, 2)
+    alive = np.ones(len(out), dtype=bool)
+    merged = 0
+    for i in range(len(out)):
+        if not alive[i]:
+            continue
         j = i + 1
-        while j < len(out):
+        while True:
+            fr_i, a0, a1 = out[i]
+            di = a1 - a0
+            li = np.hypot(*di)
+            w = start[j:] - a0
+            cross = di[0] * delta[j:, 1] - di[1] * delta[j:, 0]
+            off0 = di[0] * w[:, 1] - di[1] * w[:, 0]
+            hits = np.flatnonzero(alive[j:] & (np.abs(cross) < tol * li)
+                                  & (np.abs(off0) < tol * li))
+            if not len(hits):
+                break
+            j += hits[0]
             fr_j, b0, b1 = out[j]
-            dj = b1 - b0
-            cross = di[0] * dj[1] - di[1] * dj[0]
-            off0 = di[0] * (b0 - a0)[1] - di[1] * (b0 - a0)[0]
-            if abs(cross) < tol * li and abs(off0) < tol * li:
-                t = di / li
-                s = np.sort(np.array([0.0, li, (b0 - a0) @ t, (b1 - a0) @ t]))
-                lo, hi = s[0], s[-1]
-                span = hi - lo
-                if span < li + np.hypot(*dj) - tol:  # projections overlap
-                    keep = fr_i if fr_i.aperture >= fr_j.aperture else fr_j
-                    out[i] = (keep, a0 + lo * t, a0 + hi * t)
-                    fr_i, a0, a1 = out[i]
-                    di = a1 - a0
-                    li = np.hypot(*di)
-                    del out[j]
-                    merged += 1
-                    continue
+            t = di / li
+            s = np.sort(np.array([0.0, li, (b0 - a0) @ t, (b1 - a0) @ t]))
+            lo, hi = s[0], s[-1]
+            if hi - lo < li + np.hypot(*delta[j]) - tol:  # projections overlap
+                keep = fr_i if fr_i.aperture >= fr_j.aperture else fr_j
+                out[i] = (keep, a0 + lo * t, a0 + hi * t)
+                alive[j] = False
+                merged += 1
             j += 1
-        i += 1
     if merged:
         warnings.warn(f"merged {merged} overlapping collinear fracture segments")
-    return out, merged
+    return [seg for seg, keep in zip(out, alive) if keep], merged
+
+
+def _runs(counts):
+    """(run index, position within the run) of every item of consecutive
+    runs with the given lengths."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) - np.repeat(np.cumsum(counts) - counts,
+                                                 counts)
 
 
 def discretize(field_: TensorField, network: FractureNetwork | None,
@@ -261,46 +266,32 @@ def discretize(field_: TensorField, network: FractureNetwork | None,
 
     # split at mutual intersections, subdivide, number fracture dofs
     n_m = len(nodes)
-    frac_nodes = []
-    shared = {}  # quantized intersection point -> fracture node index
-
-    def frac_node(point, share_key=None):
-        if share_key is not None and share_key in shared:
-            return shared[share_key]
-        frac_nodes.append(np.asarray(point, float))
-        idx = len(frac_nodes) - 1
-        if share_key is not None:
-            shared[share_key] = idx
-        return idx
-
+    seg_p0 = np.array([a0 for _, a0, _ in segs]).reshape(-1, 2)
+    seg_p1 = np.array([a1 for _, _, a1 in segs]).reshape(-1, 2)
+    seg_d = seg_p1 - seg_p0
     breakpoints = [[] for _ in segs]  # (t, share_key) per segment
-    for i in range(len(segs)):
-        _, a0, a1 = segs[i]
-        for j in range(i + 1, len(segs)):
-            _, b0, b1 = segs[j]
-            pt = segment_intersection(a0, a1, b0, b1, snap_tol)
-            if pt is None:
-                continue
-            key = (int(round(pt[0] / snap_tol)), int(round(pt[1] / snap_tol)))
-            for idx, (q0, q1) in ((i, (a0, a1)), (j, (b0, b1))):
-                d = q1 - q0
-                ll = np.hypot(*d)
-                t = float(np.clip(((pt - q0) @ d) / ll ** 2, 0.0, 1.0))
-                breakpoints[idx].append((t, key))
+    for i, j, pt in zip(*segment_intersections(seg_p0, seg_p1, snap_tol)):
+        key = (int(round(pt[0] / snap_tol)), int(round(pt[1] / snap_tol)))
+        for idx in (i, j):
+            d = seg_d[idx]
+            t = float(np.clip(((pt - seg_p0[idx]) @ d) / np.hypot(*d) ** 2,
+                              0.0, 1.0))
+            breakpoints[idx].append((t, key))
 
+    # Breakpoint nodes are numbered here, segment by segment; each span then
+    # reserves ids for its nsub - 1 interior nodes, placed below in arrays.
     target = FRAC_ELEM_FACTOR * min(hx, hy)
-    elems = []
-    e_len, e_tan, e_ap, e_cond, e_tri = [], [], [], [], []
-    couple_rows, couple_cols, couple_data = [], [], []
+    bp_ids, bp_xy = [], []
+    shared = {}  # quantized intersection point -> fracture node index
+    spans = []   # (segment, t0, t1, nsub, first interior id, end ids)
+    n_f = 0
     zero_len_dropped = 0
-
-    for seg_idx, (fr, a0, a1) in enumerate(segs):
+    for seg_idx, (_, a0, a1) in enumerate(segs):
         d = a1 - a0
         seg_len = np.hypot(*d)
         if seg_len <= snap_tol:
             zero_len_dropped += 1
             continue
-        tangent = d / seg_len
         pts = sorted(set([(0.0, None), (1.0, None)]
                          + [(t, k) for t, k in breakpoints[seg_idx]]),
                      key=lambda p: p[0])
@@ -318,73 +309,79 @@ def discretize(field_: TensorField, network: FractureNetwork | None,
 
         node_ids = []
         for t, k in cleaned:
-            node_ids.append(frac_node(a0 + t * d, share_key=k))
-        # uniform subdivision of each span to the target element size
-        chain = []
+            if k not in shared:
+                bp_ids.append(n_f)
+                bp_xy.append(a0 + t * d)
+                if k is not None:
+                    shared[k] = n_f
+                node_ids.append(n_f)
+                n_f += 1
+            else:
+                node_ids.append(shared[k])
         for (t0, _), (t1, _), i0, i1 in zip(cleaned[:-1], cleaned[1:],
                                             node_ids[:-1], node_ids[1:]):
-            span = (t1 - t0) * seg_len
-            nsub = max(1, int(np.ceil(span / target)))
-            prev = i0
-            for s in range(1, nsub):
-                t = t0 + (t1 - t0) * s / nsub
-                nid = frac_node(a0 + t * d)
-                chain.append((prev, nid))
-                prev = nid
-            chain.append((prev, i1))
-        for i0, i1 in chain:
-            p0 = frac_nodes[i0]
-            p1 = frac_nodes[i1]
-            ll = float(np.hypot(*(p1 - p0)))
-            if ll <= snap_tol:
-                continue
-            elems.append((i0, i1))
-            e_len.append(ll)
-            e_tan.append(tangent)
-            e_ap.append(fr.aperture)
-            e_cond.append(fr.conductivity)
-            mid = 0.5 * (p0 + p1)
-            tri_idx = locate_triangle(domain, nx, ny, mid[0], mid[1])
-            e_tri.append(tri_idx)
-            # fracture conduction along the element
-            t_e = fr.aperture * fr.conductivity / ll
-            for (ra, ca, v) in ((i0, i0, t_e), (i1, i1, t_e),
-                                (i0, i1, -t_e), (i1, i0, -t_e)):
-                couple_rows.append(n_m + ra)
-                couple_cols.append(n_m + ca)
-                couple_data.append(v)
-            # matrix-fracture exchange at the midpoint
-            c = ll * fr.conductivity / fr.aperture
-            bary = _barycentric(nodes, tris, tri_idx, mid)
-            dofs = list(tris[tri_idx]) + [n_m + i0, n_m + i1]
-            w = np.concatenate([bary, [-0.5, -0.5]])
-            for a in range(5):
-                for b in range(5):
-                    couple_rows.append(dofs[a])
-                    couple_cols.append(dofs[b])
-                    couple_data.append(c * w[a] * w[b])
+            nsub = max(1, int(np.ceil((t1 - t0) * seg_len / target)))
+            spans.append((seg_idx, t0, t1, nsub, n_f, i0, i1))
+            n_f += nsub - 1
 
-    n_dofs = n_m + len(frac_nodes)
-    all_rows = np.concatenate([rows, np.asarray(couple_rows, dtype=np.int64)])
-    all_cols = np.concatenate([cols, np.asarray(couple_cols, dtype=np.int64)])
-    all_data = np.concatenate([data, np.asarray(couple_data, float)])
+    frac_nodes = np.zeros((n_f, 2))
+    frac_nodes[bp_ids] = np.reshape(bp_xy, (-1, 2))
+    table = np.array(spans, dtype=float).reshape(-1, 7)
+    sp_t0, sp_t1 = table[:, 1], table[:, 2]
+    sp_seg, sp_nsub, sp_first, sp_i0, sp_i1 = (
+        table[:, [0, 3, 4, 5, 6]].T.astype(np.int64))
+    # interior nodes s = 1 .. nsub - 1 of every span
+    span, s = _runs(sp_nsub - 1)
+    s += 1
+    t = sp_t0[span] + (sp_t1[span] - sp_t0[span]) * s / sp_nsub[span]
+    frac_nodes[sp_first[span] + s - 1] = (seg_p0[sp_seg[span]]
+                                          + t[:, None] * seg_d[sp_seg[span]])
+    # elements s = 0 .. nsub - 1 of every span, in chain order
+    span, s = _runs(sp_nsub)
+    n0 = np.where(s == 0, sp_i0[span], sp_first[span] + s - 1)
+    n1 = np.where(s == sp_nsub[span] - 1, sp_i1[span], sp_first[span] + s)
+    p0, p1 = frac_nodes[n0], frac_nodes[n1]
+    e_len = np.hypot(p1[:, 0] - p0[:, 0], p1[:, 1] - p0[:, 1])
+    keep = e_len > snap_tol
+    n0, n1, p0, p1, e_len = n0[keep], n1[keep], p0[keep], p1[keep], e_len[keep]
+    e_seg = sp_seg[span[keep]]
+    e_tan = seg_d[e_seg] / np.hypot(seg_d[e_seg, 0], seg_d[e_seg, 1])[:, None]
+    e_ap = np.array([fr.aperture for fr, _, _ in segs], float)[e_seg]
+    e_cond = np.array([fr.conductivity for fr, _, _ in segs], float)[e_seg]
+    mid = 0.5 * (p0 + p1)
+    e_tri = locate_triangle(domain, nx, ny, mid[:, 0], mid[:, 1])
+
+    # fracture conduction along each element, then the matrix-fracture
+    # exchange at its midpoint: 4 + 25 entries per element, in that order
+    t_e = e_ap * e_cond / e_len
+    c = e_len * e_cond / e_ap
+    p = nodes[tris[e_tri]]
+    bary_t = np.stack([p[:, 0] - p[:, 2], p[:, 1] - p[:, 2]], axis=2)
+    w01 = np.linalg.solve(bary_t, (mid - p[:, 2])[..., None])[..., 0]
+    w = np.column_stack([w01, 1.0 - w01[:, 0] - w01[:, 1],
+                         np.full((len(c), 2), -0.5)])
+    f0, f1 = n_m + n0, n_m + n1
+    dofs = np.column_stack([tris[e_tri], f0, f1])
+    couple_rows = np.column_stack([f0, f1, f0, f1,
+                                   np.repeat(dofs, 5, axis=1)])
+    couple_cols = np.column_stack([f0, f1, f1, f0, np.tile(dofs, 5)])
+    couple_data = np.column_stack([
+        t_e, t_e, -t_e, -t_e,
+        (c[:, None, None] * w[:, :, None] * w[:, None, :]).reshape(-1, 25)])
+
+    n_dofs = n_m + n_f
+    all_rows = np.concatenate([rows, couple_rows.ravel()])
+    all_cols = np.concatenate([cols, couple_cols.ravel()])
+    all_data = np.concatenate([data, couple_data.ravel()])
     matrix = sp.coo_matrix((all_data, (all_rows, all_cols)),
                            shape=(n_dofs, n_dofs)).tocsr()
 
     return DiscreteSystem(
         domain=domain, nx=nx, ny=ny, nodes=nodes, tris=tris, tri_area=area,
-        tri_grads=grads, tri_K=tri_K,
-        frac_nodes=(np.asarray(frac_nodes)
-                    if frac_nodes else np.zeros((0, 2))),
-        frac_elems=(np.asarray(elems, dtype=np.int64)
-                    if elems else np.zeros((0, 2), dtype=np.int64)),
-        frac_len=np.asarray(e_len, float),
-        frac_tangent=(np.asarray(e_tan, float)
-                      if e_tan else np.zeros((0, 2))),
-        frac_aperture=np.asarray(e_ap, float),
-        frac_cond=np.asarray(e_cond, float),
-        coupling_tri=np.asarray(e_tri, dtype=np.int64),
-        matrix=matrix,
+        tri_grads=grads, tri_K=tri_K, frac_nodes=frac_nodes,
+        frac_elems=np.column_stack([n0, n1]), frac_len=e_len,
+        frac_tangent=e_tan, frac_aperture=e_ap, frac_cond=e_cond,
+        coupling_tri=e_tri, matrix=matrix,
         dropped_fractures=dropped + zero_len_dropped,
         merged_fractures=merged)
 
@@ -421,10 +418,15 @@ def solve_darcy(system: DiscreteSystem, bc: BoundaryCondition) -> FlowSolution:
     a = system.matrix
     mask, values, side_of = _dirichlet_dofs(system, bc)
     free = ~mask
+    # the x and y linear-head problems share the mask: factor once for both
+    key = mask.tobytes()
+    if system._factor is None or system._factor[0] != key:
+        a_ff = a[free][:, free].tocsr()
+        system._factor = (key, a_ff, a[:, mask], spla.splu(a_ff.tocsc()))
+    _, a_ff, a_fixed, lu = system._factor
     h = np.array(values)
-    rhs = -a[:, mask] @ values[mask]
-    a_ff = a[free][:, free].tocsr()
-    h_free = spla.splu(a_ff.tocsc()).solve(rhs[free])
+    rhs = -a_fixed @ values[mask]
+    h_free = lu.solve(rhs[free])
     h[free] = h_free
 
     res = np.linalg.norm(a_ff @ h_free - rhs[free])

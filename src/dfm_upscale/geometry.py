@@ -81,34 +81,43 @@ def clip_segment(p0, p1, rect: Rect):
     return q0, q1
 
 
-def segment_intersection(a0, a1, b0, b1, eps: float):
-    """Intersection point of two segments, or None.
+# pairs per broadcast chunk in segment_intersections; bounds its memory
+_PAIR_CHUNK = 1 << 18
 
-    Touching within eps counts as intersection; parallel/collinear pairs
-    return None (collinear overlap is handled by the caller).
+
+def segment_intersections(p0, p1, eps: float):
+    """Intersections of every pair i < j of the segments p0[k]-p1[k].
+
+    p0 and p1 are (n, 2) arrays. Returns (i, j, points) for the intersecting
+    pairs in row-major (i, j) order. Touching within eps counts as
+    intersection; parallel/collinear pairs do not (collinear overlap is
+    handled by the caller).
     """
-    a0 = np.asarray(a0, float)
-    a1 = np.asarray(a1, float)
-    b0 = np.asarray(b0, float)
-    b1 = np.asarray(b1, float)
-    da = a1 - a0
-    db = b1 - b0
-    denom = da[0] * db[1] - da[1] * db[0]
-    la = np.hypot(*da)
-    lb = np.hypot(*db)
-    if la == 0.0 or lb == 0.0:
-        return None
-    if abs(denom) <= 1e-14 * la * lb:
-        return None
-    w = b0 - a0
-    t = (w[0] * db[1] - w[1] * db[0]) / denom
-    s = (w[0] * da[1] - w[1] * da[0]) / denom
-    tol_t = eps / la
-    tol_s = eps / lb
-    if -tol_t <= t <= 1.0 + tol_t and -tol_s <= s <= 1.0 + tol_s:
-        t = min(max(t, 0.0), 1.0)
-        return a0 + t * da
-    return None
+    p0 = np.asarray(p0, float).reshape(-1, 2)
+    d = np.asarray(p1, float).reshape(-1, 2) - p0
+    n = len(p0)
+    length = np.hypot(d[:, 0], d[:, 1])
+    rows = max(1, _PAIR_CHUNK // max(n, 1))
+    found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 2)))]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tol = eps / length
+        for r0 in range(0, n, rows):
+            a = np.arange(r0, min(r0 + rows, n))
+            da, la, tol_a = d[a, None], length[a, None], tol[a, None]
+            denom = da[..., 0] * d[:, 1] - da[..., 1] * d[:, 0]
+            w = p0[None, :] - p0[a, None]
+            t = (w[..., 0] * d[:, 1] - w[..., 1] * d[:, 0]) / denom
+            s = (w[..., 0] * da[..., 1] - w[..., 1] * da[..., 0]) / denom
+            hit = ((a[:, None] < np.arange(n)) & (la != 0.0) & (length != 0.0)
+                   & ~(np.abs(denom) <= 1e-14 * la * length)
+                   & (-tol_a <= t) & (t <= 1.0 + tol_a)
+                   & (-tol <= s) & (s <= 1.0 + tol))
+            i, j = np.nonzero(hit)
+            t = np.clip(t[i, j], 0.0, 1.0)
+            i = a[i]
+            found.append((i, j, p0[i] + t[:, None] * d[i]))
+    i, j, points = zip(*found)
+    return np.concatenate(i), np.concatenate(j), np.concatenate(points)
 
 
 def point_to_cell(x: float, n: int) -> int:

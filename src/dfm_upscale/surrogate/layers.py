@@ -14,11 +14,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Layer:
-    """Base class; layers expose params/grads dicts keyed by name."""
+    """Base class; layers expose params/grads dicts keyed by name.
+
+    forward(x, train=True) saves in ``_cache`` what backward needs;
+    forward(x, train=False) saves nothing, so inference frees its buffers.
+    """
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        self._cache = None
 
     def forward(self, x, train: bool):
         raise NotImplementedError
@@ -52,7 +57,6 @@ class Conv3x3(Layer):
                                            (3, 3, in_channels, out_channels),
                                            dtype)
         self.params["bias"] = np.zeros(out_channels, dtype=dtype)
-        self._cache = None
 
     def output_shape(self, shape):
         h, w, c = shape
@@ -76,7 +80,7 @@ class Conv3x3(Layer):
         w = self.params["kernel"].reshape(9 * self.in_channels,
                                           self.out_channels)
         out = cols @ w + self.params["bias"]
-        self._cache = (cols, x.shape)
+        self._cache = (cols, x.shape) if train else None
         return out.reshape(b, ho, wo, self.out_channels)
 
     def backward(self, dout):
@@ -111,7 +115,6 @@ class BatchNorm(Layer):
         self.running_var = np.ones(channels, dtype=np.float64)
         self.momentum = momentum
         self.eps = eps
-        self._cache = None
 
     def output_shape(self, shape):
         return shape
@@ -130,16 +133,14 @@ class BatchNorm(Layer):
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mean.astype(x.dtype)) * inv_std.astype(x.dtype)
-        self._cache = (xhat, inv_std.astype(x.dtype), axes, train)
+        self._cache = (xhat, inv_std.astype(x.dtype), axes) if train else None
         return xhat * self.params["scale"] + self.params["shift"]
 
     def backward(self, dout):
-        xhat, inv_std, axes, train = self._cache
+        xhat, inv_std, axes = self._cache
         self.grads["scale"] = (dout * xhat).sum(axis=axes)
         self.grads["shift"] = dout.sum(axis=axes)
         dxhat = dout * self.params["scale"]
-        if not train:
-            return dxhat * inv_std
         return (dxhat - dxhat.mean(axis=axes)
                 - xhat * (dxhat * xhat).mean(axis=axes)) * inv_std
 
@@ -153,19 +154,16 @@ class BatchNorm(Layer):
 
 
 class ReLU(Layer):
-    def __init__(self):
-        super().__init__()
-        self._mask = None
-
     def output_shape(self, shape):
         return shape
 
     def forward(self, x, train: bool):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0)
+        mask = x > 0
+        self._cache = mask if train else None
+        return np.where(mask, x, 0)
 
     def backward(self, dout):
-        return np.where(self._mask, dout, 0)
+        return np.where(self._cache, dout, 0)
 
 
 class MaxPool2(Layer):
@@ -182,7 +180,7 @@ class MaxPool2(Layer):
         win = xt.reshape(b, ho, 2, wo, 2, c).transpose(0, 1, 3, 5, 2, 4)
         win = win.reshape(b, ho, wo, c, 4)
         arg = win.argmax(axis=-1)
-        self._cache = (x.shape, arg)
+        self._cache = (x.shape, arg) if train else None
         return np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
 
     def backward(self, dout):
@@ -201,11 +199,11 @@ class Flatten(Layer):
         return (int(np.prod(shape)),)
 
     def forward(self, x, train: bool):
-        self._shape = x.shape
+        self._cache = x.shape if train else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dout):
-        return dout.reshape(self._shape)
+        return dout.reshape(self._cache)
 
 
 class Dense(Layer):
@@ -224,10 +222,10 @@ class Dense(Layer):
         return (self.out_features,)
 
     def forward(self, x, train: bool):
-        self._x = x
+        self._cache = x if train else None
         return x @ self.params["weight"] + self.params["bias"]
 
     def backward(self, dout):
-        self.grads["weight"] = self._x.T @ dout
+        self.grads["weight"] = self._cache.T @ dout
         self.grads["bias"] = dout.sum(axis=0)
         return dout @ self.params["weight"].T

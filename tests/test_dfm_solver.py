@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,56 @@ class TestDiscretize:
         assert np.array_equal(a.matrix.toarray(), b.matrix.toarray())
 
 
+# fractures on an 8 x 8 mesh of the unit square (cell size 0.125)
+DEGENERATE_NETWORKS = {
+    "x_junction": [((0.1, 0.1), (0.9, 0.9)), ((0.1, 0.9), (0.9, 0.1))],
+    "t_junction": [((0.1, 0.5), (0.9, 0.5)), ((0.5, 0.5), (0.5, 0.9))],
+    "through_mesh_nodes": [((0.125, 0.0), (0.5, 0.75))],
+    "along_cell_edges": [((0.0, 0.25), (1.0, 0.25)), ((0.5, 0.1), (0.5, 0.9))],
+    "along_cell_diagonal": [((0.0, 0.0), (1.0, 1.0))],
+    "collinear_overlap": [((0.1, 0.5), (0.6, 0.5)), ((0.4, 0.5), (0.9, 0.5)),
+                          ((0.2, 0.1), (0.2, 0.9))],
+    "touching_boundary": [((-0.5, 0.3), (1.0, 0.3)), ((1.0, 0.0), (1.0, 1.0)),
+                          ((0.5, -0.2), (0.5, 0.4))],
+}
+
+
+class TestDegenerateGeometry:
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_NETWORKS))
+    def test_assembly_invariants(self, unit_rect, name):
+        fracs = [make_fracture(p0, p1, frac_id=k) for k, (p0, p1)
+                 in enumerate(DEGENERATE_NETWORKS[name])]
+        field = random_tensor_field(unit_rect, 8, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the collinear-merge warning
+            sys_ = discretize(field, network_of(*fracs), unit_rect, 8, 8)
+        assert len(sys_.frac_elems) > 0
+        a = sys_.matrix
+        scale = abs(a).max()
+        assert abs(a - a.T).max() <= 1e-14 * scale
+        # constant heads carry no flux: the assembly's null vector
+        assert np.abs(a @ np.ones(a.shape[0])).max() <= 1e-12 * scale
+        p = sys_.frac_nodes[sys_.frac_elems]
+        mid = 0.5 * (p[:, 0] + p[:, 1])
+        assert np.array_equal(
+            sys_.coupling_tri,
+            locate_triangle(unit_rect, 8, 8, mid[:, 0], mid[:, 1]))
+
+
+class TestFactorizationReuse:
+    def test_each_solve_matches_a_fresh_system(self, unit_rect):
+        # x and y share the Dirichlet mask and one factorization; the
+        # aquifer problem in between has another mask and must refactor
+        field = random_tensor_field(unit_rect, 16, seed=4)
+        net = network_of(make_fracture((0.1, 0.2), (0.9, 0.8)),
+                         make_fracture((0.2, 0.8), (0.8, 0.1), frac_id=1))
+        sys_ = discretize(field, net, unit_rect, 16, 16)
+        for bc in (linear_head("x"), aquifer_bc(1.0), linear_head("y")):
+            fresh = discretize(field, net, unit_rect, 16, 16)
+            assert np.array_equal(solve_darcy(sys_, bc).h,
+                                  solve_darcy(fresh, bc).h)
+
+
 class TestLocateTriangle:
     domain = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -116,6 +168,23 @@ class TestLocateTriangle:
 
     def test_clamped_outside(self):
         assert locate_triangle(self.domain, 4, 4, -1.0, -1.0) == 0
+
+    @staticmethod
+    def reference(domain, nx, ny, x, y):
+        """Scalar form of the floor, clamp and tie rules."""
+        fx = (x - domain.x0) / (domain.width / nx)
+        fy = (y - domain.y0) / (domain.height / ny)
+        ix = min(max(int(np.floor(fx)), 0), nx - 1)
+        iy = min(max(int(np.floor(fy)), 0), ny - 1)
+        return 2 * (ix * ny + iy) + (0 if fx - ix >= fy - iy else 1)
+
+    def test_arrays_match_scalar_reference(self):
+        # cell edges, diagonals, corners and points outside the domain
+        g = np.linspace(-0.25, 1.25, 25)
+        x, y = (v.ravel() for v in np.meshgrid(g, g))
+        tri = locate_triangle(self.domain, 4, 4, x, y)
+        assert np.array_equal(tri, [self.reference(self.domain, 4, 4, a, b)
+                                    for a, b in zip(x, y)])
 
 
 class TestLinearExactness:

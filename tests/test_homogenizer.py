@@ -11,7 +11,7 @@ from dfm_upscale.homogenizer import (EquivalentTensor, anisotropy_tensor,
                                      clip_network, numeric_backend,
                                      project_spd, upscale_domain,
                                      write_block_csv, _weighted_averages)
-from dfm_upscale.random_field import Grid, TensorField
+from dfm_upscale.random_field import Grid, TensorField, sample_tensor_field
 
 from conftest import layered_field, make_fracture, network_of, uniform_field
 
@@ -95,6 +95,34 @@ class TestAnisotropyTensor:
             net = generate_dfn(spec, 10.0, unit_rect, 1e-4, seed=seed)
             eq = anisotropy_tensor(field, net, unit_rect, 16)
             assert eq.kxx + eq.kyy >= trace0 * (1.0 - 0.01)
+
+
+class TestGoldenTensors:
+    # anisotropy_tensor of three blocks of the criterion-13 fine model
+    # (20 m domain, seed 9, solver resolution 12), recorded before the
+    # fracture assembly was vectorized; (i, j) -> (k_xx, k_xy, k_yy)
+    GOLDEN = {
+        (0, 0): (0.0027850082223818524, -2.3880654352964312e-05,
+                 0.002696332072073873),
+        (1, 1): (0.0034133332745951124, 8.890953925358554e-05,
+                 0.0032478244417866197),
+        (2, 1): (0.0032847889358048887, 9.128088757645764e-05,
+                 0.0032405798315505007),
+    }
+
+    def test_recorded_tensors(self):
+        domain = Rect(0.0, 0.0, 20.0, 20.0)
+        net = generate_dfn(PowerLawSpec(2.5, 2.0, 15.0), 3.0, domain, 1e-4,
+                           seed=9)
+        field = sample_tensor_field(Grid(32, 32, 20.0 / 32), 3.0,
+                                    (-6.0, -5.8),
+                                    np.array([[0.25, 0.2], [0.2, 0.25]]),
+                                    seed=9)
+        grid = build_block_grid(20.0, 20.0)
+        for (i, j), expected in self.GOLDEN.items():
+            rect = grid.block_rect(i, j)
+            eq = anisotropy_tensor(field, clip_network(net, rect), rect, 12)
+            assert eq.as_array() == pytest.approx(expected, rel=1e-12)
 
 
 class TestAquiferKx:

@@ -78,6 +78,15 @@ class TestForward:
         assert np.array_equal(out[0], out[1])
         assert np.array_equal(out[0], out[2])
 
+    def test_inference_keeps_no_backward_state(self):
+        model = small_model()
+        x = np.random.default_rng(3).standard_normal((4, 16, 16, 4)) \
+            .astype(np.float32)
+        model.loss_and_backward(x, np.zeros((4, 3)))  # fills every cache
+        assert all(layer._cache is not None for layer in model.layers)
+        model.forward(x, train=False)
+        assert all(layer._cache is None for layer in model.layers)
+
     def test_wrong_input_shape_rejected(self):
         model = small_model()
         with pytest.raises(ValueError, match="expected"):
