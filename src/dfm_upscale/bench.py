@@ -204,7 +204,7 @@ def sweep(cfg: RunConfig, seed: int, param: str, values,
         row = {
             "param": param,
             "value": float(value),
-            "n_fractures": len(network.fractures),
+            "n_fractures": len(network),
             "n_blocks": grid.n_blocks,
             "projected_blocks": projected,
             "mean_kxx": float(comp[:, 0].mean()),

@@ -95,7 +95,7 @@ def cmd_generate_dfn(cfg: RunConfig, args):
     network = generate_dfn(spec, cfg.dfn.rho_2d, Rect(0, 0, side, side),
                            cfg.dfn.aperture_ratio, constants, args.seed)
     save_network(network, out / "network.csv")
-    log.info("generated %d fractures", len(network.fractures))
+    log.info("generated %d fractures", len(network))
     return ["network.csv", "network.json"]
 
 

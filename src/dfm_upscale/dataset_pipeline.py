@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,20 +78,13 @@ class DatasetConfig:
 def enforce_ratio(network: FractureNetwork, field_, ratio: float):
     """Rescale all fracture conductivities by one factor so that
     median(K_f) / geometric-mean of the matrix trace/2 equals ratio."""
-    if not len(network.fractures):
+    if not len(network):
         return network, 1.0
     km = float(np.exp(np.mean(np.log(0.5 * (field_.kxx + field_.kyy)))))
-    med = float(np.median([f.conductivity for f in network.fractures]))
+    med = float(np.median(network.conductivity))
     factor = ratio * km / med
-    fracs = [type(f)(id=f.id, center=f.center, length=f.length, angle=f.angle,
-                     aperture=f.aperture,
-                     conductivity=f.conductivity * factor)
-             for f in network.fractures]
-    return FractureNetwork(
-        fractures=fracs, domain=network.domain, density=network.density,
-        seed=network.seed, spec=network.spec,
-        aperture_ratio=network.aperture_ratio,
-        constants=network.constants), factor
+    scaled = replace(network, conductivity=network.conductivity * factor)
+    return scaled, factor
 
 
 def generate_sample(cfg: DatasetConfig, index: int, seed: int):

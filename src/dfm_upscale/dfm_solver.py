@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .frac_geom import FractureNetwork
-from .geometry import Rect, clip_segment, segment_intersections
+from .geometry import Rect, clip_segments, runs, segment_intersections
 from .random_field import TensorField
 
 FRAC_ELEM_FACTOR = 0.75  # target fracture element length / matrix cell size
@@ -176,22 +176,9 @@ def locate_triangle(domain: Rect, nx: int, ny: int, x, y):
     return 2 * (ix * ny + iy) + (fx - ix < fy - iy)
 
 
-def _clip_network(network: FractureNetwork, domain: Rect):
-    """Clipped (fracture, p0, p1) triples plus the dropped-fracture count."""
-    segs = []
-    dropped = 0
-    for fr in network.fractures:
-        p0, p1 = fr.endpoints
-        clipped = clip_segment(p0, p1, domain)
-        if clipped is None:
-            dropped += 1
-            continue
-        segs.append((fr, clipped[0], clipped[1]))
-    return segs, dropped
-
-
-def _merge_collinear(segs, tol):
-    """Merge overlapping collinear segments; the wider-aperture fracture wins.
+def _merge_collinear(segs, aperture, tol):
+    """Merge overlapping collinear (row, p0, p1) segments; the fracture row
+    with the wider aperture wins.
 
     Each segment is tested against all later ones at once; a merge changes
     only the earlier segment, so the later ones keep their original arrays.
@@ -206,7 +193,7 @@ def _merge_collinear(segs, tol):
             continue
         j = i + 1
         while True:
-            fr_i, a0, a1 = out[i]
+            row_i, a0, a1 = out[i]
             di = a1 - a0
             li = np.hypot(*di)
             w = start[j:] - a0
@@ -217,12 +204,12 @@ def _merge_collinear(segs, tol):
             if not len(hits):
                 break
             j += hits[0]
-            fr_j, b0, b1 = out[j]
+            row_j, b0, b1 = out[j]
             t = di / li
             s = np.sort(np.array([0.0, li, (b0 - a0) @ t, (b1 - a0) @ t]))
             lo, hi = s[0], s[-1]
             if hi - lo < li + np.hypot(*delta[j]) - tol:  # projections overlap
-                keep = fr_i if fr_i.aperture >= fr_j.aperture else fr_j
+                keep = row_i if aperture[row_i] >= aperture[row_j] else row_j
                 out[i] = (keep, a0 + lo * t, a0 + hi * t)
                 alive[j] = False
                 merged += 1
@@ -230,14 +217,6 @@ def _merge_collinear(segs, tol):
     if merged:
         warnings.warn(f"merged {merged} overlapping collinear fracture segments")
     return [seg for seg, keep in zip(out, alive) if keep], merged
-
-
-def _runs(counts):
-    """(run index, position within the run) of every item of consecutive
-    runs with the given lengths."""
-    run = np.repeat(np.arange(len(counts)), counts)
-    return run, np.arange(len(run)) - np.repeat(np.cumsum(counts) - counts,
-                                                 counts)
 
 
 def discretize(field_: TensorField, network: FractureNetwork | None,
@@ -260,9 +239,13 @@ def discretize(field_: TensorField, network: FractureNetwork | None,
     snap_tol = 1e-9 * domain.diameter
     segs, dropped = ([], 0)
     merged = 0
-    if network is not None and len(network.fractures):
-        segs, dropped = _clip_network(network, domain)
-        segs, merged = _merge_collinear(segs, snap_tol)
+    aperture = conductivity = np.zeros(0)
+    if network is not None and len(network):
+        aperture, conductivity = network.aperture, network.conductivity
+        kept, q0, q1 = clip_segments(network.p0, network.p1, domain)
+        dropped = len(network) - len(kept)
+        segs, merged = _merge_collinear(list(zip(kept, q0, q1)), aperture,
+                                        snap_tol)
 
     # split at mutual intersections, subdivide, number fracture dofs
     n_m = len(nodes)
@@ -331,13 +314,13 @@ def discretize(field_: TensorField, network: FractureNetwork | None,
     sp_seg, sp_nsub, sp_first, sp_i0, sp_i1 = (
         table[:, [0, 3, 4, 5, 6]].T.astype(np.int64))
     # interior nodes s = 1 .. nsub - 1 of every span
-    span, s = _runs(sp_nsub - 1)
+    span, s = runs(sp_nsub - 1)
     s += 1
     t = sp_t0[span] + (sp_t1[span] - sp_t0[span]) * s / sp_nsub[span]
     frac_nodes[sp_first[span] + s - 1] = (seg_p0[sp_seg[span]]
                                           + t[:, None] * seg_d[sp_seg[span]])
     # elements s = 0 .. nsub - 1 of every span, in chain order
-    span, s = _runs(sp_nsub)
+    span, s = runs(sp_nsub)
     n0 = np.where(s == 0, sp_i0[span], sp_first[span] + s - 1)
     n1 = np.where(s == sp_nsub[span] - 1, sp_i1[span], sp_first[span] + s)
     p0, p1 = frac_nodes[n0], frac_nodes[n1]
@@ -346,8 +329,8 @@ def discretize(field_: TensorField, network: FractureNetwork | None,
     n0, n1, p0, p1, e_len = n0[keep], n1[keep], p0[keep], p1[keep], e_len[keep]
     e_seg = sp_seg[span[keep]]
     e_tan = seg_d[e_seg] / np.hypot(seg_d[e_seg, 0], seg_d[e_seg, 1])[:, None]
-    e_ap = np.array([fr.aperture for fr, _, _ in segs], float)[e_seg]
-    e_cond = np.array([fr.conductivity for fr, _, _ in segs], float)[e_seg]
+    e_row = np.array([row for row, _, _ in segs], np.int64)[e_seg]
+    e_ap, e_cond = aperture[e_row], conductivity[e_row]
     mid = 0.5 * (p0 + p1)
     e_tri = locate_triangle(domain, nx, ny, mid[:, 0], mid[:, 1])
 
@@ -387,6 +370,8 @@ def discretize(field_: TensorField, network: FractureNetwork | None,
 
 
 def _dirichlet_dofs(system: DiscreteSystem, bc: BoundaryCondition):
+    """Dirichlet mask and values, plus each side's DOF indices in ascending
+    order; a DOF on two sides (a corner) belongs to the side listed first."""
     tol = 1e-9 * system.domain.diameter
     coords = system.dof_coords
     d = system.domain
@@ -398,14 +383,13 @@ def _dirichlet_dofs(system: DiscreteSystem, bc: BoundaryCondition):
     }
     values = np.zeros(system.n_dofs)
     mask = np.zeros(system.n_dofs, dtype=bool)
-    side_of = {}
+    side_dofs = {}
     for side, g in bc.dirichlet.items():
         m = side_masks[side]
         values[m] = g(coords[m, 0], coords[m, 1])
+        side_dofs[side] = np.flatnonzero(m & ~mask)
         mask |= m
-        for i in np.flatnonzero(m):
-            side_of.setdefault(int(i), side)
-    return mask, values, side_of
+    return mask, values, side_dofs
 
 
 def solve_darcy(system: DiscreteSystem, bc: BoundaryCondition) -> FlowSolution:
@@ -416,7 +400,7 @@ def solve_darcy(system: DiscreteSystem, bc: BoundaryCondition) -> FlowSolution:
     iterative solver at high fracture/matrix contrast.
     """
     a = system.matrix
-    mask, values, side_of = _dirichlet_dofs(system, bc)
+    mask, values, side_dofs = _dirichlet_dofs(system, bc)
     free = ~mask
     # the x and y linear-head problems share the mask: factor once for both
     key = mask.tobytes()
@@ -450,11 +434,12 @@ def solve_darcy(system: DiscreteSystem, bc: BoundaryCondition) -> FlowSolution:
         frac_grad = np.zeros((0, 2))
         frac_vel = np.zeros((0, 2))
 
-    # Dirichlet reactions give the discrete boundary fluxes (outflow > 0)
+    # Dirichlet reactions give the discrete boundary fluxes (outflow > 0),
+    # subtracted one by one from 0.0 in DOF order: cumsum is sequential,
+    # where np.sum would add pairwise and round differently
     reactions = a @ h
-    boundary_flux = {side: 0.0 for side in bc.dirichlet}
-    for i, side in side_of.items():
-        boundary_flux[side] -= float(reactions[i])
+    boundary_flux = {side: float(np.cumsum(np.r_[0.0, -reactions[dofs]])[-1])
+                     for side, dofs in side_dofs.items()}
 
     return FlowSolution(system=system, h=h, tri_grad=tri_grad,
                         tri_vel=tri_vel, frac_grad=frac_grad,

@@ -7,6 +7,7 @@ length and fracture conductivity follows the cubic law.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 from dataclasses import dataclass, field, asdict
@@ -62,34 +63,56 @@ class PowerLawSpec:
         return self.moment(1)
 
 
-@dataclass(frozen=True)
-class Fracture:
-    id: int
-    center: tuple[float, float]
-    length: float
-    angle: float        # rad, in [0, pi)
-    aperture: float     # m
-    conductivity: float  # m/s
-
-    @property
-    def endpoints(self):
-        c = np.asarray(self.center, float)
-        h = 0.5 * self.length * np.array([np.cos(self.angle), np.sin(self.angle)])
-        return c - h, c + h
+# the per-fracture arrays of a FractureNetwork
+ARRAY_FIELDS = ("id", "center", "length", "angle", "aperture",
+                "conductivity", "p0", "p1")
 
 
-@dataclass
+@dataclass(eq=False)
 class FractureNetwork:
-    fractures: list[Fracture]
+    """Fractures as parallel arrays, one row per fracture.
+
+    p0 and p1 are the endpoints center -/+ half the length along the angle,
+    computed once from the other arrays.
+    """
+
+    id: np.ndarray            # (n,) int
+    center: np.ndarray        # (n, 2)
+    length: np.ndarray        # (n,)
+    angle: np.ndarray         # (n,) rad, in [0, pi)
+    aperture: np.ndarray      # (n,) m
+    conductivity: np.ndarray  # (n,) m/s
     domain: Rect
     density: float
     seed: int
     spec: PowerLawSpec | None = None
     aperture_ratio: float | None = None
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
+    p0: np.ndarray = field(init=False, repr=False)
+    p1: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.id = np.asarray(self.id, np.int64).reshape(-1)
+        self.center = np.asarray(self.center, float).reshape(-1, 2)
+        for name in ("length", "angle", "aperture", "conductivity"):
+            setattr(self, name, np.asarray(getattr(self, name),
+                                           float).reshape(-1))
+        h = (0.5 * self.length)[:, None] * np.stack(
+            [np.cos(self.angle), np.sin(self.angle)], 1)
+        self.p0 = self.center - h
+        self.p1 = self.center + h
 
     def __len__(self):
-        return len(self.fractures)
+        return len(self.id)
+
+    def take(self, rows, domain: Rect) -> FractureNetwork:
+        """The fractures at rows (indices or a mask), re-rooted on domain;
+        the endpoints are sliced, not recomputed."""
+        out = copy.copy(self)
+        for name in ARRAY_FIELDS:
+            setattr(out, name, getattr(self, name)[rows])
+        out.domain = domain
+        return out
 
 
 def sample_power_law(spec: PowerLawSpec, u):
@@ -126,14 +149,18 @@ def calibrate_alpha(target_count: float, density: float, domain_area: float,
     return float(brentq(gap, *bracket, xtol=1e-10))
 
 
-def fracture_conductivity(length: float, aperture_ratio: float,
+def fracture_conductivity(length, aperture_ratio: float,
                           constants: PhysicalConstants = DEFAULT_CONSTANTS):
-    """Aperture and cubic-law conductivity of a fracture of given length."""
-    if length <= 0.0 or aperture_ratio <= 0.0:
+    """Aperture and cubic-law conductivity of fractures of given length(s)."""
+    length = np.asarray(length, float)
+    if np.any(length <= 0.0) or aperture_ratio <= 0.0:
         raise ValueError("length and aperture_ratio must be positive")
     delta = aperture_ratio * length
-    k_f = constants.gravity * constants.water_density * delta ** 2 / (
-        12.0 * constants.viscosity)
+    # float_power calls libm pow, as Python's scalar ** does; ndarray ** 2
+    # squares by multiplication, which differs in the last bit for about
+    # 0.1 % of apertures
+    k_f = constants.gravity * constants.water_density * np.float_power(
+        delta, 2) / (12.0 * constants.viscosity)
     return delta, k_f
 
 
@@ -150,17 +177,12 @@ def generate_dfn(spec: PowerLawSpec, density: float, domain: Rect,
     cy = rng.uniform(domain.y0, domain.y1, size=n)
     angles = rng.uniform(0.0, np.pi, size=n)
     lengths = sample_power_law(spec, rng.uniform(0.0, 1.0, size=n))
-    fracs = []
-    for i in range(n):
-        delta, k_f = fracture_conductivity(float(lengths[i]), aperture_ratio,
-                                           constants)
-        fracs.append(Fracture(
-            id=i, center=(float(cx[i]), float(cy[i])),
-            length=float(lengths[i]), angle=float(angles[i]),
-            aperture=delta, conductivity=k_f))
-    return FractureNetwork(fractures=fracs, domain=domain, density=density,
-                           seed=seed, spec=spec,
-                           aperture_ratio=aperture_ratio, constants=constants)
+    delta, k_f = fracture_conductivity(lengths, aperture_ratio, constants)
+    return FractureNetwork(
+        id=np.arange(n), center=np.column_stack([cx, cy]), length=lengths,
+        angle=angles, aperture=delta, conductivity=k_f, domain=domain,
+        density=density, seed=seed, spec=spec,
+        aperture_ratio=aperture_ratio, constants=constants)
 
 
 CSV_COLUMNS = ("id", "cx", "cy", "length", "angle", "aperture", "conductivity")
@@ -169,13 +191,13 @@ CSV_COLUMNS = ("id", "cx", "cy", "length", "angle", "aperture", "conductivity")
 def save_network(network: FractureNetwork, csv_path):
     """One CSV row per fracture plus a JSON sidecar with generation metadata."""
     csv_path = Path(csv_path)
+    columns = [network.center[:, 0], network.center[:, 1], network.length,
+               network.angle, network.aperture, network.conductivity]
     with open(csv_path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(CSV_COLUMNS)
-        for fr in network.fractures:
-            w.writerow([fr.id, repr(fr.center[0]), repr(fr.center[1]),
-                        repr(fr.length), repr(fr.angle), repr(fr.aperture),
-                        repr(fr.conductivity)])
+        w.writerows([i, *map(repr, values)] for i, *values in zip(
+            network.id.tolist(), *(c.tolist() for c in columns)))
     sidecar = {
         "domain": network.domain.as_tuple(),
         "density": network.density,
@@ -193,18 +215,15 @@ def load_network(csv_path) -> FractureNetwork:
     csv_path = Path(csv_path)
     with open(csv_path.with_suffix(".json")) as f:
         meta = json.load(f)
-    fracs = []
     with open(csv_path, newline="") as f:
-        for row in csv.DictReader(f):
-            fracs.append(Fracture(
-                id=int(row["id"]),
-                center=(float(row["cx"]), float(row["cy"])),
-                length=float(row["length"]), angle=float(row["angle"]),
-                aperture=float(row["aperture"]),
-                conductivity=float(row["conductivity"])))
+        header, *rows = csv.reader(f)
+    cols = dict(zip(header, np.array(rows, float).reshape(-1, len(header)).T))
     spec = PowerLawSpec(**meta["spec"]) if meta.get("spec") else None
     return FractureNetwork(
-        fractures=fracs, domain=Rect(*meta["domain"]),
-        density=meta["density"], seed=meta["seed"], spec=spec,
+        id=cols["id"], center=np.column_stack([cols["cx"], cols["cy"]]),
+        length=cols["length"], angle=cols["angle"],
+        aperture=cols["aperture"], conductivity=cols["conductivity"],
+        domain=Rect(*meta["domain"]), density=meta["density"],
+        seed=meta["seed"], spec=spec,
         aperture_ratio=meta.get("aperture_ratio"),
         constants=PhysicalConstants(**meta["constants"]))

@@ -43,42 +43,48 @@ class Rect:
         return (self.x0, self.y0, self.x1, self.y1)
 
 
-def clip_segment(p0, p1, rect: Rect):
-    """Liang-Barsky clip of segment p0-p1 to rect.
+def clip_segments(p0, p1, rect: Rect):
+    """Liang-Barsky clip of the segments p0[k]-p1[k] to rect.
 
-    Returns (q0, q1) as float arrays, or None if the segment misses the
-    rectangle or the clipped part has zero length.
+    p0 and p1 are (n, 2) arrays. Returns (kept, q0, q1): the indices of the
+    segments whose clipped part has nonzero length, in input order, and
+    that part's endpoints. Each row runs the per-segment steps: the four
+    edges in order, then the t1 > t0 and nonzero-length tests; a row stops
+    updating once it is rejected.
     """
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    d = p1 - p0
-    t0, t1 = 0.0, 1.0
-    for p, q in (
-        (-d[0], p0[0] - rect.x0),
-        (d[0], rect.x1 - p0[0]),
-        (-d[1], p0[1] - rect.y0),
-        (d[1], rect.y1 - p0[1]),
-    ):
-        if p == 0.0:
-            if q < 0.0:
-                return None
-            continue
-        r = q / p
-        if p < 0.0:
-            if r > t1:
-                return None
-            t0 = max(t0, r)
-        else:
-            if r < t0:
-                return None
-            t1 = min(t1, r)
-    if t1 <= t0:
-        return None
-    q0 = p0 + t0 * d
-    q1 = p0 + t1 * d
-    if np.hypot(*(q1 - q0)) == 0.0:
-        return None
-    return q0, q1
+    p0 = np.asarray(p0, float).reshape(-1, 2)
+    d = np.asarray(p1, float).reshape(-1, 2) - p0
+    t0 = np.zeros(len(p0))
+    t1 = np.ones(len(p0))
+    alive = np.ones(len(p0), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for p, q in (
+            (-d[:, 0], p0[:, 0] - rect.x0),
+            (d[:, 0], rect.x1 - p0[:, 0]),
+            (-d[:, 1], p0[:, 1] - rect.y0),
+            (d[:, 1], rect.y1 - p0[:, 1]),
+        ):
+            r = q / p
+            enter = p < 0.0
+            leave = p > 0.0
+            alive &= ~(((p == 0.0) & (q < 0.0)) | (enter & (r > t1))
+                       | (leave & (r < t0)))
+            t0 = np.where(alive & enter & (r > t0), r, t0)
+            t1 = np.where(alive & leave & (r < t1), r, t1)
+    alive &= t1 > t0
+    q0 = p0 + t0[:, None] * d
+    q1 = p0 + t1[:, None] * d
+    alive &= np.hypot(q1[:, 0] - q0[:, 0], q1[:, 1] - q0[:, 1]) != 0.0
+    kept = np.flatnonzero(alive)
+    return kept, q0[kept], q1[kept]
+
+
+def runs(counts):
+    """(run index, position within the run) of every item of consecutive
+    runs with the given lengths."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) - np.repeat(np.cumsum(counts) - counts,
+                                                counts)
 
 
 # pairs per broadcast chunk in segment_intersections; bounds its memory
@@ -120,38 +126,39 @@ def segment_intersections(p0, p1, eps: float):
     return np.concatenate(i), np.concatenate(j), np.concatenate(points)
 
 
-def point_to_cell(x: float, n: int) -> int:
-    """Cell index of coordinate x (in cell units); an exact edge hit is
-    assigned to the larger-index cell; clamped to [0, n-1]."""
-    i = int(np.floor(x))
-    return min(max(i, 0), n - 1)
-
-
 def supercover_cells(a, b, nx: int, ny: int):
-    """Grid cells traversed by segment a-b, coordinates in cell units.
+    """Grid cells traversed by the segments a[k]-b[k], in cell units.
 
-    Returns a deduplicated (m, 2) int array of (ix, iy). A coordinate lying
-    exactly on a cell edge is assigned to the larger-index cell, so a segment
-    running along an edge marks a single row/column.
+    a and b are (m, 2) arrays. Each segment is split at its crossings of the
+    grid lines; the cell of every piece is the one holding the piece's
+    midpoint. Returns (seg, cells): per piece, in (segment, t) order, the
+    segment index and the (ix, iy) cell, not deduplicated. A coordinate
+    lying exactly on a cell edge is assigned to the larger-index cell, so a
+    segment running along an edge marks a single row/column; cells are
+    clamped to the grid.
     """
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
+    a = np.asarray(a, float).reshape(-1, 2)
+    b = np.asarray(b, float).reshape(-1, 2)
     d = b - a
-    ts = [0.0, 1.0]
+    m = len(a)
+    segs = [np.arange(m), np.arange(m)]
+    ts = [np.zeros(m), np.ones(m)]
     for axis in range(2):
-        if d[axis] != 0.0:
-            lo = int(np.ceil(min(a[axis], b[axis])))
-            hi = int(np.floor(max(a[axis], b[axis])))
-            for k in range(lo, hi + 1):
-                t = (k - a[axis]) / d[axis]
-                if 0.0 < t < 1.0:
-                    ts.append(t)
-    ts = np.unique(np.asarray(ts))
-    cells = []
-    for t0, t1 in zip(ts[:-1], ts[1:]):
-        tm = 0.5 * (t0 + t1)
-        p = a + tm * d
-        cells.append((point_to_cell(p[0], nx), point_to_cell(p[1], ny)))
-    if len(ts) == 1:  # degenerate: a == b
-        cells.append((point_to_cell(a[0], nx), point_to_cell(a[1], ny)))
-    return np.unique(np.asarray(cells, dtype=np.int64), axis=0)
+        lo = np.ceil(np.minimum(a[:, axis], b[:, axis]))
+        hi = np.floor(np.maximum(a[:, axis], b[:, axis]))
+        count = np.where(d[:, axis] != 0.0, hi - lo + 1, 0).astype(np.int64)
+        seg, step = runs(count)
+        t = (lo[seg] + step - a[seg, axis]) / d[seg, axis]
+        inside = (0.0 < t) & (t < 1.0)
+        segs.append(seg[inside])
+        ts.append(t[inside])
+    seg = np.concatenate(segs)
+    t = np.concatenate(ts)
+    order = np.lexsort((t, seg))
+    seg, t = seg[order], t[order]
+    # consecutive distinct breakpoints of one segment bound a piece
+    piece = (seg[1:] == seg[:-1]) & (t[1:] != t[:-1])
+    seg = seg[1:][piece]
+    tm = 0.5 * (t[:-1][piece] + t[1:][piece])
+    cells = np.floor(a[seg] + tm[:, None] * d[seg])
+    return seg, np.clip(cells, 0, [nx - 1, ny - 1]).astype(np.int64)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .dfm_solver import (FlowSolution, aquifer_bc, discretize, linear_head,
                          solve_darcy)
-from .frac_geom import DEFAULT_CONSTANTS, FractureNetwork
-from .geometry import Rect, clip_segment
+from .frac_geom import FractureNetwork
+from .geometry import Rect, clip_segments
 from .random_field import Grid, TensorField
 
 
@@ -94,20 +94,16 @@ def clip_network(network: FractureNetwork | None, rect: Rect,
     """Fractures intersecting rect (optionally only those below the length
     threshold), re-rooted on the rect as their domain. Geometry keeps the
     original infinite extent; the solver clips again."""
-    fracs = []
-    if network is not None:
-        for fr in network.fractures:
-            if length_threshold is not None and fr.length >= length_threshold:
-                continue
-            if clip_segment(*fr.endpoints, rect) is not None:
-                fracs.append(fr)
-    return FractureNetwork(
-        fractures=fracs, domain=rect,
-        density=network.density if network else 0.0,
-        seed=network.seed if network else 0,
-        spec=network.spec if network else None,
-        aperture_ratio=network.aperture_ratio if network else None,
-        constants=network.constants if network else DEFAULT_CONSTANTS)
+    if network is None:
+        return FractureNetwork(
+            id=np.zeros(0, np.int64), center=np.zeros((0, 2)),
+            length=np.zeros(0), angle=np.zeros(0), aperture=np.zeros(0),
+            conductivity=np.zeros(0), domain=rect, density=0.0, seed=0)
+    rows = np.arange(len(network))
+    if length_threshold is not None:
+        rows = rows[network.length < length_threshold]
+    kept, _, _ = clip_segments(network.p0[rows], network.p1[rows], rect)
+    return network.take(rows[kept], rect)
 
 
 def _weighted_averages(sol: FlowSolution):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frac_geom import FractureNetwork
-from .geometry import Rect, clip_segment, supercover_cells
+from .geometry import Rect, clip_segments, supercover_cells
 from .random_field import TensorField
 
 
@@ -56,20 +56,24 @@ def rasterize_block(field_: TensorField, network: FractureNetwork | None,
     image[:, :, 2] = tensors[:, :, 1, 1]
     image[:, :, 3] = 1.0
 
-    fracs = sorted(network.fractures, key=lambda f: (f.aperture, -f.id)) \
-        if network is not None else []
-    for fr in fracs:  # ascending aperture: the widest drawn last wins
-        clipped = clip_segment(*fr.endpoints, block)
-        if clipped is None:
-            continue
-        a = (clipped[0] - np.array([block.x0, block.y0])) / pitch
-        b = (clipped[1] - np.array([block.x0, block.y0])) / pitch
-        cells = supercover_cells(a, b, r, r)
-        rows = cells[:, 1]
-        cols = cells[:, 0]
-        image[rows, cols, 0] = fr.conductivity
-        image[rows, cols, 1] = 0.0
-        image[rows, cols, 2] = fr.conductivity
-        image[rows, cols, 3] = fr.aperture
+    if network is None or not len(network):
+        return RasterSample(image=image, metadata=dict(metadata or {}))
+    # draw rank in ascending (aperture, -id) order: where fractures overlap,
+    # the highest rank (the widest, then the lowest id) owns the pixel
+    order = np.lexsort((-network.id, network.aperture))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    kept, q0, q1 = clip_segments(network.p0, network.p1, block)
+    origin = np.array([block.x0, block.y0])
+    seg, cells = supercover_cells((q0 - origin) / pitch, (q1 - origin) / pitch,
+                                  r, r)
+    owner = np.full((r, r), -1, dtype=np.int64)
+    np.maximum.at(owner, (cells[:, 1], cells[:, 0]), rank[kept[seg]])
+    hit = owner >= 0
+    drawn = order[owner[hit]]
+    image[hit, 0] = network.conductivity[drawn]
+    image[hit, 1] = 0.0
+    image[hit, 2] = network.conductivity[drawn]
+    image[hit, 3] = network.aperture[drawn]
 
     return RasterSample(image=image, metadata=dict(metadata or {}))

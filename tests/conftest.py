@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from dfm_upscale.frac_geom import Fracture
+from dfm_upscale.frac_geom import ARRAY_FIELDS, FractureNetwork
 from dfm_upscale.geometry import Rect
 from dfm_upscale.random_field import Grid, TensorField
 
@@ -34,8 +36,9 @@ def make_fracture(p0, p1, aperture=1e-3, conductivity=None, frac_id=0):
     angle = float(np.arctan2(d[1], d[0])) % np.pi
     if conductivity is None:
         conductivity = 9.81 * 1000.0 * aperture ** 2 / (12.0 * 1e-3)
-    return Fracture(id=frac_id, center=tuple(0.5 * (p0 + p1)), length=length,
-                    angle=angle, aperture=aperture, conductivity=conductivity)
+    return SimpleNamespace(id=frac_id, center=tuple(0.5 * (p0 + p1)),
+                           length=length, angle=angle, aperture=aperture,
+                           conductivity=conductivity)
 
 
 def train_mode_loss(model, images, targets):
@@ -73,9 +76,17 @@ def finite_difference_grad_errors(model, images, targets, eps=1e-3):
 
 
 def network_of(*fractures, domain=Rect(0.0, 0.0, 1.0, 1.0)):
-    from dfm_upscale.frac_geom import FractureNetwork
-    return FractureNetwork(fractures=list(fractures), domain=domain,
-                           density=0.0, seed=0)
+    """A network holding the make_fracture rows, in the given order."""
+    columns = {name: [getattr(fr, name) for fr in fractures]
+               for name in ("id", "center", "length", "angle", "aperture",
+                            "conductivity")}
+    return FractureNetwork(**columns, domain=domain, density=0.0, seed=0)
+
+
+def same_fractures(a, b) -> bool:
+    """Every per-fracture array of the two networks is bit-identical."""
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ARRAY_FIELDS)
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from dfm_upscale.surrogate import (Architecture, SurrogateModel,
                                    predict_samples, train)
 
 from conftest import (finite_difference_grad_errors, layered_field,
-                      uniform_field)
+                      same_fractures, uniform_field)
 from test_homogenizer import scaled_problem
 
 
@@ -328,8 +328,7 @@ def test_criterion_13_determinism(tmp_path):
     spec = PowerLawSpec(2.5, 2.0, 15.0)
 
     nets = [generate_dfn(spec, 3.0, domain, 1e-4, seed=9) for _ in range(2)]
-    checks["dfn"] = all(a == b for a, b in zip(nets[0].fractures,
-                                               nets[1].fractures))
+    checks["dfn"] = same_fractures(nets[0], nets[1])
 
     grid = Grid(32, 32, 20.0 / 32)
     fields = [sample_tensor_field(grid, 3.0, (-6.0, -5.8),

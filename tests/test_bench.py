@@ -6,6 +6,8 @@ from dfm_upscale.bench import (bench_anisotropy, bench_aquifer, bench_speedup,
 from dfm_upscale.config import RunConfig
 from dfm_upscale.homogenizer import numeric_backend
 
+from conftest import same_fractures
+
 
 def small_run_config():
     return RunConfig.from_dict({
@@ -24,7 +26,7 @@ class TestFineModel:
         f2, n2, g2 = fine_model(cfg, seed=3)
         assert np.array_equal(f1.kxx, f2.kxx)
         assert len(n1) == len(n2)
-        assert all(a == b for a, b in zip(n1.fractures, n2.fractures))
+        assert same_fractures(n1, n2)
         assert g1.n_blocks == g2.n_blocks == 9
 
     def test_parameter_overrides(self):

@@ -60,13 +60,14 @@ class TestEnforceRatio:
         assert len(net) > 1
         scaled, factor = enforce_ratio(net, field, 1e3)
         km = np.exp(np.mean(np.log(0.5 * (field.kxx + field.kyy))))
-        med = np.median([f.conductivity for f in scaled.fractures])
+        med = np.median(scaled.conductivity)
         assert med / km == pytest.approx(1e3, rel=1e-12)
         # one common factor: conductivity ratios between fractures unchanged
-        for a, b in zip(net.fractures, scaled.fractures):
-            assert b.conductivity == pytest.approx(a.conductivity * factor,
-                                                   rel=1e-12)
-            assert b.aperture == a.aperture
+        for a_cond, b_cond, a_ap, b_ap in zip(
+                net.conductivity, scaled.conductivity, net.aperture,
+                scaled.aperture):
+            assert b_cond == pytest.approx(a_cond * factor, rel=1e-12)
+            assert b_ap == a_ap
 
     def test_empty_network(self):
         block = Rect(0.0, 0.0, 1.0, 1.0)

@@ -237,6 +237,31 @@ class TestMassBalance:
         scale = abs(sol.boundary_flux["right"])
         assert abs(sol.total_outflow) <= 1e-8 * scale
 
+    # boundary fluxes of one heterogeneous fractured system, recorded when
+    # they were summed by a per-DOF loop; corner DOFs count for the side
+    # listed first (left/right before bottom/top)
+    RECORDED_FLUXES = {
+        "aquifer": {"left": -0.004234483981446529,
+                    "right": 0.004234483981398496},
+        "x": {"left": 0.004956430843458132, "right": -0.0031653720926914804,
+              "bottom": -0.0023276760651658847, "top": 0.0005366173143980537},
+        "y": {"left": -0.0016982917544296609, "right": -0.0007101514050013671,
+              "bottom": 0.006946453527855886, "top": -0.0045380103684391875},
+    }
+
+    def test_recorded_fluxes(self, unit_rect):
+        field = random_tensor_field(unit_rect, 16, seed=5)
+        net = network_of(
+            make_fracture((0.05, 0.3), (0.95, 0.7), frac_id=0),
+            make_fracture((0.2, 0.9), (0.7, 0.0), aperture=2e-3, frac_id=1),
+            make_fracture((0.0, 0.5), (0.6, 0.5), frac_id=2))
+        sys_ = discretize(field, net, unit_rect, 16, 16)
+        for name, bc in [("aquifer", aquifer_bc(1.0)),
+                         ("x", linear_head("x")), ("y", linear_head("y"))]:
+            flux = solve_darcy(sys_, bc).boundary_flux
+            assert flux == self.RECORDED_FLUXES[name]
+            assert list(flux) == list(self.RECORDED_FLUXES[name])
+
 
 class TestLayeredOracles:
     def test_harmonic_mean_exact_with_sealed_sides(self, unit_rect):

@@ -10,6 +10,8 @@ from dfm_upscale.frac_geom import (DEFAULT_CONSTANTS, PhysicalConstants,
                                    save_network)
 from dfm_upscale.geometry import Rect
 
+from conftest import same_fractures
+
 
 def power_law_cdf(spec, r):
     p = 1.0 - spec.alpha
@@ -131,24 +133,34 @@ class TestGenerateDfn:
         a = generate_dfn(self.spec, 5.0, self.domain, 1e-4, seed=42)
         b = generate_dfn(self.spec, 5.0, self.domain, 1e-4, seed=42)
         assert len(a) == len(b)
-        for fa, fb in zip(a.fractures, b.fractures):
-            assert fa == fb  # bit-identical
+        assert same_fractures(a, b)  # bit-identical
 
     def test_seed_changes_network(self):
         a = generate_dfn(self.spec, 5.0, self.domain, 1e-4, seed=1)
         b = generate_dfn(self.spec, 5.0, self.domain, 1e-4, seed=2)
-        assert [f.length for f in a.fractures] != [f.length
-                                                   for f in b.fractures]
+        assert a.length.tolist() != b.length.tolist()
 
     def test_centers_inside_angles_in_range(self):
         net = generate_dfn(self.spec, 5.0, self.domain, 1e-4, seed=3)
-        for fr in net.fractures:
-            assert self.domain.contains(*fr.center)
-            assert 0.0 <= fr.angle < np.pi
-            assert self.spec.r_min <= fr.length <= self.spec.r_max
-            assert fr.aperture == pytest.approx(1e-4 * fr.length)
-            d, k = fracture_conductivity(fr.length, 1e-4)
-            assert fr.conductivity == pytest.approx(k)
+        for center, angle, length, aperture, conductivity in zip(
+                net.center, net.angle, net.length, net.aperture,
+                net.conductivity):
+            assert self.domain.contains(*center)
+            assert 0.0 <= angle < np.pi
+            assert self.spec.r_min <= length <= self.spec.r_max
+            assert aperture == pytest.approx(1e-4 * length)
+            d, k = fracture_conductivity(length, 1e-4)
+            assert conductivity == pytest.approx(k)
+
+    def test_endpoints_match_scalar_reference(self):
+        # the per-fracture formula the array endpoints replace
+        net = generate_dfn(self.spec, 5.0, self.domain, 1e-4, seed=4)
+        assert len(net) > 10
+        for k in range(len(net)):
+            h = 0.5 * float(net.length[k]) * np.array(
+                [np.cos(float(net.angle[k])), np.sin(float(net.angle[k]))])
+            assert np.array_equal(net.p0[k], net.center[k] - h)
+            assert np.array_equal(net.p1[k], net.center[k] + h)
 
     def test_vanishing_density(self):
         net = generate_dfn(self.spec, 1e-9, self.domain, 1e-4, seed=3)
@@ -170,8 +182,7 @@ class TestGenerateDfn:
     def test_angle_uniformity_chi2(self):
         nets = [generate_dfn(self.spec, 30.0, self.domain, 1e-4, seed=s)
                 for s in range(60)]
-        angles = np.concatenate([[f.angle for f in n.fractures]
-                                 for n in nets])
+        angles = np.concatenate([n.angle for n in nets])
         assert len(angles) > 10 ** 4
         counts, _ = np.histogram(angles, bins=20, range=(0.0, np.pi))
         chi2 = ((counts - counts.mean()) ** 2 / counts.mean()).sum()
@@ -186,9 +197,9 @@ class TestGenerateDfn:
         for s in range(500):
             net = generate_dfn(spec, 2.0, domain, 1e-4, seed=s)
             grid = np.zeros((10, 10))
-            for fr in net.fractures:
-                i = min(int(fr.center[0]), 9)
-                j = min(int(fr.center[1]), 9)
+            for cx, cy in net.center:
+                i = min(int(cx), 9)
+                j = min(int(cy), 9)
                 grid[i, j] += 1
             counts.append(grid.ravel())
         counts = np.concatenate(counts)
@@ -208,5 +219,4 @@ class TestSerialization:
         assert back.density == net.density
         assert back.seed == net.seed
         assert back.spec == net.spec
-        for fa, fb in zip(net.fractures, back.fractures):
-            assert fa == fb
+        assert same_fractures(back, net)

@@ -84,6 +84,55 @@ class TestFracturePixels:
         assert s.image[8, 8, 0] == wide.conductivity
         assert s.image[8, 0, 3] == 1e-3  # away from the crossing
 
+    def test_equal_apertures_lower_id_wins(self, unit_rect):
+        field = uniform_field(unit_rect, 1e-6)
+        low = make_fracture((0.0, 0.5), (1.0, 0.5), conductivity=1.0,
+                            frac_id=3)
+        high = make_fracture((0.5, 0.0), (0.5, 1.0), conductivity=2.0,
+                             frac_id=7)
+        for net in (network_of(low, high), network_of(high, low)):
+            s = rasterize_block(field, net, unit_rect, 16)
+            assert s.image[8, 8, 0] == 1.0
+
+    def test_three_crossing_resolve_by_rank(self, unit_rect):
+        # three lines through the centre pixel (8, 8) of a 16 x 16 raster;
+        # rank order (aperture, -id): b < c < a
+        field = uniform_field(unit_rect, 1e-6)
+        a = make_fracture((0.0, 0.52), (1.0, 0.52), aperture=3e-3,
+                          frac_id=0)
+        b = make_fracture((0.52, 0.0), (0.52, 1.0), aperture=1e-3,
+                          frac_id=1)
+        c = make_fracture((0.02, 0.02), (0.98, 0.98), aperture=2e-3,
+                          frac_id=2)
+        s = rasterize_block(field, network_of(a, b, c), unit_rect, 16)
+        assert s.image[8, 8, 3] == 3e-3      # a, b and c cross here
+        assert s.image[4, 8, 3] == 1e-3      # b alone
+        assert s.image[12, 12, 3] == 2e-3    # c alone
+        s = rasterize_block(field, network_of(b, c), unit_rect, 16)
+        assert s.image[8, 8, 3] == 2e-3      # c outranks b
+
+    def test_input_order_does_not_matter(self, unit_rect):
+        field = uniform_field(unit_rect, 1e-6)
+        rng = np.random.default_rng(2)
+        fracs = [make_fracture(rng.uniform(-0.2, 1.2, 2),
+                               rng.uniform(-0.2, 1.2, 2),
+                               aperture=float(rng.choice([1e-3, 2e-3])),
+                               frac_id=i) for i in range(12)]
+        ref = rasterize_block(field, network_of(*fracs), unit_rect, 32)
+        assert (~ref.matrix_mask()).sum() > 32
+        for perm in (rng.permutation(12) for _ in range(5)):
+            s = rasterize_block(field, network_of(*[fracs[k] for k in perm]),
+                                unit_rect, 32)
+            assert np.array_equal(s.image, ref.image)
+
+    @pytest.mark.parametrize("p0,p1", [((1.0, 1.0), (1.5, 1.5)),
+                                       ((0.5, 1.5), (1.0, 1.0))])
+    def test_corner_touch_draws_nothing(self, unit_rect, p0, p1):
+        field = uniform_field(unit_rect, 1e-6)
+        s = rasterize_block(field, network_of(make_fracture(p0, p1)),
+                            unit_rect, 16)
+        assert np.all(s.matrix_mask())
+
     def test_pixel_count_bounds(self, unit_rect):
         # a one-pixel line over a segment of length l (in pixels) marks
         # between l and 2l + 2 pixels
