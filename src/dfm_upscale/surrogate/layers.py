@@ -42,6 +42,16 @@ class Layer:
         pass
 
 
+def _channel_rows(x, *vectors):
+    """x as rows of width * channels, and each per-channel vector tiled to
+    that row. Elementwise arithmetic between them gives the values that
+    broadcasting against the channel axis gives, with an inner loop as
+    long as a row instead of as the channel count."""
+    reps = x.shape[-2] if x.ndim > 2 else 1
+    return (x.reshape(-1, reps * x.shape[-1]),
+            *(np.tile(v, reps) for v in vectors))
+
+
 def he_uniform(rng, fan_in, shape, dtype):
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
@@ -68,18 +78,23 @@ class Conv3x3(Layer):
 
     @staticmethod
     def _im2col(x):
-        # (B, H, W, C) -> (B, H-2, W-2, 3, 3, C) view -> (B*(H-2)*(W-2), 9C)
-        win = sliding_window_view(x, (3, 3), axis=(1, 2))
-        b, ho, wo, c, kh, kw = win.shape
-        cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo,
-                                                       kh * kw * c)
-        return cols, (b, ho, wo)
+        # (B, H, W, C) as rows of W*C values; a window is 3 rows by 3C
+        # values, one every C along the row: (B, H-2, W-2, 3, 3C) view ->
+        # (B*(H-2)*(W-2), 9C), columns in (kh, kw, C) order
+        b, h, w, c = x.shape
+        ho, wo = h - 2, w - 2
+        win = sliding_window_view(x.reshape(b, h, w * c), (3, 3 * c),
+                                  axis=(1, 2))[:, :, ::c]
+        return win.reshape(b * ho * wo, 9 * c), (b, ho, wo)
 
     def forward(self, x, train: bool):
         cols, (b, ho, wo) = self._im2col(x)
         w = self.params["kernel"].reshape(9 * self.in_channels,
                                           self.out_channels)
-        out = cols @ w + self.params["bias"]
+        out, bias = _channel_rows(
+            (cols @ w).reshape(b, ho, wo, self.out_channels),
+            self.params["bias"])
+        out += bias
         self._cache = (cols, x.shape) if train else None
         return out.reshape(b, ho, wo, self.out_channels)
 
@@ -131,10 +146,17 @@ class BatchNorm(Layer):
         else:
             mean = self.running_mean
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean.astype(x.dtype)) * inv_std.astype(x.dtype)
-        self._cache = (xhat, inv_std.astype(x.dtype), axes) if train else None
-        return xhat * self.params["scale"] + self.params["shift"]
+        inv_std = (1.0 / np.sqrt(var + self.eps)).astype(x.dtype)
+        rows, mean, inv, scale, shift = _channel_rows(
+            x, mean.astype(x.dtype), inv_std, self.params["scale"],
+            self.params["shift"])
+        xhat = rows - mean
+        xhat *= inv
+        self._cache = (xhat.reshape(x.shape), inv_std, axes) if train else None
+        # inference keeps no xhat, so scale and shift go in place
+        out = xhat * scale if train else np.multiply(xhat, scale, out=xhat)
+        out += shift
+        return out.reshape(x.shape)
 
     def backward(self, dout):
         xhat, inv_std, axes = self._cache
@@ -158,9 +180,12 @@ class ReLU(Layer):
         return shape
 
     def forward(self, x, train: bool):
-        mask = x > 0
-        self._cache = mask if train else None
-        return np.where(mask, x, 0)
+        self._cache = x > 0 if train else None
+        # Bit for bit np.where(x > 0, x, 0), several times faster: fmax
+        # sends NaN to 0, and adding +0.0 turns a -0.0 into +0.0.
+        out = np.fmax(x, 0)
+        out += 0.0
+        return out
 
     def backward(self, dout):
         return np.where(self._cache, dout, 0)
@@ -176,6 +201,16 @@ class MaxPool2(Layer):
     def forward(self, x, train: bool):
         b, h, w, c = x.shape
         ho, wo = h // 2, w // 2
+        if not train:
+            # The value that argmax picks below, from four strided views
+            # instead of a transposed 5-D copy (a tie can differ only in
+            # the sign of a zero, and the ReLU before a pool makes none).
+            self._cache = None
+            return np.maximum(
+                np.maximum(x[:, 0:2 * ho:2, 0:2 * wo:2],
+                           x[:, 0:2 * ho:2, 1:2 * wo:2]),
+                np.maximum(x[:, 1:2 * ho:2, 0:2 * wo:2],
+                           x[:, 1:2 * ho:2, 1:2 * wo:2]))
         xt = x[:, :2 * ho, :2 * wo]
         win = xt.reshape(b, ho, 2, wo, 2, c).transpose(0, 1, 3, 5, 2, 4)
         win = win.reshape(b, ho, wo, c, 4)

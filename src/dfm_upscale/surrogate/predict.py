@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import fingerprint
-from ..dataset_pipeline import inverse_target, preprocess
+from ..dataset_pipeline import inverse_target, preprocess_images
 from ..homogenizer import EquivalentTensor
 from .model import SurrogateModel
 from .training import predict_in_batches
@@ -20,15 +20,10 @@ def predict_samples(model: SurrogateModel, samples, stats: dict) -> np.ndarray:
     """
     if model.stats_hash and model.stats_hash != fingerprint(stats):
         raise ValueError("preprocessing statistics do not match the model")
-    images = []
-    xbars = []
-    for sample in samples:
-        image, _, xbar = preprocess(sample.image, None, stats)
-        images.append(image)
-        xbars.append(xbar)
-    preds = predict_in_batches(model, np.asarray(images, np.float32))
-    return np.stack([inverse_target(p, stats, xb)
-                     for p, xb in zip(preds.astype(float), xbars)])
+    images, xbars = preprocess_images(np.stack([s.image for s in samples]),
+                                      stats)
+    preds = predict_in_batches(model, images)
+    return inverse_target(preds.astype(float), stats, xbars[:, None])
 
 
 def surrogate_backend(model: SurrogateModel, stats: dict):

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from dfm_upscale.dataset_pipeline import compute_stats, inverse_target, preprocess
+from dfm_upscale.dataset_pipeline import (compute_stats, inverse_target,
+                                          preprocess, preprocess_images)
 from dfm_upscale.rasterizer import RasterSample
 from dfm_upscale.config import fingerprint
 from dfm_upscale.surrogate import (Adam, Architecture, SurrogateModel,
                                    TrainSchedule, compute_metrics, evaluate,
                                    predict_in_batches, predict_samples, train,
                                    validation_loss, write_history_csv)
-from dfm_upscale.surrogate.layers import BatchNorm, Dense
+from dfm_upscale.surrogate.layers import (BatchNorm, Conv3x3, Dense, MaxPool2,
+                                         ReLU)
 from dfm_upscale.seeding import substream
 
 from conftest import finite_difference_grad_errors
@@ -170,6 +172,52 @@ class TestBatchNorm:
         assert np.array_equal(fresh.running_var, bn.running_var)
 
 
+class TestInferenceKernels:
+    """The inference arithmetic gives the same bits as the plain formulas."""
+
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32),
+                                             (np.float64, np.uint64)])
+    def test_relu_matches_where(self, dtype, bits):
+        x = np.random.default_rng(0).standard_normal((2, 5, 5, 3)) \
+            .astype(dtype)
+        x.flat[:6] = [-0.0, np.nan, 0.0, np.inf, -np.inf, 1e-45]
+        for sub in (x, x[:1, :1, :1, :2]):
+            y = ReLU().forward(sub, train=False)
+            assert np.array_equal(y.view(bits),
+                                  np.where(sub > 0, sub, 0).view(bits))
+
+    def test_maxpool_inference_matches_argmax_path(self):
+        x = np.random.default_rng(1).standard_normal((3, 7, 9, 4))
+        x = np.where(x > 0, x, 0).astype(np.float32)
+        pool = MaxPool2()
+        assert np.array_equal(pool.forward(x, train=False),
+                              pool.forward(x, train=True))
+
+    def test_batchnorm_matches_channel_broadcast(self):
+        rng = np.random.default_rng(2)
+        bn = BatchNorm(5)
+        bn.running_mean = rng.normal(0.0, 1.0, 5)
+        bn.running_var = rng.uniform(0.5, 2.0, 5)
+        bn.params["scale"] = rng.normal(1.0, 0.3, 5).astype(np.float32)
+        bn.params["shift"] = rng.normal(0.0, 0.3, 5).astype(np.float32)
+        x = rng.standard_normal((3, 6, 7, 5)).astype(np.float32)
+        inv_std = (1.0 / np.sqrt(bn.running_var + bn.eps)).astype(np.float32)
+        expect = ((x - bn.running_mean.astype(np.float32)) * inv_std
+                  * bn.params["scale"] + bn.params["shift"])
+        assert np.array_equal(bn.forward(x, train=False), expect)
+
+    def test_conv_columns_in_kernel_order(self):
+        rng = np.random.default_rng(3)
+        conv = Conv3x3(2, 3, rng)
+        conv.params["bias"] = rng.normal(0.0, 1.0, 3).astype(np.float32)
+        x = rng.standard_normal((2, 6, 5, 2)).astype(np.float32)
+        cols = np.stack([x[:, i:i + 4, j:j + 3] for i in range(3)
+                         for j in range(3)], axis=3).reshape(24, 18)
+        expect = (cols @ conv.params["kernel"].reshape(18, 3)
+                  + conv.params["bias"]).reshape(2, 4, 3, 3)
+        assert np.array_equal(conv.forward(x, train=False), expect)
+
+
 class TestAdam:
     class Stub:
         def __init__(self, layer):
@@ -321,6 +369,22 @@ class TestPrediction:
         assert kxy == pytest.approx(raw[1], rel=1e-12)
         assert kyy == pytest.approx(raw[2], rel=1e-12)
         assert kxx > 0 and kyy > 0  # log parameterization
+
+    def test_batched_preprocessing_matches_per_sample(self):
+        model, images, stats = self.make_fixture()
+        samples = [RasterSample(image=images[i].astype(float))
+                   for i in range(5)]
+        prep, xbars = preprocess_images(
+            np.stack([s.image for s in samples]), stats)
+        singles = [preprocess(s.image, None, stats) for s in samples]
+        outs = model.forward(np.asarray([img for img, _, _ in singles],
+                                        np.float32))
+        preds = predict_samples(model, samples, stats)
+        for i, (img, _, xbar) in enumerate(singles):
+            assert np.array_equal(prep[i], img.astype(np.float32))
+            assert xbars[i] == xbar
+            assert np.array_equal(
+                preds[i], inverse_target(outs[i].astype(float), stats, xbar))
 
     def test_stats_mismatch_rejected(self):
         model, images, stats = self.make_fixture()
