@@ -177,33 +177,27 @@ def _standardize_channel(vals, key, stat, inverse=False):
     return vals * std + avg if inverse else (vals - avg) / std
 
 
-def preprocess(image: np.ndarray, target: np.ndarray | None, stats: dict):
+def preprocess(images: np.ndarray, targets: np.ndarray | None, stats: dict):
     """Per-sample normalization followed by train-split standardization.
 
-    Returns (image, target, xbar); xbar is needed for the inverse.
+    `images` is one (H, W, 4) raster or a stack of them along leading
+    axes; `targets` is None or the matching (..., 3). Each image is divided
+    by its own matrix mean xbar. Returns (images, targets, xbar); xbar is a
+    float for one image and an array for a stack, needed for the inverse.
     """
-    norm_img, norm_tgt, xbar = normalize_sample(image, target)
-    norm_img[:, :, :3] = _standardize_components(norm_img[:, :, :3],
-                                                 stats["input"])
-    if norm_tgt is not None:
-        norm_tgt = _standardize_components(norm_tgt, stats["target"])
-    return norm_img, norm_tgt, xbar
-
-
-def preprocess_images(images: np.ndarray, stats: dict):
-    """`preprocess` of a stack of input images (n, H, W, 4) at once.
-
-    Returns (float32 images, xbars). Each image is bit-identical to the
-    float32 cast of what `preprocess` gives for it alone; each channel is
-    worked on as one contiguous plane.
-    """
-    xbars = np.array([sample_matrix_mean(image) for image in images])
-    out = np.empty(images.shape, np.float32)
+    images = np.asarray(images)
+    xbar = np.array([sample_matrix_mean(image) for image in
+                     images.reshape((-1,) + images.shape[-3:])])
+    xbar = xbar.reshape(images.shape[:-3])
+    out = np.array(images, dtype=float)
     for c, key in enumerate(_CHANNEL_KEYS):
         out[..., c] = _standardize_channel(
-            images[..., c] / xbars[:, None, None], key, stats["input"][key])
-    out[..., 3] = images[..., 3]
-    return out, xbars
+            images[..., c] / xbar[..., None, None], key, stats["input"][key])
+    tgt = None
+    if targets is not None:
+        tgt = _standardize_components(
+            np.asarray(targets, float) / xbar[..., None], stats["target"])
+    return out, tgt, float(xbar) if xbar.ndim == 0 else xbar
 
 
 def inverse_preprocess(image: np.ndarray, target: np.ndarray | None,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import fingerprint
-from ..dataset_pipeline import inverse_target, preprocess_images
+from ..dataset_pipeline import inverse_target, preprocess
 from ..homogenizer import EquivalentTensor
 from .model import SurrogateModel
 from .training import predict_in_batches
@@ -20,9 +20,9 @@ def predict_samples(model: SurrogateModel, samples, stats: dict) -> np.ndarray:
     """
     if model.stats_hash and model.stats_hash != fingerprint(stats):
         raise ValueError("preprocessing statistics do not match the model")
-    images, xbars = preprocess_images(np.stack([s.image for s in samples]),
-                                      stats)
-    preds = predict_in_batches(model, images)
+    images, _, xbars = preprocess(np.stack([s.image for s in samples]),
+                                  None, stats)
+    preds = predict_in_batches(model, images.astype(np.float32))
     return inverse_target(preds.astype(float), stats, xbars[:, None])
 
 

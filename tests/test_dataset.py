@@ -163,6 +163,18 @@ class TestPreprocessing:
         assert np.allclose(inverse_target(tgt, stats, xbar), targets[0],
                            rtol=1e-12)
 
+    def test_stack_matches_per_sample(self):
+        rng = np.random.default_rng(4)
+        images, targets = random_sample_arrays(rng, 6)
+        stats = compute_stats(images, targets, np.arange(4))
+        imgs, tgts, xbars = preprocess(images, targets, stats)
+        assert xbars.shape == (6,)
+        for i in range(6):
+            img, tgt, xbar = preprocess(images[i], targets[i], stats)
+            assert isinstance(xbar, float) and xbars[i] == xbar
+            assert np.array_equal(imgs[i], img)
+            assert np.array_equal(tgts[i], tgt)
+
     def test_standardized_train_statistics(self):
         rng = np.random.default_rng(1)
         images, targets = random_sample_arrays(rng, 8)

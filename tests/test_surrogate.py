@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dfm_upscale.dataset_pipeline import (compute_stats, inverse_target,
-                                          preprocess, preprocess_images)
+                                          preprocess)
 from dfm_upscale.rasterizer import RasterSample
 from dfm_upscale.config import fingerprint
 from dfm_upscale.surrogate import (Adam, Architecture, SurrogateModel,
@@ -374,14 +374,14 @@ class TestPrediction:
         model, images, stats = self.make_fixture()
         samples = [RasterSample(image=images[i].astype(float))
                    for i in range(5)]
-        prep, xbars = preprocess_images(
-            np.stack([s.image for s in samples]), stats)
+        prep, _, xbars = preprocess(
+            np.stack([s.image for s in samples]), None, stats)
         singles = [preprocess(s.image, None, stats) for s in samples]
         outs = model.forward(np.asarray([img for img, _, _ in singles],
                                         np.float32))
         preds = predict_samples(model, samples, stats)
         for i, (img, _, xbar) in enumerate(singles):
-            assert np.array_equal(prep[i], img.astype(np.float32))
+            assert np.array_equal(prep[i], img)
             assert xbars[i] == xbar
             assert np.array_equal(
                 preds[i], inverse_target(outs[i].astype(float), stats, xbar))
