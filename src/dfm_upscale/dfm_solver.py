@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .frac_geom import FractureNetwork
-from .geometry import Rect, clip_segments, runs, segment_intersections
+from .geometry import (_PAIR_CHUNK, Rect, clip_segments, runs,
+                       segment_intersections)
 from .random_field import TensorField
 
 FRAC_ELEM_FACTOR = 0.75  # target fracture element length / matrix cell size
@@ -127,14 +129,11 @@ class FlowSolution:
         return sum(self.boundary_flux.values())
 
 
-def _structured_matrix_mesh(domain: Rect, nx: int, ny: int):
-    hx = domain.width / nx
-    hy = domain.height / ny
-    xs = domain.x0 + hx * np.arange(nx + 1)
-    ys = domain.y0 + hy * np.arange(ny + 1)
-    px, py = np.meshgrid(xs, ys, indexing="ij")
-    nodes = np.stack([px.ravel(), py.ravel()], axis=1)
-
+@lru_cache(maxsize=8)
+def _mesh_topology(nx: int, ny: int):
+    """Triangles of the structured nx x ny mesh and the row and column
+    indices of their 3 x 3 stiffness blocks. The arrays are shared by every
+    call with the same resolution, so they are read-only."""
     def nid(ix, iy):
         return ix * (ny + 1) + iy
 
@@ -147,7 +146,20 @@ def _structured_matrix_mesh(domain: Rect, nx: int, ny: int):
     tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
     tris[0::2] = lower
     tris[1::2] = upper
-    return nodes, tris, hx, hy
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    for a in (tris, rows, cols):
+        a.setflags(write=False)
+    return tris, rows, cols
+
+
+def _mesh_nodes(domain: Rect, nx: int, ny: int):
+    hx = domain.width / nx
+    hy = domain.height / ny
+    xs = domain.x0 + hx * np.arange(nx + 1)
+    ys = domain.y0 + hy * np.arange(ny + 1)
+    px, py = np.meshgrid(xs, ys, indexing="ij")
+    return np.stack([px.ravel(), py.ravel()], axis=1), hx, hy
 
 
 def _p1_gradients(nodes, tris):
@@ -165,6 +177,19 @@ def _p1_gradients(nodes, tris):
     return area, grads
 
 
+def _stiffness(grads, tri_K):
+    """grad_a . K . grad_b per triangle, the terms added to 0.0 one by one
+    over (d, c) = (0, 0), (0, 1), (1, 0), (1, 1): the order and rounding of
+    np.einsum("nad,ndc,nbc->nab", grads, tri_K, grads), in about half the
+    time."""
+    s = np.zeros((len(grads), 3, 3))
+    for d in range(2):
+        for c in range(2):
+            s = s + ((grads[:, :, None, d] * tri_K[:, None, None, d, c])
+                     * grads[:, None, :, c])
+    return s
+
+
 def locate_triangle(domain: Rect, nx: int, ny: int, x, y):
     """Index of the triangle containing (x, y), elementwise over arrays;
     edge hits resolve toward the larger cell index, diagonal hits toward the
@@ -176,16 +201,39 @@ def locate_triangle(domain: Rect, nx: int, ny: int, x, y):
     return 2 * (ix * ny + iy) + (fx - ix < fy - iy)
 
 
-def _merge_collinear(segs, aperture, tol):
-    """Merge overlapping collinear (row, p0, p1) segments; the fracture row
-    with the wider aperture wins.
+def _collinear_candidates(start, delta, tol):
+    """Whether any pair i < j of the segments start[k] + [0, 1] * delta[k]
+    passes _merge_collinear's parallel and on-line test, with the loop's
+    arithmetic; scanned in row chunks of about _PAIR_CHUNK pairs."""
+    n = len(start)
+    length = np.hypot(delta[:, 0], delta[:, 1])
+    rows = max(1, _PAIR_CHUNK // max(n, 1))
+    for r0 in range(0, n, rows):
+        a = np.arange(r0, min(r0 + rows, n))
+        di, lim = delta[a, None], tol * length[a, None]
+        w = start[None, :] - start[a, None]
+        cross = di[..., 0] * delta[:, 1] - di[..., 1] * delta[:, 0]
+        off0 = di[..., 0] * w[..., 1] - di[..., 1] * w[..., 0]
+        if np.any((a[:, None] < np.arange(n)) & (np.abs(cross) < lim)
+                  & (np.abs(off0) < lim)):
+            return True
+    return False
+
+
+def _merge_collinear(rows, p0, p1, aperture, tol):
+    """Merge overlapping collinear segments rows[k]: p0[k]-p1[k]; the
+    fracture row with the wider aperture wins. Returns (rows, p0, p1,
+    merged count).
 
     Each segment is tested against all later ones at once; a merge changes
     only the earlier segment, so the later ones keep their original arrays.
+    Without a candidate pair on the original arrays no merge can happen,
+    and the inputs are returned as they are.
     """
-    out = list(segs)
-    start = np.array([b0 for _, b0, _ in segs]).reshape(-1, 2)
-    delta = np.array([b1 - b0 for _, b0, b1 in segs]).reshape(-1, 2)
+    start, delta = p0, p1 - p0
+    if not _collinear_candidates(start, delta, tol):
+        return rows, p0, p1, 0
+    out = list(zip(rows, p0, p1))
     alive = np.ones(len(out), dtype=bool)
     merged = 0
     for i in range(len(out)):
@@ -216,7 +264,135 @@ def _merge_collinear(segs, aperture, tol):
             j += 1
     if merged:
         warnings.warn(f"merged {merged} overlapping collinear fracture segments")
-    return [seg for seg, keep in zip(out, alive) if keep], merged
+    out = [seg for seg, keep in zip(out, alive) if keep]
+    return (np.array([row for row, _, _ in out], np.int64),
+            np.reshape([a0 for _, a0, _ in out], (-1, 2)),
+            np.reshape([a1 for _, _, a1 in out], (-1, 2)), merged)
+
+
+def _clean_chain(points, seg_len, tol):
+    """(t, share key) breakpoints of one segment plus its endpoints, sorted
+    by t, dropping each point within tol of the last kept one; a dropped
+    keyed point passes its key to a kept endpoint. Equal t resolve in set
+    order."""
+    pts = sorted(set([(0.0, None), (1.0, None)] + points), key=lambda p: p[0])
+    cleaned = [pts[0]]
+    for t, k in pts[1:]:
+        if (t - cleaned[-1][0]) * seg_len <= tol:
+            if cleaned[-1][1] is None and k is not None:
+                cleaned[-1] = (cleaned[-1][0], k)
+            continue
+        cleaned.append((t, k))
+    return cleaned
+
+
+def _fracture_chains(seg_p0, seg_p1, snap_tol, target):
+    """Split the segments at their mutual intersections, subdivide each
+    piece below target and number the fracture nodes.
+
+    Returns (frac_nodes, spans, dropped). spans holds per piece, in segment
+    and chain order, the arrays (segment, nsub, first interior node id,
+    start node id, end node id). Intersection points that quantize to the
+    same snap_tol key share one node. Per segment, its new breakpoint nodes
+    are numbered first, then the nsub - 1 interior nodes of each piece.
+    dropped counts the segments that keep no piece.
+    """
+    seg_d = seg_p1 - seg_p0
+    seg_len = np.hypot(seg_d[:, 0], seg_d[:, 1])
+    live = seg_len > snap_tol
+
+    # both segments of every hit, hit by hit and i before j
+    hit_i, hit_j, hit_pt = segment_intersections(seg_p0, seg_p1, snap_tol)
+    b_seg = np.column_stack([hit_i, hit_j]).ravel()
+    b_pt = np.repeat(hit_pt, 2, axis=0)
+    b_key = np.rint(b_pt / snap_tol).astype(np.int64)
+    # matmul of 1 x 2 by 2 x 1 and float_power round as the scalar
+    # (pt - p0) @ d and np.hypot(*d) ** 2 do; w . d summed elementwise
+    # and h * h do not
+    w, d = b_pt - seg_p0[b_seg], seg_d[b_seg]
+    b_t = np.clip(np.matmul(w[:, None, :], d[:, :, None])[:, 0, 0]
+                  / np.float_power(seg_len[b_seg], 2), 0.0, 1.0)
+
+    # every live segment's breakpoints and unkeyed endpoints, sorted by t
+    ends = np.flatnonzero(live)
+    seg = np.concatenate([b_seg, ends, ends])
+    t = np.concatenate([b_t, np.zeros(len(ends)), np.ones(len(ends))])
+    key = np.concatenate([b_key, np.zeros((2 * len(ends), 2), np.int64)])
+    keyed = np.arange(len(seg)) < len(b_seg)
+    order = np.lexsort((t, seg))
+    order = order[live[seg[order]]]
+    seg, t, key, keyed = seg[order], t[order], key[order], keyed[order]
+
+    # A segment whose sorted points are all more than snap_tol apart keeps
+    # them all. The rest go through the scalar cleaning, which drops close
+    # points and resolves equal t in its own order.
+    same = seg[1:] == seg[:-1]
+    close = same & ~((t[1:] - t[:-1]) * seg_len[seg[1:]] > snap_tol)
+    slow = np.zeros(len(seg_p0), dtype=bool)
+    slow[seg[1:][close]] = True
+    dropped = int(np.count_nonzero(~live))
+    fix = []  # (segment, t, key or None) along the cleaned slow chains
+    for s in np.flatnonzero(slow):
+        mine = np.flatnonzero(b_seg == s)
+        cleaned = _clean_chain(
+            list(zip(b_t[mine].tolist(), map(tuple, b_key[mine].tolist()))),
+            seg_len[s], snap_tol)
+        if len(cleaned) == 1:
+            dropped += 1
+        else:
+            fix += [(s, tc, k) for tc, k in cleaned]
+    if slow.any():
+        fast = ~slow[seg]
+        f_seg, f_t, f_key = zip(*fix) if fix else ((), (), ())
+        seg = np.concatenate([seg[fast], np.array(f_seg, np.int64)])
+        t = np.concatenate([t[fast], np.array(f_t, float)])
+        key = np.concatenate([key[fast], np.reshape(
+            np.array([k or (0, 0) for k in f_key], np.int64), (-1, 2))])
+        keyed = np.concatenate([keyed[fast],
+                                np.array([k is not None for k in f_key],
+                                         bool)])
+        order = np.argsort(seg, kind="stable")
+        seg, t, key, keyed = seg[order], t[order], key[order], keyed[order]
+
+    # a keyed point takes the node of its key's first point, every other
+    # point a new node
+    point = np.arange(len(seg))
+    owner = point.copy()
+    kp = np.flatnonzero(keyed)
+    if len(kp):
+        _, first, inverse = np.unique(key[kp], axis=0, return_index=True,
+                                      return_inverse=True)
+        owner[kp] = kp[first][inverse.reshape(-1)]
+    new = owner == point
+
+    piece = np.flatnonzero(seg[1:] == seg[:-1])
+    sp_seg = seg[piece]
+    sp_t0, sp_t1 = t[piece], t[piece + 1]
+    sp_nsub = np.maximum(1, np.ceil((sp_t1 - sp_t0) * seg_len[sp_seg]
+                                    / target)).astype(np.int64)
+    # ids run segment by segment: its new nodes in chain order, then the
+    # nsub - 1 interior nodes of each of its pieces
+    n_new = np.count_nonzero(new)
+    count = np.concatenate([np.ones(n_new, np.int64), sp_nsub - 1])
+    order = np.argsort(np.concatenate([seg[new], sp_seg]), kind="stable")
+    first_id = np.empty_like(count)
+    first_id[order] = np.cumsum(count[order]) - count[order]
+    node_id = np.zeros(len(seg), np.int64)
+    node_id[new] = first_id[:n_new]
+    node_id = node_id[owner]
+    sp_first = first_id[n_new:]
+
+    frac_nodes = np.zeros((int(count.sum()), 2))
+    frac_nodes[node_id[new]] = (seg_p0[seg[new]]
+                                + t[new, None] * seg_d[seg[new]])
+    # interior nodes s = 1 .. nsub - 1 of every piece
+    span, s = runs(sp_nsub - 1)
+    s += 1
+    ts = sp_t0[span] + (sp_t1[span] - sp_t0[span]) * s / sp_nsub[span]
+    frac_nodes[sp_first[span] + s - 1] = (seg_p0[sp_seg[span]]
+                                          + ts[:, None] * seg_d[sp_seg[span]])
+    spans = (sp_seg, sp_nsub, sp_first, node_id[piece], node_id[piece + 1])
+    return frac_nodes, spans, dropped
 
 
 def discretize(field_: TensorField, network: FractureNetwork | None,
@@ -224,102 +400,35 @@ def discretize(field_: TensorField, network: FractureNetwork | None,
     """Assemble the coupled sparse SPD system for one block or domain."""
     if nx < 2 or ny < 2:
         raise ValueError("resolution must be at least 2x2")
-    nodes, tris, hx, hy = _structured_matrix_mesh(domain, nx, ny)
+    nodes, hx, hy = _mesh_nodes(domain, nx, ny)
+    tris, rows, cols = _mesh_topology(nx, ny)
     area, grads = _p1_gradients(nodes, tris)
 
     centroids = nodes[tris].mean(axis=1)
     tri_K = field_.tensor_at(centroids[:, 0], centroids[:, 1])
 
     # matrix stiffness: S_ab = area * grad_a . K . grad_b
-    s_el = np.einsum("nad,ndc,nbc->nab", grads, tri_K, grads) * area[:, None, None]
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    data = s_el.ravel()
+    data = (_stiffness(grads, tri_K) * area[:, None, None]).ravel()
 
     snap_tol = 1e-9 * domain.diameter
-    segs, dropped = ([], 0)
-    merged = 0
+    dropped = merged = 0
+    seg_row = np.zeros(0, np.int64)
+    seg_p0 = seg_p1 = np.zeros((0, 2))
     aperture = conductivity = np.zeros(0)
     if network is not None and len(network):
         aperture, conductivity = network.aperture, network.conductivity
-        kept, q0, q1 = clip_segments(network.p0, network.p1, domain)
-        dropped = len(network) - len(kept)
-        segs, merged = _merge_collinear(list(zip(kept, q0, q1)), aperture,
-                                        snap_tol)
+        seg_row, q0, q1 = clip_segments(network.p0, network.p1, domain)
+        dropped = len(network) - len(seg_row)
+        seg_row, seg_p0, seg_p1, merged = _merge_collinear(
+            seg_row, q0, q1, aperture, snap_tol)
 
-    # split at mutual intersections, subdivide, number fracture dofs
     n_m = len(nodes)
-    seg_p0 = np.array([a0 for _, a0, _ in segs]).reshape(-1, 2)
-    seg_p1 = np.array([a1 for _, _, a1 in segs]).reshape(-1, 2)
-    seg_d = seg_p1 - seg_p0
-    breakpoints = [[] for _ in segs]  # (t, share_key) per segment
-    for i, j, pt in zip(*segment_intersections(seg_p0, seg_p1, snap_tol)):
-        key = (int(round(pt[0] / snap_tol)), int(round(pt[1] / snap_tol)))
-        for idx in (i, j):
-            d = seg_d[idx]
-            t = float(np.clip(((pt - seg_p0[idx]) @ d) / np.hypot(*d) ** 2,
-                              0.0, 1.0))
-            breakpoints[idx].append((t, key))
-
-    # Breakpoint nodes are numbered here, segment by segment; each span then
-    # reserves ids for its nsub - 1 interior nodes, placed below in arrays.
     target = FRAC_ELEM_FACTOR * min(hx, hy)
-    bp_ids, bp_xy = [], []
-    shared = {}  # quantized intersection point -> fracture node index
-    spans = []   # (segment, t0, t1, nsub, first interior id, end ids)
-    n_f = 0
-    zero_len_dropped = 0
-    for seg_idx, (_, a0, a1) in enumerate(segs):
-        d = a1 - a0
-        seg_len = np.hypot(*d)
-        if seg_len <= snap_tol:
-            zero_len_dropped += 1
-            continue
-        pts = sorted(set([(0.0, None), (1.0, None)]
-                         + [(t, k) for t, k in breakpoints[seg_idx]]),
-                     key=lambda p: p[0])
-        # drop breakpoints that coincide (within tol) with an earlier one
-        cleaned = [pts[0]]
-        for t, k in pts[1:]:
-            if (t - cleaned[-1][0]) * seg_len <= snap_tol:
-                if cleaned[-1][1] is None and k is not None:
-                    cleaned[-1] = (cleaned[-1][0], k)
-                continue
-            cleaned.append((t, k))
-        if len(cleaned) == 1:
-            zero_len_dropped += 1
-            continue
-
-        node_ids = []
-        for t, k in cleaned:
-            if k not in shared:
-                bp_ids.append(n_f)
-                bp_xy.append(a0 + t * d)
-                if k is not None:
-                    shared[k] = n_f
-                node_ids.append(n_f)
-                n_f += 1
-            else:
-                node_ids.append(shared[k])
-        for (t0, _), (t1, _), i0, i1 in zip(cleaned[:-1], cleaned[1:],
-                                            node_ids[:-1], node_ids[1:]):
-            nsub = max(1, int(np.ceil((t1 - t0) * seg_len / target)))
-            spans.append((seg_idx, t0, t1, nsub, n_f, i0, i1))
-            n_f += nsub - 1
-
-    frac_nodes = np.zeros((n_f, 2))
-    frac_nodes[bp_ids] = np.reshape(bp_xy, (-1, 2))
-    table = np.array(spans, dtype=float).reshape(-1, 7)
-    sp_t0, sp_t1 = table[:, 1], table[:, 2]
-    sp_seg, sp_nsub, sp_first, sp_i0, sp_i1 = (
-        table[:, [0, 3, 4, 5, 6]].T.astype(np.int64))
-    # interior nodes s = 1 .. nsub - 1 of every span
-    span, s = runs(sp_nsub - 1)
-    s += 1
-    t = sp_t0[span] + (sp_t1[span] - sp_t0[span]) * s / sp_nsub[span]
-    frac_nodes[sp_first[span] + s - 1] = (seg_p0[sp_seg[span]]
-                                          + t[:, None] * seg_d[sp_seg[span]])
-    # elements s = 0 .. nsub - 1 of every span, in chain order
+    frac_nodes, spans, zero_len_dropped = _fracture_chains(
+        seg_p0, seg_p1, snap_tol, target)
+    sp_seg, sp_nsub, sp_first, sp_i0, sp_i1 = spans
+    seg_d = seg_p1 - seg_p0
+    # elements s = 0 .. nsub - 1 of every piece, in chain order
     span, s = runs(sp_nsub)
     n0 = np.where(s == 0, sp_i0[span], sp_first[span] + s - 1)
     n1 = np.where(s == sp_nsub[span] - 1, sp_i1[span], sp_first[span] + s)
@@ -329,7 +438,7 @@ def discretize(field_: TensorField, network: FractureNetwork | None,
     n0, n1, p0, p1, e_len = n0[keep], n1[keep], p0[keep], p1[keep], e_len[keep]
     e_seg = sp_seg[span[keep]]
     e_tan = seg_d[e_seg] / np.hypot(seg_d[e_seg, 0], seg_d[e_seg, 1])[:, None]
-    e_row = np.array([row for row, _, _ in segs], np.int64)[e_seg]
+    e_row = seg_row[e_seg]
     e_ap, e_cond = aperture[e_row], conductivity[e_row]
     mid = 0.5 * (p0 + p1)
     e_tri = locate_triangle(domain, nx, ny, mid[:, 0], mid[:, 1])
@@ -352,7 +461,7 @@ def discretize(field_: TensorField, network: FractureNetwork | None,
         t_e, t_e, -t_e, -t_e,
         (c[:, None, None] * w[:, :, None] * w[:, None, :]).reshape(-1, 25)])
 
-    n_dofs = n_m + n_f
+    n_dofs = n_m + len(frac_nodes)
     all_rows = np.concatenate([rows, couple_rows.ravel()])
     all_cols = np.concatenate([cols, couple_cols.ravel()])
     all_data = np.concatenate([data, couple_data.ravel()])

@@ -1,11 +1,19 @@
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dfm_upscale.dfm_solver import (BoundaryCondition, aquifer_bc, discretize,
+from dfm_upscale import dfm_solver
+from dfm_upscale.dfm_solver import (BoundaryCondition, _collinear_candidates,
+                                    _fracture_chains, _mesh_topology,
+                                    _stiffness, aquifer_bc, discretize,
                                     linear_head, locate_triangle, solve_darcy)
-from dfm_upscale.geometry import Rect
+from dfm_upscale.geometry import (_PAIR_CHUNK, Rect, runs,
+                                  segment_intersections)
 from dfm_upscale.random_field import Grid, TensorField
 
 from conftest import (layered_field, make_fracture, network_of,
@@ -138,6 +146,303 @@ class TestDegenerateGeometry:
         assert np.array_equal(
             sys_.coupling_tri,
             locate_triangle(unit_rect, 8, 8, mid[:, 0], mid[:, 1]))
+
+
+class TestStiffness:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_einsum(self, seed):
+        rng = np.random.default_rng(seed)
+        grads = rng.standard_normal((1152, 3, 2)) * 10.0 ** rng.uniform(
+            -3, 3, (1152, 1, 1))
+        tri_k = rng.standard_normal((1152, 2, 2)) * 10.0 ** rng.uniform(
+            -8, 0, (1152, 1, 1))
+        assert np.array_equal(
+            _stiffness(grads, tri_k),
+            np.einsum("nad,ndc,nbc->nab", grads, tri_k, grads))
+
+
+class TestMeshTopology:
+    def test_shared_and_read_only(self, unit_rect):
+        field = uniform_field(unit_rect, 1.0)
+        a = discretize(field, None, unit_rect, 8, 6)
+        b = discretize(field, None, Rect(3.0, 4.0, 5.0, 6.0), 8, 6)
+        assert a.tris is b.tris
+        assert not np.array_equal(a.nodes, b.nodes)
+        tris, rows, cols = _mesh_topology(8, 6)
+        assert tris is a.tris
+        assert np.array_equal(rows, np.repeat(tris, 3, axis=1).ravel())
+        assert np.array_equal(cols, np.tile(tris, (1, 3)).ravel())
+        for arr in (tris, rows, cols):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+def reference_fracture_chains(seg_p0, seg_p1, snap_tol, target):
+    """Scalar breakpoint, cleaning and numbering loop: the loop form of
+    _fracture_chains, kept as its reference."""
+    seg_d = seg_p1 - seg_p0
+    breakpoints = [[] for _ in seg_p0]  # (t, share_key) per segment
+    for i, j, pt in zip(*segment_intersections(seg_p0, seg_p1, snap_tol)):
+        key = (int(round(pt[0] / snap_tol)), int(round(pt[1] / snap_tol)))
+        for idx in (i, j):
+            d = seg_d[idx]
+            t = float(np.clip(((pt - seg_p0[idx]) @ d) / np.hypot(*d) ** 2,
+                              0.0, 1.0))
+            breakpoints[idx].append((t, key))
+
+    bp_ids, bp_xy = [], []
+    shared = {}  # quantized intersection point -> fracture node index
+    spans = []   # (segment, t0, t1, nsub, first interior id, end ids)
+    n_f = 0
+    dropped = 0
+    for seg_idx, (a0, a1) in enumerate(zip(seg_p0, seg_p1)):
+        d = a1 - a0
+        seg_len = np.hypot(*d)
+        if seg_len <= snap_tol:
+            dropped += 1
+            continue
+        pts = sorted(set([(0.0, None), (1.0, None)]
+                         + [(t, k) for t, k in breakpoints[seg_idx]]),
+                     key=lambda p: p[0])
+        cleaned = [pts[0]]
+        for t, k in pts[1:]:
+            if (t - cleaned[-1][0]) * seg_len <= snap_tol:
+                if cleaned[-1][1] is None and k is not None:
+                    cleaned[-1] = (cleaned[-1][0], k)
+                continue
+            cleaned.append((t, k))
+        if len(cleaned) == 1:
+            dropped += 1
+            continue
+        node_ids = []
+        for t, k in cleaned:
+            if k not in shared:
+                bp_ids.append(n_f)
+                bp_xy.append(a0 + t * d)
+                if k is not None:
+                    shared[k] = n_f
+                node_ids.append(n_f)
+                n_f += 1
+            else:
+                node_ids.append(shared[k])
+        for (t0, _), (t1, _), i0, i1 in zip(cleaned[:-1], cleaned[1:],
+                                            node_ids[:-1], node_ids[1:]):
+            nsub = max(1, int(np.ceil((t1 - t0) * seg_len / target)))
+            spans.append((seg_idx, t0, t1, nsub, n_f, i0, i1))
+            n_f += nsub - 1
+
+    frac_nodes = np.zeros((n_f, 2))
+    frac_nodes[bp_ids] = np.reshape(bp_xy, (-1, 2))
+    table = np.array(spans, dtype=float).reshape(-1, 7)
+    sp_t0, sp_t1 = table[:, 1], table[:, 2]
+    sp_seg, sp_nsub, sp_first, sp_i0, sp_i1 = (
+        table[:, [0, 3, 4, 5, 6]].T.astype(np.int64))
+    span, s = runs(sp_nsub - 1)
+    s += 1
+    t = sp_t0[span] + (sp_t1[span] - sp_t0[span]) * s / sp_nsub[span]
+    frac_nodes[sp_first[span] + s - 1] = (seg_p0[sp_seg[span]]
+                                          + t[:, None] * seg_d[sp_seg[span]])
+    return frac_nodes, (sp_seg, sp_nsub, sp_first, sp_i0, sp_i1), dropped
+
+
+def assert_chains_match(seg_p0, seg_p1, snap_tol, target=0.75 / 8):
+    seg_p0 = np.asarray(seg_p0, float).reshape(-1, 2)
+    seg_p1 = np.asarray(seg_p1, float).reshape(-1, 2)
+    nodes, spans, dropped = _fracture_chains(seg_p0, seg_p1, snap_tol, target)
+    ref_nodes, ref_spans, ref_dropped = reference_fracture_chains(
+        seg_p0, seg_p1, snap_tol, target)
+    assert np.array_equal(nodes, ref_nodes)
+    for got, want in zip(spans, ref_spans):
+        assert np.array_equal(got, want)
+    assert dropped == ref_dropped
+
+
+def reference_discretize(field, network, domain, nx, ny):
+    """discretize with the scalar chain loop, and the merge loop run on
+    every network instead of only on those the pre-screen passes."""
+    with mock.patch.object(dfm_solver, "_fracture_chains",
+                           reference_fracture_chains), \
+            mock.patch.object(dfm_solver, "_collinear_candidates",
+                              lambda *args: True):
+        return discretize(field, network, domain, nx, ny)
+
+
+SYSTEM_ARRAYS = ("frac_nodes", "frac_elems", "frac_len", "frac_tangent",
+                 "frac_aperture", "frac_cond", "coupling_tri")
+
+
+def assert_systems_equal(a, b):
+    for name in SYSTEM_ARRAYS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a.matrix, name),
+                              getattr(b.matrix, name)), name
+    assert a.dropped_fractures == b.dropped_fractures
+    assert a.merged_fractures == b.merged_fractures
+
+
+def discretize_both(field, network, domain, nx, ny):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the collinear-merge warning
+        return (discretize(field, network, domain, nx, ny),
+                reference_discretize(field, network, domain, nx, ny))
+
+
+UNIT_SNAP_TOL = 1e-9 * Rect(0.0, 0.0, 1.0, 1.0).diameter
+# multiples of half a cell of an 8 x 8 mesh on the unit square, some moved
+# by less or a little more than UNIT_SNAP_TOL: fractures end on others,
+# several pass through one point, and breakpoints fall within snap_tol of
+# each other or of an endpoint
+snapped = st.builds(lambda k, e: k / 16 + e, st.integers(-2, 18),
+                    st.sampled_from([0.0, 0.0, 0.0, 5e-10, -5e-10, 2e-9]))
+coordinate = st.one_of(snapped, st.floats(-0.2, 1.2))
+point = st.tuples(coordinate, coordinate)
+# zero-length and sub-snap_tol segments beside ordinary ones
+short = st.builds(lambda p, e: (p, (p[0] + e, p[1] + e / 2)), point,
+                  st.sampled_from([0.0, 1e-12, 5e-10]))
+segment = st.one_of(st.tuples(point, point), st.tuples(point, point), short)
+segment_lists = st.lists(segment, min_size=1, max_size=9)
+
+
+class TestFractureChains:
+    @settings(max_examples=300, deadline=None)
+    @given(segs=segment_lists)
+    def test_matches_scalar_reference(self, segs):
+        assert_chains_match([a for a, _ in segs], [b for _, b in segs],
+                            UNIT_SNAP_TOL)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dense_random_network(self, seed):
+        # over a thousand hits in general position: every breakpoint t and
+        # node coordinate must round as the scalar loop does; with seeds 0
+        # and 2, h * h in place of the scalar's pow changes some t
+        rng = np.random.default_rng(seed)
+        p0 = rng.uniform(0.0, 1.0, (300, 2))
+        angle = rng.uniform(0.0, np.pi, 300)
+        p1 = p0 + rng.uniform(0.05, 0.5, (300, 1)) * np.stack(
+            [np.cos(angle), np.sin(angle)], 1)
+        assert len(segment_intersections(p0, p1, UNIT_SNAP_TOL)[0]) > 1000
+        assert_chains_match(p0, p1, UNIT_SNAP_TOL)
+
+    @pytest.mark.parametrize("x", [
+        UNIT_SNAP_TOL,                          # gap exactly snap_tol
+        np.nextafter(UNIT_SNAP_TOL, 0.0),
+        np.nextafter(UNIT_SNAP_TOL, 1.0),
+        1.0 - UNIT_SNAP_TOL,
+    ])
+    def test_breakpoint_at_snap_tol_from_an_end(self, x):
+        # a vertical at x crosses the unit horizontal at t = x exactly
+        p0 = [(0.0, 0.5), (x, 0.0)]
+        p1 = [(1.0, 0.5), (x, 1.0)]
+        assert_chains_match(p0, p1, UNIT_SNAP_TOL)
+
+    def test_three_fractures_through_one_point(self):
+        assert_chains_match([(0.0, 0.0), (0.0, 1.0), (0.5, 0.0)],
+                            [(1.0, 1.0), (1.0, 0.0), (0.5, 1.0)],
+                            UNIT_SNAP_TOL)
+
+    def test_empty(self):
+        nodes, spans, dropped = _fracture_chains(
+            np.zeros((0, 2)), np.zeros((0, 2)), UNIT_SNAP_TOL, 0.1)
+        assert nodes.shape == (0, 2) and dropped == 0
+        assert all(len(a) == 0 for a in spans)
+
+
+NETWORK_FIELD = random_tensor_field(Rect(0.0, 0.0, 1.0, 1.0), 8, seed=1)
+
+
+class TestDiscretizeMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(segs=segment_lists,
+           apertures=st.lists(st.sampled_from([1e-3, 2e-3]), min_size=9,
+                              max_size=9))
+    def test_random_networks(self, segs, apertures):
+        rect = Rect(0.0, 0.0, 1.0, 1.0)
+        net = network_of(*[make_fracture(a, b, aperture=ap, frac_id=k)
+                           for k, ((a, b), ap)
+                           in enumerate(zip(segs, apertures))])
+        assert_systems_equal(*discretize_both(NETWORK_FIELD, net, rect, 8, 8))
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_NETWORKS))
+    def test_degenerate_networks(self, unit_rect, name):
+        net = network_of(*[make_fracture(p0, p1, frac_id=k) for k, (p0, p1)
+                           in enumerate(DEGENERATE_NETWORKS[name])])
+        assert_systems_equal(*discretize_both(NETWORK_FIELD, net, unit_rect,
+                                              8, 8))
+
+
+def reference_candidates(start, delta, tol):
+    """Pair-by-pair form of _collinear_candidates."""
+    for i in range(len(start)):
+        di = delta[i]
+        li = np.hypot(*di)
+        for j in range(i + 1, len(start)):
+            w = start[j] - start[i]
+            cross = di[0] * delta[j, 1] - di[1] * delta[j, 0]
+            off0 = di[0] * w[1] - di[1] * w[0]
+            if abs(cross) < tol * li and abs(off0) < tol * li:
+                return True
+    return False
+
+
+class TestCollinearPreScreen:
+    @settings(max_examples=200, deadline=None)
+    @given(segs=segment_lists)
+    def test_matches_pairwise_reference(self, segs):
+        start = np.array([a for a, _ in segs], float)
+        delta = np.array([b for _, b in segs], float) - start
+        assert (_collinear_candidates(start, delta, UNIT_SNAP_TOL)
+                == reference_candidates(start, delta, UNIT_SNAP_TOL))
+
+    def test_parallel_offset_is_no_candidate(self):
+        start = np.array([[0.1, 0.2], [0.3, 0.7]])
+        delta = np.array([[0.5, 0.0], [0.5, 0.0]])
+        assert not _collinear_candidates(start, delta, UNIT_SNAP_TOL)
+
+    def test_collinear_disjoint_passes_but_does_not_merge(self, unit_rect):
+        start = np.array([[0.1, 0.5], [0.6, 0.5]])
+        delta = np.array([[0.2, 0.0], [0.3, 0.0]])
+        assert _collinear_candidates(start, delta, UNIT_SNAP_TOL)
+        net = network_of(make_fracture((0.1, 0.5), (0.3, 0.5), frac_id=0),
+                         make_fracture((0.6, 0.5), (0.9, 0.5), frac_id=1),
+                         make_fracture((0.2, 0.1), (0.7, 0.9), frac_id=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sys_ = discretize(NETWORK_FIELD, net, unit_rect, 8, 8)
+        assert sys_.merged_fractures == 0
+        assert_systems_equal(sys_, reference_discretize(NETWORK_FIELD, net,
+                                                        unit_rect, 8, 8))
+
+    def test_no_candidate_no_warning(self, unit_rect):
+        net = network_of(
+            make_fracture((0.05, 0.2), (0.95, 0.7), frac_id=0),
+            make_fracture((0.3, 0.05), (0.6, 0.95), frac_id=1),
+            make_fracture((0.1, 0.8), (0.9, 0.3), frac_id=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sys_ = discretize(NETWORK_FIELD, net, unit_rect, 8, 8)
+        assert sys_.merged_fractures == 0
+
+    def test_memory_bounded_by_chunk(self):
+        # a full-domain network: about 1930 fractures, 1.9 million pairs;
+        # one float64 array over all pairs alone would exceed the bound
+        rng = np.random.default_rng(0)
+        n = 1930
+        start = rng.uniform(0.0, 100.0, (n, 2))
+        angle = rng.uniform(0.0, np.pi, n)
+        delta = rng.uniform(1.0, 15.0, (n, 1)) * np.stack(
+            [np.cos(angle), np.sin(angle)], 1)
+        bound = 8 * 8 * _PAIR_CHUNK
+        assert 8 * n * n > bound
+        tracemalloc.start()
+        try:
+            found = _collinear_candidates(start, delta,
+                                          1e-9 * np.hypot(100.0, 100.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not found
+        assert peak < bound
 
 
 class TestFactorizationReuse:
