@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .frac_geom import FractureNetwork
 from .geometry import (_PAIR_CHUNK, Rect, clip_segments, runs,
@@ -94,7 +95,8 @@ class DiscreteSystem:
     matrix: sp.csr_matrix      # assembled stiffness, no BCs applied
     dropped_fractures: int = 0
     merged_fractures: int = 0
-    # (Dirichlet mask bytes, a_ff, a[:, mask], LU of a_ff) of the last solve
+    # (Dirichlet mask bytes, free DOFs in solve order, banded Cholesky
+    # factor of their matrix) of the last solve
     _factor: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
@@ -106,11 +108,29 @@ class DiscreteSystem:
     def n_dofs(self) -> int:
         return len(self.nodes) + len(self.frac_nodes)
 
-    @property
+    # computed on first use, in the first solve, and kept for later solves
+    @cached_property
     def dof_coords(self) -> np.ndarray:
         if len(self.frac_nodes):
             return np.vstack([self.nodes, self.frac_nodes])
         return self.nodes
+
+    @cached_property
+    def side_masks(self) -> dict:
+        """Per side, the DOFs within 1e-9 diameters of it."""
+        tol = 1e-9 * self.domain.diameter
+        x, y = self.dof_coords[:, 0], self.dof_coords[:, 1]
+        d = self.domain
+        return {"left": np.abs(x - d.x0) <= tol,
+                "right": np.abs(x - d.x1) <= tol,
+                "bottom": np.abs(y - d.y0) <= tol,
+                "top": np.abs(y - d.y1) <= tol}
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Reverse Cuthill-McKee order of the full matrix. It does not
+        depend on the Dirichlet mask: every solve's free DOFs follow it."""
+        return reverse_cuthill_mckee(self.matrix, symmetric_mode=True)
 
 
 @dataclass
@@ -308,10 +328,14 @@ def _fracture_chains(seg_p0, seg_p1, snap_tol, target):
     b_key = np.rint(b_pt / snap_tol).astype(np.int64)
     # matmul of 1 x 2 by 2 x 1 and float_power round as the scalar
     # (pt - p0) @ d and np.hypot(*d) ** 2 do; w . d summed elementwise
-    # and h * h do not
+    # and h * h do not. A segment whose squared length underflows to 0
+    # (length below about 1e-162) is not live, and its points are dropped
+    # below: its t stays 0 rather than 0 / 0.
     w, d = b_pt - seg_p0[b_seg], seg_d[b_seg]
-    b_t = np.clip(np.matmul(w[:, None, :], d[:, :, None])[:, 0, 0]
-                  / np.float_power(seg_len[b_seg], 2), 0.0, 1.0)
+    len2 = np.float_power(seg_len[b_seg], 2)
+    b_t = np.clip(np.divide(np.matmul(w[:, None, :], d[:, :, None])[:, 0, 0],
+                            len2, out=np.zeros(len(len2)), where=len2 > 0.0),
+                  0.0, 1.0)
 
     # every live segment's breakpoints and unkeyed endpoints, sorted by t
     ends = np.flatnonzero(live)
@@ -481,50 +505,70 @@ def discretize(field_: TensorField, network: FractureNetwork | None,
 def _dirichlet_dofs(system: DiscreteSystem, bc: BoundaryCondition):
     """Dirichlet mask and values, plus each side's DOF indices in ascending
     order; a DOF on two sides (a corner) belongs to the side listed first."""
-    tol = 1e-9 * system.domain.diameter
     coords = system.dof_coords
-    d = system.domain
-    side_masks = {
-        "left": np.abs(coords[:, 0] - d.x0) <= tol,
-        "right": np.abs(coords[:, 0] - d.x1) <= tol,
-        "bottom": np.abs(coords[:, 1] - d.y0) <= tol,
-        "top": np.abs(coords[:, 1] - d.y1) <= tol,
-    }
     values = np.zeros(system.n_dofs)
     mask = np.zeros(system.n_dofs, dtype=bool)
     side_dofs = {}
     for side, g in bc.dirichlet.items():
-        m = side_masks[side]
+        m = system.side_masks[side]
         values[m] = g(coords[m, 0], coords[m, 1])
         side_dofs[side] = np.flatnonzero(m & ~mask)
         mask |= m
     return mask, values, side_dofs
 
 
+def _band_factor(system: DiscreteSystem, free):
+    """The free DOFs in the order they take in system.order, and the banded
+    Cholesky factor of their matrix in that order. The lower band is filled
+    straight from the CSR arrays of the full matrix."""
+    a = system.matrix
+    order = system.order[free[system.order]]
+    pos = np.full(system.n_dofs, -1)
+    pos[order] = np.arange(len(order))
+    i = np.repeat(pos, np.diff(a.indptr))
+    j = pos[a.indices]
+    lower = (j >= 0) & (i >= j)  # both DOFs free, on or below the diagonal
+    i, j = i[lower], j[lower]
+    band = np.zeros((int((i - j).max()) + 1, len(order)))
+    band[i - j, j] = a.data[lower]
+    try:
+        return order, cholesky_banded(band, lower=True)
+    except LinAlgError as exc:
+        raise SolverError(
+            f"free-DOF matrix of {system.domain} ({len(order)} free of "
+            f"{system.n_dofs} DOFs) is not positive definite: {exc}") from exc
+
+
 def solve_darcy(system: DiscreteSystem, bc: BoundaryCondition) -> FlowSolution:
     """Solve the assembled system under Dirichlet/no-flow boundary data.
 
-    The free-DOF system is solved by sparse LU factorization: the fracture
-    coupling makes it too ill-conditioned for a Jacobi-preconditioned
-    iterative solver at high fracture/matrix contrast.
+    The free-DOF matrix is SPD. Its DOFs follow the system's reverse
+    Cuthill-McKee order, which gives it a narrow band, and it is factored
+    by a banded Cholesky once per Dirichlet mask (the x and y linear-head
+    problems share one factor). The solve is direct because the fracture
+    coupling makes the system too ill-conditioned for a Jacobi-
+    preconditioned iterative solver at high fracture/matrix contrast. A
+    matrix that is not SPD raises SolverError, and so does a relative
+    residual above RESIDUAL_GATE.
     """
     a = system.matrix
     mask, values, side_dofs = _dirichlet_dofs(system, bc)
     free = ~mask
-    # the x and y linear-head problems share the mask: factor once for both
     key = mask.tobytes()
     if system._factor is None or system._factor[0] != key:
-        a_ff = a[free][:, free].tocsr()
-        system._factor = (key, a_ff, a[:, mask], spla.splu(a_ff.tocsc()))
-    _, a_ff, a_fixed, lu = system._factor
+        system._factor = (key, *_band_factor(system, free))
+    _, order, factor = system._factor
+    # values is zero on the free DOFs, so -(A @ values) there is the
+    # right-hand side of the free system
+    rhs = -(a @ values)[order]
     h = np.array(values)
-    rhs = -a_fixed @ values[mask]
-    h_free = lu.solve(rhs[free])
-    h[free] = h_free
+    h[order] = cho_solve_banded((factor, True), rhs)
 
-    res = np.linalg.norm(a_ff @ h_free - rhs[free])
-    scale = np.linalg.norm(rhs[free])
-    residual = float(res / scale) if scale > 0 else 0.0
+    # one product gives the residual on the free DOFs and the Dirichlet
+    # reactions on the fixed ones
+    r = a @ h
+    scale = np.linalg.norm(rhs)
+    residual = float(np.linalg.norm(r[free]) / scale) if scale > 0 else 0.0
     if residual > RESIDUAL_GATE:
         raise SolverError(f"direct solve residual {residual:.2e} too large",
                           residual=residual)
@@ -546,8 +590,7 @@ def solve_darcy(system: DiscreteSystem, bc: BoundaryCondition) -> FlowSolution:
     # Dirichlet reactions give the discrete boundary fluxes (outflow > 0),
     # subtracted one by one from 0.0 in DOF order: cumsum is sequential,
     # where np.sum would add pairwise and round differently
-    reactions = a @ h
-    boundary_flux = {side: float(np.cumsum(np.r_[0.0, -reactions[dofs]])[-1])
+    boundary_flux = {side: float(np.cumsum(np.r_[0.0, -r[dofs]])[-1])
                      for side, dofs in side_dofs.items()}
 
     return FlowSolution(system=system, h=h, tri_grad=tri_grad,

@@ -105,7 +105,7 @@ def segment_intersections(p0, p1, eps: float):
     length = np.hypot(d[:, 0], d[:, 1])
     rows = max(1, _PAIR_CHUNK // max(n, 1))
     found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 2)))]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tol = eps / length
         for r0 in range(0, n, rows):
             a = np.arange(r0, min(r0 + rows, n))
