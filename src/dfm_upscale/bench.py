@@ -11,14 +11,16 @@ import os
 import platform
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .config import RunConfig
 from .frac_geom import PowerLawSpec, PhysicalConstants, generate_dfn
 from .geometry import Rect
-from .homogenizer import (anisotropy_tensor, aquifer_kx, build_block_grid,
-                          clip_network, numeric_backend, upscale_domain)
+from .homogenizer import (anisotropy_tensor, aquifer_kx, block_tensors,
+                          build_block_grid, clipped_blocks, numeric_backend,
+                          upscale_domain)
 from .random_field import Grid, sample_tensor_field
 from .rasterizer import rasterize_block
 from .seeding import substream
@@ -139,13 +141,9 @@ def bench_speedup(cfg: RunConfig, seed: int, n_blocks: int,
     from .surrogate.predict import predict_samples
 
     field_, network, grid = fine_model(cfg, seed)
-    blocks = []
-    for bid, i, j, rect in grid.blocks():
-        blocks.append((bid, rect,
-                       clip_network(network, rect,
-                                    cfg.blocks.length_threshold)))
-        if len(blocks) >= n_blocks:
-            break
+    blocks = list(islice(clipped_blocks(network, grid,
+                                        cfg.blocks.length_threshold),
+                         n_blocks))
     res = cfg.solver.resolution
     raster_res = (surrogate_model.architecture.resolution
                   if surrogate_model is not None else cfg.raster.resolution)
@@ -212,13 +210,9 @@ def sweep(cfg: RunConfig, seed: int, param: str, values,
             "mean_kyy": float(comp[:, 2].mean()),
         }
         if surrogate_backend_fn is not None:
-            preds = []
-            for (bid, i, j, rect), t in zip(grid.blocks(), tensors):
-                clipped = clip_network(network, rect,
-                                       cfg.blocks.length_threshold)
-                preds.append(surrogate_backend_fn(field_, clipped, rect,
-                                                  bid).as_array())
-            m = compute_metrics(np.asarray(preds), comp)
+            preds = block_tensors(field_, network, grid, surrogate_backend_fn,
+                                  cfg.blocks.length_threshold)
+            m = compute_metrics(np.array([t.as_array() for t in preds]), comp)
             row["r2_kxx"], row["r2_kxy"], row["r2_kyy"] = \
                 (float(v) for v in m.r2)
         rows.append(row)

@@ -74,7 +74,7 @@ def _load_model(model_dir):
 
 
 def _backends(cfg: RunConfig, args):
-    """Two per-block backends: numeric reference plus the surrogate if a
+    """Two chunk backends: numeric reference plus the surrogate if a
     model directory was given, otherwise a second numeric instance."""
     res = cfg.solver.resolution
     backends = {"numeric": numeric_backend(res)}

@@ -132,6 +132,11 @@ class DiscreteSystem:
         depend on the Dirichlet mask: every solve's free DOFs follow it."""
         return reverse_cuthill_mckee(self.matrix, symmetric_mode=True)
 
+    @cached_property
+    def abs_matrix(self) -> sp.csr_matrix:
+        """|A|, which scales every solve's backward error."""
+        return abs(self.matrix)
+
 
 @dataclass
 class FlowSolution:
@@ -570,7 +575,7 @@ def solve_darcy(system: DiscreteSystem, bc: BoundaryCondition) -> FlowSolution:
     # one product gives the residual on the free DOFs and the Dirichlet
     # reactions on the fixed ones
     r = a @ h
-    scale = np.linalg.norm((abs(a) @ np.abs(h))[free])
+    scale = np.linalg.norm((system.abs_matrix @ np.abs(h))[free])
     residual = float(np.linalg.norm(r[free]) / scale) if scale > 0 else 0.0
     if residual > RESIDUAL_GATE:
         raise SolverError(f"direct solve backward error {residual:.2e} too "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -19,6 +20,11 @@ from .dfm_solver import (FlowSolution, aquifer_bc, discretize, linear_head,
 from .frac_geom import FractureNetwork
 from .geometry import Rect, clip_segments
 from .random_field import Grid, TensorField
+
+# Blocks per backend call. The surrogate backend rasterizes and predicts a
+# chunk in one forward pass; every image in a chunk adds about 1.2 MB to
+# peak memory (conv0's im2col and the float64 copies of preprocessing).
+CHUNK_BLOCKS = 8
 
 
 @dataclass
@@ -106,6 +112,29 @@ def clip_network(network: FractureNetwork | None, rect: Rect,
     return network.take(rows[kept], rect)
 
 
+def clipped_blocks(network: FractureNetwork | None, grid: BlockGrid,
+                   length_threshold: float | None = None):
+    """(block_id, rect, clipped network) of every block in row-major order.
+
+    One (fracture x block) bounding-box test picks each block's candidate
+    fractures, and clip_network runs on those only. A fracture that it
+    keeps in a rect has a bounding box that meets the rect, so the result
+    is the one clipping the whole network gives.
+    """
+    blocks = [(bid, rect) for bid, _, _, rect in grid.blocks()]
+    if network is not None:
+        lo = np.minimum(network.p0, network.p1)
+        hi = np.maximum(network.p0, network.p1)
+        r = np.array([rect.as_tuple() for _, rect in blocks])[:, :, None]
+        hit = ((lo[:, 0] <= r[:, 2]) & (hi[:, 0] >= r[:, 0])
+               & (lo[:, 1] <= r[:, 3]) & (hi[:, 1] >= r[:, 1]))
+    for k, (bid, rect) in enumerate(blocks):
+        candidates = (None if network is None
+                      else network.take(np.flatnonzero(hit[k]),
+                                        network.domain))
+        yield bid, rect, clip_network(candidates, rect, length_threshold)
+
+
 def _weighted_averages(sol: FlowSolution):
     """Measure-and-cross-section weighted mean gradient and velocity."""
     sys_ = sol.system
@@ -168,13 +197,31 @@ def project_spd(tensor: EquivalentTensor,
 
 
 def numeric_backend(resolution: int):
-    """Per-block equivalent tensor via the embedded solver."""
+    """Chunk backend: the equivalent tensor of every block via the embedded
+    solver."""
 
-    def run(field, clipped, block, block_id):
-        return anisotropy_tensor(field, clipped, block, resolution,
-                                 block_id=block_id)
+    def run(field, chunk):
+        return [anisotropy_tensor(field, clipped, block, resolution,
+                                  block_id=block_id)
+                for block_id, block, clipped in chunk]
 
     return run
+
+
+def block_tensors(field: TensorField, network: FractureNetwork | None,
+                  grid: BlockGrid, backend,
+                  length_threshold: float | None = None) -> list:
+    """The backend's tensor of every block, row-major, unprojected.
+
+    backend(field, chunk) -> one EquivalentTensor per chunk item, where a
+    chunk holds up to CHUNK_BLOCKS (block_id, block_rect, clipped_network)
+    items.
+    """
+    blocks = clipped_blocks(network, grid, length_threshold)
+    tensors = []
+    while chunk := list(islice(blocks, CHUNK_BLOCKS)):
+        tensors.extend(backend(field, chunk))
+    return tensors
 
 
 def upscale_domain(field: TensorField, network: FractureNetwork | None,
@@ -184,24 +231,21 @@ def upscale_domain(field: TensorField, network: FractureNetwork | None,
     """Homogenize every block and interpolate block-center tensors onto the
     coarse raster of the original domain.
 
-    backend(field, clipped_network, block_rect, block_id) -> EquivalentTensor.
-    Returns (coarse TensorField, list of per-block EquivalentTensor,
-    non-SPD projection count).
+    backend is a chunk backend (see block_tensors). Returns (coarse
+    TensorField, list of per-block EquivalentTensor, non-SPD projection
+    count).
     """
-    n = grid.n_per_axis
-    comp = np.zeros((3, n, n))
     tensors = []
     projected = 0
-    for bid, i, j, rect in grid.blocks():
-        clipped = clip_network(network, rect, length_threshold)
-        eq = backend(field, clipped, rect, bid)
+    for eq in block_tensors(field, network, grid, backend, length_threshold):
         if not eq.positive_definite:
             eq = project_spd(eq)
             projected += 1
         tensors.append(eq)
-        comp[0, i, j] = eq.kxx
-        comp[1, i, j] = eq.kxy
-        comp[2, i, j] = eq.kyy
+    n = grid.n_per_axis
+    # block b = j * n + i holds center (i, j): comp[c, i, j]
+    comp = np.array([t.as_array() for t in tensors]).reshape(n, n, 3) \
+        .transpose(2, 1, 0)
 
     nc = coarse_resolution or n
     side = grid.original.width

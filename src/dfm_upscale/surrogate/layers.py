@@ -87,16 +87,34 @@ class Conv3x3(Layer):
                                   axis=(1, 2))[:, :, ::c]
         return win.reshape(b * ho * wo, 9 * c), (b, ho, wo)
 
-    def forward(self, x, train: bool):
+    def _convolve(self, x, kernel, bias):
+        """(output, im2col columns) of x under the given kernel and bias."""
         cols, (b, ho, wo) = self._im2col(x)
-        w = self.params["kernel"].reshape(9 * self.in_channels,
-                                          self.out_channels)
+        w = kernel.reshape(9 * self.in_channels, self.out_channels)
         out, bias = _channel_rows(
-            (cols @ w).reshape(b, ho, wo, self.out_channels),
-            self.params["bias"])
+            (cols @ w).reshape(b, ho, wo, self.out_channels), bias)
         out += bias
+        return out.reshape(b, ho, wo, self.out_channels), cols
+
+    def forward(self, x, train: bool):
+        out, cols = self._convolve(x, self.params["kernel"],
+                                   self.params["bias"])
         self._cache = (cols, x.shape) if train else None
-        return out.reshape(b, ho, wo, self.out_channels)
+        return out
+
+    def forward_folded(self, x, bn: "BatchNorm"):
+        """Eval forward of this convolution followed by bn, as one
+        convolution. Its kernel and bias are computed in float64 from the
+        current parameters and running moments, then cast to the layer
+        dtype. Like any eval forward, it frees both layers' backward
+        buffers."""
+        s = bn.params["scale"] / np.sqrt(bn.running_var + bn.eps)
+        kernel = self.params["kernel"] * s
+        bias = (self.params["bias"] - bn.running_mean) * s \
+            + bn.params["shift"]
+        dtype = self.params["kernel"].dtype
+        self._cache = bn._cache = None
+        return self._convolve(x, kernel.astype(dtype), bias.astype(dtype))[0]
 
     def backward(self, dout):
         cols, x_shape = self._cache
@@ -204,7 +222,8 @@ class MaxPool2(Layer):
         if not train:
             # The value that argmax picks below, from four strided views
             # instead of a transposed 5-D copy (a tie can differ only in
-            # the sign of a zero, and the ReLU before a pool makes none).
+            # the sign of a zero, and the ReLU beside a pool, before or
+            # after it, leaves none).
             self._cache = None
             return np.maximum(
                 np.maximum(x[:, 0:2 * ho:2, 0:2 * wo:2],

@@ -1,6 +1,7 @@
 """Fixed-topology convolutional regressor.
 
-Each conv stage is Conv3x3 -> BatchNorm -> ReLU -> MaxPool2x2, so a side of
+Each conv stage is Conv3x3 -> BatchNorm -> ReLU -> MaxPool2x2 (inference
+folds the BatchNorm into the convolution and pools before ReLU), so a side of
 length s maps to floor((s - 2) / 2). The default stack [24, 48, 96, 192, 256]
 on 256x256x4 input yields sides 127/62/30/14/6 and a 9216-wide flatten,
 followed by dense layers [2048, 2048, 1024] and a 3-wide linear output.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -119,12 +121,40 @@ class SurrogateModel:
                 f"input: expected (B, {expected[0]}, {expected[1]}, "
                 f"{expected[2]}), got {batch.shape}")
         x = batch.astype(self.dtype, copy=False)
-        for name, layer in zip(self.layer_names, self.layers):
+        steps = ([(name, partial(layer.forward, train=True))
+                  for name, layer in zip(self.layer_names, self.layers)]
+                 if train else self._eval_steps())
+        for name, step in steps:
             try:
-                x = layer.forward(x, train)
+                x = step(x)
             except ValueError as exc:
                 raise ValueError(f"layer {name}: {exc}") from exc
         return x
+
+    def _eval_steps(self):
+        """(name, function) of every step of the inference pass.
+
+        Each conv stage runs its Conv3x3 with the BatchNorm folded in, then
+        pools, then applies ReLU. Pooling before ReLU gives the same values
+        because ReLU is monotone, and ReLU then sees a quarter of them.
+        Pooling cannot move before the folded affine map, whose scale can
+        be negative. The fold is recomputed on every call, so it always
+        reflects the current parameters and running moments.
+        """
+        layers = dict(zip(self.layer_names, self.layers))
+        steps = []
+        for i in range(len(self.architecture.conv_channels)):
+            steps += [
+                (f"conv{i}", partial(layers[f"conv{i}"].forward_folded,
+                                     bn=layers[f"bn{i}"])),
+                (f"pool{i}", partial(layers[f"pool{i}"].forward,
+                                     train=False)),
+                (f"relu_c{i}", partial(layers[f"relu_c{i}"].forward,
+                                       train=False))]
+        head = self.layer_names.index("flatten")
+        return steps + [(name, partial(layer.forward, train=False))
+                        for name, layer in zip(self.layer_names[head:],
+                                               self.layers[head:])]
 
     def intermediate_shapes(self):
         """Shape after every layer, starting from the input shape."""

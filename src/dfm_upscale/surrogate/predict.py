@@ -27,21 +27,19 @@ def predict_samples(model: SurrogateModel, samples, stats: dict) -> np.ndarray:
 
 
 def surrogate_backend(model: SurrogateModel, stats: dict):
-    """Per-block backend for upscaling: rasterize then predict.
-
-    Each block gets its own forward pass on purpose: batching all blocks
-    would hold every raster and a larger activation cache at once and raise
-    peak memory.
-    """
+    """Chunk backend for upscaling (see homogenizer.block_tensors): the
+    chunk's blocks are rasterized, then predicted in one forward pass."""
     from ..rasterizer import rasterize_block
 
     res = model.architecture.resolution
 
-    def run(field, clipped, block, block_id):
-        sample = rasterize_block(field, clipped, block, res,
-                                 metadata={"block_id": block_id})
-        kxx, kxy, kyy = predict_samples(model, [sample], stats)[0]
-        return EquivalentTensor(kxx=float(kxx), kxy=float(kxy),
-                                kyy=float(kyy), block_id=block_id)
+    def run(field, chunk):
+        samples = [rasterize_block(field, clipped, block, res,
+                                   metadata={"block_id": block_id})
+                   for block_id, block, clipped in chunk]
+        preds = predict_samples(model, samples, stats)
+        return [EquivalentTensor(kxx=float(kxx), kxy=float(kxy),
+                                 kyy=float(kyy), block_id=block_id)
+                for (block_id, _, _), (kxx, kxy, kyy) in zip(chunk, preds)]
 
     return run

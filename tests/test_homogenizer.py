@@ -2,18 +2,46 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dfm_upscale import homogenizer
 from dfm_upscale.dfm_solver import discretize, linear_head, solve_darcy
 from dfm_upscale.frac_geom import PowerLawSpec, generate_dfn
 from dfm_upscale.geometry import Rect
 from dfm_upscale.homogenizer import (EquivalentTensor, anisotropy_tensor,
                                      aquifer_kx, build_block_grid,
-                                     clip_network, numeric_backend,
-                                     project_spd, upscale_domain,
-                                     write_block_csv, _weighted_averages)
+                                     clip_network, clipped_blocks,
+                                     numeric_backend, project_spd,
+                                     upscale_domain, write_block_csv,
+                                     _weighted_averages)
 from dfm_upscale.random_field import Grid, TensorField, sample_tensor_field
 
-from conftest import layered_field, make_fracture, network_of, uniform_field
+from conftest import (layered_field, make_fracture, network_of,
+                      same_fractures, uniform_field)
+
+# block edges of build_block_grid(4.0, 2.0) and build_block_grid(4.0, 4.0)
+# lie on multiples of 1 in [-2, 6]; half-steps end segments between them
+_coords = st.one_of(st.sampled_from([0.5 * k for k in range(-5, 12)]),
+                    st.floats(-2.5, 6.5, allow_nan=False))
+_segments = st.one_of(
+    st.tuples(_coords, _coords, _coords, _coords),
+    st.tuples(_coords, _coords, _coords).map(lambda t: (t[0], t[1],
+                                                        t[2], t[1])),
+    st.tuples(_coords, _coords, _coords).map(lambda t: (t[0], t[1],
+                                                        t[0], t[2])),
+).filter(lambda s: (s[0], s[1]) != (s[2], s[3]))
+
+
+def exact_network(segments):
+    """A network whose endpoints are exactly the given (x0, y0, x1, y1)
+    rows, not recomputed from centers and angles."""
+    net = network_of(*(make_fracture(s[:2], s[2:], frac_id=k)
+                       for k, s in enumerate(segments)),
+                     domain=Rect(-2.0, -2.0, 6.0, 6.0))
+    ends = np.asarray(segments, float).reshape(-1, 4)
+    net.p0, net.p1 = ends[:, :2], ends[:, 2:]
+    return net
 
 
 def scaled_problem(scale, seed):
@@ -211,6 +239,30 @@ class TestClipNetwork:
         clipped = clip_network(None, Rect(0, 0, 1, 1))
         assert len(clipped) == 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(segments=st.lists(_segments, max_size=12),
+           block_size=st.sampled_from([2.0, 4.0]),
+           threshold=st.one_of(st.none(), st.floats(0.1, 8.0)))
+    def test_screened_clip_equals_unscreened(self, segments, block_size,
+                                             threshold):
+        net = exact_network(segments)
+        grid = build_block_grid(4.0, block_size)
+        screened = list(clipped_blocks(net, grid, threshold))
+        assert len(screened) == grid.n_blocks
+        for (bid, _, _, rect), (sbid, srect, clipped) in zip(grid.blocks(),
+                                                             screened):
+            whole = clip_network(net, rect, threshold)
+            assert (sbid, srect) == (bid, rect)
+            assert same_fractures(clipped, whole)
+            assert clipped.domain == whole.domain == rect
+
+    def test_screen_without_network(self):
+        grid = build_block_grid(4.0, 2.0)
+        blocks = list(clipped_blocks(None, grid, 0.5))
+        assert [bid for bid, _, _ in blocks] == list(range(25))
+        assert all(len(c) == 0 and c.domain == rect
+                   for _, rect, c in blocks)
+
 
 class TestProjectSpd:
     def test_already_spd_unchanged(self):
@@ -247,10 +299,10 @@ class TestUpscaleDomain:
 
     def test_interpolation_between_blocks(self):
         # synthetic backend: kxx equals the block-center x coordinate
-        def backend(field, net, rect, bid):
-            cx = 0.5 * (rect.x0 + rect.x1)
-            return EquivalentTensor(kxx=cx + 3.0, kxy=0.0, kyy=1.0,
-                                    block_id=bid)
+        def backend(field, chunk):
+            return [EquivalentTensor(kxx=0.5 * (rect.x0 + rect.x1) + 3.0,
+                                     kxy=0.0, kyy=1.0, block_id=bid)
+                    for bid, rect, _ in chunk]
 
         side = 4.0
         rect = Rect(-2.0, -2.0, 6.0, 6.0)
@@ -263,8 +315,9 @@ class TestUpscaleDomain:
                            + 3.0, rtol=1e-12)
 
     def test_non_spd_blocks_projected(self):
-        def backend(field, net, rect, bid):
-            return EquivalentTensor(kxx=1.0, kxy=2.0, kyy=1.0, block_id=bid)
+        def backend(field, chunk):
+            return [EquivalentTensor(kxx=1.0, kxy=2.0, kyy=1.0, block_id=bid)
+                    for bid, _, _ in chunk]
 
         rect = Rect(-2.0, -2.0, 6.0, 6.0)
         field = uniform_field(rect, 1.0)
@@ -273,6 +326,42 @@ class TestUpscaleDomain:
                                                     backend)
         assert projected == 9
         assert all(t.positive_definite for t in tensors)
+
+    @pytest.mark.parametrize("block_size", [4.0, 2.0])  # 9 and 25 blocks
+    def test_numeric_chunks_match_per_block_loop(self, monkeypatch,
+                                                 block_size):
+        side, threshold = 4.0, 3.0
+        grid = build_block_grid(side, block_size)
+        ext = grid.extended
+        rng = np.random.default_rng(5)
+        n = 16
+        kx = np.exp(-6 + 0.5 * rng.standard_normal((n, n)))
+        field = TensorField(Grid(n, n, ext.width / n, (ext.x0, ext.y0)),
+                            kx, 0.1 * kx, kx[::-1].copy())
+        net = generate_dfn(PowerLawSpec(2.5, 0.5, 4.0), 1.5, ext, 1e-4,
+                           seed=3)
+        coarse, tensors, projected = upscale_domain(
+            field, net, grid, numeric_backend(8), threshold,
+            coarse_resolution=6)
+        assert grid.n_blocks % homogenizer.CHUNK_BLOCKS != 0
+        # every block as the per-block loop computes it, unscreened
+        for (bid, _, _, rect), eq in zip(grid.blocks(), tensors):
+            ref = anisotropy_tensor(field, clip_network(net, rect, threshold),
+                                    rect, 8, block_id=bid)
+            if not ref.positive_definite:
+                ref = project_spd(ref)
+            assert (eq.block_id, eq.residual) == (bid, ref.residual)
+            assert np.array_equal(eq.as_array(), ref.as_array())
+        # one block per backend call gives the same bytes
+        monkeypatch.setattr(homogenizer, "CHUNK_BLOCKS", 1)
+        coarse1, tensors1, projected1 = upscale_domain(
+            field, net, grid, numeric_backend(8), threshold,
+            coarse_resolution=6)
+        assert projected1 == projected
+        assert np.array_equal([t.as_array() for t in tensors1],
+                              [t.as_array() for t in tensors])
+        for c in ("kxx", "kxy", "kyy"):
+            assert np.array_equal(getattr(coarse1, c), getattr(coarse, c))
 
 
 class TestBlockCsv:

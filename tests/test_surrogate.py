@@ -89,6 +89,50 @@ class TestForward:
         model.forward(x, train=False)
         assert all(layer._cache is None for layer in model.layers)
 
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5),
+                                             (np.float64, 1e-12)])
+    def test_folded_eval_matches_layer_composition(self, dtype, rtol):
+        arch = Architecture(resolution=32, conv_channels=(4, 6, 8),
+                            dense_widths=(16,))
+        model = SurrogateModel(arch, seed=2, dtype=dtype)
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((3, 32, 32, 4)).astype(dtype)
+        bns = [layer for layer in model.layers
+               if isinstance(layer, BatchNorm)]
+        for _ in range(2):  # the fold follows the current moments
+            for bn in bns:
+                c = len(bn.running_mean)
+                bn.running_mean = rng.normal(0.0, 0.5, c)
+                bn.running_var = rng.uniform(0.05, 4.0, c)
+                bn.params["scale"] = rng.uniform(0.3, 2.0, c).astype(dtype) \
+                    * np.where(np.arange(c) % 2, -1, 1).astype(dtype)
+                bn.params["shift"] = rng.normal(0.0, 0.3, c).astype(dtype)
+            ref = x
+            for layer in model.layers:
+                ref = layer.forward(ref, False)
+            out = model.forward(x)
+            assert out.dtype == ref.dtype == dtype
+            assert np.max(np.abs(out - ref)) <= rtol * np.max(np.abs(ref))
+
+    def test_train_path_is_the_layer_composition(self):
+        # the train forward and backward run every layer in turn
+        model = small_model(seed=5)
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((4, 16, 16, 4)).astype(np.float32)
+        t = rng.standard_normal((4, 3))
+        ref = x
+        for layer in model.layers:
+            ref = layer.forward(ref, True)
+        dout = (2.0 / len(x)) * (ref - t.astype(ref.dtype))
+        for layer in reversed(model.layers):
+            dout = layer.backward(dout)
+        grads = {name: layer.grads[key].copy()
+                 for name, layer, key in model.named_params()}
+        assert np.array_equal(model.forward(x, train=True), ref)
+        model.loss_and_backward(x, t)
+        assert all(np.array_equal(layer.grads[key], grads[name])
+                   for name, layer, key in model.named_params())
+
     def test_wrong_input_shape_rejected(self):
         model = small_model()
         with pytest.raises(ValueError, match="expected"):
