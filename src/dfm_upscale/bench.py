@@ -16,7 +16,7 @@ from itertools import islice
 import numpy as np
 
 from .config import RunConfig
-from .frac_geom import PowerLawSpec, PhysicalConstants, generate_dfn
+from .frac_geom import generate_dfn
 from .geometry import Rect
 from .homogenizer import (anisotropy_tensor, aquifer_kx, block_tensors,
                           build_block_grid, clipped_blocks, numeric_backend,
@@ -68,12 +68,9 @@ def fine_model(cfg: RunConfig, seed: int, index: int = 0,
     dfn_seed = int(substream(seed, "bench-dfn", index).integers(0, 2 ** 63))
     field_ = sample_tensor_field(fgrid, lam, cfg.srf.mean_log,
                                  np.asarray(cfg.srf.cov_log), srf_seed)
-    spec = PowerLawSpec(cfg.dfn.alpha, cfg.dfn.r_min, cfg.dfn.r_max)
-    constants = PhysicalConstants(cfg.dfn.gravity, cfg.dfn.water_density,
-                                  cfg.dfn.viscosity)
     density = cfg.dfn.rho_2d if rho_2d is None else rho_2d
-    network = generate_dfn(spec, density, ext, cfg.dfn.aperture_ratio,
-                           constants, dfn_seed)
+    network = generate_dfn(cfg.dfn.power_law, density, ext,
+                           cfg.dfn.aperture_ratio, cfg.dfn.constants, dfn_seed)
     return field_, network, grid_geom
 
 

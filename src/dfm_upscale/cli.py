@@ -21,18 +21,15 @@ import numpy as np
 
 from . import bench
 from .config import ConfigError, RunConfig, fingerprint
-from .dataset_pipeline import (DatasetConfig, generate_dataset, load_dataset,
-                               preprocess)
-from .frac_geom import PowerLawSpec, PhysicalConstants, generate_dfn, \
-    save_network
+from .dataset_pipeline import generate_dataset, load_dataset, preprocess
+from .frac_geom import generate_dfn, save_network
 from .geometry import Rect
 from .homogenizer import (numeric_backend, upscale_domain,
                           write_block_csv)
 from .random_field import Grid, sample_tensor_field, save_tensor_field
 from .surrogate.model import Architecture, SurrogateModel
 from .surrogate.predict import surrogate_backend
-from .surrogate.training import (TrainSchedule, evaluate, train,
-                                 write_history_csv)
+from .surrogate.training import evaluate, train, write_history_csv
 
 log = logging.getLogger("dfm_upscale")
 
@@ -89,11 +86,9 @@ def _backends(cfg: RunConfig, args):
 def cmd_generate_dfn(cfg: RunConfig, args):
     out = _out_dir(args)
     side = cfg.blocks.domain_side
-    spec = PowerLawSpec(cfg.dfn.alpha, cfg.dfn.r_min, cfg.dfn.r_max)
-    constants = PhysicalConstants(cfg.dfn.gravity, cfg.dfn.water_density,
-                                  cfg.dfn.viscosity)
-    network = generate_dfn(spec, cfg.dfn.rho_2d, Rect(0, 0, side, side),
-                           cfg.dfn.aperture_ratio, constants, args.seed)
+    network = generate_dfn(cfg.dfn.power_law, cfg.dfn.rho_2d,
+                           Rect(0, 0, side, side), cfg.dfn.aperture_ratio,
+                           cfg.dfn.constants, args.seed)
     save_network(network, out / "network.csv")
     log.info("generated %d fractures", len(network))
     return ["network.csv", "network.json"]
@@ -143,20 +138,7 @@ def cmd_upscale(cfg: RunConfig, args):
 
 def cmd_build_dataset(cfg: RunConfig, args):
     out = _out_dir(args)
-    ds = cfg.dataset
-    dcfg = DatasetConfig(
-        ratio_class=ds.ratio_class, n_samples=ds.n_samples,
-        lambdas=tuple(ds.lambdas), rho_2d=cfg.dfn.rho_2d,
-        alpha=cfg.dfn.alpha, r_min=cfg.dfn.r_min, r_max=cfg.dfn.r_max,
-        aperture_ratio=cfg.dfn.aperture_ratio, block_size=ds.block_size,
-        srf_resolution=ds.srf_resolution,
-        solver_resolution=ds.solver_resolution,
-        raster_resolution=cfg.raster.resolution,
-        mean_log=tuple(cfg.srf.mean_log),
-        cov_log=tuple(tuple(r) for r in cfg.srf.cov_log),
-        constants=PhysicalConstants(cfg.dfn.gravity, cfg.dfn.water_density,
-                                    cfg.dfn.viscosity))
-    manifest, _ = generate_dataset(dcfg, args.seed, out, workers=args.workers)
+    manifest, _ = generate_dataset(cfg, args.seed, out, workers=args.workers)
     log.info("dataset: %d samples, %d skipped", manifest["n_samples"],
              manifest["skipped"])
     return ["manifest.json", "stats.json"] + \
@@ -192,19 +174,16 @@ def cmd_train(cfg: RunConfig, args):
                             dense_widths=arch.dense_widths)
     model = SurrogateModel(arch, seed=args.seed,
                            stats_hash=fingerprint(stats))
-    schedule = TrainSchedule(epochs=tc.epochs, batch_size=tc.batch_size,
-                             learning_rate=tc.learning_rate,
-                             lr_decay=tc.lr_decay, patience=tc.patience,
-                             seed=args.seed)
     result = train(model, images[splits["train"]], targets[splits["train"]],
-                   images[splits["val"]], targets[splits["val"]], schedule)
+                   images[splits["val"]], targets[splits["val"]], tc,
+                   args.seed)
     model_dir = out / "model"
     model.save(model_dir)
     with open(model_dir / "stats.json", "w") as f:
         json.dump(stats, f, indent=2)
     write_history_csv(result, out / "history.csv")
     metrics = evaluate(model, images[splits["test"]], targets[splits["test"]],
-                       schedule.batch_size)
+                       tc.batch_size)
     with open(out / "metrics.json", "w") as f:
         json.dump(metrics.to_dict(), f, indent=2)
     log.info("best val loss %.4g at epoch %d; test mean R^2 %.4f",

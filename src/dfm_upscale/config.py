@@ -8,6 +8,11 @@ import typing
 from dataclasses import dataclass, field, fields, asdict, is_dataclass
 from pathlib import Path
 
+from .frac_geom import PhysicalConstants, PowerLawSpec
+
+# fracture to matrix conductivity ratio of each dataset class
+RATIO_CLASSES = {"A": 1e3, "B": 1e5, "C": 1e7}
+
 
 class ConfigError(ValueError):
     pass
@@ -48,6 +53,15 @@ class DfnSection:
     water_density: float = 1000.0
     viscosity: float = 1.0e-3
 
+    @property
+    def power_law(self) -> PowerLawSpec:
+        return PowerLawSpec(self.alpha, self.r_min, self.r_max)
+
+    @property
+    def constants(self) -> PhysicalConstants:
+        return PhysicalConstants(self.gravity, self.water_density,
+                                 self.viscosity)
+
 
 @dataclass
 class SrfSection:
@@ -83,6 +97,16 @@ class DatasetSection:
     block_size: float = 14.28
     srf_resolution: int = 64
     solver_resolution: int = 24
+
+    def __post_init__(self):
+        if not isinstance(self.ratio_class, str) or \
+                self.ratio_class not in RATIO_CLASSES:
+            raise ConfigError(
+                f"dataset.ratio_class: unknown ratio class "
+                f"{self.ratio_class!r}, expected one of "
+                f"{sorted(RATIO_CLASSES)}")
+        if not self.lambdas:
+            raise ConfigError("dataset.lambdas: must be non-empty")
 
 
 @dataclass

@@ -11,14 +11,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import fingerprint
-from .frac_geom import (PhysicalConstants, PowerLawSpec,
-                        generate_dfn, FractureNetwork)
+from .config import RATIO_CLASSES, RunConfig
+from .frac_geom import generate_dfn, FractureNetwork
 from .geometry import Rect
 from .homogenizer import anisotropy_tensor
 from .dfm_solver import SolverError
@@ -29,50 +28,8 @@ from .seeding import substream
 log = logging.getLogger(__name__)
 
 SHARD_RECORDS = 1024
-RATIO_CLASSES = {"A": 1e3, "B": 1e5, "C": 1e7}
-
-
-@dataclass
-class DatasetConfig:
-    ratio_class: str = "A"            # A/B/C or numeric ratio via ratio field
-    ratio: float | None = None
-    n_samples: int = 128
-    lambdas: tuple = (0.0, 10.0, 25.0)
-    rho_2d: float = 10.0
-    alpha: float = 2.5
-    r_min: float = 4.325
-    r_max: float = 100.0
-    aperture_ratio: float = 1e-4
-    block_size: float = 14.28
-    srf_resolution: int = 64
-    solver_resolution: int = 24
-    raster_resolution: int = 64
-    mean_log: tuple = (-6.0, -5.8)
-    cov_log: tuple = ((0.25, 0.2), (0.2, 0.25))
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
-
-    def __post_init__(self):
-        if self.ratio is None:
-            if self.ratio_class not in RATIO_CLASSES:
-                raise ValueError(f"unknown ratio class {self.ratio_class!r}")
-            self.ratio = RATIO_CLASSES[self.ratio_class]
-        if not self.lambdas:
-            raise ValueError("lambda list must be non-empty")
-
-    @property
-    def power_law(self) -> PowerLawSpec:
-        return PowerLawSpec(self.alpha, self.r_min, self.r_max)
-
-    @property
-    def block(self) -> Rect:
-        return Rect(0.0, 0.0, self.block_size, self.block_size)
-
-    def to_dict(self):
-        d = asdict(self)
-        d["lambdas"] = list(self.lambdas)
-        d["mean_log"] = list(self.mean_log)
-        d["cov_log"] = [list(r) for r in self.cov_log]
-        return d
+# abort once more than this share of samples (and more than one) fails
+MAX_SKIP_FRACTION = 0.01
 
 
 def enforce_ratio(network: FractureNetwork, field_, ratio: float):
@@ -87,25 +44,28 @@ def enforce_ratio(network: FractureNetwork, field_, ratio: float):
     return scaled, factor
 
 
-def generate_sample(cfg: DatasetConfig, index: int, seed: int):
+def generate_sample(cfg: RunConfig, index: int, seed: int):
     """One (raster, target) pair; deterministic in (cfg, seed, index).
 
-    Raises SolverError if homogenization fails.
+    Reads cfg.dataset, cfg.dfn, the SRF moments of cfg.srf and
+    cfg.raster.resolution. Raises SolverError if homogenization fails.
     """
-    lam = float(cfg.lambdas[index % len(cfg.lambdas)])
-    block = cfg.block
-    grid = Grid(cfg.srf_resolution, cfg.srf_resolution,
-                cfg.block_size / cfg.srf_resolution, (0.0, 0.0))
+    ds, dfn = cfg.dataset, cfg.dfn
+    lam = float(ds.lambdas[index % len(ds.lambdas)])
+    block = Rect(0.0, 0.0, ds.block_size, ds.block_size)
+    grid = Grid(ds.srf_resolution, ds.srf_resolution,
+                ds.block_size / ds.srf_resolution, (0.0, 0.0))
     srf_seed = int(substream(seed, "sample-srf", index).integers(0, 2 ** 63))
     dfn_seed = int(substream(seed, "sample-dfn", index).integers(0, 2 ** 63))
-    field_ = sample_tensor_field(grid, lam, cfg.mean_log,
-                                 np.asarray(cfg.cov_log), srf_seed)
-    network = generate_dfn(cfg.power_law, cfg.rho_2d, block,
-                           cfg.aperture_ratio, cfg.constants, dfn_seed)
-    network, factor = enforce_ratio(network, field_, cfg.ratio)
-    eq = anisotropy_tensor(field_, network, block, cfg.solver_resolution,
+    field_ = sample_tensor_field(grid, lam, cfg.srf.mean_log,
+                                 np.asarray(cfg.srf.cov_log), srf_seed)
+    network = generate_dfn(dfn.power_law, dfn.rho_2d, block,
+                           dfn.aperture_ratio, dfn.constants, dfn_seed)
+    network, factor = enforce_ratio(network, field_,
+                                     RATIO_CLASSES[ds.ratio_class])
+    eq = anisotropy_tensor(field_, network, block, ds.solver_resolution,
                            block_id=index)
-    sample = rasterize_block(field_, network, block, cfg.raster_resolution,
+    sample = rasterize_block(field_, network, block, cfg.raster.resolution,
                              metadata={"index": index, "lambda": lam,
                                        "ratio_factor": factor,
                                        "seed": seed})
@@ -257,19 +217,20 @@ def _try_sample(args):
         return index, None, str(exc)
 
 
-def generate_dataset(cfg: DatasetConfig, seed: int, out_dir,
-                     max_skip_fraction: float = 0.01, workers: int = 1):
+def generate_dataset(cfg: RunConfig, seed: int, out_dir, workers: int = 1):
     """Generate samples, write fixed-record shards, manifest and stats.
 
     Samples are independent and deterministic in (cfg, seed, index), so a
-    worker pool changes nothing but wall-clock time.
+    worker pool changes nothing but wall-clock time. The manifest records
+    the resolved cfg and its hash, as resolved_config.json does.
     """
     out_dir = Path(out_dir)
     (out_dir / "shards").mkdir(parents=True, exist_ok=True)
-    r = cfg.raster_resolution
+    n_samples = cfg.dataset.n_samples
+    r = cfg.raster.resolution
     record_size = 4 * (4 * r * r + 3)
 
-    jobs = [(cfg, idx, seed) for idx in range(cfg.n_samples)]
+    jobs = [(cfg, idx, seed) for idx in range(n_samples)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -277,16 +238,16 @@ def generate_dataset(cfg: DatasetConfig, seed: int, out_dir,
     else:
         results = [_try_sample(job) for job in jobs]
 
-    images = np.empty((cfg.n_samples, r, r, 4), dtype=np.float32)
-    targets = np.empty((cfg.n_samples, 3), dtype=np.float32)
-    lambdas = np.empty(cfg.n_samples)
+    images = np.empty((n_samples, r, r, 4), dtype=np.float32)
+    targets = np.empty((n_samples, 3), dtype=np.float32)
+    lambdas = np.empty(n_samples)
     kept = 0
     skipped = 0
     for idx, sample, err in results:
         if sample is None:
             skipped += 1
             log.warning("sample %d skipped: %s", idx, err)
-            if skipped > max(1, max_skip_fraction * cfg.n_samples):
+            if skipped > max(1, MAX_SKIP_FRACTION * n_samples):
                 raise RuntimeError(
                     f"aborting: {skipped} homogenization failures")
             continue
@@ -311,10 +272,9 @@ def generate_dataset(cfg: DatasetConfig, seed: int, out_dir,
     splits = split_indices(kept, seed)
     stats = compute_stats(images.astype(float), targets.astype(float),
                           splits["train"])
-    cfg_dict = cfg.to_dict()
     manifest = {
-        "config": cfg_dict,
-        "config_hash": fingerprint(cfg_dict),
+        "config": cfg.to_dict(),
+        "config_hash": cfg.hash(),
         "seed": seed,
         "n_samples": kept,
         "skipped": skipped,

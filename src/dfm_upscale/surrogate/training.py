@@ -8,19 +8,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..config import TrainSection
 from ..seeding import substream
 from .metrics import Metrics, compute_metrics
 from .model import SurrogateModel
-
-
-@dataclass
-class TrainSchedule:
-    epochs: int = 125
-    batch_size: int = 64
-    learning_rate: float = 0.0025
-    lr_decay: float = 0.1
-    patience: int = 10       # epochs without val improvement before decay
-    seed: int = 0
 
 
 class Adam:
@@ -83,9 +74,14 @@ def validation_loss(model: SurrogateModel, images, targets,
 
 def train(model: SurrogateModel, train_images, train_targets,
           val_images, val_targets,
-          schedule: TrainSchedule) -> TrainResult:
+          schedule: TrainSection, seed: int) -> TrainResult:
     """Train in place; the model ends up with the lowest-validation-loss
-    parameters seen during training."""
+    parameters seen during training.
+
+    Reads the optimizer fields of schedule; the learning rate decays by
+    lr_decay after patience epochs without a validation improvement. The
+    epoch order is drawn from seed.
+    """
     if len(train_images) == 0:
         raise ValueError("empty training split")
     optimizer = Adam(model, schedule.learning_rate)
@@ -95,7 +91,7 @@ def train(model: SurrogateModel, train_images, train_targets,
     since_improvement = 0
 
     for epoch in range(1, schedule.epochs + 1):
-        order = substream(schedule.seed, "epoch-order",
+        order = substream(seed, "epoch-order",
                           epoch).permutation(len(train_images))
         losses = []
         for start in range(0, len(order), schedule.batch_size):

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from dfm_upscale.bench import bench_anisotropy, bench_aquifer, bench_speedup
-from dfm_upscale.config import RunConfig
-from dfm_upscale.dataset_pipeline import (DatasetConfig, compute_stats,
-                                          generate_dataset,
+from dfm_upscale.config import RunConfig, TrainSection
+from dfm_upscale.dataset_pipeline import (compute_stats, generate_dataset,
                                           inverse_preprocess, preprocess)
 from dfm_upscale.frac_geom import (PowerLawSpec, calibrate_alpha,
                                    generate_dfn)
@@ -25,8 +24,8 @@ from dfm_upscale.random_field import Grid, sample_gaussian_field, \
     sample_tensor_field
 from dfm_upscale.rasterizer import rasterize_block
 from dfm_upscale.surrogate import (Architecture, SurrogateModel,
-                                   TrainSchedule, compute_metrics, evaluate,
-                                   predict_samples, train)
+                                   compute_metrics, evaluate, predict_samples,
+                                   train)
 
 from conftest import (finite_difference_grad_errors, layered_field,
                       same_fractures, uniform_field)
@@ -51,8 +50,10 @@ DESK_EPOCHS = 20
 @pytest.fixture(scope="session")
 def desk_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("desk") / "dataset"
-    cfg = DatasetConfig(ratio_class="A", n_samples=2048,
-                        lambdas=(0.0, 2.0, 5.0), raster_resolution=64)
+    cfg = RunConfig.from_dict({
+        "dataset": {"ratio_class": "A", "n_samples": 2048,
+                    "lambdas": [0.0, 2.0, 5.0]},
+        "raster": {"resolution": 64}})
     manifest, stats = generate_dataset(cfg, seed=DESK_SEED, out_dir=out)
     return out, manifest, stats
 
@@ -65,9 +66,10 @@ def desk_model(desk_dataset):
     arch = Architecture(resolution=64, conv_channels=(8, 16, 32),
                         dense_widths=(64, 64))
     model = SurrogateModel(arch, seed=0)
-    schedule = TrainSchedule(epochs=DESK_EPOCHS, batch_size=64, seed=0)
+    schedule = TrainSection(epochs=DESK_EPOCHS, batch_size=64)
     result = train(model, images[splits["train"]], targets[splits["train"]],
-                   images[splits["val"]], targets[splits["val"]], schedule)
+                   images[splits["val"]], targets[splits["val"]], schedule,
+                   seed=0)
     metrics = evaluate(model, images[splits["test"]],
                        targets[splits["test"]])
     return model, stats, result, metrics
@@ -351,9 +353,10 @@ def test_criterion_13_determinism(tmp_path):
                for _ in range(2)]
     checks["rasterize"] = np.array_equal(rasters[0].image, rasters[1].image)
 
-    dcfg = DatasetConfig(ratio_class="A", n_samples=6, lambdas=(0.0, 2.0),
-                         srf_resolution=16, solver_resolution=12,
-                         raster_resolution=16)
+    dcfg = RunConfig.from_dict({
+        "dataset": {"ratio_class": "A", "n_samples": 6, "lambdas": [0.0, 2.0],
+                    "srf_resolution": 16, "solver_resolution": 12},
+        "raster": {"resolution": 16}})
     shas = []
     for sub in ("d1", "d2"):
         manifest, _ = generate_dataset(dcfg, seed=9, out_dir=tmp_path / sub)
@@ -368,8 +371,8 @@ def test_criterion_13_determinism(tmp_path):
     params = []
     for _ in range(2):
         model = SurrogateModel(arch, seed=1)
-        train(model, x, t, x, t, TrainSchedule(epochs=2, batch_size=4,
-                                               seed=1))
+        train(model, x, t, x, t, TrainSection(epochs=2, batch_size=4),
+              seed=1)
         p, _ = model.copy_params()
         params.append(p)
     checks["training"] = all(np.array_equal(params[0][k], params[1][k])

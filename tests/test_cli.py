@@ -41,6 +41,17 @@ class TestErrorHandling:
         assert "solvr" in err["message"]
         assert err["command"] == "generate-dfn"
 
+    def test_unknown_ratio_class_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dataset": {"ratio_class": "Z"}}))
+        code = run(["build-dataset", "--config", str(bad),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "ratio_class" in err["message"]
+        assert err["command"] == "build-dataset"
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = run(["generate-srf", "--config", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path / "o")])

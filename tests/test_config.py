@@ -84,6 +84,11 @@ class TestHashAndResolved:
                      "--out", str(run)]) == 0
         manifest = json.loads((data / "manifest.json").read_text())
         assert manifest["config_hash"] == fingerprint(manifest["config"])
+        resolved = json.loads((data / "resolved_config.json").read_text())
+        logged = json.loads((data / "run_log.jsonl").read_text()
+                            .splitlines()[-1])
+        assert manifest["config_hash"] == resolved["config_hash"] == \
+            logged["config_hash"]
         stats = json.loads((data / "stats.json").read_text())
         header = json.loads((run / "model" / "model.json").read_text())
         assert header["stats_hash"] == fingerprint(stats)

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from dfm_upscale.dataset_pipeline import (DatasetConfig, RATIO_CLASSES,
-                                          compute_stats, enforce_ratio,
+from dfm_upscale.config import RATIO_CLASSES, ConfigError, RunConfig
+from dfm_upscale.dataset_pipeline import (compute_stats, enforce_ratio,
                                           generate_dataset, generate_sample,
                                           inverse_preprocess, inverse_target,
                                           load_dataset, normalize_sample,
@@ -16,11 +16,14 @@ from dfm_upscale.geometry import Rect
 from conftest import uniform_field
 
 
-def small_config(**overrides):
-    base = dict(ratio_class="A", n_samples=9, lambdas=(0.0, 5.0, 10.0),
-                srf_resolution=16, solver_resolution=12, raster_resolution=16)
-    base.update(overrides)
-    return DatasetConfig(**base)
+def small_config(**dataset):
+    """A run config with a small dataset section; keyword arguments
+    override its dataset keys."""
+    section = dict(ratio_class="A", n_samples=9, lambdas=[0.0, 5.0, 10.0],
+                   srf_resolution=16, solver_resolution=12)
+    section.update(dataset)
+    return RunConfig.from_dict({"dataset": section,
+                                "raster": {"resolution": 16}})
 
 
 def random_sample_arrays(rng, n, r=8):
@@ -36,19 +39,17 @@ def random_sample_arrays(rng, n, r=8):
 class TestConfig:
     def test_ratio_classes(self):
         assert RATIO_CLASSES == {"A": 1e3, "B": 1e5, "C": 1e7}
-        assert small_config(ratio_class="B").ratio == 1e5
-
-    def test_numeric_ratio_override(self):
-        cfg = small_config(ratio=5e4)
-        assert cfg.ratio == 5e4
+        assert small_config(ratio_class="B").dataset.ratio_class == "B"
 
     def test_unknown_class_rejected(self):
-        with pytest.raises(ValueError):
-            small_config(ratio_class="Z")
+        with pytest.raises(ConfigError, match="ratio_class"):
+            RunConfig.from_dict({"dataset": {"ratio_class": "Z"}})
+        with pytest.raises(ConfigError, match="ratio_class"):
+            RunConfig.from_dict({"dataset": {"ratio_class": ["A"]}})
 
     def test_empty_lambdas_rejected(self):
-        with pytest.raises(ValueError):
-            small_config(lambdas=())
+        with pytest.raises(ConfigError, match="lambdas"):
+            RunConfig.from_dict({"dataset": {"lambdas": []}})
 
 
 class TestEnforceRatio:
@@ -209,6 +210,17 @@ class TestPreprocessing:
 
 
 class TestGenerateDataset:
+    # SHA-256 of the one shard of small_config() at seed 9: a change to any
+    # sample bit, or to what the dataset reads from its config, shows here
+    RECORDED_SHARD_SHA256 = ("da93ec0ec10c56af685ee539abac40485ef3480b778cdec"
+                             "8507b393d775c996d")
+
+    def test_recorded_shard_hash(self, tmp_path):
+        manifest, _ = generate_dataset(small_config(), seed=9,
+                                       out_dir=tmp_path / "d")
+        assert [sh["sha256"] for sh in manifest["shards"]] == \
+            [self.RECORDED_SHARD_SHA256]
+
     def test_shards_bit_identical_and_worker_invariant(self, tmp_path):
         cfg = small_config()
         m1, s1 = generate_dataset(cfg, seed=21, out_dir=tmp_path / "a")

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 
 from dfm_upscale import dfm_solver
-from dfm_upscale.dataset_pipeline import RATIO_CLASSES, enforce_ratio
+from dfm_upscale.config import RATIO_CLASSES
+from dfm_upscale.dataset_pipeline import enforce_ratio
 from dfm_upscale.dfm_solver import (RESIDUAL_GATE, BoundaryCondition,
                                     SolverError, _collinear_candidates,
                                     _fracture_chains, _mesh_topology,

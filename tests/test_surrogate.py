@@ -4,9 +4,9 @@ import pytest
 from dfm_upscale.dataset_pipeline import (compute_stats, inverse_target,
                                           preprocess)
 from dfm_upscale.rasterizer import RasterSample
-from dfm_upscale.config import fingerprint
+from dfm_upscale.config import TrainSection, fingerprint
 from dfm_upscale.surrogate import (Adam, Architecture, SurrogateModel,
-                                   TrainSchedule, compute_metrics, evaluate,
+                                   compute_metrics, evaluate,
                                    predict_in_batches, predict_samples, train,
                                    validation_loss, write_history_csv)
 from dfm_upscale.surrogate.layers import (BatchNorm, Conv3x3, Dense, MaxPool2,
@@ -300,9 +300,10 @@ class TestTraining:
         model = small_model(seed=0)
         images = np.zeros((8, 16, 16, 4), dtype=np.float32)
         targets = np.zeros((8, 3))
-        schedule = TrainSchedule(epochs=12, batch_size=4,
-                                 learning_rate=0.0025, patience=10, seed=0)
-        result = train(model, images, targets, images, targets, schedule)
+        schedule = TrainSection(epochs=12, batch_size=4,
+                                learning_rate=0.0025, patience=10)
+        result = train(model, images, targets, images, targets, schedule,
+                       seed=0)
         lrs = [rec.lr for rec in result.history]
         assert lrs[:11] == [0.0025] * 11
         assert lrs[11] == pytest.approx(0.00025)
@@ -317,9 +318,10 @@ class TestTraining:
         tgt = np.stack([preprocess(images[i].astype(float), targets[i],
                                    stats)[1] for i in range(16)])
         model = small_model(seed=1)
-        schedule = TrainSchedule(epochs=4, batch_size=4, seed=0)
+        schedule = TrainSection(epochs=4, batch_size=4)
         result = train(model, prep[:12].astype(np.float32), tgt[:12],
-                       prep[12:].astype(np.float32), tgt[12:], schedule)
+                       prep[12:].astype(np.float32), tgt[12:], schedule,
+                       seed=0)
         final_val = validation_loss(model, prep[12:].astype(np.float32),
                                     tgt[12:], 4)
         assert final_val == pytest.approx(result.best_val_loss, rel=1e-12)
@@ -331,15 +333,15 @@ class TestTraining:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((32, 16, 16, 4)).astype(np.float32)
         t = 0.1 * rng.standard_normal((32, 3))
-        schedule = TrainSchedule(epochs=10, batch_size=8, seed=0)
-        result = train(model, x, t, x, t, schedule)
+        schedule = TrainSection(epochs=10, batch_size=8)
+        result = train(model, x, t, x, t, schedule, seed=0)
         assert result.best_val_loss < result.history[0].val_loss
 
     def test_empty_training_split_rejected(self):
         with pytest.raises(ValueError):
             train(small_model(), np.zeros((0, 16, 16, 4)), np.zeros((0, 3)),
                   np.zeros((1, 16, 16, 4), dtype=np.float32), np.zeros((1, 3)),
-                  TrainSchedule(epochs=1))
+                  TrainSection(epochs=1), seed=0)
 
     def test_history_csv(self, tmp_path):
         import csv
@@ -347,7 +349,7 @@ class TestTraining:
         images = np.zeros((4, 16, 16, 4), dtype=np.float32)
         targets = np.zeros((4, 3))
         result = train(model, images, targets, images, targets,
-                       TrainSchedule(epochs=3, batch_size=2))
+                       TrainSection(epochs=3, batch_size=2), seed=0)
         path = tmp_path / "history.csv"
         write_history_csv(result, path)
         with open(path) as f:
