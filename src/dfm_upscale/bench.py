@@ -118,7 +118,7 @@ def bench_anisotropy(cfg: RunConfig, seed: int, n_samples: int,
     report = BenchmarkReport("anisotropy", n_samples, names)
     for i in range(n_samples):
         coarse = _coarse_models(cfg, seed, i, backends)
-        ks = [anisotropy_tensor(coarse[name], None, domain, res).as_array()
+        ks = [anisotropy_tensor(coarse[name], None, domain, res)[0]
               for name in names]
         report.pairs.append([ks[0].tolist(), ks[1].tolist()])
     ref = np.asarray([p[0] for p in report.pairs])
@@ -148,14 +148,13 @@ def bench_speedup(cfg: RunConfig, seed: int, n_blocks: int,
     c_h, c_s, c_raster = [], [], []
     for _ in range(repetitions):
         t0 = time.perf_counter()
-        for bid, rect, clipped in blocks:
-            anisotropy_tensor(field_, clipped, rect, res, block_id=bid)
+        for rect, clipped in blocks:
+            anisotropy_tensor(field_, clipped, rect, res)
         c_h.append(time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        samples = [rasterize_block(field_, clipped, rect, raster_res,
-                                   metadata={"block_id": bid})
-                   for bid, rect, clipped in blocks]
+        samples = [rasterize_block(field_, clipped, rect, raster_res)
+                   for rect, clipped in blocks]
         t_raster = time.perf_counter() - t0
         if surrogate_model is not None:
             predict_samples(surrogate_model, samples, surrogate_stats)
@@ -192,10 +191,10 @@ def sweep(cfg: RunConfig, seed: int, param: str, values,
         kwargs = ({"rho_2d": float(value)} if param == "rho"
                   else {"correlation_length": float(value)})
         field_, network, grid = fine_model(cfg, seed, **kwargs)
-        _, tensors, projected = upscale_domain(
+        _, blocks, projected = upscale_domain(
             field_, network, grid, numeric_backend(res),
             length_threshold=cfg.blocks.length_threshold)
-        comp = np.array([t.as_array() for t in tensors])
+        comp = blocks.k
         row = {
             "param": param,
             "value": float(value),
@@ -209,7 +208,7 @@ def sweep(cfg: RunConfig, seed: int, param: str, values,
         if surrogate_backend_fn is not None:
             preds = block_tensors(field_, network, grid, surrogate_backend_fn,
                                   cfg.blocks.length_threshold)
-            m = compute_metrics(np.array([t.as_array() for t in preds]), comp)
+            m = compute_metrics(preds.k, comp)
             row["r2_kxx"], row["r2_kxy"], row["r2_kyy"] = \
                 (float(v) for v in m.r2)
         rows.append(row)

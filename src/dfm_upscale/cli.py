@@ -109,20 +109,16 @@ def cmd_generate_srf(cfg: RunConfig, args):
 def _upscale(cfg: RunConfig, args, backend):
     out = _out_dir(args)
     field, network, grid = bench.fine_model(cfg, args.seed)
-    coarse, tensors, projected = upscale_domain(
+    coarse, blocks, projected = upscale_domain(
         field, network, grid, backend,
         length_threshold=cfg.blocks.length_threshold,
         coarse_resolution=cfg.blocks.coarse_resolution)
-    write_block_csv(grid, tensors, out / "blocks.csv")
+    write_block_csv(grid, blocks, out / "blocks.csv")
     save_tensor_field(coarse, out / "coarse_field.bin")
     if projected:
         log.warning("%d non-positive-definite block tensors projected",
                     projected)
     return ["blocks.csv", "coarse_field.bin", "coarse_field.bin.json"]
-
-
-def cmd_homogenize(cfg: RunConfig, args):
-    return _upscale(cfg, args, numeric_backend(cfg.solver.resolution))
 
 
 def cmd_upscale(cfg: RunConfig, args):
@@ -148,13 +144,9 @@ def cmd_build_dataset(cfg: RunConfig, args):
 def _preprocessed_splits(dataset_dir):
     images, targets, manifest, stats = load_dataset(dataset_dir)
     splits = {k: np.asarray(v) for k, v in manifest["splits"].items()}
-    prep_images = np.empty_like(images, dtype=np.float32)
-    prep_targets = np.empty_like(targets, dtype=np.float32)
-    for i in range(len(images)):
-        img, tgt, _ = preprocess(images[i], targets[i], stats)
-        prep_images[i] = img
-        prep_targets[i] = tgt
-    return prep_images, prep_targets, splits, manifest, stats
+    prep_images, prep_targets, _ = preprocess(images, targets, stats)
+    return (prep_images.astype(np.float32), prep_targets.astype(np.float32),
+            splits, manifest, stats)
 
 
 def cmd_train(cfg: RunConfig, args):
@@ -244,7 +236,6 @@ def cmd_sweep(cfg: RunConfig, args):
 COMMANDS = {
     "generate-dfn": cmd_generate_dfn,
     "generate-srf": cmd_generate_srf,
-    "homogenize": cmd_homogenize,
     "build-dataset": cmd_build_dataset,
     "train": cmd_train,
     "evaluate": cmd_evaluate,
@@ -274,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("generate-dfn")
     add("generate-srf")
-    add("homogenize")
     add("build-dataset")
     p = add("train")
     p.add_argument("--dataset", required=True)

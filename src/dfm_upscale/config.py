@@ -24,6 +24,17 @@ def fingerprint(obj) -> str:
         json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
 
 
+def _accepts(hint, value) -> bool:
+    """Whether a JSON value fits a field's type hint: float takes int,
+    no number field takes bool, and X | None takes None."""
+    options = typing.get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        return bool in options
+    if float in options and isinstance(value, int):
+        return True
+    return isinstance(value, options)
+
+
 def _build(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
@@ -36,8 +47,13 @@ def _build(cls, data: dict, path: str):
     for name in known & set(data):
         value = data[name]
         hint = hints.get(name)
+        where = f"{path}.{name}".lstrip(".")
         if isinstance(hint, type) and is_dataclass(hint):
-            value = _build(hint, value, f"{path}.{name}".lstrip("."))
+            value = _build(hint, value, where)
+        elif not _accepts(hint, value):
+            expected = getattr(hint, "__name__", hint)
+            raise ConfigError(f"{where}: expected {expected}, got "
+                              f"{type(value).__name__} {value!r}")
         kwargs[name] = value
     return cls(**kwargs)
 
@@ -99,8 +115,7 @@ class DatasetSection:
     solver_resolution: int = 24
 
     def __post_init__(self):
-        if not isinstance(self.ratio_class, str) or \
-                self.ratio_class not in RATIO_CLASSES:
+        if self.ratio_class not in RATIO_CLASSES:
             raise ConfigError(
                 f"dataset.ratio_class: unknown ratio class "
                 f"{self.ratio_class!r}, expected one of "

@@ -63,13 +63,12 @@ def generate_sample(cfg: RunConfig, index: int, seed: int):
                            dfn.aperture_ratio, dfn.constants, dfn_seed)
     network, factor = enforce_ratio(network, field_,
                                      RATIO_CLASSES[ds.ratio_class])
-    eq = anisotropy_tensor(field_, network, block, ds.solver_resolution,
-                           block_id=index)
+    k, _ = anisotropy_tensor(field_, network, block, ds.solver_resolution)
     sample = rasterize_block(field_, network, block, cfg.raster.resolution,
                              metadata={"index": index, "lambda": lam,
                                        "ratio_factor": factor,
                                        "seed": seed})
-    sample.target = eq.as_array()
+    sample.target = k
     return sample
 
 

@@ -11,7 +11,6 @@ between the interpolated matrix head and the mean fracture head.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -149,10 +148,6 @@ class FlowSolution:
     boundary_flux: dict = field(default_factory=dict)  # side -> outflow
     residual: float = 0.0      # backward error of the solve (see gate)
 
-    @property
-    def total_outflow(self) -> float:
-        return sum(self.boundary_flux.values())
-
 
 @lru_cache(maxsize=8)
 def _mesh_topology(nx: int, ny: int):
@@ -287,8 +282,6 @@ def _merge_collinear(rows, p0, p1, aperture, tol):
                 alive[j] = False
                 merged += 1
             j += 1
-    if merged:
-        warnings.warn(f"merged {merged} overlapping collinear fracture segments")
     out = [seg for seg, keep in zip(out, alive) if keep]
     return (np.array([row for row, _, _ in out], np.int64),
             np.reshape([a0 for _, a0, _ in out], (-1, 2)),

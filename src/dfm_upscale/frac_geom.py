@@ -22,12 +22,11 @@ from .seeding import substream
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    gravity: float = 9.81          # m/s^2
-    water_density: float = 1000.0  # kg/m^3
-    viscosity: float = 1.0e-3      # Pa*s
+    """Values come from config.DfnSection."""
 
-
-DEFAULT_CONSTANTS = PhysicalConstants()
+    gravity: float        # m/s^2
+    water_density: float  # kg/m^3
+    viscosity: float      # Pa*s
 
 
 @dataclass(frozen=True)
@@ -85,9 +84,9 @@ class FractureNetwork:
     domain: Rect
     density: float
     seed: int
+    constants: PhysicalConstants
     spec: PowerLawSpec | None = None
     aperture_ratio: float | None = None
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
     p0: np.ndarray = field(init=False, repr=False)
     p1: np.ndarray = field(init=False, repr=False)
 
@@ -150,7 +149,7 @@ def calibrate_alpha(target_count: float, density: float, domain_area: float,
 
 
 def fracture_conductivity(length, aperture_ratio: float,
-                          constants: PhysicalConstants = DEFAULT_CONSTANTS):
+                          constants: PhysicalConstants):
     """Aperture and cubic-law conductivity of fractures of given length(s)."""
     length = np.asarray(length, float)
     if np.any(length <= 0.0) or aperture_ratio <= 0.0:
@@ -165,8 +164,7 @@ def fracture_conductivity(length, aperture_ratio: float,
 
 
 def generate_dfn(spec: PowerLawSpec, density: float, domain: Rect,
-                 aperture_ratio: float,
-                 constants: PhysicalConstants = DEFAULT_CONSTANTS,
+                 aperture_ratio: float, constants: PhysicalConstants,
                  seed: int = 0) -> FractureNetwork:
     """Draw a fracture network: Poisson count, uniform centers and angles,
     power-law lengths. Centers lie inside the domain; geometry may overhang

@@ -35,10 +35,6 @@ class Rect:
     def diameter(self) -> float:
         return float(np.hypot(self.width, self.height))
 
-    def contains(self, x, y, tol: float = 0.0) -> bool:
-        return (self.x0 - tol <= x <= self.x1 + tol
-                and self.y0 - tol <= y <= self.y1 + tol)
-
     def as_tuple(self):
         return (self.x0, self.y0, self.x1, self.y1)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,24 +28,20 @@ from .random_field import Grid, TensorField
 CHUNK_BLOCKS = 8
 
 
-@dataclass
-class EquivalentTensor:
-    kxx: float
-    kxy: float
-    kyy: float
-    block_id: int = -1
-    residual: float = 0.0
+class BlockResults(NamedTuple):
+    """Per-block results; row b is block b of BlockGrid.blocks()."""
 
-    @property
-    def positive_definite(self) -> bool:
-        return self.kxx > 0 and self.kyy > 0 and \
-            self.kxx * self.kyy - self.kxy ** 2 > 0
+    k: np.ndarray         # (n, 3) equivalent tensors (k_xx, k_xy, k_yy)
+    residual: np.ndarray  # (n,) least-squares residual of each fit
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.kxx, self.kxy, self.kyy])
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.kxx, self.kxy], [self.kxy, self.kyy]])
+def positive_definite(k: np.ndarray) -> np.ndarray:
+    """Row mask of the (n, 3) tensors that are positive definite."""
+    kxx, kxy, kyy = k.T
+    # float_power squares with libm pow (see frac_geom.fracture_conductivity);
+    # ndarray ** 2 multiplies, which differs in the last bit for some k_xy
+    # and can flip the flag of a near-singular tensor
+    return (kxx > 0) & (kyy > 0) & (kxx * kyy - np.float_power(kxy, 2) > 0)
 
 
 @dataclass
@@ -95,16 +92,11 @@ def build_block_grid(side: float, block_size: float,
         block_size=l_eff, centers_x=centers, centers_y=centers)
 
 
-def clip_network(network: FractureNetwork | None, rect: Rect,
+def clip_network(network: FractureNetwork, rect: Rect,
                  length_threshold: float | None = None) -> FractureNetwork:
     """Fractures intersecting rect (optionally only those below the length
     threshold), re-rooted on the rect as their domain. Geometry keeps the
     original infinite extent; the solver clips again."""
-    if network is None:
-        return FractureNetwork(
-            id=np.zeros(0, np.int64), center=np.zeros((0, 2)),
-            length=np.zeros(0), angle=np.zeros(0), aperture=np.zeros(0),
-            conductivity=np.zeros(0), domain=rect, density=0.0, seed=0)
     rows = np.arange(len(network))
     if length_threshold is not None:
         rows = rows[network.length < length_threshold]
@@ -112,27 +104,25 @@ def clip_network(network: FractureNetwork | None, rect: Rect,
     return network.take(rows[kept], rect)
 
 
-def clipped_blocks(network: FractureNetwork | None, grid: BlockGrid,
+def clipped_blocks(network: FractureNetwork, grid: BlockGrid,
                    length_threshold: float | None = None):
-    """(block_id, rect, clipped network) of every block in row-major order.
+    """(rect, clipped network) of every block in row-major order.
 
     One (fracture x block) bounding-box test picks each block's candidate
     fractures, and clip_network runs on those only. A fracture that it
     keeps in a rect has a bounding box that meets the rect, so the result
     is the one clipping the whole network gives.
     """
-    blocks = [(bid, rect) for bid, _, _, rect in grid.blocks()]
-    if network is not None:
-        lo = np.minimum(network.p0, network.p1)
-        hi = np.maximum(network.p0, network.p1)
-        r = np.array([rect.as_tuple() for _, rect in blocks])[:, :, None]
-        hit = ((lo[:, 0] <= r[:, 2]) & (hi[:, 0] >= r[:, 0])
-               & (lo[:, 1] <= r[:, 3]) & (hi[:, 1] >= r[:, 1]))
-    for k, (bid, rect) in enumerate(blocks):
-        candidates = (None if network is None
-                      else network.take(np.flatnonzero(hit[k]),
-                                        network.domain))
-        yield bid, rect, clip_network(candidates, rect, length_threshold)
+    rects = [rect for _, _, _, rect in grid.blocks()]
+    lo = np.minimum(network.p0, network.p1)
+    hi = np.maximum(network.p0, network.p1)
+    r = np.array([rect.as_tuple() for rect in rects])[:, :, None]
+    hit = ((lo[:, 0] <= r[:, 2]) & (hi[:, 0] >= r[:, 0])
+           & (lo[:, 1] <= r[:, 3]) & (hi[:, 1] >= r[:, 1]))
+    for rect, candidates in zip(rects, hit):
+        yield rect, clip_network(
+            network.take(np.flatnonzero(candidates), network.domain), rect,
+            length_threshold)
 
 
 def _weighted_averages(sol: FlowSolution):
@@ -149,9 +139,10 @@ def _weighted_averages(sol: FlowSolution):
 
 
 def anisotropy_tensor(field: TensorField, network: FractureNetwork | None,
-                      block: Rect, resolution: int,
-                      block_id: int = -1) -> EquivalentTensor:
-    """Fit the equivalent symmetric tensor from two linear-head solves."""
+                      block: Rect, resolution: int):
+    """Fit the equivalent symmetric tensor from two linear-head solves.
+
+    Returns ((k_xx, k_xy, k_yy) array, least-squares residual)."""
     system = discretize(field, network, block, resolution, resolution)
     rows = []
     rhs = []
@@ -166,9 +157,7 @@ def anisotropy_tensor(field: TensorField, network: FractureNetwork | None,
     k, res, _, _ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.sqrt(res[0])) if len(res) else \
         float(np.linalg.norm(a @ k - b))
-    return EquivalentTensor(kxx=float(k[0]), kxy=float(k[1]),
-                            kyy=float(k[2]), block_id=block_id,
-                            residual=residual)
+    return k, residual
 
 
 def aquifer_kx(field: TensorField, network: FractureNetwork | None,
@@ -183,17 +172,15 @@ def aquifer_kx(field: TensorField, network: FractureNetwork | None,
     return float(outflow), float(k_x)
 
 
-def project_spd(tensor: EquivalentTensor,
-                floor_fraction: float = 1e-14) -> EquivalentTensor:
-    """Clamp eigenvalues to a small positive floor relative to the trace."""
-    m = tensor.as_matrix()
+def project_spd(k: np.ndarray, floor_fraction: float = 1e-14) -> np.ndarray:
+    """Clamp the eigenvalues of one (k_xx, k_xy, k_yy) tensor to a small
+    positive floor relative to the trace."""
+    m = np.array([[k[0], k[1]], [k[1], k[2]]])
     vals, vecs = np.linalg.eigh(m)
     floor = floor_fraction * max(abs(np.trace(m)), 1e-300)
     clamped = np.maximum(vals, floor)
     fixed = vecs @ np.diag(clamped) @ vecs.T
-    return EquivalentTensor(kxx=float(fixed[0, 0]), kxy=float(fixed[0, 1]),
-                            kyy=float(fixed[1, 1]), block_id=tensor.block_id,
-                            residual=tensor.residual)
+    return np.array([fixed[0, 0], fixed[0, 1], fixed[1, 1]])
 
 
 def numeric_backend(resolution: int):
@@ -201,30 +188,30 @@ def numeric_backend(resolution: int):
     solver."""
 
     def run(field, chunk):
-        return [anisotropy_tensor(field, clipped, block, resolution,
-                                  block_id=block_id)
-                for block_id, block, clipped in chunk]
+        fits = [anisotropy_tensor(field, clipped, rect, resolution)
+                for rect, clipped in chunk]
+        return BlockResults(np.array([k for k, _ in fits]),
+                            np.array([res for _, res in fits]))
 
     return run
 
 
-def block_tensors(field: TensorField, network: FractureNetwork | None,
+def block_tensors(field: TensorField, network: FractureNetwork,
                   grid: BlockGrid, backend,
-                  length_threshold: float | None = None) -> list:
+                  length_threshold: float | None = None) -> BlockResults:
     """The backend's tensor of every block, row-major, unprojected.
 
-    backend(field, chunk) -> one EquivalentTensor per chunk item, where a
-    chunk holds up to CHUNK_BLOCKS (block_id, block_rect, clipped_network)
-    items.
+    backend(field, chunk) -> the BlockResults of a chunk, which holds up
+    to CHUNK_BLOCKS (block_rect, clipped_network) items.
     """
     blocks = clipped_blocks(network, grid, length_threshold)
-    tensors = []
+    chunks = []
     while chunk := list(islice(blocks, CHUNK_BLOCKS)):
-        tensors.extend(backend(field, chunk))
-    return tensors
+        chunks.append(backend(field, chunk))
+    return BlockResults(*(np.concatenate(column) for column in zip(*chunks)))
 
 
-def upscale_domain(field: TensorField, network: FractureNetwork | None,
+def upscale_domain(field: TensorField, network: FractureNetwork,
                    grid: BlockGrid, backend,
                    length_threshold: float | None = None,
                    coarse_resolution: int | None = None):
@@ -232,20 +219,17 @@ def upscale_domain(field: TensorField, network: FractureNetwork | None,
     coarse raster of the original domain.
 
     backend is a chunk backend (see block_tensors). Returns (coarse
-    TensorField, list of per-block EquivalentTensor, non-SPD projection
-    count).
+    TensorField, BlockResults with every non-SPD tensor projected, count of
+    projected tensors).
     """
-    tensors = []
-    projected = 0
-    for eq in block_tensors(field, network, grid, backend, length_threshold):
-        if not eq.positive_definite:
-            eq = project_spd(eq)
-            projected += 1
-        tensors.append(eq)
+    blocks = block_tensors(field, network, grid, backend, length_threshold)
+    k = blocks.k.copy()
+    bad = np.flatnonzero(~positive_definite(k))
+    for row in bad:
+        k[row] = project_spd(k[row])
     n = grid.n_per_axis
     # block b = j * n + i holds center (i, j): comp[c, i, j]
-    comp = np.array([t.as_array() for t in tensors]).reshape(n, n, 3) \
-        .transpose(2, 1, 0)
+    comp = k.reshape(n, n, 3).transpose(2, 1, 0)
 
     nc = coarse_resolution or n
     side = grid.original.width
@@ -265,16 +249,19 @@ def upscale_domain(field: TensorField, network: FractureNetwork | None,
                          out[0], out[1], out[2],
                          metadata={"block_size": grid.block_size,
                                    "length_threshold": length_threshold})
-    return coarse, tensors, projected
+    return coarse, blocks._replace(k=k), len(bad)
 
 
-def write_block_csv(grid: BlockGrid, tensors, path):
+def write_block_csv(grid: BlockGrid, blocks: BlockResults, path):
+    """One row per block: id, center, tensor, SPD flag and fit residual."""
+    pd_flag = positive_definite(blocks.k).astype(int)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["block_id", "cx", "cy", "k_xx", "k_xy", "k_yy",
                     "pd_flag", "residual"])
-        for (bid, i, j, _), eq in zip(grid.blocks(), tensors):
+        for (bid, i, j, _), k, pd, res in zip(
+                grid.blocks(), blocks.k.tolist(), pd_flag.tolist(),
+                blocks.residual.tolist()):
             w.writerow([bid, repr(float(grid.centers_x[i])),
-                        repr(float(grid.centers_y[j])),
-                        repr(eq.kxx), repr(eq.kxy), repr(eq.kyy),
-                        int(eq.positive_definite), repr(eq.residual)])
+                        repr(float(grid.centers_y[j])), *map(repr, k), pd,
+                        repr(res)])

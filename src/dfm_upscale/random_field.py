@@ -74,10 +74,6 @@ class TensorField:
             if np.asarray(arr).shape != self.grid.shape:
                 raise ValueError("component shape does not match grid")
 
-    def is_spd(self) -> bool:
-        return bool(np.all(self.kxx > 0) and np.all(self.kyy > 0)
-                    and np.all(self.kxx * self.kyy - self.kxy ** 2 > 0))
-
     def tensor_at(self, x, y):
         """Nearest-cell 2x2 tensors for query points; shape (..., 2, 2)."""
         ix, iy = self.grid.cell_index(x, y)
@@ -239,14 +235,3 @@ def save_tensor_field(field: TensorField, path):
     }
     with open(path.with_suffix(path.suffix + ".json"), "w") as f:
         json.dump(header, f, indent=2)
-
-
-def load_tensor_field(path) -> TensorField:
-    path = Path(path)
-    with open(path.with_suffix(path.suffix + ".json")) as f:
-        header = json.load(f)
-    grid = Grid(header["nx"], header["ny"], header["cell"],
-                tuple(header["origin"]))
-    raw = np.fromfile(path, dtype="<f4").reshape(3, grid.nx, grid.ny)
-    return TensorField(grid, raw[0].astype(float), raw[1].astype(float),
-                       raw[2].astype(float), metadata=header.get("metadata"))

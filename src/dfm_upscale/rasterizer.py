@@ -26,13 +26,6 @@ class RasterSample:
     target: np.ndarray | None = None   # (3,) equivalent tensor components
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def resolution(self) -> int:
-        return self.image.shape[0]
-
-    def matrix_mask(self) -> np.ndarray:
-        return self.image[:, :, 3] == 1.0
-
 
 def rasterize_block(field_: TensorField, network: FractureNetwork | None,
                     block: Rect, resolution: int,

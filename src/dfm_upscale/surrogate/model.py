@@ -2,9 +2,9 @@
 
 Each conv stage is Conv3x3 -> BatchNorm -> ReLU -> MaxPool2x2 (inference
 folds the BatchNorm into the convolution and pools before ReLU), so a side of
-length s maps to floor((s - 2) / 2). The default stack [24, 48, 96, 192, 256]
-on 256x256x4 input yields sides 127/62/30/14/6 and a 9216-wide flatten,
-followed by dense layers [2048, 2048, 1024] and a 3-wide linear output.
+length s maps to floor((s - 2) / 2). The default stack of
+config.TrainSection on 256x256x4 input yields sides 127/62/30/14/6 and a
+9216-wide flatten, followed by its dense layers and a 3-wide linear output.
 """
 
 from __future__ import annotations
@@ -19,16 +19,13 @@ import numpy as np
 from ..seeding import substream
 from .layers import (BatchNorm, Conv3x3, Dense, Flatten, MaxPool2, ReLU)
 
-DEFAULT_CONV_CHANNELS = (24, 48, 96, 192, 256)
-DEFAULT_DENSE_WIDTHS = (2048, 2048, 1024)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Architecture:
     resolution: int = 256
     in_channels: int = 4
-    conv_channels: tuple = DEFAULT_CONV_CHANNELS
-    dense_widths: tuple = DEFAULT_DENSE_WIDTHS
+    conv_channels: tuple
+    dense_widths: tuple
     out_features: int = 3
 
     def stage_sides(self) -> list[int]:
@@ -155,16 +152,6 @@ class SurrogateModel:
         return steps + [(name, partial(layer.forward, train=False))
                         for name, layer in zip(self.layer_names[head:],
                                                self.layers[head:])]
-
-    def intermediate_shapes(self):
-        """Shape after every layer, starting from the input shape."""
-        arch = self.architecture
-        shape = (arch.resolution, arch.resolution, arch.in_channels)
-        shapes = []
-        for name, layer in zip(self.layer_names, self.layers):
-            shape = layer.output_shape(shape)
-            shapes.append((name, shape))
-        return shapes
 
     def loss_and_backward(self, batch: np.ndarray,
                           targets: np.ndarray) -> float:

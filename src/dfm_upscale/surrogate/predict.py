@@ -6,7 +6,7 @@ import numpy as np
 
 from ..config import fingerprint
 from ..dataset_pipeline import inverse_target, preprocess
-from ..homogenizer import EquivalentTensor
+from ..homogenizer import BlockResults
 from .model import SurrogateModel
 from .training import predict_in_batches
 
@@ -34,12 +34,9 @@ def surrogate_backend(model: SurrogateModel, stats: dict):
     res = model.architecture.resolution
 
     def run(field, chunk):
-        samples = [rasterize_block(field, clipped, block, res,
-                                   metadata={"block_id": block_id})
-                   for block_id, block, clipped in chunk]
+        samples = [rasterize_block(field, clipped, rect, res)
+                   for rect, clipped in chunk]
         preds = predict_samples(model, samples, stats)
-        return [EquivalentTensor(kxx=float(kxx), kxy=float(kxy),
-                                 kyy=float(kyy), block_id=block_id)
-                for (block_id, _, _), (kxx, kxy, kyy) in zip(chunk, preds)]
+        return BlockResults(preds, np.zeros(len(preds)))
 
     return run

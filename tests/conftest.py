@@ -3,9 +3,23 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from dfm_upscale.config import DfnSection, TrainSection
 from dfm_upscale.frac_geom import ARRAY_FIELDS, FractureNetwork
 from dfm_upscale.geometry import Rect
 from dfm_upscale.random_field import Grid, TensorField
+from dfm_upscale.surrogate.model import Architecture
+
+
+# the physical constants of the default configuration
+CONSTANTS = DfnSection().constants
+
+
+def reference_architecture() -> Architecture:
+    """The default training configuration's stack on 256-pixel rasters."""
+    train = TrainSection()
+    return Architecture(resolution=256,
+                        conv_channels=tuple(train.conv_channels),
+                        dense_widths=tuple(train.dense_widths))
 
 
 def uniform_field(rect: Rect, kxx, kxy=0.0, kyy=None, n=8) -> TensorField:
@@ -76,11 +90,13 @@ def finite_difference_grad_errors(model, images, targets, eps=1e-3):
 
 
 def network_of(*fractures, domain=Rect(0.0, 0.0, 1.0, 1.0)):
-    """A network holding the make_fracture rows, in the given order."""
+    """A network holding the make_fracture rows, in the given order; with
+    no rows, an empty network on domain."""
     columns = {name: [getattr(fr, name) for fr in fractures]
                for name in ("id", "center", "length", "angle", "aperture",
                             "conductivity")}
-    return FractureNetwork(**columns, domain=domain, density=0.0, seed=0)
+    return FractureNetwork(**columns, domain=domain, density=0.0, seed=0,
+                           constants=CONSTANTS)
 
 
 def same_fractures(a, b) -> bool:

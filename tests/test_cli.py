@@ -52,6 +52,24 @@ class TestErrorHandling:
         assert "ratio_class" in err["message"]
         assert err["command"] == "build-dataset"
 
+    @pytest.mark.parametrize("config, key", [
+        ({"dataset": {"lambdas": 5}}, "dataset.lambdas"),
+        ({"blocks": {"length_threshold": "5"}}, "blocks.length_threshold"),
+        ({"solver": {"resolution": True}}, "solver.resolution"),
+    ])
+    def test_mistyped_value_is_config_error(self, tmp_path, capsys, config,
+                                            key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        code = run(["build-dataset", "--config", str(bad),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert key in err["message"]
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = run(["generate-srf", "--config", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path / "o")])
@@ -87,12 +105,12 @@ class TestBasicCommands:
                     "--out", str(out)]) == 0
         assert (out / "field.bin").exists()
 
-    def test_homogenize_deterministic(self, config_path, tmp_path):
+    def test_upscale_deterministic(self, config_path, tmp_path):
         out1 = tmp_path / "h1"
         out2 = tmp_path / "h2"
-        assert run(["homogenize", "--config", config_path,
+        assert run(["upscale", "--config", config_path,
                     "--out", str(out1)]) == 0
-        assert run(["homogenize", "--config", config_path,
+        assert run(["upscale", "--config", config_path,
                     "--out", str(out2)]) == 0
         assert (out1 / "blocks.csv").read_bytes() == \
             (out2 / "blocks.csv").read_bytes()
@@ -102,8 +120,8 @@ class TestBasicCommands:
     def test_seed_flag_overrides_config(self, config_path, tmp_path):
         out1 = tmp_path / "s1"
         out2 = tmp_path / "s2"
-        run(["homogenize", "--config", config_path, "--out", str(out1)])
-        run(["homogenize", "--config", config_path, "--seed", "99",
+        run(["upscale", "--config", config_path, "--out", str(out1)])
+        run(["upscale", "--config", config_path, "--seed", "99",
              "--out", str(out2)])
         assert (out1 / "blocks.csv").read_bytes() != \
             (out2 / "blocks.csv").read_bytes()

@@ -46,6 +46,22 @@ class TestFromDict:
         with pytest.raises(ConfigError, match="expected an object"):
             RunConfig.from_dict({"dfn": 3})
 
+    def test_value_types(self):
+        cfg = RunConfig.from_dict({"blocks": {"domain_side": 50,
+                                              "length_threshold": None,
+                                              "coarse_resolution": 8}})
+        assert cfg.blocks.domain_side == 50
+        assert cfg.blocks.length_threshold is None
+        for bad in ({"blocks": {"domain_side": True}},
+                    {"blocks": {"length_threshold": "5"}},
+                    {"solver": {"resolution": 24.0}},
+                    {"dataset": {"lambdas": 5}},
+                    {"dataset": {"lambdas": (0.0,)}},
+                    {"dataset": {"ratio_class": 1}},
+                    {"seed": None}):
+            with pytest.raises(ConfigError, match="expected"):
+                RunConfig.from_dict(bad)
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"seed": 11}))

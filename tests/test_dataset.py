@@ -13,7 +13,7 @@ from dfm_upscale.dataset_pipeline import (compute_stats, enforce_ratio,
 from dfm_upscale.frac_geom import PowerLawSpec, generate_dfn
 from dfm_upscale.geometry import Rect
 
-from conftest import uniform_field
+from conftest import CONSTANTS, uniform_field
 
 
 def small_config(**dataset):
@@ -57,7 +57,7 @@ class TestEnforceRatio:
         block = Rect(0.0, 0.0, 14.28, 14.28)
         field = uniform_field(block, 2e-6, 0.0, 1e-6)
         net = generate_dfn(PowerLawSpec(2.5, 4.325, 100.0), 10.0, block,
-                           1e-4, seed=3)
+                           1e-4, CONSTANTS, seed=3)
         assert len(net) > 1
         scaled, factor = enforce_ratio(net, field, 1e3)
         km = np.exp(np.mean(np.log(0.5 * (field.kxx + field.kyy))))
@@ -74,7 +74,7 @@ class TestEnforceRatio:
         block = Rect(0.0, 0.0, 1.0, 1.0)
         field = uniform_field(block, 1e-6)
         net = generate_dfn(PowerLawSpec(2.5, 0.2, 0.8), 1e-9, block, 1e-4,
-                           seed=0)
+                           CONSTANTS, seed=0)
         out, factor = enforce_ratio(net, field, 1e3)
         assert factor == 1.0 and len(out) == 0
 

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dfm_upscale.frac_geom import (DEFAULT_CONSTANTS, PhysicalConstants,
-                                   PowerLawSpec, calibrate_alpha,
+from dfm_upscale.frac_geom import (PowerLawSpec, calibrate_alpha,
                                    excluded_area, expected_count,
                                    fracture_conductivity, generate_dfn,
                                    load_network, sample_power_law,
                                    save_network)
 from dfm_upscale.geometry import Rect
 
-from conftest import same_fractures
+from conftest import CONSTANTS, same_fractures
 
 
 def power_law_cdf(spec, r):
@@ -106,55 +105,60 @@ class TestMoments:
 
 class TestFractureConductivity:
     def test_aperture_relation(self):
-        delta, _ = fracture_conductivity(100.0, 1e-4)
+        delta, _ = fracture_conductivity(100.0, 1e-4, CONSTANTS)
         assert delta == pytest.approx(0.01)
 
     def test_cubic_law_value(self):
-        _, k_f = fracture_conductivity(100.0, 1e-4, DEFAULT_CONSTANTS)
+        _, k_f = fracture_conductivity(100.0, 1e-4, CONSTANTS)
         assert k_f == pytest.approx(81.75)
 
     def test_quadratic_scaling(self):
-        _, k1 = fracture_conductivity(10.0, 1e-4)
-        _, k2 = fracture_conductivity(20.0, 1e-4)
+        _, k1 = fracture_conductivity(10.0, 1e-4, CONSTANTS)
+        _, k2 = fracture_conductivity(20.0, 1e-4, CONSTANTS)
         assert k2 == pytest.approx(4.0 * k1)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            fracture_conductivity(-1.0, 1e-4)
+            fracture_conductivity(-1.0, 1e-4, CONSTANTS)
         with pytest.raises(ValueError):
-            fracture_conductivity(1.0, 0.0)
+            fracture_conductivity(1.0, 0.0, CONSTANTS)
 
 
 class TestGenerateDfn:
     domain = Rect(0.0, 0.0, 50.0, 50.0)
     spec = PowerLawSpec(2.5, 2.0, 40.0)
 
+    def dfn(self, density, seed):
+        return generate_dfn(self.spec, density, self.domain, 1e-4, CONSTANTS,
+                            seed=seed)
+
     def test_determinism(self):
-        a = generate_dfn(self.spec, 5.0, self.domain, 1e-4, seed=42)
-        b = generate_dfn(self.spec, 5.0, self.domain, 1e-4, seed=42)
+        a = self.dfn(5.0, 42)
+        b = self.dfn(5.0, 42)
         assert len(a) == len(b)
         assert same_fractures(a, b)  # bit-identical
 
     def test_seed_changes_network(self):
-        a = generate_dfn(self.spec, 5.0, self.domain, 1e-4, seed=1)
-        b = generate_dfn(self.spec, 5.0, self.domain, 1e-4, seed=2)
+        a = self.dfn(5.0, 1)
+        b = self.dfn(5.0, 2)
         assert a.length.tolist() != b.length.tolist()
 
     def test_centers_inside_angles_in_range(self):
-        net = generate_dfn(self.spec, 5.0, self.domain, 1e-4, seed=3)
+        net = self.dfn(5.0, 3)
         for center, angle, length, aperture, conductivity in zip(
                 net.center, net.angle, net.length, net.aperture,
                 net.conductivity):
-            assert self.domain.contains(*center)
+            assert self.domain.x0 <= center[0] <= self.domain.x1
+            assert self.domain.y0 <= center[1] <= self.domain.y1
             assert 0.0 <= angle < np.pi
             assert self.spec.r_min <= length <= self.spec.r_max
             assert aperture == pytest.approx(1e-4 * length)
-            d, k = fracture_conductivity(length, 1e-4)
+            d, k = fracture_conductivity(length, 1e-4, CONSTANTS)
             assert conductivity == pytest.approx(k)
 
     def test_endpoints_match_scalar_reference(self):
         # the per-fracture formula the array endpoints replace
-        net = generate_dfn(self.spec, 5.0, self.domain, 1e-4, seed=4)
+        net = self.dfn(5.0, 4)
         assert len(net) > 10
         for k in range(len(net)):
             h = 0.5 * float(net.length[k]) * np.array(
@@ -163,7 +167,7 @@ class TestGenerateDfn:
             assert np.array_equal(net.p1[k], net.center[k] + h)
 
     def test_vanishing_density(self):
-        net = generate_dfn(self.spec, 1e-9, self.domain, 1e-4, seed=3)
+        net = self.dfn(1e-9, 3)
         assert len(net) == 0
 
     def test_empirical_mean_length(self):
@@ -180,8 +184,7 @@ class TestGenerateDfn:
         assert ks.statistic < 0.01
 
     def test_angle_uniformity_chi2(self):
-        nets = [generate_dfn(self.spec, 30.0, self.domain, 1e-4, seed=s)
-                for s in range(60)]
+        nets = [self.dfn(30.0, s) for s in range(60)]
         angles = np.concatenate([n.angle for n in nets])
         assert len(angles) > 10 ** 4
         counts, _ = np.histogram(angles, bins=20, range=(0.0, np.pi))
@@ -195,7 +198,7 @@ class TestGenerateDfn:
         spec = PowerLawSpec(2.5, 0.5, 5.0)
         counts = []
         for s in range(500):
-            net = generate_dfn(spec, 2.0, domain, 1e-4, seed=s)
+            net = generate_dfn(spec, 2.0, domain, 1e-4, CONSTANTS, seed=s)
             grid = np.zeros((10, 10))
             for cx, cy in net.center:
                 i = min(int(cx), 9)
@@ -209,8 +212,7 @@ class TestGenerateDfn:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         net = generate_dfn(PowerLawSpec(2.5, 2.0, 30.0), 5.0,
-                           Rect(0, 0, 40, 40), 1e-4,
-                           PhysicalConstants(), seed=9)
+                           Rect(0, 0, 40, 40), 1e-4, CONSTANTS, seed=9)
         path = tmp_path / "net.csv"
         save_network(net, path)
         back = load_network(path)
@@ -219,4 +221,5 @@ class TestSerialization:
         assert back.density == net.density
         assert back.seed == net.seed
         assert back.spec == net.spec
+        assert back.constants == net.constants == CONSTANTS
         assert same_fractures(back, net)

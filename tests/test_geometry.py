@@ -13,8 +13,6 @@ class TestRect:
         assert r.width == 3.0 and r.height == 4.0
         assert r.area == 12.0
         assert r.diameter == pytest.approx(5.0)
-        assert r.contains(2.0, 3.0)
-        assert not r.contains(0.0, 3.0)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):

@@ -9,15 +9,15 @@ from dfm_upscale import homogenizer
 from dfm_upscale.dfm_solver import discretize, linear_head, solve_darcy
 from dfm_upscale.frac_geom import PowerLawSpec, generate_dfn
 from dfm_upscale.geometry import Rect
-from dfm_upscale.homogenizer import (EquivalentTensor, anisotropy_tensor,
+from dfm_upscale.homogenizer import (BlockResults, anisotropy_tensor,
                                      aquifer_kx, build_block_grid,
                                      clip_network, clipped_blocks,
-                                     numeric_backend, project_spd,
-                                     upscale_domain, write_block_csv,
-                                     _weighted_averages)
+                                     numeric_backend, positive_definite,
+                                     project_spd, upscale_domain,
+                                     write_block_csv, _weighted_averages)
 from dfm_upscale.random_field import Grid, TensorField, sample_tensor_field
 
-from conftest import (layered_field, make_fracture, network_of,
+from conftest import (CONSTANTS, layered_field, make_fracture, network_of,
                       same_fractures, uniform_field)
 
 # block edges of build_block_grid(4.0, 2.0) and build_block_grid(4.0, 4.0)
@@ -72,18 +72,16 @@ class TestAnisotropyTensor:
     def test_constant_tensor_identity(self, unit_rect):
         kxx, kxy, kyy = 2e-6, 3e-7, 1e-6
         field = uniform_field(unit_rect, kxx, kxy, kyy)
-        eq = anisotropy_tensor(field, None, unit_rect, 32)
-        assert eq.kxx == pytest.approx(kxx, rel=1e-8)
-        assert eq.kxy == pytest.approx(kxy, rel=1e-8)
-        assert eq.kyy == pytest.approx(kyy, rel=1e-8)
-        assert eq.positive_definite
+        k, _ = anisotropy_tensor(field, None, unit_rect, 32)
+        assert k == pytest.approx([kxx, kxy, kyy], rel=1e-8)
+        assert positive_definite(k[None]).all()
 
     def test_layered_kxx_arithmetic(self, unit_rect):
         k_vals = [1e-6, 1e-8, 5e-7, 2e-6]
         field = layered_field(unit_rect, k_vals, n=64)
-        eq = anisotropy_tensor(field, None, unit_rect, 64)
-        assert eq.kxx == pytest.approx(np.mean(k_vals), rel=0.02)
-        assert abs(eq.kxy) < 0.02 * eq.kxx
+        (kxx, kxy, _), _ = anisotropy_tensor(field, None, unit_rect, 64)
+        assert kxx == pytest.approx(np.mean(k_vals), rel=0.02)
+        assert abs(kxy) < 0.02 * kxx
 
     def test_mean_gradient_matches_boundary_data(self, unit_rect):
         field = uniform_field(unit_rect, 1e-6)
@@ -100,29 +98,29 @@ class TestAnisotropyTensor:
         field = layered_field(unit_rect, k_vals, n=32)
         # same medium rotated a quarter turn: vertical layers
         rot = TensorField(field.grid, field.kyy.T, field.kxy.T, field.kxx.T)
-        eq = anisotropy_tensor(field, None, unit_rect, 32)
-        eq_rot = anisotropy_tensor(rot, None, unit_rect, 32)
-        assert eq_rot.kxx == pytest.approx(eq.kyy, rel=0.02)
-        assert eq_rot.kyy == pytest.approx(eq.kxx, rel=0.02)
+        k, _ = anisotropy_tensor(field, None, unit_rect, 32)
+        k_rot, _ = anisotropy_tensor(rot, None, unit_rect, 32)
+        assert k_rot[0] == pytest.approx(k[2], rel=0.02)
+        assert k_rot[2] == pytest.approx(k[0], rel=0.02)
 
     def test_scale_equivariance(self):
         for seed, scale in ((0, 2.0), (1, 37.5), (2, 1000.0)):
             (f, net, rect), (fs, nets, rects) = scaled_problem(scale, seed)
-            eq = anisotropy_tensor(f, net, rect, 16)
-            eq_s = anisotropy_tensor(fs, nets, rects, 16)
-            assert np.allclose(eq_s.as_array(),
-                               scale ** 2 * eq.as_array(), rtol=1e-8)
+            k, _ = anisotropy_tensor(f, net, rect, 16)
+            k_s, _ = anisotropy_tensor(fs, nets, rects, 16)
+            assert np.allclose(k_s, scale ** 2 * k, rtol=1e-8)
 
     def test_fractures_increase_conductivity(self, unit_rect):
         # equivalent trace never drops when fractures are added
         spec = PowerLawSpec(2.5, 0.2, 0.8)
         field = uniform_field(unit_rect, 1e-6)
-        base = anisotropy_tensor(field, None, unit_rect, 16)
-        trace0 = base.kxx + base.kyy
+        base, _ = anisotropy_tensor(field, None, unit_rect, 16)
+        trace0 = base[0] + base[2]
         for seed in range(100):
-            net = generate_dfn(spec, 10.0, unit_rect, 1e-4, seed=seed)
-            eq = anisotropy_tensor(field, net, unit_rect, 16)
-            assert eq.kxx + eq.kyy >= trace0 * (1.0 - 0.01)
+            net = generate_dfn(spec, 10.0, unit_rect, 1e-4, CONSTANTS,
+                               seed=seed)
+            k, _ = anisotropy_tensor(field, net, unit_rect, 16)
+            assert k[0] + k[2] >= trace0 * (1.0 - 0.01)
 
 
 class TestGoldenTensors:
@@ -141,7 +139,7 @@ class TestGoldenTensors:
     def test_recorded_tensors(self):
         domain = Rect(0.0, 0.0, 20.0, 20.0)
         net = generate_dfn(PowerLawSpec(2.5, 2.0, 15.0), 3.0, domain, 1e-4,
-                           seed=9)
+                           CONSTANTS, seed=9)
         field = sample_tensor_field(Grid(32, 32, 20.0 / 32), 3.0,
                                     (-6.0, -5.8),
                                     np.array([[0.25, 0.2], [0.2, 0.25]]),
@@ -149,8 +147,8 @@ class TestGoldenTensors:
         grid = build_block_grid(20.0, 20.0)
         for (i, j), expected in self.GOLDEN.items():
             rect = grid.block_rect(i, j)
-            eq = anisotropy_tensor(field, clip_network(net, rect), rect, 12)
-            assert eq.as_array() == pytest.approx(expected, rel=1e-12)
+            k, _ = anisotropy_tensor(field, clip_network(net, rect), rect, 12)
+            assert k == pytest.approx(expected, rel=1e-12)
 
 
 class TestAquiferKx:
@@ -235,9 +233,11 @@ class TestClipNetwork:
         clipped = clip_network(net, rect, length_threshold=0.5)
         assert clipped.id.tolist() == [0]
 
-    def test_none_network(self):
-        clipped = clip_network(None, Rect(0, 0, 1, 1))
+    def test_empty_network(self):
+        rect = Rect(0, 0, 1, 1)
+        clipped = clip_network(network_of(domain=Rect(0, 0, 4, 4)), rect)
         assert len(clipped) == 0
+        assert clipped.domain == rect
 
     @settings(max_examples=200, deadline=None)
     @given(segments=st.lists(_segments, max_size=12),
@@ -249,34 +249,34 @@ class TestClipNetwork:
         grid = build_block_grid(4.0, block_size)
         screened = list(clipped_blocks(net, grid, threshold))
         assert len(screened) == grid.n_blocks
-        for (bid, _, _, rect), (sbid, srect, clipped) in zip(grid.blocks(),
-                                                             screened):
+        for (_, _, _, rect), (srect, clipped) in zip(grid.blocks(),
+                                                     screened):
             whole = clip_network(net, rect, threshold)
-            assert (sbid, srect) == (bid, rect)
+            assert srect == rect
             assert same_fractures(clipped, whole)
             assert clipped.domain == whole.domain == rect
 
     def test_screen_without_network(self):
         grid = build_block_grid(4.0, 2.0)
-        blocks = list(clipped_blocks(None, grid, 0.5))
-        assert [bid for bid, _, _ in blocks] == list(range(25))
-        assert all(len(c) == 0 and c.domain == rect
-                   for _, rect, c in blocks)
+        blocks = list(clipped_blocks(network_of(domain=grid.extended), grid,
+                                     0.5))
+        assert [rect for rect, _ in blocks] == \
+            [rect for _, _, _, rect in grid.blocks()]
+        assert all(len(c) == 0 and c.domain == rect for rect, c in blocks)
 
 
 class TestProjectSpd:
     def test_already_spd_unchanged(self):
-        eq = EquivalentTensor(2e-6, 3e-7, 1e-6)
-        fixed = project_spd(eq)
-        assert np.allclose(fixed.as_array(), eq.as_array(), rtol=1e-12)
+        k = np.array([2e-6, 3e-7, 1e-6])
+        assert np.allclose(project_spd(k), k, rtol=1e-12)
 
     def test_indefinite_clamped(self):
-        eq = EquivalentTensor(1e-6, 5e-6, 1e-6)  # det < 0
-        assert not eq.positive_definite
-        fixed = project_spd(eq)
-        assert fixed.positive_definite
+        k = np.array([1e-6, 5e-6, 1e-6])  # det < 0
+        assert not positive_definite(k[None]).any()
+        fixed = project_spd(k)
+        assert positive_definite(fixed[None]).all()
         # eigenvectors preserved: only the negative eigenvalue moves
-        vals = np.linalg.eigvalsh(fixed.as_matrix())
+        vals = np.linalg.eigvalsh([[fixed[0], fixed[1]], [fixed[1], fixed[2]]])
         assert vals[0] > 0
         assert vals[1] == pytest.approx(6e-6, rel=1e-10)
 
@@ -288,10 +288,11 @@ class TestUpscaleDomain:
         kxx, kxy, kyy = 2e-6, 3e-7, 1e-6
         field = uniform_field(rect, kxx, kxy, kyy)
         grid = build_block_grid(side, 4.0)
-        coarse, tensors, projected = upscale_domain(
-            field, None, grid, numeric_backend(16), coarse_resolution=8)
+        coarse, blocks, projected = upscale_domain(
+            field, network_of(domain=rect), grid, numeric_backend(16),
+            coarse_resolution=8)
         assert projected == 0
-        assert len(tensors) == 9
+        assert blocks.k.shape == (9, 3) and blocks.residual.shape == (9,)
         assert coarse.grid.shape == (8, 8)
         assert np.allclose(coarse.kxx, kxx, rtol=1e-8)
         assert np.allclose(coarse.kxy, kxy, rtol=1e-8)
@@ -300,15 +301,15 @@ class TestUpscaleDomain:
     def test_interpolation_between_blocks(self):
         # synthetic backend: kxx equals the block-center x coordinate
         def backend(field, chunk):
-            return [EquivalentTensor(kxx=0.5 * (rect.x0 + rect.x1) + 3.0,
-                                     kxy=0.0, kyy=1.0, block_id=bid)
-                    for bid, rect, _ in chunk]
+            k = [[0.5 * (rect.x0 + rect.x1) + 3.0, 0.0, 1.0]
+                 for rect, _ in chunk]
+            return BlockResults(np.array(k), np.zeros(len(chunk)))
 
         side = 4.0
         rect = Rect(-2.0, -2.0, 6.0, 6.0)
         field = uniform_field(rect, 1.0)
         grid = build_block_grid(side, 4.0)
-        coarse, _, _ = upscale_domain(field, None, grid,
+        coarse, _, _ = upscale_domain(field, network_of(domain=rect), grid,
                                       backend, coarse_resolution=4)
         # coarse cell centers at x = 0.5, 1.5, 2.5, 3.5 interpolate linearly
         assert np.allclose(coarse.kxx[:, 0], np.array([0.5, 1.5, 2.5, 3.5])
@@ -316,16 +317,16 @@ class TestUpscaleDomain:
 
     def test_non_spd_blocks_projected(self):
         def backend(field, chunk):
-            return [EquivalentTensor(kxx=1.0, kxy=2.0, kyy=1.0, block_id=bid)
-                    for bid, _, _ in chunk]
+            return BlockResults(np.tile([1.0, 2.0, 1.0], (len(chunk), 1)),
+                                np.zeros(len(chunk)))
 
         rect = Rect(-2.0, -2.0, 6.0, 6.0)
         field = uniform_field(rect, 1.0)
         grid = build_block_grid(4.0, 4.0)
-        coarse, tensors, projected = upscale_domain(field, None, grid,
-                                                    backend)
+        coarse, blocks, projected = upscale_domain(
+            field, network_of(domain=rect), grid, backend)
         assert projected == 9
-        assert all(t.positive_definite for t in tensors)
+        assert positive_definite(blocks.k).all()
 
     @pytest.mark.parametrize("block_size", [4.0, 2.0])  # 9 and 25 blocks
     def test_numeric_chunks_match_per_block_loop(self, monkeypatch,
@@ -339,27 +340,28 @@ class TestUpscaleDomain:
         field = TensorField(Grid(n, n, ext.width / n, (ext.x0, ext.y0)),
                             kx, 0.1 * kx, kx[::-1].copy())
         net = generate_dfn(PowerLawSpec(2.5, 0.5, 4.0), 1.5, ext, 1e-4,
-                           seed=3)
-        coarse, tensors, projected = upscale_domain(
+                           CONSTANTS, seed=3)
+        coarse, blocks, projected = upscale_domain(
             field, net, grid, numeric_backend(8), threshold,
             coarse_resolution=6)
         assert grid.n_blocks % homogenizer.CHUNK_BLOCKS != 0
         # every block as the per-block loop computes it, unscreened
-        for (bid, _, _, rect), eq in zip(grid.blocks(), tensors):
-            ref = anisotropy_tensor(field, clip_network(net, rect, threshold),
-                                    rect, 8, block_id=bid)
-            if not ref.positive_definite:
+        for (_, _, _, rect), k, res in zip(grid.blocks(), blocks.k,
+                                           blocks.residual):
+            ref, ref_res = anisotropy_tensor(
+                field, clip_network(net, rect, threshold), rect, 8)
+            if not positive_definite(ref[None])[0]:
                 ref = project_spd(ref)
-            assert (eq.block_id, eq.residual) == (bid, ref.residual)
-            assert np.array_equal(eq.as_array(), ref.as_array())
+            assert res == ref_res
+            assert np.array_equal(k, ref)
         # one block per backend call gives the same bytes
         monkeypatch.setattr(homogenizer, "CHUNK_BLOCKS", 1)
-        coarse1, tensors1, projected1 = upscale_domain(
+        coarse1, blocks1, projected1 = upscale_domain(
             field, net, grid, numeric_backend(8), threshold,
             coarse_resolution=6)
         assert projected1 == projected
-        assert np.array_equal([t.as_array() for t in tensors1],
-                              [t.as_array() for t in tensors])
+        assert np.array_equal(blocks1.k, blocks.k)
+        assert np.array_equal(blocks1.residual, blocks.residual)
         for c in ("kxx", "kxy", "kyy"):
             assert np.array_equal(getattr(coarse1, c), getattr(coarse, c))
 
@@ -367,10 +369,10 @@ class TestUpscaleDomain:
 class TestBlockCsv:
     def test_round_trip(self, tmp_path):
         grid = build_block_grid(4.0, 4.0)
-        tensors = [EquivalentTensor(1e-6 * (b + 1), 1e-8, 2e-6, block_id=b)
-                   for b in range(9)]
+        k = np.column_stack([1e-6 * np.arange(1, 10), np.full(9, 1e-8),
+                             np.full(9, 2e-6)])
         path = tmp_path / "blocks.csv"
-        write_block_csv(grid, tensors, path)
+        write_block_csv(grid, BlockResults(k, np.zeros(9)), path)
         with open(path) as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 9
@@ -378,3 +380,22 @@ class TestBlockCsv:
         assert rows[0]["pd_flag"] == "1"
         assert float(rows[0]["cx"]) == 0.0
         assert float(rows[1]["cx"]) == 2.0
+
+    def test_golden_bytes(self, tmp_path):
+        # repr of every float, CRLF rows, and pd_flag 0 on the indefinite
+        # row and on the row with negative k_xx
+        k = np.array([[0.1 + 0.2, -2.5e-07, 1 / 3],
+                      [1.0, 2.0, 1.0],
+                      [-1e-9, 0.0, 1.0],
+                      [2e-6, 1e-300, 1e-6]])
+        residual = np.array([0.0, 1.25e-17, 3.3e-09, 2 / 3])
+        path = tmp_path / "blocks.csv"
+        write_block_csv(build_block_grid(2.0, 4.0), BlockResults(k, residual),
+                        path)
+        assert path.read_bytes() == (
+            b"block_id,cx,cy,k_xx,k_xy,k_yy,pd_flag,residual\r\n"
+            b"0,0.0,0.0,0.30000000000000004,-2.5e-07,0.3333333333333333,1,"
+            b"0.0\r\n"
+            b"1,2.0,0.0,1.0,2.0,1.0,0,1.25e-17\r\n"
+            b"2,0.0,2.0,-1e-09,0.0,1.0,0,3.3e-09\r\n"
+            b"3,2.0,2.0,2e-06,1e-300,1e-06,1,0.6666666666666666\r\n")

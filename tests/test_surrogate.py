@@ -13,7 +13,7 @@ from dfm_upscale.surrogate.layers import (BatchNorm, Conv3x3, Dense, MaxPool2,
                                          ReLU)
 from dfm_upscale.seeding import substream
 
-from conftest import finite_difference_grad_errors
+from conftest import finite_difference_grad_errors, reference_architecture
 
 SMALL_ARCH = Architecture(resolution=16, conv_channels=(2, 3),
                           dense_widths=(8, 8, 8))
@@ -34,7 +34,7 @@ def synthetic_dataset(rng, n, r=16):
 
 class TestArchitecture:
     def test_reference_stage_sides(self):
-        arch = Architecture()
+        arch = reference_architecture()
         assert arch.stage_sides() == [127, 62, 30, 14, 6]
         assert arch.flatten_width == 9216
         assert arch.conv_channels == (24, 48, 96, 192, 256)
@@ -46,7 +46,8 @@ class TestArchitecture:
         assert SMALL_ARCH.max_stages() == 2
 
     def test_too_many_stages_rejected(self):
-        arch = Architecture(resolution=16, conv_channels=(2, 3, 4))
+        arch = Architecture(resolution=16, conv_channels=(2, 3, 4),
+                            dense_widths=(8,))
         with pytest.raises(ValueError, match="at most"):
             arch.stage_sides()
 
@@ -57,13 +58,21 @@ class TestArchitecture:
 class TestForward:
     def test_output_shape_and_intermediates(self):
         model = small_model()
+        arch = model.architecture
         x = np.random.default_rng(0).standard_normal((2, 16, 16, 4))
         out = model.forward(x.astype(np.float32))
         assert out.shape == (2, 3)
-        shapes = dict(model.intermediate_shapes())
-        assert shapes["pool0"] == (7, 7, 2)
-        assert shapes["pool1"] == (2, 2, 3)
-        assert shapes["flatten"] == (12,)
+        # every layer's output against the sides the architecture predicts
+        shapes = {}
+        h = x.astype(np.float32)
+        for name, layer in zip(model.layer_names, model.layers):
+            h = layer.forward(h, False)
+            shapes[name] = h.shape[1:]
+        assert arch.stage_sides() == [7, 2]
+        assert [shapes[f"pool{i}"] for i in range(2)] == [
+            (side, side, c)
+            for side, c in zip(arch.stage_sides(), arch.conv_channels)]
+        assert shapes["flatten"] == (arch.flatten_width,) == (12,)
         assert shapes["output"] == (3,)
 
     def test_fresh_model_maps_zero_to_zero(self):
