@@ -130,8 +130,7 @@ def bench_anisotropy(cfg: RunConfig, seed: int, n_samples: int,
 
 
 def bench_speedup(cfg: RunConfig, seed: int, n_blocks: int,
-                  surrogate_model=None, surrogate_stats=None,
-                  repetitions: int = 3) -> dict:
+                  surrogate_model=None, repetitions: int = 3) -> dict:
     """Median-of-repetitions wall-clock cost of per-block homogenization
     (C_H: discretization + solves) versus the surrogate path
     (C_S: rasterization of every block + one batched inference pass)."""
@@ -153,11 +152,11 @@ def bench_speedup(cfg: RunConfig, seed: int, n_blocks: int,
         c_h.append(time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        samples = [rasterize_block(field_, clipped, rect, raster_res)
+        rasters = [rasterize_block(field_, clipped, rect, raster_res)
                    for rect, clipped in blocks]
         t_raster = time.perf_counter() - t0
         if surrogate_model is not None:
-            predict_samples(surrogate_model, samples, surrogate_stats)
+            predict_samples(surrogate_model, np.stack(rasters))
         c_s.append(time.perf_counter() - t0)
         c_raster.append(t_raster)
 

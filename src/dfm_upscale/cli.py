@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
-from .config import ConfigError, RunConfig, fingerprint
+from .config import ConfigError, RunConfig
 from .dataset_pipeline import generate_dataset, load_dataset, preprocess
 from .frac_geom import generate_dfn, save_network
 from .geometry import Rect
@@ -63,21 +63,14 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_model(model_dir):
-    model = SurrogateModel.load(model_dir)
-    with open(Path(model_dir) / "stats.json") as f:
-        stats = json.load(f)
-    return model, stats
-
-
 def _backends(cfg: RunConfig, args):
     """Two chunk backends: numeric reference plus the surrogate if a
     model directory was given, otherwise a second numeric instance."""
     res = cfg.solver.resolution
     backends = {"numeric": numeric_backend(res)}
     if getattr(args, "model", None):
-        model, stats = _load_model(args.model)
-        backends["surrogate"] = surrogate_backend(model, stats)
+        backends["surrogate"] = surrogate_backend(
+            SurrogateModel.load(args.model))
     else:
         backends["numeric-2"] = numeric_backend(res)
     return backends
@@ -125,8 +118,7 @@ def cmd_upscale(cfg: RunConfig, args):
     if args.backend == "surrogate":
         if not args.model:
             raise ValueError("--model is required for the surrogate backend")
-        model, stats = _load_model(args.model)
-        backend = surrogate_backend(model, stats)
+        backend = surrogate_backend(SurrogateModel.load(args.model))
     else:
         backend = numeric_backend(cfg.solver.resolution)
     return _upscale(cfg, args, backend)
@@ -164,15 +156,11 @@ def cmd_train(cfg: RunConfig, args):
         arch = Architecture(resolution=res,
                             conv_channels=arch.conv_channels[:max_stages],
                             dense_widths=arch.dense_widths)
-    model = SurrogateModel(arch, seed=args.seed,
-                           stats_hash=fingerprint(stats))
+    model = SurrogateModel(arch, seed=args.seed, stats=stats)
     result = train(model, images[splits["train"]], targets[splits["train"]],
                    images[splits["val"]], targets[splits["val"]], tc,
                    args.seed)
-    model_dir = out / "model"
-    model.save(model_dir)
-    with open(model_dir / "stats.json", "w") as f:
-        json.dump(stats, f, indent=2)
+    model.save(out / "model")
     write_history_csv(result, out / "history.csv")
     metrics = evaluate(model, images[splits["test"]], targets[splits["test"]],
                        tc.batch_size)
@@ -186,8 +174,8 @@ def cmd_train(cfg: RunConfig, args):
 def cmd_evaluate(cfg: RunConfig, args):
     out = _out_dir(args)
     images, targets, splits, _, stats = _preprocessed_splits(args.dataset)
-    model, model_stats = _load_model(args.model)
-    if fingerprint(stats) != fingerprint(model_stats):
+    model = SurrogateModel.load(args.model)
+    if stats != model.stats:
         raise ValueError("dataset statistics do not match the model")
     metrics = evaluate(model, images[splits["test"]], targets[splits["test"]])
     with open(out / "metrics.json", "w") as f:
@@ -207,10 +195,8 @@ def cmd_bench_compare(bench_fn, cfg: RunConfig, args):
 
 def cmd_bench_speedup(cfg: RunConfig, args):
     out = _out_dir(args)
-    model = stats = None
-    if args.model:
-        model, stats = _load_model(args.model)
-    report = bench.bench_speedup(cfg, args.seed, args.blocks, model, stats)
+    model = SurrogateModel.load(args.model) if args.model else None
+    report = bench.bench_speedup(cfg, args.seed, args.blocks, model)
     with open(out / "report.json", "w") as f:
         json.dump(report, f, indent=2)
     log.info("C_H/C_S = %.2f over %d blocks", report["speedup"],
@@ -223,8 +209,7 @@ def cmd_sweep(cfg: RunConfig, args):
     values = [float(v) for v in args.values.split(",")]
     backend = None
     if args.model:
-        model, stats = _load_model(args.model)
-        backend = surrogate_backend(model, stats)
+        backend = surrogate_backend(SurrogateModel.load(args.model))
     rows = bench.sweep(cfg, args.seed, args.param, values, backend)
     with open(out / "sweep.csv", "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=list(rows[0]))

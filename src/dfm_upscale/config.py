@@ -26,7 +26,12 @@ def fingerprint(obj) -> str:
 
 def _accepts(hint, value) -> bool:
     """Whether a JSON value fits a field's type hint: float takes int,
-    no number field takes bool, and X | None takes None."""
+    no number field takes bool, X | None takes None, and list[T] takes a
+    list whose elements all fit T."""
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_accepts(item, v)
+                                               for v in value)
     options = typing.get_args(hint) or (hint,)
     if isinstance(value, bool):
         return bool in options
@@ -51,7 +56,7 @@ def _build(cls, data: dict, path: str):
         if isinstance(hint, type) and is_dataclass(hint):
             value = _build(hint, value, where)
         elif not _accepts(hint, value):
-            expected = getattr(hint, "__name__", hint)
+            expected = hint if typing.get_args(hint) else hint.__name__
             raise ConfigError(f"{where}: expected {expected}, got "
                               f"{type(value).__name__} {value!r}")
         kwargs[name] = value
@@ -82,9 +87,18 @@ class DfnSection:
 @dataclass
 class SrfSection:
     correlation_length: float = 0.0
-    mean_log: list = field(default_factory=lambda: [-6.0, -5.8])
-    cov_log: list = field(default_factory=lambda: [[0.25, 0.2], [0.2, 0.25]])
+    mean_log: list[float] = field(default_factory=lambda: [-6.0, -5.8])
+    cov_log: list[list[float]] = field(
+        default_factory=lambda: [[0.25, 0.2], [0.2, 0.25]])
     resolution: int = 64
+
+    def __post_init__(self):
+        if len(self.mean_log) != 2:
+            raise ConfigError("srf.mean_log: expected 2 values, got "
+                              f"{self.mean_log!r}")
+        if [len(row) for row in self.cov_log] != [2, 2]:
+            raise ConfigError("srf.cov_log: expected a 2 x 2 matrix, got "
+                              f"{self.cov_log!r}")
 
 
 @dataclass
@@ -109,7 +123,7 @@ class RasterSection:
 class DatasetSection:
     ratio_class: str = "A"
     n_samples: int = 128
-    lambdas: list = field(default_factory=lambda: [0.0, 10.0, 25.0])
+    lambdas: list[float] = field(default_factory=lambda: [0.0, 10.0, 25.0])
     block_size: float = 14.28
     srf_resolution: int = 64
     solver_resolution: int = 24
@@ -131,8 +145,9 @@ class TrainSection:
     batch_size: int = 64
     patience: int = 10
     lr_decay: float = 0.1
-    conv_channels: list = field(default_factory=lambda: [24, 48, 96, 192, 256])
-    dense_widths: list = field(default_factory=lambda: [2048, 2048, 1024])
+    conv_channels: list[int] = field(
+        default_factory=lambda: [24, 48, 96, 192, 256])
+    dense_widths: list[int] = field(default_factory=lambda: [2048, 2048, 1024])
 
 
 @dataclass

@@ -45,7 +45,8 @@ def enforce_ratio(network: FractureNetwork, field_, ratio: float):
 
 
 def generate_sample(cfg: RunConfig, index: int, seed: int):
-    """One (raster, target) pair; deterministic in (cfg, seed, index).
+    """One sample as (image (R, R, 4), target (3,), lambda); deterministic
+    in (cfg, seed, index).
 
     Reads cfg.dataset, cfg.dfn, the SRF moments of cfg.srf and
     cfg.raster.resolution. Raises SolverError if homogenization fails.
@@ -61,15 +62,11 @@ def generate_sample(cfg: RunConfig, index: int, seed: int):
                                  np.asarray(cfg.srf.cov_log), srf_seed)
     network = generate_dfn(dfn.power_law, dfn.rho_2d, block,
                            dfn.aperture_ratio, dfn.constants, dfn_seed)
-    network, factor = enforce_ratio(network, field_,
-                                     RATIO_CLASSES[ds.ratio_class])
+    network, _ = enforce_ratio(network, field_,
+                               RATIO_CLASSES[ds.ratio_class])
     k, _ = anisotropy_tensor(field_, network, block, ds.solver_resolution)
-    sample = rasterize_block(field_, network, block, cfg.raster.resolution,
-                             metadata={"index": index, "lambda": lam,
-                                       "ratio_factor": factor,
-                                       "seed": seed})
-    sample.target = k
-    return sample
+    image = rasterize_block(field_, network, block, cfg.raster.resolution)
+    return image, k, lam
 
 
 def split_indices(n: int, seed: int):
@@ -99,41 +96,51 @@ def sample_matrix_mean(image: np.ndarray) -> float:
     return xbar
 
 
-def normalize_sample(image: np.ndarray, target: np.ndarray | None):
-    """Divide conductivity channels and target by the sample matrix mean."""
-    xbar = sample_matrix_mean(image)
-    out = np.array(image, dtype=float)
-    out[:, :, :3] /= xbar
-    tgt = None if target is None else np.asarray(target, float) / xbar
-    return out, tgt, xbar
-
-
+# stats keys of the tensor components (kxx, kxy, kyy); the diagonal is logged
 _CHANNEL_KEYS = ("log_kxx", "kxy", "log_kyy")
 
 
-def _standardize_components(values3, stats3, inverse=False):
-    """values3: (..., 3) with components (kxx, kxy, kyy)."""
-    out = np.array(values3, dtype=float)
+def _normalize(images: np.ndarray, targets: np.ndarray | None):
+    """(images, targets, xbar): copies of `images` (..., H, W, 4) and
+    `targets` (None or (..., 3)) whose tensor components are divided by
+    their own image's matrix mean xbar (...)."""
+    images = np.asarray(images)
+    xbar = np.array([sample_matrix_mean(image) for image in
+                     images.reshape((-1,) + images.shape[-3:])])
+    xbar = xbar.reshape(images.shape[:-3])
+    # all four channels in one pass, then the cross-section put back: a
+    # [..., :3] operand makes numpy loop over three elements at a time
+    out = images / xbar[..., None, None, None]
+    out[..., 3] = images[..., 3]
+    tgt = None if targets is None else np.asarray(targets) / xbar[..., None]
+    return out, tgt, xbar
+
+
+def _standardize(values: np.ndarray, stats3: dict) -> np.ndarray:
+    """In place on components (..., 3) of a float array: log of the
+    diagonal, then (v - avg) / std. Returns `values`."""
     for c, key in enumerate(_CHANNEL_KEYS):
-        out[..., c] = _standardize_channel(out[..., c], key, stats3[key],
-                                           inverse)
-    return out
+        v = values[..., c]
+        if key.startswith("log"):
+            if np.any(v <= 0.0):
+                bad = tuple(np.argwhere(v <= 0.0)[0].tolist())
+                raise ValueError(f"non-positive {key[4:]} at {bad}: SPD "
+                                 "invariant violated upstream")
+            np.log(v, out=v)
+        v -= stats3[key]["avg"]
+        v /= stats3[key]["std"]
+    return values
 
 
-def _standardize_channel(vals, key, stat, inverse=False):
-    """One component: log for the diagonal keys, then (v - avg) / std."""
-    avg = stat["avg"]
-    std = stat["std"]
-    if key.startswith("log"):
-        if inverse:
-            return np.exp(vals * std + avg)
-        if np.any(vals <= 0.0):
-            bad = np.argwhere(vals <= 0.0)[0]
-            raise ValueError(
-                f"non-positive {key[4:]} at {tuple(bad)}: SPD "
-                "invariant violated upstream")
-        return (np.log(vals) - avg) / std
-    return vals * std + avg if inverse else (vals - avg) / std
+def _unstandardize(values: np.ndarray, stats3: dict) -> np.ndarray:
+    """In place, the exact inverse of _standardize. Returns `values`."""
+    for c, key in enumerate(_CHANNEL_KEYS):
+        v = values[..., c]
+        v *= stats3[key]["std"]
+        v += stats3[key]["avg"]
+        if key.startswith("log"):
+            np.exp(v, out=v)
+    return values
 
 
 def preprocess(images: np.ndarray, targets: np.ndarray | None, stats: dict):
@@ -144,63 +151,41 @@ def preprocess(images: np.ndarray, targets: np.ndarray | None, stats: dict):
     by its own matrix mean xbar. Returns (images, targets, xbar); xbar is a
     float for one image and an array for a stack, needed for the inverse.
     """
-    images = np.asarray(images)
-    xbar = np.array([sample_matrix_mean(image) for image in
-                     images.reshape((-1,) + images.shape[-3:])])
-    xbar = xbar.reshape(images.shape[:-3])
-    out = np.array(images, dtype=float)
-    for c, key in enumerate(_CHANNEL_KEYS):
-        out[..., c] = _standardize_channel(
-            images[..., c] / xbar[..., None, None], key, stats["input"][key])
-    tgt = None
-    if targets is not None:
-        tgt = _standardize_components(
-            np.asarray(targets, float) / xbar[..., None], stats["target"])
+    out, tgt, xbar = _normalize(images, targets)
+    _standardize(out[..., :3], stats["input"])
+    if tgt is not None:
+        _standardize(tgt, stats["target"])
     return out, tgt, float(xbar) if xbar.ndim == 0 else xbar
 
 
-def inverse_preprocess(image: np.ndarray, target: np.ndarray | None,
-                       stats: dict, xbar: float):
-    out = np.array(image, dtype=float)
-    out[:, :, :3] = _standardize_components(out[:, :, :3], stats["input"],
-                                            inverse=True) * xbar
-    tgt = None
-    if target is not None:
-        tgt = _standardize_components(target, stats["target"],
-                                      inverse=True) * xbar
+def inverse_preprocess(images: np.ndarray | None, targets: np.ndarray | None,
+                       stats: dict, xbar):
+    """Exact inverse of preprocess given its xbar: (images, targets) in
+    physical units, None where the argument is None."""
+    xbar = np.asarray(xbar, dtype=float)
+    out = tgt = None
+    if images is not None:
+        out = np.array(images, dtype=float)
+        _unstandardize(out[..., :3], stats["input"])
+        out[..., :3] *= xbar[..., None, None, None]
+    if targets is not None:
+        tgt = _unstandardize(np.array(targets, dtype=float),
+                             stats["target"]) * xbar[..., None]
     return out, tgt
-
-
-def inverse_target(target_std: np.ndarray, stats: dict,
-                   xbar: float) -> np.ndarray:
-    return _standardize_components(target_std, stats["target"],
-                                   inverse=True) * xbar
 
 
 def compute_stats(images, targets, train_idx):
     """Standardization statistics of normalized data over the training split."""
-    in_acc = {k: [] for k in _CHANNEL_KEYS}
-    tg_acc = {k: [] for k in _CHANNEL_KEYS}
-    for i in train_idx:
-        norm_img, norm_tgt, _ = normalize_sample(images[i], targets[i])
-        comps = norm_img[:, :, :3].reshape(-1, 3)
+    norm, tgt, _ = _normalize(images[train_idx], targets[train_idx])
+    stats = {"input": {}, "target": {}}
+    for part, values in (("input", norm), ("target", tgt)):
         for c, key in enumerate(_CHANNEL_KEYS):
-            vals = comps[:, c]
-            in_acc[key].append(np.log(vals) if key.startswith("log") else vals)
-            tval = norm_tgt[c]
-            tg_acc[key].append(np.log(tval) if key.startswith("log")
-                               else tval)
-
-    def fold(acc):
-        out = {}
-        for key, chunks in acc.items():
-            flat = np.concatenate([np.atleast_1d(c) for c in chunks])
+            flat = values[..., c].ravel()
+            flat = np.log(flat) if key.startswith("log") else flat
             std = float(flat.std())
-            out[key] = {"avg": float(flat.mean()),
-                        "std": std if std > 0 else 1.0}
-        return out
-
-    return {"input": fold(in_acc), "target": fold(tg_acc)}
+            stats[part][key] = {"avg": float(flat.mean()),
+                                "std": std if std > 0 else 1.0}
+    return stats
 
 
 def _record_bytes(image: np.ndarray, target: np.ndarray) -> bytes:
@@ -250,9 +235,7 @@ def generate_dataset(cfg: RunConfig, seed: int, out_dir, workers: int = 1):
                 raise RuntimeError(
                     f"aborting: {skipped} homogenization failures")
             continue
-        images[kept] = sample.image.astype(np.float32)
-        targets[kept] = sample.target.astype(np.float32)
-        lambdas[kept] = sample.metadata["lambda"]
+        images[kept], targets[kept], lambdas[kept] = sample
         kept += 1
     images = images[:kept]
     targets = targets[:kept]

@@ -11,8 +11,6 @@ overlapping fractures resolve by larger aperture (then lower id).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .frac_geom import FractureNetwork
@@ -20,17 +18,10 @@ from .geometry import Rect, clip_segments, supercover_cells
 from .random_field import TensorField
 
 
-@dataclass
-class RasterSample:
-    image: np.ndarray                  # (R, R, 4)
-    target: np.ndarray | None = None   # (3,) equivalent tensor components
-    metadata: dict = field(default_factory=dict)
-
-
 def rasterize_block(field_: TensorField, network: FractureNetwork | None,
-                    block: Rect, resolution: int,
-                    metadata: dict | None = None) -> RasterSample:
-    """Nearest-cell matrix fill, then one-pixel-wide fracture lines."""
+                    block: Rect, resolution: int) -> np.ndarray:
+    """The (R, R, 4) image: nearest-cell matrix fill, then one-pixel-wide
+    fracture lines."""
     if resolution < 8:
         raise ValueError("raster resolution must be at least 8")
     r = resolution
@@ -50,7 +41,7 @@ def rasterize_block(field_: TensorField, network: FractureNetwork | None,
     image[:, :, 3] = 1.0
 
     if network is None or not len(network):
-        return RasterSample(image=image, metadata=dict(metadata or {}))
+        return image
     # draw rank in ascending (aperture, -id) order: where fractures overlap,
     # the highest rank (the widest, then the lowest id) owns the pixel
     order = np.lexsort((-network.id, network.aperture))
@@ -69,4 +60,4 @@ def rasterize_block(field_: TensorField, network: FractureNetwork | None,
     image[hit, 2] = network.conductivity[drawn]
     image[hit, 3] = network.aperture[drawn]
 
-    return RasterSample(image=image, metadata=dict(metadata or {}))
+    return image

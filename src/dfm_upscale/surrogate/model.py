@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..config import fingerprint
 from ..seeding import substream
 from .layers import (BatchNorm, Conv3x3, Dense, Flatten, MaxPool2, ReLU)
 
@@ -73,16 +74,19 @@ class Architecture:
 @dataclass
 class TrainingState:
     epoch: int = 0
-    learning_rate: float = 0.0025
+    learning_rate: float | None = None  # set by training.train
     best_val_loss: float = float("inf")
 
 
 class SurrogateModel:
+    """The CNN plus ``stats``, the preprocessing statistics of its training
+    split (``dataset_pipeline.compute_stats``) that prediction needs."""
+
     def __init__(self, architecture: Architecture, seed: int = 0,
-                 dtype=np.float32, stats_hash: str = ""):
+                 dtype=np.float32, stats: dict | None = None):
         self.architecture = architecture
         self.dtype = dtype
-        self.stats_hash = stats_hash
+        self.stats = stats
         self.training_state = TrainingState()
         rng = substream(seed, "init")
         arch = architecture
@@ -191,16 +195,19 @@ class SurrogateModel:
 
     # ------------------------------------------------------------------
     def save(self, path):
-        """JSON header plus named float32 weight blobs (npz)."""
+        """model.json (architecture, training state, stats_hash), named
+        float32 weight blobs in weights.npz, and stats.json."""
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
         header = {
             "architecture": self.architecture.to_dict(),
-            "stats_hash": self.stats_hash,
+            "stats_hash": fingerprint(self.stats),
             "training_state": asdict(self.training_state),
         }
         with open(path / "model.json", "w") as f:
             json.dump(header, f, indent=2)
+        with open(path / "stats.json", "w") as f:
+            json.dump(self.stats, f, indent=2)
         params, state = self.copy_params()
         blobs = {f"param/{k}": v.astype("<f4") for k, v in params.items()}
         for lname, st in state.items():
@@ -210,11 +217,18 @@ class SurrogateModel:
 
     @classmethod
     def load(cls, path) -> "SurrogateModel":
+        """Read what save wrote; ValueError if stats.json does not match
+        model.json's stats_hash."""
         path = Path(path)
         with open(path / "model.json") as f:
             header = json.load(f)
+        with open(path / "stats.json") as f:
+            stats = json.load(f)
+        if fingerprint(stats) != header["stats_hash"]:
+            raise ValueError(f"{path / 'stats.json'}: preprocessing "
+                             "statistics do not match the model")
         model = cls(Architecture.from_dict(header["architecture"]),
-                    stats_hash=header["stats_hash"])
+                    stats=stats)
         model.training_state = TrainingState(**header["training_state"])
         with np.load(path / "weights.npz") as blobs:
             params = {}

@@ -85,6 +85,7 @@ def train(model: SurrogateModel, train_images, train_targets,
     if len(train_images) == 0:
         raise ValueError("empty training split")
     optimizer = Adam(model, schedule.learning_rate)
+    model.training_state.learning_rate = optimizer.lr
     result = TrainResult()
     best_params = None
     best_state = None

@@ -66,14 +66,14 @@ def desk_model(desk_dataset):
     images, targets, splits, _, stats = _preprocessed_splits(out)
     arch = Architecture(resolution=64, conv_channels=(8, 16, 32),
                         dense_widths=(64, 64))
-    model = SurrogateModel(arch, seed=0)
+    model = SurrogateModel(arch, seed=0, stats=stats)
     schedule = TrainSection(epochs=DESK_EPOCHS, batch_size=64)
     result = train(model, images[splits["train"]], targets[splits["train"]],
                    images[splits["val"]], targets[splits["val"]], schedule,
                    seed=0)
     metrics = evaluate(model, images[splits["test"]],
                        targets[splits["test"]])
-    return model, stats, result, metrics
+    return model, result, metrics
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ def test_criterion_07_gradient_fidelity():
 
 
 def test_criterion_08_desk_training_learns(desk_model):
-    model, stats, result, metrics = desk_model
+    model, result, metrics = desk_model
     first = result.history[0].val_loss
     best = result.best_val_loss
     ok = best <= 0.5 * first and metrics.r2_mean > 0.0
@@ -303,7 +303,7 @@ def test_criterion_11_backend_equivalence():
 
 
 def test_criterion_12_speedup_direction(desk_model):
-    model, stats, _, _ = desk_model
+    model, _, _ = desk_model
     cfg = RunConfig.from_dict({
         "blocks": {"domain_side": 100.0, "block_size": 2 * 100.0 / 14},
         "srf": {"resolution": 64, "correlation_length": 0.0},
@@ -311,7 +311,7 @@ def test_criterion_12_speedup_direction(desk_model):
         "raster": {"resolution": 64},
     })
     rep = bench_speedup(cfg, seed=2, n_blocks=225, surrogate_model=model,
-                        surrogate_stats=stats, repetitions=1)
+                        repetitions=1)
     raster_frac = rep["c_s_rasterization_seconds"] / rep["c_s_seconds"]
     ok = (rep["n_blocks"] >= 225 and rep["speedup"] > 1.0
           and raster_frac > 0.5)
@@ -353,7 +353,7 @@ def test_criterion_13_determinism(tmp_path):
     block = bgrid.block_rect(1, 1)
     rasters = [rasterize_block(fields[0], nets[0], block, 16)
                for _ in range(2)]
-    checks["rasterize"] = np.array_equal(rasters[0].image, rasters[1].image)
+    checks["rasterize"] = np.array_equal(rasters[0], rasters[1])
 
     dcfg = RunConfig.from_dict({
         "dataset": {"ratio_class": "A", "n_samples": 6, "lambdas": [0.0, 2.0],
@@ -382,10 +382,8 @@ def test_criterion_13_determinism(tmp_path):
 
     from dfm_upscale.dataset_pipeline import load_dataset
     images, targets, _, stats = load_dataset(tmp_path / "d1")
-    from dfm_upscale.rasterizer import RasterSample
-    samples = [RasterSample(image=img) for img in images]
-    model = SurrogateModel(arch, seed=1)
-    preds = [predict_samples(model, samples, stats) for _ in range(2)]
+    model = SurrogateModel(arch, seed=1, stats=stats)
+    preds = [predict_samples(model, images) for _ in range(2)]
     checks["prediction"] = np.array_equal(preds[0], preds[1])
 
     ok = all(checks.values())

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dfm_upscale.cli import main
+from dfm_upscale.surrogate import Architecture, SurrogateModel
 
 SMALL_CONFIG = {
     "blocks": {"domain_side": 20.0, "block_size": 20.0},
@@ -56,6 +57,11 @@ class TestErrorHandling:
         ({"dataset": {"lambdas": 5}}, "dataset.lambdas"),
         ({"blocks": {"length_threshold": "5"}}, "blocks.length_threshold"),
         ({"solver": {"resolution": True}}, "solver.resolution"),
+        ({"srf": {"mean_log": [1]}}, "srf.mean_log"),
+        ({"srf": {"cov_log": [[0.25, 0.2], [0.2]]}}, "srf.cov_log"),
+        ({"dataset": {"lambdas": ["0"]}}, "dataset.lambdas"),
+        ({"train": {"conv_channels": [8.5]}}, "train.conv_channels"),
+        ({"train": {"dense_widths": [True]}}, "train.dense_widths"),
     ])
     def test_mistyped_value_is_config_error(self, tmp_path, capsys, config,
                                             key):
@@ -84,6 +90,28 @@ class TestErrorHandling:
                     "--out", str(tmp_path / "o")])
         assert code == 1
         assert "model" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_tampered_model_stats_is_error(self, config_path, tmp_path,
+                                           capsys):
+        unit = {"avg": 0.0, "std": 1.0}
+        stats = {part: {key: dict(unit)
+                        for key in ("log_kxx", "kxy", "log_kyy")}
+                 for part in ("input", "target")}
+        model_dir = tmp_path / "model"
+        arch = Architecture(resolution=16, conv_channels=(2,),
+                            dense_widths=(4,))
+        SurrogateModel(arch, stats=stats).save(model_dir)
+        stats["input"]["kxy"]["std"] = 2.0
+        (model_dir / "stats.json").write_text(json.dumps(stats))
+        code = run(["upscale", "--config", config_path,
+                    "--backend", "surrogate", "--model", str(model_dir),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert "statistics" in err["message"]
 
 
 class TestBasicCommands:

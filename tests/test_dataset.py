@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from dfm_upscale.config import RATIO_CLASSES, ConfigError, RunConfig
+from dfm_upscale.config import (RATIO_CLASSES, ConfigError, RunConfig,
+                                fingerprint)
 from dfm_upscale.dataset_pipeline import (compute_stats, enforce_ratio,
                                           generate_dataset, generate_sample,
-                                          inverse_preprocess, inverse_target,
-                                          load_dataset, normalize_sample,
+                                          inverse_preprocess, load_dataset,
                                           preprocess, sample_matrix_mean,
                                           split_indices)
 from dfm_upscale.frac_geom import PowerLawSpec, generate_dfn
@@ -82,25 +82,25 @@ class TestEnforceRatio:
 class TestGenerateSample:
     def test_shapes_and_lambda_cycling(self):
         cfg = small_config()
-        s0 = generate_sample(cfg, 0, seed=11)
-        s4 = generate_sample(cfg, 4, seed=11)
-        assert s0.image.shape == (16, 16, 4)
-        assert s0.target.shape == (3,)
-        assert s0.metadata["lambda"] == 0.0
-        assert s4.metadata["lambda"] == 5.0  # index 4 -> lambdas[1]
+        image, target, lam0 = generate_sample(cfg, 0, seed=11)
+        _, _, lam4 = generate_sample(cfg, 4, seed=11)
+        assert image.shape == (16, 16, 4)
+        assert target.shape == (3,)
+        assert lam0 == 0.0
+        assert lam4 == 5.0  # index 4 -> lambdas[1]
 
     def test_determinism(self):
         cfg = small_config()
         a = generate_sample(cfg, 3, seed=11)
         b = generate_sample(cfg, 3, seed=11)
-        assert np.array_equal(a.image, b.image)
-        assert np.array_equal(a.target, b.target)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_seed_sensitivity(self):
         cfg = small_config()
         a = generate_sample(cfg, 3, seed=11)
         b = generate_sample(cfg, 3, seed=12)
-        assert not np.array_equal(a.image, b.image)
+        assert not np.array_equal(a[0], b[0])
 
 
 class TestSplits:
@@ -147,11 +147,17 @@ class TestPreprocessing:
         image[..., 1] = 2.0
         image[..., 2] = 6.0
         image[..., 3] = 1.0
-        out, tgt, xbar = normalize_sample(image, np.array([8.0, 4.0, 12.0]))
+        # zero mean and unit spread: standardization leaves the logged
+        # diagonal and k_xy of the normalized values as they are
+        unit = {key: {"avg": 0.0, "std": 1.0}
+                for key in ("log_kxx", "kxy", "log_kyy")}
+        out, tgt, xbar = preprocess(image, np.array([8.0, 4.0, 12.0]),
+                                    {"input": unit, "target": unit})
         assert xbar == pytest.approx(4.0)
-        assert np.all(out[..., 0] == 1.0)
+        assert np.all(out[..., 0] == 0.0)  # log(4 / 4)
+        assert np.all(out[..., 1] == 0.5)
         assert np.all(out[..., 3] == 1.0)  # cross-section untouched
-        assert np.allclose(tgt, [2.0, 1.0, 3.0])
+        assert np.allclose(tgt, [np.log(2.0), 1.0, np.log(3.0)])
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
@@ -161,8 +167,9 @@ class TestPreprocessing:
         back_img, back_tgt = inverse_preprocess(img, tgt, stats, xbar)
         assert np.allclose(back_img, images[0], rtol=1e-12, atol=1e-20)
         assert np.allclose(back_tgt, targets[0], rtol=1e-12, atol=1e-20)
-        assert np.allclose(inverse_target(tgt, stats, xbar), targets[0],
-                           rtol=1e-12)
+        # the targets alone, as the prediction path inverts them
+        no_img, alone = inverse_preprocess(None, tgt, stats, xbar)
+        assert no_img is None and np.array_equal(alone, back_tgt)
 
     def test_stack_matches_per_sample(self):
         rng = np.random.default_rng(4)
@@ -214,12 +221,16 @@ class TestGenerateDataset:
     # sample bit, or to what the dataset reads from its config, shows here
     RECORDED_SHARD_SHA256 = ("da93ec0ec10c56af685ee539abac40485ef3480b778cdec"
                              "8507b393d775c996d")
+    # config.fingerprint of the same dataset's stats.json: a change to any
+    # bit of the preprocessing statistics shows here
+    RECORDED_STATS_FINGERPRINT = "10ae09a0ea4d2bfe"
 
     def test_recorded_shard_hash(self, tmp_path):
-        manifest, _ = generate_dataset(small_config(), seed=9,
-                                       out_dir=tmp_path / "d")
+        manifest, stats = generate_dataset(small_config(), seed=9,
+                                           out_dir=tmp_path / "d")
         assert [sh["sha256"] for sh in manifest["shards"]] == \
             [self.RECORDED_SHARD_SHA256]
+        assert fingerprint(stats) == self.RECORDED_STATS_FINGERPRINT
 
     def test_shards_bit_identical_and_worker_invariant(self, tmp_path):
         cfg = small_config()
@@ -250,9 +261,9 @@ class TestGenerateDataset:
         assert images.shape == (9, 16, 16, 4)
         assert targets.shape == (9, 3)
         # records agree with regenerating the first sample directly
-        s0 = generate_sample(cfg, 0, seed=21)
-        assert np.allclose(images[0], s0.image, rtol=1e-6)
-        assert np.allclose(targets[0], s0.target, rtol=1e-6)
+        image, target, _ = generate_sample(cfg, 0, seed=21)
+        assert np.allclose(images[0], image, rtol=1e-6)
+        assert np.allclose(targets[0], target, rtol=1e-6)
 
     def test_class_a_log_spread_bounded(self, tmp_path):
         cfg = small_config(n_samples=12)

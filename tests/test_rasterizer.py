@@ -8,19 +8,19 @@ from dfm_upscale.random_field import Grid, TensorField
 from conftest import make_fracture, network_of, uniform_field
 
 
-def matrix_mask(sample):
-    return sample.image[:, :, 3] == 1.0
+def matrix_mask(image):
+    return image[:, :, 3] == 1.0
 
 
 class TestMatrixFill:
     def test_uniform_field(self, unit_rect):
         field = uniform_field(unit_rect, 2e-6, 3e-7, 1e-6)
         s = rasterize_block(field, None, unit_rect, 16)
-        assert s.image.shape == (16, 16, 4)
-        assert np.all(s.image[:, :, 0] == 2e-6)
-        assert np.all(s.image[:, :, 1] == 3e-7)
-        assert np.all(s.image[:, :, 2] == 1e-6)
-        assert np.all(s.image[:, :, 3] == 1.0)
+        assert s.shape == (16, 16, 4)
+        assert np.all(s[:, :, 0] == 2e-6)
+        assert np.all(s[:, :, 1] == 3e-7)
+        assert np.all(s[:, :, 2] == 1e-6)
+        assert np.all(s[:, :, 3] == 1.0)
         assert np.all(matrix_mask(s))
 
     def test_image_orientation(self, unit_rect):
@@ -29,13 +29,13 @@ class TestMatrixFill:
         ky = np.tile(np.arange(8, dtype=float) + 1.0, (8, 1))  # [ix, iy]
         field = TensorField(grid, ky, np.zeros((8, 8)), ky.copy())
         s = rasterize_block(field, None, unit_rect, 8)
-        assert np.all(np.diff(s.image[:, 0, 0]) > 0)     # rows follow y
-        assert np.all(s.image[0, :, 0] == s.image[0, 0, 0])  # constant in x
+        assert np.all(np.diff(s[:, 0, 0]) > 0)     # rows follow y
+        assert np.all(s[0, :, 0] == s[0, 0, 0])  # constant in x
 
     def test_reference_resolution(self, unit_rect):
         field = uniform_field(unit_rect, 1e-6)
         s = rasterize_block(field, None, unit_rect, 256)
-        assert s.image.shape == (256, 256, 4)
+        assert s.shape == (256, 256, 4)
 
     def test_minimum_resolution(self, unit_rect):
         with pytest.raises(ValueError):
@@ -56,10 +56,10 @@ class TestFracturePixels:
         fr = make_fracture((0.0, 0.5), (1.0, 0.5), aperture=1e-3)
         s = rasterize_block(field, network_of(fr), unit_rect, 16)
         # y = 0.5 lies on the edge between rows 7 and 8: ties round up
-        assert np.all(s.image[8, :, 0] == fr.conductivity)
-        assert np.all(s.image[8, :, 1] == 0.0)
-        assert np.all(s.image[8, :, 2] == fr.conductivity)
-        assert np.all(s.image[8, :, 3] == 1e-3)
+        assert np.all(s[8, :, 0] == fr.conductivity)
+        assert np.all(s[8, :, 1] == 0.0)
+        assert np.all(s[8, :, 2] == fr.conductivity)
+        assert np.all(s[8, :, 3] == 1e-3)
         mask = matrix_mask(s)
         assert not mask[8].any()
         assert mask.sum() == 15 * 16
@@ -70,10 +70,10 @@ class TestFracturePixels:
         s = rasterize_block(field, network_of(fr), unit_rect, 32)
         frac = ~matrix_mask(s)
         assert frac.any()
-        assert np.all(s.image[frac, 0] == fr.conductivity)
-        assert np.all(s.image[frac, 1] == 0.0)
-        assert np.all(s.image[frac, 2] == fr.conductivity)
-        assert np.all(s.image[frac, 3] == 2e-3)
+        assert np.all(s[frac, 0] == fr.conductivity)
+        assert np.all(s[frac, 1] == 0.0)
+        assert np.all(s[frac, 2] == fr.conductivity)
+        assert np.all(s[frac, 3] == 2e-3)
 
     def test_larger_aperture_wins_on_overlap(self, unit_rect):
         field = uniform_field(unit_rect, 1e-6)
@@ -83,9 +83,9 @@ class TestFracturePixels:
                              frac_id=1)
         s = rasterize_block(field, network_of(thin, wide), unit_rect, 16)
         # the crossing pixel carries the wider fracture
-        assert s.image[8, 8, 3] == 3e-3
-        assert s.image[8, 8, 0] == wide.conductivity
-        assert s.image[8, 0, 3] == 1e-3  # away from the crossing
+        assert s[8, 8, 3] == 3e-3
+        assert s[8, 8, 0] == wide.conductivity
+        assert s[8, 0, 3] == 1e-3  # away from the crossing
 
     def test_equal_apertures_lower_id_wins(self, unit_rect):
         field = uniform_field(unit_rect, 1e-6)
@@ -95,7 +95,7 @@ class TestFracturePixels:
                              frac_id=7)
         for net in (network_of(low, high), network_of(high, low)):
             s = rasterize_block(field, net, unit_rect, 16)
-            assert s.image[8, 8, 0] == 1.0
+            assert s[8, 8, 0] == 1.0
 
     def test_three_crossing_resolve_by_rank(self, unit_rect):
         # three lines through the centre pixel (8, 8) of a 16 x 16 raster;
@@ -108,11 +108,11 @@ class TestFracturePixels:
         c = make_fracture((0.02, 0.02), (0.98, 0.98), aperture=2e-3,
                           frac_id=2)
         s = rasterize_block(field, network_of(a, b, c), unit_rect, 16)
-        assert s.image[8, 8, 3] == 3e-3      # a, b and c cross here
-        assert s.image[4, 8, 3] == 1e-3      # b alone
-        assert s.image[12, 12, 3] == 2e-3    # c alone
+        assert s[8, 8, 3] == 3e-3      # a, b and c cross here
+        assert s[4, 8, 3] == 1e-3      # b alone
+        assert s[12, 12, 3] == 2e-3    # c alone
         s = rasterize_block(field, network_of(b, c), unit_rect, 16)
-        assert s.image[8, 8, 3] == 2e-3      # c outranks b
+        assert s[8, 8, 3] == 2e-3      # c outranks b
 
     def test_input_order_does_not_matter(self, unit_rect):
         field = uniform_field(unit_rect, 1e-6)
@@ -126,7 +126,7 @@ class TestFracturePixels:
         for perm in (rng.permutation(12) for _ in range(5)):
             s = rasterize_block(field, network_of(*[fracs[k] for k in perm]),
                                 unit_rect, 32)
-            assert np.array_equal(s.image, ref.image)
+            assert np.array_equal(s, ref)
 
     @pytest.mark.parametrize("p0,p1", [((1.0, 1.0), (1.5, 1.5)),
                                        ((0.5, 1.5), (1.0, 1.0))])
@@ -176,4 +176,4 @@ class TestFracturePixels:
                          make_fracture((0.2, 0.9), (0.8, 0.1), frac_id=1))
         a = rasterize_block(field, net, unit_rect, 64)
         b = rasterize_block(field, net, unit_rect, 64)
-        assert np.array_equal(a.image, b.image)
+        assert np.array_equal(a, b)

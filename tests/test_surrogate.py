@@ -1,10 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
-from dfm_upscale.dataset_pipeline import (compute_stats, inverse_target,
+from dfm_upscale.dataset_pipeline import (compute_stats, inverse_preprocess,
                                           preprocess)
-from dfm_upscale.rasterizer import RasterSample
-from dfm_upscale.config import TrainSection, fingerprint
+from dfm_upscale.config import TrainSection
 from dfm_upscale.surrogate import (Adam, Architecture, SurrogateModel,
                                    compute_metrics, evaluate,
                                    predict_in_batches, predict_samples, train,
@@ -367,6 +368,14 @@ class TestTraining:
         assert rows[0]["epoch"] == "1"
         assert float(rows[2]["lr"]) == 0.0025
 
+    def test_learning_rate_recorded_without_epochs(self):
+        model = small_model(seed=0)
+        images = np.zeros((4, 16, 16, 4), dtype=np.float32)
+        targets = np.zeros((4, 3))
+        train(model, images, targets, images, targets,
+              TrainSection(epochs=0, learning_rate=0.01), seed=0)
+        assert model.training_state.learning_rate == 0.01
+
 
 class TestMetrics:
     def test_hand_example(self):
@@ -408,16 +417,15 @@ class TestPrediction:
         rng = np.random.default_rng(0)
         images, targets = synthetic_dataset(rng, 8)
         stats = compute_stats(images.astype(float), targets, np.arange(8))
-        model = small_model(seed=4)
-        model.stats_hash = fingerprint(stats)
+        model = SurrogateModel(SMALL_ARCH, seed=4, stats=stats)
         return model, images, stats
 
     def test_matches_manual_inverse(self):
         model, images, stats = self.make_fixture()
-        sample = RasterSample(image=images[0].astype(float))
-        kxx, kxy, kyy = predict_samples(model, [sample], stats)[0]
+        kxx, kxy, kyy = predict_samples(model, images[:1].astype(float))[0]
         img, _, xbar = preprocess(images[0].astype(float), None, stats)
-        raw = inverse_target(
+        _, raw = inverse_preprocess(
+            None,
             model.forward(img[None].astype(np.float32))[0].astype(float),
             stats, xbar)
         assert kxx == pytest.approx(raw[0], rel=1e-12)
@@ -427,37 +435,43 @@ class TestPrediction:
 
     def test_batched_preprocessing_matches_per_sample(self):
         model, images, stats = self.make_fixture()
-        samples = [RasterSample(image=images[i].astype(float))
-                   for i in range(5)]
-        prep, _, xbars = preprocess(
-            np.stack([s.image for s in samples]), None, stats)
-        singles = [preprocess(s.image, None, stats) for s in samples]
+        rasters = images[:5].astype(float)
+        prep, _, xbars = preprocess(rasters, None, stats)
+        singles = [preprocess(image, None, stats) for image in rasters]
         outs = model.forward(np.asarray([img for img, _, _ in singles],
                                         np.float32))
-        preds = predict_samples(model, samples, stats)
+        preds = predict_samples(model, rasters)
         for i, (img, _, xbar) in enumerate(singles):
             assert np.array_equal(prep[i], img)
             assert xbars[i] == xbar
             assert np.array_equal(
-                preds[i], inverse_target(outs[i].astype(float), stats, xbar))
+                preds[i],
+                inverse_preprocess(None, outs[i].astype(float), stats,
+                                   xbar)[1])
 
-    def test_stats_mismatch_rejected(self):
-        model, images, stats = self.make_fixture()
+    def test_stats_mismatch_rejected(self, tmp_path):
+        # statistics edited after save no longer match model.json
+        model, _, stats = self.make_fixture()
+        model.save(tmp_path / "m")
         other = {k: {kk: {"avg": vv["avg"] + 1.0, "std": vv["std"]}
                      for kk, vv in v.items()} for k, v in stats.items()}
+        with open(tmp_path / "m" / "stats.json", "w") as f:
+            json.dump(other, f, indent=2)
         with pytest.raises(ValueError, match="statistics"):
-            predict_samples(model,
-                            [RasterSample(image=images[0].astype(float))],
-                            other)
+            SurrogateModel.load(tmp_path / "m")
+
+    def test_model_without_stats_rejected(self):
+        _, images, _ = self.make_fixture()
+        with pytest.raises(ValueError, match="statistics"):
+            predict_samples(small_model(seed=4), images[:1].astype(float))
 
     def test_batch_matches_single(self):
         model, images, stats = self.make_fixture()
-        samples = [RasterSample(image=images[i].astype(float))
-                   for i in range(5)]
-        batch = predict_samples(model, samples, stats)
+        rasters = images[:5].astype(float)
+        batch = predict_samples(model, rasters)
         assert batch.shape == (5, 3)
-        for i, s in enumerate(samples):
-            single = predict_samples(model, [s], stats)[0]
+        for i in range(5):
+            single = predict_samples(model, rasters[i:i + 1])[0]
             assert np.allclose(batch[i], single, rtol=1e-6)
 
     def test_evaluate_and_batches(self):
@@ -473,15 +487,18 @@ class TestPrediction:
 
 class TestSerialization:
     def test_save_load_identical_predictions(self, tmp_path):
-        model = small_model(seed=9)
-        model.stats_hash = "abc"
+        stats = {"input": {"kxy": {"avg": 0.5, "std": 2.0}},
+                 "target": {"kxy": {"avg": -0.5, "std": 3.0}}}
+        model = SurrogateModel(SMALL_ARCH, seed=9, stats=stats)
         model.training_state.epoch = 5
         # give batchnorm non-trivial running state
         x = np.random.default_rng(0).standard_normal((4, 16, 16, 4)) \
             .astype(np.float32)
         model.forward(x, train=True)
         model.save(tmp_path / "m")
+        assert sorted(p.name for p in (tmp_path / "m").iterdir()) == \
+            ["model.json", "stats.json", "weights.npz"]
         back = SurrogateModel.load(tmp_path / "m")
-        assert back.stats_hash == "abc"
+        assert back.stats == stats
         assert back.training_state.epoch == 5
         assert np.array_equal(back.forward(x), model.forward(x))
