@@ -18,8 +18,8 @@ import numpy as np
 from .config import RunConfig
 from .frac_geom import generate_dfn
 from .geometry import Rect
-from .homogenizer import (anisotropy_tensor, aquifer_kx, block_tensors,
-                          build_block_grid, clipped_blocks, numeric_backend,
+from .homogenizer import (anisotropy_tensor, aquifer_kx, block_candidates,
+                          block_tensors, build_block_grid, numeric_backend,
                           upscale_domain)
 from .random_field import Grid, sample_tensor_field
 from .rasterizer import rasterize_block
@@ -137,8 +137,8 @@ def bench_speedup(cfg: RunConfig, seed: int, n_blocks: int,
     from .surrogate.predict import predict_samples
 
     field_, network, grid = fine_model(cfg, seed)
-    blocks = list(islice(clipped_blocks(network, grid,
-                                        cfg.blocks.length_threshold),
+    blocks = list(islice(block_candidates(network, grid,
+                                          cfg.blocks.length_threshold),
                          n_blocks))
     res = cfg.solver.resolution
     raster_res = (surrogate_model.architecture.resolution
@@ -147,13 +147,13 @@ def bench_speedup(cfg: RunConfig, seed: int, n_blocks: int,
     c_h, c_s, c_raster = [], [], []
     for _ in range(repetitions):
         t0 = time.perf_counter()
-        for rect, clipped in blocks:
-            anisotropy_tensor(field_, clipped, rect, res)
+        for rect, candidates in blocks:
+            anisotropy_tensor(field_, candidates, rect, res)
         c_h.append(time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        rasters = [rasterize_block(field_, clipped, rect, raster_res)
-                   for rect, clipped in blocks]
+        rasters = [rasterize_block(field_, candidates, rect, raster_res)
+                   for rect, candidates in blocks]
         t_raster = time.perf_counter() - t0
         if surrogate_model is not None:
             predict_samples(surrogate_model, np.stack(rasters))

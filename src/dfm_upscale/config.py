@@ -113,6 +113,14 @@ class BlocksSection:
     length_threshold: float | None = None
     coarse_resolution: int | None = None
 
+    def __post_init__(self):
+        if not self.block_size > 0:
+            raise ConfigError("blocks.block_size: must be positive, got "
+                              f"{self.block_size!r}")
+        if self.coarse_resolution is not None and self.coarse_resolution < 1:
+            raise ConfigError("blocks.coarse_resolution: must be at least 1 "
+                              f"or null, got {self.coarse_resolution!r}")
+
 
 @dataclass
 class RasterSection:

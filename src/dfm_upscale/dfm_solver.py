@@ -92,6 +92,8 @@ class DiscreteSystem:
     frac_cond: np.ndarray      # (n_fe,) hydraulic conductivity
     coupling_tri: np.ndarray   # (n_fe,) containing matrix element per midpoint
     matrix: sp.csr_matrix      # assembled stiffness, no BCs applied
+    # fractures whose clipped part keeps no element; one that misses the
+    # domain is not in it and is not counted
     dropped_fractures: int = 0
     merged_fractures: int = 0
     # (Dirichlet mask bytes, free DOFs in solve order, banded Cholesky
@@ -419,7 +421,10 @@ def _fracture_chains(seg_p0, seg_p1, snap_tol, target):
 
 def discretize(field_: TensorField, network: FractureNetwork | None,
                domain: Rect, nx: int, ny: int) -> DiscreteSystem:
-    """Assemble the coupled sparse SPD system for one block or domain."""
+    """Assemble the coupled sparse SPD system for one block or domain.
+
+    The network's fractures are clipped to domain; any that miss it are
+    ignored, so a caller may pass a superset of the fractures in it."""
     if nx < 2 or ny < 2:
         raise ValueError("resolution must be at least 2x2")
     nodes, hx, hy = _mesh_nodes(domain, nx, ny)
@@ -433,20 +438,19 @@ def discretize(field_: TensorField, network: FractureNetwork | None,
     data = (_stiffness(grads, tri_K) * area[:, None, None]).ravel()
 
     snap_tol = 1e-9 * domain.diameter
-    dropped = merged = 0
+    merged = 0
     seg_row = np.zeros(0, np.int64)
     seg_p0 = seg_p1 = np.zeros((0, 2))
     aperture = conductivity = np.zeros(0)
     if network is not None and len(network):
         aperture, conductivity = network.aperture, network.conductivity
         seg_row, q0, q1 = clip_segments(network.p0, network.p1, domain)
-        dropped = len(network) - len(seg_row)
         seg_row, seg_p0, seg_p1, merged = _merge_collinear(
             seg_row, q0, q1, aperture, snap_tol)
 
     n_m = len(nodes)
     target = FRAC_ELEM_FACTOR * min(hx, hy)
-    frac_nodes, spans, zero_len_dropped = _fracture_chains(
+    frac_nodes, spans, dropped = _fracture_chains(
         seg_p0, seg_p1, snap_tol, target)
     sp_seg, sp_nsub, sp_first, sp_i0, sp_i1 = spans
     seg_d = seg_p1 - seg_p0
@@ -496,7 +500,7 @@ def discretize(field_: TensorField, network: FractureNetwork | None,
         frac_elems=np.column_stack([n0, n1]), frac_len=e_len,
         frac_tangent=e_tan, frac_aperture=e_ap, frac_cond=e_cond,
         coupling_tri=e_tri, matrix=matrix,
-        dropped_fractures=dropped + zero_len_dropped,
+        dropped_fractures=dropped,
         merged_fractures=merged)
 
 

@@ -4,7 +4,9 @@ The anisotropy problem solves two Darcy problems with linear boundary heads
 and fits a symmetric tensor to the volume-averaged gradients and velocities.
 The aquifer problem measures horizontal equivalent conductivity from the
 total outflow. Overlapping half-step block grids tile the extended domain;
-per-block tensors are bilinearly interpolated onto a coarse raster.
+a bounding-box screen picks each block's candidate fractures, which the
+solver and the rasterizer clip to the block themselves. Per-block tensors
+are bilinearly interpolated onto a coarse raster.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .dfm_solver import (FlowSolution, aquifer_bc, discretize, linear_head,
                          solve_darcy)
 from .frac_geom import FractureNetwork
-from .geometry import Rect, clip_segments
+from .geometry import Rect
 from .random_field import Grid, TensorField
 
 # Blocks per backend call. The surrogate backend rasterizes and predicts a
@@ -92,27 +94,18 @@ def build_block_grid(side: float, block_size: float,
         block_size=l_eff, centers_x=centers, centers_y=centers)
 
 
-def clip_network(network: FractureNetwork, rect: Rect,
-                 length_threshold: float | None = None) -> FractureNetwork:
-    """Fractures intersecting rect (optionally only those below the length
-    threshold), re-rooted on the rect as their domain. Geometry keeps the
-    original infinite extent; the solver clips again."""
-    rows = np.arange(len(network))
-    if length_threshold is not None:
-        rows = rows[network.length < length_threshold]
-    kept, _, _ = clip_segments(network.p0[rows], network.p1[rows], rect)
-    return network.take(rows[kept], rect)
+def block_candidates(network: FractureNetwork, grid: BlockGrid,
+                     length_threshold: float | None = None):
+    """(rect, candidate fractures) of every block in row-major order.
 
-
-def clipped_blocks(network: FractureNetwork, grid: BlockGrid,
-                   length_threshold: float | None = None):
-    """(rect, clipped network) of every block in row-major order.
-
-    One (fracture x block) bounding-box test picks each block's candidate
-    fractures, and clip_network runs on those only. A fracture that it
-    keeps in a rect has a bounding box that meets the rect, so the result
-    is the one clipping the whole network gives.
+    Only fractures shorter than length_threshold (all, if None) take part.
+    A block's candidates are those whose bounding box meets its rect,
+    re-rooted on the rect. This is a superset of the fractures that cross
+    it: discretize and rasterize_block each clip to the rect themselves.
     """
+    if length_threshold is not None:
+        network = network.take(network.length < length_threshold,
+                               network.domain)
     rects = [rect for _, _, _, rect in grid.blocks()]
     lo = np.minimum(network.p0, network.p1)
     hi = np.maximum(network.p0, network.p1)
@@ -120,9 +113,7 @@ def clipped_blocks(network: FractureNetwork, grid: BlockGrid,
     hit = ((lo[:, 0] <= r[:, 2]) & (hi[:, 0] >= r[:, 0])
            & (lo[:, 1] <= r[:, 3]) & (hi[:, 1] >= r[:, 1]))
     for rect, candidates in zip(rects, hit):
-        yield rect, clip_network(
-            network.take(np.flatnonzero(candidates), network.domain), rect,
-            length_threshold)
+        yield rect, network.take(np.flatnonzero(candidates), rect)
 
 
 def _weighted_averages(sol: FlowSolution):
@@ -188,8 +179,8 @@ def numeric_backend(resolution: int):
     solver."""
 
     def run(field, chunk):
-        fits = [anisotropy_tensor(field, clipped, rect, resolution)
-                for rect, clipped in chunk]
+        fits = [anisotropy_tensor(field, candidates, rect, resolution)
+                for rect, candidates in chunk]
         return BlockResults(np.array([k for k, _ in fits]),
                             np.array([res for _, res in fits]))
 
@@ -202,9 +193,10 @@ def block_tensors(field: TensorField, network: FractureNetwork,
     """The backend's tensor of every block, row-major, unprojected.
 
     backend(field, chunk) -> the BlockResults of a chunk, which holds up
-    to CHUNK_BLOCKS (block_rect, clipped_network) items.
+    to CHUNK_BLOCKS (block_rect, candidate fractures) items (see
+    block_candidates).
     """
-    blocks = clipped_blocks(network, grid, length_threshold)
+    blocks = block_candidates(network, grid, length_threshold)
     chunks = []
     while chunk := list(islice(blocks, CHUNK_BLOCKS)):
         chunks.append(backend(field, chunk))

@@ -10,6 +10,7 @@ Correlation convention used throughout: C(h) = exp(-h^2 / lambda^2).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,32 +94,20 @@ def _gaussian_cov(dist2, lam):
     return np.exp(-dist2 / lam ** 2)
 
 
-_SPECTRUM_CACHE: dict = {}
-_SPECTRUM_CACHE_MAX = 8
+@functools.lru_cache(maxsize=8)
+def _circulant_spectrum(nx: int, ny: int, cell: float, lam: float):
+    """(spectrum, mx, my) of the padded circulant covariance embedding.
 
-
-def _circulant_spectrum(grid: Grid, lam: float):
-    # The spectrum depends only on the grid geometry and the correlation
-    # length, so repeated sampling (four fields per tensor draw, many draws
-    # per dataset) reuses one FFT of the covariance.
-    key = (grid.nx, grid.ny, grid.cell, lam)
-    cached = _SPECTRUM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = _compute_circulant_spectrum(grid, lam)
-    if len(_SPECTRUM_CACHE) >= _SPECTRUM_CACHE_MAX:
-        _SPECTRUM_CACHE.pop(next(iter(_SPECTRUM_CACHE)))
-    _SPECTRUM_CACHE[key] = result
-    return result
-
-
-def _compute_circulant_spectrum(grid: Grid, lam: float):
+    The spectrum depends only on the grid geometry and the correlation
+    length, so repeated sampling (four fields per tensor draw, many draws
+    per dataset) reuses one FFT of the covariance. The array is shared by
+    every caller, so it is read-only."""
     # Pad so the wrapped covariance is negligible at the seam.
-    pad = max(grid.nx, grid.ny, int(np.ceil(7.0 * lam / grid.cell)))
-    mx = grid.nx + pad
-    my = grid.ny + pad
-    ix = np.minimum(np.arange(mx), mx - np.arange(mx)) * grid.cell
-    iy = np.minimum(np.arange(my), my - np.arange(my)) * grid.cell
+    pad = max(nx, ny, int(np.ceil(7.0 * lam / cell)))
+    mx = nx + pad
+    my = ny + pad
+    ix = np.minimum(np.arange(mx), mx - np.arange(mx)) * cell
+    iy = np.minimum(np.arange(my), my - np.arange(my)) * cell
     d2 = ix[:, None] ** 2 + iy[None, :] ** 2
     cov = _gaussian_cov(d2, lam)
     spec = np.fft.fft2(cov).real
@@ -128,7 +117,9 @@ def _compute_circulant_spectrum(grid: Grid, lam: float):
     # embedding genuinely failed.
     if spec.min() < -1e-6 * spec.max():
         raise EmbeddingError(f"negative circulant spectrum: {spec.min():.3e}")
-    return np.maximum(spec, 0.0), mx, my
+    spec = np.maximum(spec, 0.0)
+    spec.setflags(write=False)
+    return spec, mx, my
 
 
 def _sample_dense(grid: Grid, lam: float, rng) -> np.ndarray:
@@ -156,7 +147,7 @@ def sample_gaussian_field(grid: Grid, lam: float, seed: int,
     if lam == 0.0:
         return ScalarField(grid, rng.standard_normal(grid.shape))
     try:
-        spec, mx, my = _circulant_spectrum(grid, lam)
+        spec, mx, my = _circulant_spectrum(grid.nx, grid.ny, grid.cell, lam)
         amp = np.sqrt(spec / (mx * my))
         noise = rng.standard_normal((mx, my)) + 1j * rng.standard_normal((mx, my))
         sample = np.fft.fft2(amp * noise).real[:grid.nx, :grid.ny]

@@ -1,5 +1,5 @@
-"""Rasterize a block's tensor field and clipped fractures into the 4-channel
-surrogate input image.
+"""Rasterize a block's tensor field and fractures into the 4-channel surrogate
+input image.
 
 Image layout: image[row, col, ch] with row = y index (row 0 at the bottom of
 the block), col = x index. Channels: k_xx, k_xy, k_yy, cross-section. Matrix
@@ -18,10 +18,11 @@ from .geometry import Rect, clip_segments, supercover_cells
 from .random_field import TensorField
 
 
-def rasterize_block(field_: TensorField, network: FractureNetwork | None,
+def rasterize_block(field_: TensorField, network: FractureNetwork,
                     block: Rect, resolution: int) -> np.ndarray:
     """The (R, R, 4) image: nearest-cell matrix fill, then one-pixel-wide
-    fracture lines."""
+    fracture lines of the network's fractures clipped to block (any that
+    miss it are ignored)."""
     if resolution < 8:
         raise ValueError("raster resolution must be at least 8")
     r = resolution
@@ -40,8 +41,6 @@ def rasterize_block(field_: TensorField, network: FractureNetwork | None,
     image[:, :, 2] = tensors[:, :, 1, 1]
     image[:, :, 3] = 1.0
 
-    if network is None or not len(network):
-        return image
     # draw rank in ascending (aperture, -id) order: where fractures overlap,
     # the highest rank (the widest, then the lowest id) owns the pixel
     order = np.lexsort((-network.id, network.aperture))

@@ -33,8 +33,8 @@ def surrogate_backend(model: SurrogateModel):
     res = model.architecture.resolution
 
     def run(field, chunk):
-        images = np.stack([rasterize_block(field, clipped, rect, res)
-                           for rect, clipped in chunk])
+        images = np.stack([rasterize_block(field, candidates, rect, res)
+                           for rect, candidates in chunk])
         return BlockResults(predict_samples(model, images),
                             np.zeros(len(chunk)))
 

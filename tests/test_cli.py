@@ -62,6 +62,8 @@ class TestErrorHandling:
         ({"dataset": {"lambdas": ["0"]}}, "dataset.lambdas"),
         ({"train": {"conv_channels": [8.5]}}, "train.conv_channels"),
         ({"train": {"dense_widths": [True]}}, "train.dense_widths"),
+        ({"blocks": {"block_size": 0}}, "blocks.block_size"),
+        ({"blocks": {"coarse_resolution": 0}}, "blocks.coarse_resolution"),
     ])
     def test_mistyped_value_is_config_error(self, tmp_path, capsys, config,
                                             key):

@@ -77,9 +77,17 @@ class TestDiscretize:
         # two chains sharing one node: nodes = elems + 2 - 1
         assert len(sys_.frac_nodes) == len(sys_.frac_elems) + 1
 
-    def test_outside_fracture_dropped(self, unit_rect):
+    def test_outside_fracture_ignored(self, unit_rect):
         field = uniform_field(unit_rect, 1e-6)
         net = network_of(make_fracture((2.0, 2.0), (3.0, 3.0)))
+        sys_ = discretize(field, net, unit_rect, 8, 8)
+        assert sys_.dropped_fractures == 0
+        assert len(sys_.frac_elems) == 0
+
+    def test_fracture_below_snap_tolerance_dropped(self, unit_rect):
+        # snap_tol is 1e-9 * diameter, about 1.4e-9 on the unit square
+        field = uniform_field(unit_rect, 1e-6)
+        net = network_of(make_fracture((0.5, 0.5), (0.5 + 1e-9, 0.5)))
         sys_ = discretize(field, net, unit_rect, 8, 8)
         assert sys_.dropped_fractures == 1
         assert len(sys_.frac_elems) == 0

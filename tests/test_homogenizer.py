@@ -8,17 +8,17 @@ from hypothesis import strategies as st
 from dfm_upscale import homogenizer
 from dfm_upscale.dfm_solver import discretize, linear_head, solve_darcy
 from dfm_upscale.frac_geom import PowerLawSpec, generate_dfn
-from dfm_upscale.geometry import Rect
+from dfm_upscale.geometry import Rect, clip_segments
 from dfm_upscale.homogenizer import (BlockResults, anisotropy_tensor,
-                                     aquifer_kx, build_block_grid,
-                                     clip_network, clipped_blocks,
-                                     numeric_backend, positive_definite,
+                                     aquifer_kx, block_candidates,
+                                     build_block_grid, numeric_backend,
+                                     positive_definite,
                                      project_spd, upscale_domain,
                                      write_block_csv, _weighted_averages)
 from dfm_upscale.random_field import Grid, TensorField, sample_tensor_field
 
 from conftest import (CONSTANTS, layered_field, make_fracture, network_of,
-                      same_fractures, uniform_field)
+                      uniform_field)
 
 # block edges of build_block_grid(4.0, 2.0) and build_block_grid(4.0, 4.0)
 # lie on multiples of 1 in [-2, 6]; half-steps end segments between them
@@ -147,7 +147,7 @@ class TestGoldenTensors:
         grid = build_block_grid(20.0, 20.0)
         for (i, j), expected in self.GOLDEN.items():
             rect = grid.block_rect(i, j)
-            k, _ = anisotropy_tensor(field, clip_network(net, rect), rect, 12)
+            k, _ = anisotropy_tensor(field, net, rect, 12)
             assert k == pytest.approx(expected, rel=1e-12)
 
 
@@ -215,29 +215,41 @@ class TestBlockGrid:
         assert len(ids) == 9
 
 
+def candidates_of(network, block_size, threshold=None):
+    """The ids of every block's candidates over the 4 x 4 domain."""
+    grid = build_block_grid(4.0, block_size)
+    return [c.id.tolist() for _, c in block_candidates(network, grid,
+                                                       threshold)]
+
+
 class TestClipNetwork:
+    """The screen's candidates of each block, clipped to the block, are
+    what clipping the whole network to it gives."""
+
     def test_keeps_intersecting_only(self):
-        rect = Rect(0.0, 0.0, 1.0, 1.0)
         inside = make_fracture((0.2, 0.2), (0.8, 0.8), frac_id=0)
-        outside = make_fracture((2.0, 2.0), (3.0, 3.0), frac_id=1)
-        net = network_of(inside, outside, domain=Rect(0, 0, 4, 4))
-        clipped = clip_network(net, rect)
-        assert clipped.id.tolist() == [0]
-        assert clipped.domain == rect
+        outside = make_fracture((4.5, 4.5), (5.5, 5.5), frac_id=1)
+        net = network_of(inside, outside, domain=Rect(-1, -1, 6, 6))
+        grid = build_block_grid(4.0, 2.0)
+        rect, first = next(block_candidates(net, grid))
+        assert first.id.tolist() == [0]
+        assert rect == first.domain == grid.block_rect(0, 0)
+        kept, _, _ = clip_segments(first.p0, first.p1, rect)
+        assert kept.tolist() == [0]
+        assert all(1 not in ids for ids in candidates_of(net, 2.0)[:-1])
 
     def test_length_threshold(self):
-        rect = Rect(0.0, 0.0, 1.0, 1.0)
         short = make_fracture((0.2, 0.2), (0.4, 0.2), frac_id=0)
         long = make_fracture((0.1, 0.5), (0.9, 0.5), frac_id=1)
         net = network_of(short, long)
-        clipped = clip_network(net, rect, length_threshold=0.5)
-        assert clipped.id.tolist() == [0]
+        ids = candidates_of(net, 2.0, threshold=0.5)
+        assert ids[0] == [0]
+        assert all(1 not in block for block in ids)
+        assert candidates_of(net, 2.0)[0] == [0, 1]
 
     def test_empty_network(self):
-        rect = Rect(0, 0, 1, 1)
-        clipped = clip_network(network_of(domain=Rect(0, 0, 4, 4)), rect)
-        assert len(clipped) == 0
-        assert clipped.domain == rect
+        net = network_of(domain=Rect(0, 0, 4, 4))
+        assert candidates_of(net, 4.0) == [[]] * 9
 
     @settings(max_examples=200, deadline=None)
     @given(segments=st.lists(_segments, max_size=12),
@@ -246,20 +258,23 @@ class TestClipNetwork:
     def test_screened_clip_equals_unscreened(self, segments, block_size,
                                              threshold):
         net = exact_network(segments)
+        short = (net if threshold is None
+                 else net.take(net.length < threshold, net.domain))
         grid = build_block_grid(4.0, block_size)
-        screened = list(clipped_blocks(net, grid, threshold))
+        screened = list(block_candidates(net, grid, threshold))
         assert len(screened) == grid.n_blocks
-        for (_, _, _, rect), (srect, clipped) in zip(grid.blocks(),
-                                                     screened):
-            whole = clip_network(net, rect, threshold)
-            assert srect == rect
-            assert same_fractures(clipped, whole)
-            assert clipped.domain == whole.domain == rect
+        for (_, _, _, rect), (srect, candidates) in zip(grid.blocks(),
+                                                        screened):
+            assert srect == candidates.domain == rect
+            kept, q0, q1 = clip_segments(candidates.p0, candidates.p1, rect)
+            whole, w0, w1 = clip_segments(short.p0, short.p1, rect)
+            assert np.array_equal(candidates.id[kept], short.id[whole])
+            assert np.array_equal(q0, w0) and np.array_equal(q1, w1)
 
     def test_screen_without_network(self):
         grid = build_block_grid(4.0, 2.0)
-        blocks = list(clipped_blocks(network_of(domain=grid.extended), grid,
-                                     0.5))
+        blocks = list(block_candidates(network_of(domain=grid.extended),
+                                       grid, 0.5))
         assert [rect for rect, _ in blocks] == \
             [rect for _, _, _, rect in grid.blocks()]
         assert all(len(c) == 0 and c.domain == rect for rect, c in blocks)
@@ -346,10 +361,10 @@ class TestUpscaleDomain:
             coarse_resolution=6)
         assert grid.n_blocks % homogenizer.CHUNK_BLOCKS != 0
         # every block as the per-block loop computes it, unscreened
+        short = net.take(net.length < threshold, net.domain)
         for (_, _, _, rect), k, res in zip(grid.blocks(), blocks.k,
                                            blocks.residual):
-            ref, ref_res = anisotropy_tensor(
-                field, clip_network(net, rect, threshold), rect, 8)
+            ref, ref_res = anisotropy_tensor(field, short, rect, 8)
             if not positive_definite(ref[None])[0]:
                 ref = project_spd(ref)
             assert res == ref_res

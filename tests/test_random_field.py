@@ -42,6 +42,13 @@ class TestGaussianField:
         b = sample_gaussian_field(grid, 10.0, seed=5)
         assert np.array_equal(a.values, b.values)
 
+    def test_spectrum_shared_read_only(self):
+        from dfm_upscale.random_field import _circulant_spectrum
+        spec, mx, my = _circulant_spectrum(32, 32, 1.0, 10.0)
+        assert _circulant_spectrum(32, 32, 1.0, 10.0)[0] is spec
+        assert not spec.flags.writeable
+        assert spec.shape == (mx, my)
+
     def test_correlation_at_lag_lambda(self):
         grid = Grid(64, 64, 1.0)
         lam = 10.0

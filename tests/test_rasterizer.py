@@ -15,7 +15,7 @@ def matrix_mask(image):
 class TestMatrixFill:
     def test_uniform_field(self, unit_rect):
         field = uniform_field(unit_rect, 2e-6, 3e-7, 1e-6)
-        s = rasterize_block(field, None, unit_rect, 16)
+        s = rasterize_block(field, network_of(), unit_rect, 16)
         assert s.shape == (16, 16, 4)
         assert np.all(s[:, :, 0] == 2e-6)
         assert np.all(s[:, :, 1] == 3e-7)
@@ -28,18 +28,19 @@ class TestMatrixFill:
         grid = Grid(8, 8, 1.0 / 8)
         ky = np.tile(np.arange(8, dtype=float) + 1.0, (8, 1))  # [ix, iy]
         field = TensorField(grid, ky, np.zeros((8, 8)), ky.copy())
-        s = rasterize_block(field, None, unit_rect, 8)
+        s = rasterize_block(field, network_of(), unit_rect, 8)
         assert np.all(np.diff(s[:, 0, 0]) > 0)     # rows follow y
         assert np.all(s[0, :, 0] == s[0, 0, 0])  # constant in x
 
     def test_reference_resolution(self, unit_rect):
         field = uniform_field(unit_rect, 1e-6)
-        s = rasterize_block(field, None, unit_rect, 256)
+        s = rasterize_block(field, network_of(), unit_rect, 256)
         assert s.shape == (256, 256, 4)
 
     def test_minimum_resolution(self, unit_rect):
         with pytest.raises(ValueError):
-            rasterize_block(uniform_field(unit_rect, 1.0), None, unit_rect, 4)
+            rasterize_block(uniform_field(unit_rect, 1.0), network_of(),
+                            unit_rect, 4)
 
     def test_non_square_block_rejected(self):
         rect = Rect(0.0, 0.0, 2.0, 1.0)
@@ -47,7 +48,7 @@ class TestMatrixFill:
         field = TensorField(grid, np.ones((8, 8)), np.zeros((8, 8)),
                             np.ones((8, 8)))
         with pytest.raises(ValueError):
-            rasterize_block(field, None, rect, 8)
+            rasterize_block(field, network_of(), rect, 8)
 
 
 class TestFracturePixels:
