@@ -12,6 +12,8 @@ from .frac_geom import PhysicalConstants, PowerLawSpec
 
 # fracture to matrix conductivity ratio of each dataset class
 RATIO_CLASSES = {"A": 1e3, "B": 1e5, "C": 1e7}
+# the fewest samples a train/val/test split accepts
+MIN_SPLIT_SAMPLES = 5
 
 
 class ConfigError(ValueError):
@@ -144,6 +146,9 @@ class DatasetSection:
                 f"{sorted(RATIO_CLASSES)}")
         if not self.lambdas:
             raise ConfigError("dataset.lambdas: must be non-empty")
+        if self.n_samples < MIN_SPLIT_SAMPLES:
+            raise ConfigError(f"dataset.n_samples: must be at least "
+                              f"{MIN_SPLIT_SAMPLES}, got {self.n_samples}")
 
 
 @dataclass

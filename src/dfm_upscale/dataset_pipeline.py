@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RATIO_CLASSES, RunConfig
+from .config import MIN_SPLIT_SAMPLES, RATIO_CLASSES, RunConfig
 from .frac_geom import generate_dfn, FractureNetwork
 from .geometry import Rect
 from .homogenizer import anisotropy_tensor
@@ -71,8 +71,8 @@ def generate_sample(cfg: RunConfig, index: int, seed: int):
 
 def split_indices(n: int, seed: int):
     """Deterministic 64/16/20 train/val/test split by seeded permutation."""
-    if n < 5:
-        raise ValueError("need at least 5 samples to split")
+    if n < MIN_SPLIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_SPLIT_SAMPLES} samples to split")
     perm = substream(seed, "split").permutation(n)
     n_test = int(n * 0.2)
     n_val = int((n - n_test) * 0.2)

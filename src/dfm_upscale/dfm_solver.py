@@ -112,9 +112,7 @@ class DiscreteSystem:
     # cached on first use, not in discretize, whose time is assembly only
     @cached_property
     def dof_coords(self) -> np.ndarray:
-        if len(self.frac_nodes):
-            return np.vstack([self.nodes, self.frac_nodes])
-        return self.nodes
+        return np.vstack([self.nodes, self.frac_nodes])
 
     @cached_property
     def side_masks(self) -> dict:
@@ -582,15 +580,11 @@ def solve_darcy(system: DiscreteSystem, bc: BoundaryCondition) -> FlowSolution:
     tri_vel = -np.einsum("ndc,nc->nd", system.tri_K, tri_grad)
 
     n_m = system.n_matrix_dofs
-    if len(system.frac_elems):
-        h0 = h[n_m + system.frac_elems[:, 0]]
-        h1 = h[n_m + system.frac_elems[:, 1]]
-        dh_ds = (h1 - h0) / system.frac_len
-        frac_grad = system.frac_tangent * dh_ds[:, None]
-        frac_vel = -system.frac_cond[:, None] * frac_grad
-    else:
-        frac_grad = np.zeros((0, 2))
-        frac_vel = np.zeros((0, 2))
+    h0 = h[n_m + system.frac_elems[:, 0]]
+    h1 = h[n_m + system.frac_elems[:, 1]]
+    dh_ds = (h1 - h0) / system.frac_len
+    frac_grad = system.frac_tangent * dh_ds[:, None]
+    frac_vel = -system.frac_cond[:, None] * frac_grad
 
     # Dirichlet reactions give the discrete boundary fluxes (outflow > 0),
     # subtracted one by one from 0.0 in DOF order: cumsum is sequential,

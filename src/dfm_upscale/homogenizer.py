@@ -122,11 +122,9 @@ def _weighted_averages(sol: FlowSolution):
     w_m = sys_.tri_area  # matrix cross-section is 1
     w_f = sys_.frac_len * sys_.frac_aperture
     total = w_m.sum() + w_f.sum()
-    grad = (w_m @ sol.tri_grad + (w_f @ sol.frac_grad
-                                  if len(w_f) else 0.0)) / total
-    vel = (w_m @ sol.tri_vel + (w_f @ sol.frac_vel
-                                if len(w_f) else 0.0)) / total
-    return np.asarray(grad), np.asarray(vel)
+    grad = (w_m @ sol.tri_grad + w_f @ sol.frac_grad) / total
+    vel = (w_m @ sol.tri_vel + w_f @ sol.frac_vel) / total
+    return grad, vel
 
 
 def anisotropy_tensor(field: TensorField, network: FractureNetwork | None,

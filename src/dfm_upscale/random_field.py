@@ -2,8 +2,8 @@
 
 A cell tensor is K = Q^T diag(k_x, k_y) Q where Q rotates by the unit
 direction of two independent Gaussian fields and (k_x, k_y) are log-normal
-with correlated logs. Sampling uses circulant embedding on a padded grid with
-a dense Cholesky fallback for small grids.
+with correlated logs. Sampling uses circulant embedding on a padded grid
+(Dietrich & Newsam 1997); a failed embedding raises EmbeddingError.
 
 Correlation convention used throughout: C(h) = exp(-h^2 / lambda^2).
 """
@@ -16,11 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cholesky as dense_cholesky
 
 from .seeding import substream
-
-DENSE_FALLBACK_MAX_CELLS = 64 * 64
 
 
 @dataclass(frozen=True)
@@ -45,19 +42,6 @@ class Grid:
         iy = np.clip(np.floor((np.asarray(y) - self.origin[1]) / self.cell
                               ).astype(int), 0, self.ny - 1)
         return ix, iy
-
-
-@dataclass
-class ScalarField:
-    grid: Grid
-    values: np.ndarray  # shape (nx, ny), indexed [ix, iy]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, float)
-        if self.values.shape != self.grid.shape:
-            raise ValueError("values shape does not match grid")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite field values")
 
 
 @dataclass
@@ -90,26 +74,22 @@ class EmbeddingError(RuntimeError):
     pass
 
 
-def _gaussian_cov(dist2, lam):
-    return np.exp(-dist2 / lam ** 2)
-
-
 @functools.lru_cache(maxsize=8)
-def _circulant_spectrum(nx: int, ny: int, cell: float, lam: float):
-    """(spectrum, mx, my) of the padded circulant covariance embedding.
+def _circulant_amplitude(nx: int, ny: int, cell: float, lam: float):
+    """Per-frequency amplitude sqrt(spectrum / (mx * my)) of the padded
+    circulant covariance embedding; (mx, my) is its shape.
 
-    The spectrum depends only on the grid geometry and the correlation
-    length, so repeated sampling (four fields per tensor draw, many draws
-    per dataset) reuses one FFT of the covariance. The array is shared by
-    every caller, so it is read-only."""
+    It depends only on the grid geometry and the correlation length, so
+    repeated sampling (four fields per tensor draw, many draws per dataset)
+    reuses one FFT of the covariance. The array is shared by every caller,
+    so it is read-only."""
     # Pad so the wrapped covariance is negligible at the seam.
     pad = max(nx, ny, int(np.ceil(7.0 * lam / cell)))
     mx = nx + pad
     my = ny + pad
     ix = np.minimum(np.arange(mx), mx - np.arange(mx)) * cell
     iy = np.minimum(np.arange(my), my - np.arange(my)) * cell
-    d2 = ix[:, None] ** 2 + iy[None, :] ** 2
-    cov = _gaussian_cov(d2, lam)
+    cov = np.exp(-(ix[:, None] ** 2 + iy[None, :] ** 2) / lam ** 2)
     spec = np.fft.fft2(cov).real
     # The true spectrum decays below double precision for smooth covariances,
     # so tiny negative eigenvalues are roundoff; clamping them to zero
@@ -117,81 +97,46 @@ def _circulant_spectrum(nx: int, ny: int, cell: float, lam: float):
     # embedding genuinely failed.
     if spec.min() < -1e-6 * spec.max():
         raise EmbeddingError(f"negative circulant spectrum: {spec.min():.3e}")
-    spec = np.maximum(spec, 0.0)
-    spec.setflags(write=False)
-    return spec, mx, my
-
-
-def _sample_dense(grid: Grid, lam: float, rng) -> np.ndarray:
-    n = grid.nx * grid.ny
-    if n > DENSE_FALLBACK_MAX_CELLS:
-        raise EmbeddingError(
-            f"dense fallback limited to {DENSE_FALLBACK_MAX_CELLS} cells, got {n}")
-    xs = np.arange(grid.nx) * grid.cell
-    ys = np.arange(grid.ny) * grid.cell
-    px, py = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([px.ravel(), py.ravel()], axis=1)
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    cov = _gaussian_cov(d2, lam) + 1e-10 * np.eye(n)
-    chol = dense_cholesky(cov, lower=True)
-    return (chol @ rng.standard_normal(n)).reshape(grid.shape)
+    amp = np.sqrt(np.maximum(spec, 0.0) / (mx * my))
+    amp.setflags(write=False)
+    return amp
 
 
 def sample_gaussian_field(grid: Grid, lam: float, seed: int,
-                          tag: str = "field") -> ScalarField:
+                          tag: str = "field") -> np.ndarray:
     """Stationary zero-mean unit-variance Gaussian field with
-    C(h) = exp(-h^2/lam^2); lam = 0 gives i.i.d. N(0, 1) cells."""
+    C(h) = exp(-h^2/lam^2) as an (nx, ny) array indexed [ix, iy];
+    lam = 0 gives i.i.d. N(0, 1) cells."""
     if lam < 0.0:
         raise ValueError("correlation length must be >= 0")
     rng = substream(seed, tag)
     if lam == 0.0:
-        return ScalarField(grid, rng.standard_normal(grid.shape))
-    try:
-        spec, mx, my = _circulant_spectrum(grid.nx, grid.ny, grid.cell, lam)
-        amp = np.sqrt(spec / (mx * my))
-        noise = rng.standard_normal((mx, my)) + 1j * rng.standard_normal((mx, my))
-        sample = np.fft.fft2(amp * noise).real[:grid.nx, :grid.ny]
-        return ScalarField(grid, sample)
-    except EmbeddingError:
-        return ScalarField(grid, _sample_dense(grid, lam, rng))
+        return rng.standard_normal(grid.shape)
+    amp = _circulant_amplitude(grid.nx, grid.ny, grid.cell, lam)
+    noise = rng.standard_normal(amp.shape) + 1j * rng.standard_normal(amp.shape)
+    return np.fft.fft2(amp * noise).real[:grid.nx, :grid.ny]
 
 
-def assemble_tensor_field(dir_x: ScalarField, dir_y: ScalarField,
-                          logk_x: ScalarField, logk_y: ScalarField,
-                          mean_log: np.ndarray, cov_log: np.ndarray,
-                          redraw_rng: np.random.Generator | None = None,
+def assemble_tensor_field(grid: Grid, dir_x, dir_y, logk_x, logk_y,
+                          mean_log, cov_log,
                           metadata: dict | None = None) -> TensorField:
-    """Combine four standard Gaussian fields into an SPD tensor field.
+    """Combine four standard Gaussian (nx, ny) arrays into an SPD tensor
+    field on grid.
 
-    The direction fields give the per-cell rotation, the other two give the
+    The direction arrays give the per-cell rotation, the other two give the
     correlated log-normal principal conductivities via the lower Cholesky
     factor of cov_log.
     """
-    grid = dir_x.grid
-    for f in (dir_y, logk_x, logk_y):
-        if f.grid != grid:
-            raise ValueError("all fields must share one grid")
-    cov_log = np.asarray(cov_log, float)
+    if any(np.shape(f) != grid.shape for f in (dir_x, dir_y, logk_x, logk_y)):
+        raise ValueError("all fields must match the grid shape")
     mean_log = np.asarray(mean_log, float)
-    chol = np.linalg.cholesky(cov_log)
-    log_kx = mean_log[0] + chol[0, 0] * logk_x.values
-    log_ky = mean_log[1] + chol[1, 0] * logk_x.values + chol[1, 1] * logk_y.values
-    kx = np.exp(log_kx)
-    ky = np.exp(log_ky)
+    chol = np.linalg.cholesky(np.asarray(cov_log, float))
+    kx = np.exp(mean_log[0] + chol[0, 0] * logk_x)
+    ky = np.exp(mean_log[1] + chol[1, 0] * logk_x + chol[1, 1] * logk_y)
 
-    xx = dir_x.values.copy()
-    xy = dir_y.values.copy()
-    norm = np.hypot(xx, xy)
-    if np.any(norm < 1e-300):
-        rng = redraw_rng or np.random.default_rng(0)
-        mask = norm < 1e-300
-        while np.any(mask):
-            xx[mask] = rng.standard_normal(mask.sum())
-            xy[mask] = rng.standard_normal(mask.sum())
-            norm = np.hypot(xx, xy)
-            mask = norm < 1e-300
-    yx = xx / norm
-    yy = xy / norm
+    norm = np.hypot(dir_x, dir_y)
+    yx = dir_x / norm
+    yy = dir_y / norm
 
     kxx = yx ** 2 * kx + yy ** 2 * ky
     kyy = yy ** 2 * kx + yx ** 2 * ky
@@ -207,9 +152,7 @@ def sample_tensor_field(grid: Grid, lam: float, mean_log, cov_log,
     meta = {"lambda": lam, "mean_log": list(np.asarray(mean_log, float)),
             "cov_log": np.asarray(cov_log, float).tolist(), "seed": seed,
             "covariance": "exp(-h^2/lambda^2)"}
-    return assemble_tensor_field(*fields, np.asarray(mean_log, float),
-                                 np.asarray(cov_log, float),
-                                 redraw_rng=substream(seed, "dir-redraw"),
+    return assemble_tensor_field(grid, *fields, mean_log, cov_log,
                                  metadata=meta)
 
 

@@ -174,8 +174,8 @@ def test_criterion_05_random_field_statistics():
     grid = Grid(320, 320, 1.0)   # 102400 >= 1e5 cells
     lam = 10.0
     chol = np.linalg.cholesky(np.array([[0.25, 0.2], [0.2, 0.25]]))
-    ktx = sample_gaussian_field(grid, lam, seed=0, tag="logk-x").values
-    kty = sample_gaussian_field(grid, lam, seed=0, tag="logk-y").values
+    ktx = sample_gaussian_field(grid, lam, seed=0, tag="logk-x")
+    kty = sample_gaussian_field(grid, lam, seed=0, tag="logk-y")
     log_kx = -6.0 + chol[0, 0] * ktx
     log_ky = -5.8 + chol[1, 0] * ktx + chol[1, 1] * kty
     var = float(log_kx.var())

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dfm_upscale import random_field
 from dfm_upscale.cli import main
 from dfm_upscale.surrogate import Architecture, SurrogateModel
 
@@ -77,6 +78,38 @@ class TestErrorHandling:
         err = json.loads(lines[0])
         assert err["error"] == "ConfigError"
         assert key in err["message"]
+
+    def test_too_few_samples_rejected_before_any_solve(self, tmp_path,
+                                                      capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(
+            SMALL_CONFIG, dataset=dict(SMALL_CONFIG["dataset"], n_samples=3))))
+        out = tmp_path / "o"
+        code = run(["build-dataset", "--config", str(bad), "--out", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert "dataset.n_samples" in err["message"]
+        assert not (out / "shards").exists()
+
+    def test_failed_embedding_is_json_error(self, config_path, tmp_path,
+                                            capsys, monkeypatch):
+        def fail(*args):
+            raise random_field.EmbeddingError("negative circulant spectrum")
+        monkeypatch.setattr(random_field, "_circulant_amplitude", fail)
+        cfg = dict(SMALL_CONFIG, srf=dict(SMALL_CONFIG["srf"],
+                                          correlation_length=5.0))
+        (tmp_path / "srf.json").write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        code = run(["generate-srf", "--config", str(tmp_path / "srf.json"),
+                    "--out", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "EmbeddingError"
+        assert not (out / "field.bin").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = run(["generate-srf", "--config", str(tmp_path / "nope.json"),

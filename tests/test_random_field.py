@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from dfm_upscale.random_field import (Grid, ScalarField, TensorField,
+from dfm_upscale.random_field import (Grid, TensorField,
+                                      _circulant_amplitude,
                                       assemble_tensor_field,
                                       sample_gaussian_field,
                                       sample_tensor_field, save_tensor_field)
@@ -31,8 +32,8 @@ def load_tensor_field(path) -> TensorField:
 class TestGaussianField:
     def test_white_noise_lag1_correlation(self):
         grid = Grid(1000, 1000, 1.0)
-        f = sample_gaussian_field(grid, 0.0, seed=1)
-        v = f.values
+        v = sample_gaussian_field(grid, 0.0, seed=1)
+        assert v.shape == grid.shape
         corr = np.corrcoef(v[:-1].ravel(), v[1:].ravel())[0, 1]
         assert abs(corr) < 0.01
 
@@ -40,19 +41,28 @@ class TestGaussianField:
         grid = Grid(32, 32, 1.0)
         a = sample_gaussian_field(grid, 10.0, seed=5)
         b = sample_gaussian_field(grid, 10.0, seed=5)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_spectrum_shared_read_only(self):
-        from dfm_upscale.random_field import _circulant_spectrum
-        spec, mx, my = _circulant_spectrum(32, 32, 1.0, 10.0)
-        assert _circulant_spectrum(32, 32, 1.0, 10.0)[0] is spec
-        assert not spec.flags.writeable
-        assert spec.shape == (mx, my)
+        amp = _circulant_amplitude(32, 32, 1.0, 10.0)
+        assert _circulant_amplitude(32, 32, 1.0, 10.0) is amp
+        assert not amp.flags.writeable
+        assert amp.shape == (32 + 70, 32 + 70)
+
+    # corners of the (nx, cell, lambda) range: fine and coarse cells, a
+    # correlation length far below and far above the cell, the largest
+    # padding, and the dataset block at the reference lambda
+    @pytest.mark.parametrize("nx, cell, lam", [
+        (16, 0.05, 0.01), (16, 1.0, 100.0), (128, 5.0, 200.0),
+        (64, 14.28 / 64, 25.0)])
+    def test_embedding_spectrum_check_passes(self, nx, cell, lam):
+        amp = _circulant_amplitude(nx, nx, cell, lam)
+        assert np.all(np.isfinite(amp)) and amp.max() > 0.0
 
     def test_correlation_at_lag_lambda(self):
         grid = Grid(64, 64, 1.0)
         lam = 10.0
-        vals = np.stack([sample_gaussian_field(grid, lam, seed=s).values
+        vals = np.stack([sample_gaussian_field(grid, lam, seed=s)
                          for s in range(500)])
         # ensemble statistics (spatial averages are biased for correlated
         # fields over a window of a few correlation lengths)
@@ -65,28 +75,9 @@ class TestGaussianField:
         with pytest.raises(ValueError):
             sample_gaussian_field(Grid(8, 8, 1.0), -1.0, seed=0)
 
-    def test_dense_fallback_matches_statistics(self):
-        # exercise the dense path directly on a small grid
-        from dfm_upscale.random_field import _sample_dense
-        from dfm_upscale.seeding import substream
-        grid = Grid(16, 16, 1.0)
-        vals = [_sample_dense(grid, 4.0, substream(s, "f"))
-                for s in range(300)]
-        vals = np.stack(vals)
-        assert vals.shape == (300, 16, 16)
-        assert vals.var() == pytest.approx(1.0, rel=0.1)
-        corr = np.mean(vals[:, :-4] * vals[:, 4:]) / vals.var()
-        assert corr == pytest.approx(np.exp(-1.0), abs=0.1)
-
-    def test_dense_fallback_size_limit(self):
-        from dfm_upscale.random_field import EmbeddingError, _sample_dense
-        from dfm_upscale.seeding import substream
-        with pytest.raises(EmbeddingError):
-            _sample_dense(Grid(100, 100, 1.0), 4.0, substream(0, "f"))
-
 
 def constant_scalar(grid, value):
-    return ScalarField(grid, np.full(grid.shape, float(value)))
+    return np.full(grid.shape, float(value))
 
 
 class TestAssembleTensorField:
@@ -95,7 +86,8 @@ class TestAssembleTensorField:
     def assemble(self, xx, xy, kx_tilde=0.0, ky_tilde=0.0,
                  mean=MEAN_LOG, cov=COV_LOG):
         return assemble_tensor_field(
-            constant_scalar(self.grid, xx), constant_scalar(self.grid, xy),
+            self.grid, constant_scalar(self.grid, xx),
+            constant_scalar(self.grid, xy),
             constant_scalar(self.grid, kx_tilde),
             constant_scalar(self.grid, ky_tilde), mean, cov)
 
@@ -115,11 +107,7 @@ class TestAssembleTensorField:
         rng = np.random.default_rng(3)
         grid = Grid(16, 16, 1.0)
         f = assemble_tensor_field(
-            ScalarField(grid, rng.standard_normal(grid.shape)),
-            ScalarField(grid, rng.standard_normal(grid.shape)),
-            ScalarField(grid, rng.standard_normal(grid.shape)),
-            ScalarField(grid, rng.standard_normal(grid.shape)),
-            MEAN_LOG, COV_LOG)
+            grid, *rng.standard_normal((4,) + grid.shape), MEAN_LOG, COV_LOG)
         chol = np.linalg.cholesky(COV_LOG)
         # recompute the principal values the same way to compare invariants
         det = f.kxx * f.kyy - f.kxy ** 2
@@ -140,8 +128,8 @@ class TestAssembleTensorField:
         # reconstruct principal values independently
         from dfm_upscale.random_field import sample_gaussian_field
         chol = np.linalg.cholesky(COV_LOG)
-        kt_x = sample_gaussian_field(field.grid, 0.0, 17, "logk-x").values
-        kt_y = sample_gaussian_field(field.grid, 0.0, 17, "logk-y").values
+        kt_x = sample_gaussian_field(field.grid, 0.0, 17, "logk-x")
+        kt_y = sample_gaussian_field(field.grid, 0.0, 17, "logk-y")
         kx = np.exp(MEAN_LOG[0] + chol[0, 0] * kt_x)
         ky = np.exp(MEAN_LOG[1] + chol[1, 0] * kt_x + chol[1, 1] * kt_y)
         mats = np.stack([np.stack([field.kxx, field.kxy], -1),
@@ -155,8 +143,8 @@ class TestAssembleTensorField:
         grid = Grid(320, 320, 1.0)
         from dfm_upscale.random_field import sample_gaussian_field
         chol = np.linalg.cholesky(COV_LOG)
-        kt_x = sample_gaussian_field(grid, 0.0, 23, "logk-x").values
-        kt_y = sample_gaussian_field(grid, 0.0, 23, "logk-y").values
+        kt_x = sample_gaussian_field(grid, 0.0, 23, "logk-x")
+        kt_y = sample_gaussian_field(grid, 0.0, 23, "logk-y")
         log_kx = MEAN_LOG[0] + chol[0, 0] * kt_x
         log_ky = MEAN_LOG[1] + chol[1, 0] * kt_x + chol[1, 1] * kt_y
         assert log_kx.var() == pytest.approx(0.25, rel=0.10)
@@ -165,30 +153,19 @@ class TestAssembleTensorField:
 
     def test_purpose_tags_uncorrelated(self):
         grid = Grid(320, 320, 1.0)
-        a = sample_gaussian_field(grid, 0.0, 5, "dir-x").values.ravel()
-        b = sample_gaussian_field(grid, 0.0, 5, "logk-x").values.ravel()
+        a = sample_gaussian_field(grid, 0.0, 5, "dir-x").ravel()
+        b = sample_gaussian_field(grid, 0.0, 5, "logk-x").ravel()
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.02
 
     def test_mismatched_grids_rejected(self):
         g1 = Grid(4, 4, 1.0)
         g2 = Grid(5, 5, 1.0)
         with pytest.raises(ValueError):
-            assemble_tensor_field(constant_scalar(g1, 1.0),
+            assemble_tensor_field(g1, constant_scalar(g1, 1.0),
                                   constant_scalar(g2, 0.0),
                                   constant_scalar(g1, 0.0),
                                   constant_scalar(g1, 0.0),
                                   MEAN_LOG, COV_LOG)
-
-    def test_zero_direction_redrawn(self):
-        grid = Grid(2, 2, 1.0)
-        from dfm_upscale.seeding import substream
-        f = assemble_tensor_field(constant_scalar(grid, 0.0),
-                                  constant_scalar(grid, 0.0),
-                                  constant_scalar(grid, 0.0),
-                                  constant_scalar(grid, 0.0),
-                                  MEAN_LOG, COV_LOG,
-                                  redraw_rng=substream(0, "redraw"))
-        assert is_spd(f)
 
 
 class TestSerialization:
