@@ -18,11 +18,11 @@ import numpy as np
 from .config import RunConfig
 from .frac_geom import generate_dfn
 from .geometry import Rect
-from .homogenizer import (anisotropy_tensor, aquifer_kx, block_candidates,
-                          block_tensors, build_block_grid, numeric_backend,
-                          upscale_domain)
+from .homogenizer import (CHUNK_BLOCKS, anisotropy_tensor, aquifer_kx,
+                          block_candidates, block_tensors, build_block_grid,
+                          numeric_backend, upscale_domain)
 from .random_field import Grid, sample_tensor_field
-from .rasterizer import rasterize_block
+from .rasterizer import rasterize_blocks
 from .seeding import substream
 from .surrogate.metrics import compute_metrics
 
@@ -133,7 +133,9 @@ def bench_speedup(cfg: RunConfig, seed: int, n_blocks: int,
                   surrogate_model=None, repetitions: int = 3) -> dict:
     """Median-of-repetitions wall-clock cost of per-block homogenization
     (C_H: discretization + solves) versus the surrogate path
-    (C_S: rasterization of every block + one batched inference pass)."""
+    (C_S: rasterization and inference of every block, one chunk of
+    homogenizer.CHUNK_BLOCKS at a time, as the surrogate backend of
+    upscale runs them)."""
     from .surrogate.predict import predict_samples
 
     field_, network, grid = fine_model(cfg, seed)
@@ -152,11 +154,14 @@ def bench_speedup(cfg: RunConfig, seed: int, n_blocks: int,
         c_h.append(time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        rasters = [rasterize_block(field_, candidates, rect, raster_res)
-                   for rect, candidates in blocks]
-        t_raster = time.perf_counter() - t0
-        if surrogate_model is not None:
-            predict_samples(surrogate_model, np.stack(rasters))
+        t_raster = 0.0
+        for i in range(0, len(blocks), CHUNK_BLOCKS):
+            t1 = time.perf_counter()
+            images = rasterize_blocks(field_, blocks[i:i + CHUNK_BLOCKS],
+                                      raster_res)
+            t_raster += time.perf_counter() - t1
+            if surrogate_model is not None:
+                predict_samples(surrogate_model, images)
         c_s.append(time.perf_counter() - t0)
         c_raster.append(t_raster)
 

@@ -39,26 +39,29 @@ class Rect:
         return (self.x0, self.y0, self.x1, self.y1)
 
 
-def clip_segments(p0, p1, rect: Rect):
+def clip_segments(p0, p1, rect):
     """Liang-Barsky clip of the segments p0[k]-p1[k] to rect.
 
-    p0 and p1 are (n, 2) arrays. Returns (kept, q0, q1): the indices of the
-    segments whose clipped part has nonzero length, in input order, and
+    p0 and p1 are (n, 2) arrays; rect is a Rect, or an (n, 4) array of
+    per-row (x0, y0, x1, y1) bounds. Returns (kept, q0, q1): the indices of
+    the segments whose clipped part has nonzero length, in input order, and
     that part's endpoints. Each row runs the per-segment steps: the four
     edges in order, then the t1 > t0 and nonzero-length tests; a row stops
     updating once it is rejected.
     """
     p0 = np.asarray(p0, float).reshape(-1, 2)
     d = np.asarray(p1, float).reshape(-1, 2) - p0
+    x0, y0, x1, y1 = (rect.as_tuple() if isinstance(rect, Rect)
+                      else np.asarray(rect, float).T)
     t0 = np.zeros(len(p0))
     t1 = np.ones(len(p0))
     alive = np.ones(len(p0), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for p, q in (
-            (-d[:, 0], p0[:, 0] - rect.x0),
-            (d[:, 0], rect.x1 - p0[:, 0]),
-            (-d[:, 1], p0[:, 1] - rect.y0),
-            (d[:, 1], rect.y1 - p0[:, 1]),
+            (-d[:, 0], p0[:, 0] - x0),
+            (d[:, 0], x1 - p0[:, 0]),
+            (-d[:, 1], p0[:, 1] - y0),
+            (d[:, 1], y1 - p0[:, 1]),
         ):
             r = q / p
             enter = p < 0.0
@@ -150,7 +153,10 @@ def supercover_cells(a, b, nx: int, ny: int):
         ts.append(t[inside])
     seg = np.concatenate(segs)
     t = np.concatenate(ts)
-    order = np.lexsort((t, seg))
+    # sort by (seg, t): the pieces depend only on the sorted values, so
+    # equal breakpoints may come in any order
+    order = np.argsort(t)
+    order = order[np.argsort(seg[order], kind="stable")]
     seg, t = seg[order], t[order]
     # consecutive distinct breakpoints of one segment bound a piece
     piece = (seg[1:] == seg[:-1]) & (t[1:] != t[:-1])

@@ -25,8 +25,9 @@ from .geometry import Rect
 from .random_field import Grid, TensorField
 
 # Blocks per backend call. The surrogate backend rasterizes and predicts a
-# chunk in one forward pass; every image in a chunk adds about 1.2 MB to
-# peak memory (conv0's im2col and the float64 copies of preprocessing).
+# chunk in one forward pass; at raster 64, every image in a chunk adds about
+# 0.45 MB to the peak of the prediction (mostly the float64 copies of
+# preprocessing; the convolutions build their columns in bands).
 CHUNK_BLOCKS = 8
 
 
@@ -101,7 +102,7 @@ def block_candidates(network: FractureNetwork, grid: BlockGrid,
     Only fractures shorter than length_threshold (all, if None) take part.
     A block's candidates are those whose bounding box meets its rect,
     re-rooted on the rect. This is a superset of the fractures that cross
-    it: discretize and rasterize_block each clip to the rect themselves.
+    it: discretize and rasterize_blocks each clip to the rect themselves.
     """
     if length_threshold is not None:
         network = network.take(network.length < length_threshold,

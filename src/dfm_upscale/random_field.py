@@ -114,7 +114,11 @@ def sample_gaussian_field(grid: Grid, lam: float, seed: int,
         return rng.standard_normal(grid.shape)
     amp = _circulant_amplitude(grid.nx, grid.ny, grid.cell, lam)
     noise = rng.standard_normal(amp.shape) + 1j * rng.standard_normal(amp.shape)
-    return np.fft.fft2(amp * noise).real[:grid.nx, :grid.ny]
+    # the nx x ny corner of fft2, which transforms the rows and then the
+    # columns: only the ny kept columns get the second transform; the copy
+    # keeps no padded transform alive
+    rows = np.fft.fft(amp * noise, axis=1)
+    return np.fft.fft(rows[:, :grid.ny], axis=0)[:grid.nx].real.copy()
 
 
 def assemble_tensor_field(grid: Grid, dir_x, dir_y, logk_x, logk_y,

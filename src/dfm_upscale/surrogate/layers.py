@@ -49,6 +49,12 @@ def _channel_rows(x, *vectors):
             *(np.tile(v, reps) for v in vectors))
 
 
+# Most values in one band of convolution columns at inference (256 KB in
+# float32). At the desk architecture on 64 x 64 rasters, a whole chunk's
+# conv0 columns (4.4 MB) made its forward pass about 1.7x slower.
+BAND_VALUES = 2 ** 16
+
+
 def he_uniform(rng, fan_in, shape, dtype):
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
@@ -91,19 +97,43 @@ class Conv3x3(Layer):
         self._cache = (cols, x.shape) if train else None
         return out
 
-    def forward_folded(self, x, bn: "BatchNorm"):
-        """Eval forward of this convolution followed by bn, as one
-        convolution. Its kernel and bias are computed in float64 from the
-        current parameters and running moments, then cast to the layer
-        dtype. Like any eval forward, it frees both layers' backward
-        buffers."""
+    def fold(self, bn: "BatchNorm"):
+        """(kernel, bias) of this convolution followed by bn in eval mode,
+        as one convolution: computed in float64 from the current parameters
+        and running moments, then cast to the layer dtype. Like any eval
+        forward, it frees both layers' backward buffers."""
         s = bn.params["scale"] / np.sqrt(bn.running_var + bn.eps)
         kernel = self.params["kernel"] * s
         bias = (self.params["bias"] - bn.running_mean) * s \
             + bn.params["shift"]
         dtype = self.params["kernel"].dtype
         self._cache = bn._cache = None
-        return self._convolve(x, kernel.astype(dtype), bias.astype(dtype))[0]
+        return kernel.astype(dtype), bias.astype(dtype)
+
+    @staticmethod
+    def convolve_planes(x, kernel):
+        """Eval convolution of channel planes x (C, B, H, W), without bias:
+        planes (O, B, H-2, W-2).
+
+        Each column holds the (kh, kw, C) values of one _im2col row, but the
+        columns are copied in runs of W-2 values instead of 3C. They are
+        built and multiplied for a band of output rows of one image at a
+        time, at most BAND_VALUES values per band, so that a band is still
+        in cache for its product.
+        """
+        c, b, h, w = x.shape
+        ho, wo = h - 2, w - 2
+        k = kernel.reshape(9 * c, -1).T
+        out = np.empty((k.shape[0], b, ho, wo), dtype=k.dtype)
+        win = sliding_window_view(x, (3, 3), axis=(2, 3)) \
+            .transpose(4, 5, 0, 1, 2, 3)
+        bands = -(-9 * c * ho * wo // BAND_VALUES)
+        rows = -(-ho // bands)
+        for i in range(b):
+            for r in range(0, ho, rows):
+                cols = win[:, :, :, i, r:r + rows].reshape(9 * c, -1)
+                out[:, i, r:r + rows] = (k @ cols).reshape(len(k), -1, wo)
+        return out
 
     def backward(self, dout):
         cols, x_shape = self._cache
@@ -194,25 +224,28 @@ class ReLU(Layer):
 
 class MaxPool2(Layer):
     def forward(self, x, train: bool):
+        if not train:
+            return self.forward_planes(x.transpose(3, 0, 1, 2)) \
+                .transpose(1, 2, 3, 0)
         b, h, w, c = x.shape
         ho, wo = h // 2, w // 2
-        if not train:
-            # The value that argmax picks below, from four strided views
-            # instead of a transposed 5-D copy (a tie can differ only in
-            # the sign of a zero, and the ReLU beside a pool, before or
-            # after it, leaves none).
-            self._cache = None
-            return np.maximum(
-                np.maximum(x[:, 0:2 * ho:2, 0:2 * wo:2],
-                           x[:, 0:2 * ho:2, 1:2 * wo:2]),
-                np.maximum(x[:, 1:2 * ho:2, 0:2 * wo:2],
-                           x[:, 1:2 * ho:2, 1:2 * wo:2]))
         xt = x[:, :2 * ho, :2 * wo]
         win = xt.reshape(b, ho, 2, wo, 2, c).transpose(0, 1, 3, 5, 2, 4)
         win = win.reshape(b, ho, wo, c, 4)
         arg = win.argmax(axis=-1)
-        self._cache = (x.shape, arg) if train else None
+        self._cache = (x.shape, arg)
         return np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+
+    def forward_planes(self, x):
+        """Eval pooling of channel planes (C, B, H, W): the value that the
+        argmax of forward picks (a tie can differ only in the sign of a
+        zero, and the ReLU beside a pool, before or after it, leaves none).
+        The larger of each row pair comes first, so that maximum runs along
+        whole rows. Frees the backward buffer."""
+        ho, wo = x.shape[2] // 2, x.shape[3] // 2
+        self._cache = None
+        rows = np.maximum(x[:, :, 0:2 * ho:2], x[:, :, 1:2 * ho:2])
+        return np.maximum(rows[..., 0:2 * wo:2], rows[..., 1:2 * wo:2])
 
     def backward(self, dout):
         (b, h, w, c), arg = self._cache

@@ -1,8 +1,9 @@
 """Fixed-topology convolutional regressor.
 
 Each conv stage is Conv3x3 -> BatchNorm -> ReLU -> MaxPool2x2 (inference
-folds the BatchNorm into the convolution and pools before ReLU), so a side of
-length s maps to floor((s - 2) / 2). The default stack of
+runs on channel planes, folds the BatchNorm into the convolution and pools
+before the bias and ReLU), so a side of length s maps to
+floor((s - 2) / 2). The default stack of
 config.TrainSection on 256x256x4 input yields sides 127/62/30/14/6 and a
 9216-wide flatten, followed by its dense layers and a 3-wide linear output.
 """
@@ -78,6 +79,12 @@ class TrainingState:
     best_val_loss: float = float("inf")
 
 
+def _add_channel_bias(planes, bias):
+    """In place: bias[c] added to plane c of planes (C, B, H, W)."""
+    planes += bias[:, None, None, None]
+    return planes
+
+
 class SurrogateModel:
     """The CNN plus ``stats``, the preprocessing statistics of its training
     split (``dataset_pipeline.compute_stats``) that prediction needs."""
@@ -135,24 +142,32 @@ class SurrogateModel:
     def _eval_steps(self):
         """(name, function) of every step of the inference pass.
 
-        Each conv stage runs its Conv3x3 with the BatchNorm folded in, then
-        pools, then applies ReLU. Pooling before ReLU gives the same values
-        because ReLU is monotone, and ReLU then sees a quarter of them.
-        Pooling cannot move before the folded affine map, whose scale can
-        be negative. The fold is recomputed on every call, so it always
-        reflects the current parameters and running moments.
+        The conv stages run on channel planes (C, B, H, W), where every
+        copy and elementwise pass moves whole image rows. Each stage runs
+        its Conv3x3 with the BatchNorm folded in, then pools, then adds the
+        folded bias and applies ReLU. Pooling before the bias and ReLU gives
+        the same values because both are monotone, and they then see a
+        quarter of them. Pooling cannot move before the folded kernel,
+        whose scale can be negative. The fold is recomputed on every call,
+        so it always reflects the current parameters and running moments.
+        The planes go back to channels-last for the flatten, so the dense
+        layers see the training layout.
         """
         layers = dict(zip(self.layer_names, self.layers))
-        steps = []
+        steps = [("planes",
+                  lambda x: np.ascontiguousarray(x.transpose(3, 0, 1, 2)))]
         for i in range(len(self.architecture.conv_channels)):
+            kernel, bias = layers[f"conv{i}"].fold(layers[f"bn{i}"])
             steps += [
-                (f"conv{i}", partial(layers[f"conv{i}"].forward_folded,
-                                     bn=layers[f"bn{i}"])),
-                (f"pool{i}", partial(layers[f"pool{i}"].forward,
-                                     train=False)),
+                (f"conv{i}", partial(Conv3x3.convolve_planes, kernel=kernel)),
+                (f"pool{i}", layers[f"pool{i}"].forward_planes),
+                (f"bias{i}", partial(_add_channel_bias, bias=bias)),
                 (f"relu_c{i}", partial(layers[f"relu_c{i}"].forward,
                                        train=False))]
-        head = self.layer_names.index("flatten")
+        flatten = layers["flatten"]
+        steps.append(("flatten", lambda x: flatten.forward(
+            x.transpose(1, 2, 3, 0), train=False)))
+        head = self.layer_names.index("flatten") + 1
         return steps + [(name, partial(layer.forward, train=False))
                         for name, layer in zip(self.layer_names[head:],
                                                self.layers[head:])]

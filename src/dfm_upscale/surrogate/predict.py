@@ -6,7 +6,7 @@ import numpy as np
 
 from ..dataset_pipeline import inverse_preprocess, preprocess
 from ..homogenizer import BlockResults
-from ..rasterizer import rasterize_block
+from ..rasterizer import rasterize_blocks
 from .model import SurrogateModel
 from .training import predict_in_batches
 
@@ -29,12 +29,12 @@ def predict_samples(model: SurrogateModel, images: np.ndarray) -> np.ndarray:
 
 def surrogate_backend(model: SurrogateModel):
     """Chunk backend for upscaling (see homogenizer.block_tensors): the
-    chunk's blocks are rasterized, then predicted in one forward pass."""
+    chunk's blocks are rasterized in one pass, then predicted in one
+    forward pass."""
     res = model.architecture.resolution
 
     def run(field, chunk):
-        images = np.stack([rasterize_block(field, candidates, rect, res)
-                           for rect, candidates in chunk])
+        images = rasterize_blocks(field, chunk, res)
         return BlockResults(predict_samples(model, images),
                             np.zeros(len(chunk)))
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfm_upscale.geometry import (Rect, clip_segments, segment_intersections,
@@ -61,11 +61,15 @@ def clip_one(p0, p1, rect):
 
 
 def assert_clip_matches_reference(p0, p1, rect):
+    """rect is one Rect, or a list of one Rect per row."""
+    rows = [rect] * len(p0) if isinstance(rect, Rect) else rect
     with np.errstate(over="ignore"):
-        expected = [(k, reference_clip(a, b, rect))
-                    for k, (a, b) in enumerate(zip(p0, p1))]
+        expected = [(k, reference_clip(a, b, r))
+                    for k, (a, b, r) in enumerate(zip(p0, p1, rows))]
     expected = [(k, q) for k, q in expected if q is not None]
-    kept, q0, q1 = clip_segments(p0, p1, rect)
+    kept, q0, q1 = clip_segments(
+        p0, p1, rect if isinstance(rect, Rect)
+        else np.array([r.as_tuple() for r in rect]))
     assert kept.tolist() == [k for k, _ in expected]
     assert np.array_equal(q0, np.reshape([q[0] for _, q in expected],
                                          (-1, 2)))
@@ -127,6 +131,14 @@ class TestClipSegment:
         p0 = np.array([a for a, _ in segs])
         p1 = np.array([b for _, b in segs])
         assert_clip_matches_reference(p0, p1, rect)
+
+    @settings(max_examples=200, deadline=None)
+    @given(segs=st.lists(st.tuples(point, point, st.sampled_from(CLIP_RECTS)),
+                         min_size=1, max_size=12))
+    def test_per_row_rects_match_scalar_reference(self, segs):
+        p0 = np.array([a for a, _, _ in segs])
+        p1 = np.array([b for _, b, _ in segs])
+        assert_clip_matches_reference(p0, p1, [r for _, _, r in segs])
 
 
 def reference_intersection(a0, a1, b0, b1, eps):
@@ -212,8 +224,15 @@ class TestSegmentIntersection:
 
 
 def reference_supercover(a, b, nx: int, ny: int):
+    """Deduplicated (m, 2) array of the (ix, iy) cells of
+    reference_pieces."""
+    return np.unique(reference_pieces(a, b, nx, ny), axis=0)
+
+
+def reference_pieces(a, b, nx: int, ny: int):
     """Scalar supercover of one segment: the loop form of supercover_cells,
-    kept as its reference. Deduplicated (m, 2) array of (ix, iy)."""
+    kept as its reference. (m, 2) array of the (ix, iy) cell of every
+    piece, in t order, not deduplicated."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     d = b - a
@@ -231,7 +250,7 @@ def reference_supercover(a, b, nx: int, ny: int):
     for t0, t1 in zip(ts[:-1], ts[1:]):
         p = a + 0.5 * (t0 + t1) * d
         cells.append((point_to_cell(p[0], nx), point_to_cell(p[1], ny)))
-    return np.unique(np.asarray(cells, dtype=np.int64), axis=0)
+    return np.asarray(cells, dtype=np.int64).reshape(-1, 2)
 
 
 def point_to_cell(x: float, n: int) -> int:
@@ -253,6 +272,10 @@ cell_coordinate = st.one_of(
     st.sampled_from([0.5, 3.5, 7.5, 8.0]),
     st.floats(-1.0, 9.0, allow_nan=False, allow_infinity=False))
 cell_point = st.tuples(cell_coordinate, cell_coordinate)
+# segments between integer points cross grid corners, where an x and a y
+# crossing share one t
+corner_point = st.tuples(st.integers(-1, 9).map(float),
+                         st.integers(-1, 9).map(float))
 
 
 class TestSupercover:
@@ -319,3 +342,18 @@ class TestSupercover:
             expected = reference_supercover(a[k], b[k], 8, 8)
             assert np.array_equal(np.unique(cells[seg == k], axis=0),
                                   expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(segs=st.lists(st.one_of(st.tuples(cell_point, cell_point),
+                                   st.tuples(corner_point, corner_point)),
+                         min_size=1, max_size=8))
+    @example(segs=[((0.0, 0.0), (8.0, 8.0)), ((7.0, 1.0), (1.0, 4.0)),
+                   ((2.0, 6.0), (2.0, 6.0)), ((-1.0, 9.0), (9.0, -1.0))])
+    def test_pieces_match_scalar_reference(self, segs):
+        a = np.array([p for p, _ in segs])
+        b = np.array([q for _, q in segs])
+        seg, cells = supercover_cells(a, b, 8, 8)
+        pieces = [reference_pieces(a[k], b[k], 8, 8) for k in range(len(a))]
+        assert seg.tolist() == [k for k, p in enumerate(pieces)
+                                for _ in range(len(p))]
+        assert np.array_equal(cells, np.concatenate(pieces))

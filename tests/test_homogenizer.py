@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfm_upscale import homogenizer
+from dfm_upscale.dataset_pipeline import compute_stats
 from dfm_upscale.dfm_solver import discretize, linear_head, solve_darcy
 from dfm_upscale.frac_geom import PowerLawSpec, generate_dfn
 from dfm_upscale.geometry import Rect, clip_segments
@@ -16,6 +17,9 @@ from dfm_upscale.homogenizer import (BlockResults, anisotropy_tensor,
                                      project_spd, upscale_domain,
                                      write_block_csv, _weighted_averages)
 from dfm_upscale.random_field import Grid, TensorField, sample_tensor_field
+from dfm_upscale.rasterizer import rasterize_block, rasterize_blocks
+from dfm_upscale.surrogate import Architecture, SurrogateModel
+from dfm_upscale.surrogate.predict import surrogate_backend
 
 from conftest import (CONSTANTS, layered_field, make_fracture, network_of,
                       uniform_field)
@@ -379,6 +383,61 @@ class TestUpscaleDomain:
         assert np.array_equal(blocks1.residual, blocks.residual)
         for c in ("kxx", "kxy", "kyy"):
             assert np.array_equal(getattr(coarse1, c), getattr(coarse, c))
+
+    def test_surrogate_chunks_match_per_block_loop(self, monkeypatch):
+        grid = build_block_grid(4.0, 2.0)  # 25 blocks: chunks of 8, 8, 8, 1
+        assert grid.n_blocks % homogenizer.CHUNK_BLOCKS != 0
+        ext = grid.extended
+        rng = np.random.default_rng(7)
+        n = 16
+        kx = np.exp(-6 + 0.5 * rng.standard_normal((n, n)))
+        field = TensorField(Grid(n, n, ext.width / n, (ext.x0, ext.y0)),
+                            kx, 0.1 * kx, kx[::-1].copy())
+        # block (i, j) covers [i - 1, i + 1] x [j - 1, j + 1]; no fracture
+        # reaches y > 2.5, so blocks 20-24 have no candidates
+        net = exact_network([
+            (-1.5, 0.3, 5.5, 0.3),  # crosses blocks 0-9, two chunks
+            (0.3, -1.5, 0.3, 2.5),  # same aperture as 0: id 0 wins
+            (1.2, 0.1, 2.7, 1.9),   # wider than 0: wins where they cross
+            (3.4, 1.6, 3.6, 1.6),
+        ])
+        net.aperture = np.array([1e-3, 1e-3, 2e-3, 1e-3])
+        net.conductivity = np.array([1.0, 2.0, 3.0, 4.0])
+        res = 16
+        blocks = list(block_candidates(net, grid))
+        assert [len(c) for _, c in blocks[20:]] == [0] * 5
+        images = np.concatenate([
+            rasterize_blocks(field, blocks[i:i + homogenizer.CHUNK_BLOCKS],
+                             res)
+            for i in range(0, grid.n_blocks, homogenizer.CHUNK_BLOCKS)])
+        single = np.stack([rasterize_block(field, candidates, rect, res)
+                           for rect, candidates in blocks])
+        assert np.array_equal(images, single)
+        # the fractures of one block do not paint another
+        conductivity = images[:, :, :, 3] != 1.0
+        assert not conductivity[20:].any()
+        drawn = [set(np.unique(image[..., 0][mask])) for image, mask
+                 in zip(images, conductivity)]
+        assert drawn[0] == {1.0, 2.0}            # (0, 0): fractures 0 and 1
+        assert drawn[4] == {1.0}                 # (4, 0): fracture 0 only
+        assert drawn[14] == {4.0}                # (4, 2): fracture 3 only
+        # pixel (row, col) = (10, 10) of blocks 0 and 1 is where fracture 0
+        # crosses fracture 1 and fracture 2
+        assert images[0, 10, 10, 0] == 1.0
+        assert images[1, 10, 10, 0] == 3.0
+
+        rng = np.random.default_rng(0)
+        stats = compute_stats(single, np.exp(rng.normal(-6, 0.5, (25, 3))),
+                              np.arange(25))
+        model = SurrogateModel(
+            Architecture(resolution=res, conv_channels=(2, 3),
+                         dense_widths=(8,)), seed=4, stats=stats)
+        _, chunked, _ = upscale_domain(field, net, grid,
+                                       surrogate_backend(model))
+        monkeypatch.setattr(homogenizer, "CHUNK_BLOCKS", 1)
+        _, one_by_one, _ = upscale_domain(field, net, grid,
+                                          surrogate_backend(model))
+        assert np.array_equal(chunked.k, one_by_one.k)
 
 
 class TestBlockCsv:

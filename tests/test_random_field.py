@@ -43,6 +43,12 @@ class TestGaussianField:
         b = sample_gaussian_field(grid, 10.0, seed=5)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("lam", [0.0, 10.0])
+    def test_field_owns_its_data(self, lam):
+        # a view of the padded transform would keep all of it alive
+        v = sample_gaussian_field(Grid(32, 24, 1.0), lam, seed=5)
+        assert v.base is None and v.flags.c_contiguous
+
     def test_spectrum_shared_read_only(self):
         amp = _circulant_amplitude(32, 32, 1.0, 10.0)
         assert _circulant_amplitude(32, 32, 1.0, 10.0) is amp

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dfm_upscale.geometry import Rect
-from dfm_upscale.rasterizer import rasterize_block
+from dfm_upscale.geometry import Rect, clip_segments, supercover_cells
+from dfm_upscale.homogenizer import block_candidates, build_block_grid
+from dfm_upscale.rasterizer import rasterize_block, rasterize_blocks
 from dfm_upscale.random_field import Grid, TensorField
 
 from conftest import make_fracture, network_of, uniform_field
@@ -10,6 +13,49 @@ from conftest import make_fracture, network_of, uniform_field
 
 def matrix_mask(image):
     return image[:, :, 3] == 1.0
+
+
+def reference_rasterize_block(field_, network, block, resolution):
+    """One block at a time, with a 2x2 tensor lookup per pixel: the
+    per-block form of rasterize_blocks, kept as its reference."""
+    r = resolution
+    pitch = block.width / r
+    centers = block.x0 + pitch * (np.arange(r) + 0.5)
+    centers_y = block.y0 + pitch * (np.arange(r) + 0.5)
+    cx, cy = np.meshgrid(centers, centers_y, indexing="xy")
+    tensors = field_.tensor_at(cx, cy)  # (r, r, 2, 2), row-major in y
+
+    image = np.empty((r, r, 4))
+    image[:, :, 0] = tensors[:, :, 0, 0]
+    image[:, :, 1] = tensors[:, :, 0, 1]
+    image[:, :, 2] = tensors[:, :, 1, 1]
+    image[:, :, 3] = 1.0
+
+    order = np.lexsort((-network.id, network.aperture))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    kept, q0, q1 = clip_segments(network.p0, network.p1, block)
+    origin = np.array([block.x0, block.y0])
+    seg, cells = supercover_cells((q0 - origin) / pitch, (q1 - origin) / pitch,
+                                  r, r)
+    owner = np.full((r, r), -1, dtype=np.int64)
+    np.maximum.at(owner, (cells[:, 1], cells[:, 0]), rank[kept[seg]])
+    hit = owner >= 0
+    drawn = order[owner[hit]]
+    image[hit, 0] = network.conductivity[drawn]
+    image[hit, 1] = 0.0
+    image[hit, 2] = network.conductivity[drawn]
+    image[hit, 3] = network.aperture[drawn]
+    return image
+
+
+# block edges of build_block_grid(3.0, 2.0) lie on multiples of 1 in
+# [-1, 4] and the pixel edges of its 8-pixel rasters on multiples of 1/4:
+# coordinates in eighths often start, end or run on them
+_coord = st.one_of(st.integers(-12, 36).map(lambda k: k / 8),
+                   st.floats(-1.5, 4.5, allow_nan=False))
+_fracture = st.tuples(_coord, _coord, _coord, _coord,
+                      st.sampled_from([1e-3, 2e-3]))
 
 
 class TestMatrixFill:
@@ -178,3 +224,40 @@ class TestFracturePixels:
         a = rasterize_block(field, net, unit_rect, 64)
         b = rasterize_block(field, net, unit_rect, 64)
         assert np.array_equal(a, b)
+
+
+class TestChunks:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(_fracture, max_size=10), data=st.data())
+    def test_matches_per_block_reference(self, rows, data):
+        # 16 blocks, cut into chunks of random sizes; random ids, so equal
+        # apertures fall to the lower id in every block
+        grid = build_block_grid(3.0, 2.0)
+        ext = grid.extended
+        rng = np.random.default_rng(len(rows))
+        field = TensorField(Grid(12, 12, ext.width / 12, (ext.x0, ext.y0)),
+                            *rng.uniform(1.0, 2.0, (3, 12, 12)))
+        ids = data.draw(st.permutations(range(len(rows))))
+        net = network_of(*(make_fracture(r[:2], r[2:4], aperture=r[4],
+                                         conductivity=float(k), frac_id=i)
+                           for k, (r, i) in enumerate(zip(rows, ids))),
+                         domain=ext)
+        net.p0 = np.array([r[:2] for r in rows], float).reshape(-1, 2)
+        net.p1 = np.array([r[2:4] for r in rows], float).reshape(-1, 2)
+        blocks = list(block_candidates(net, grid))
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(blocks) - 1))))
+        for a, b in zip([0] + cuts, cuts + [len(blocks)]):
+            images = rasterize_blocks(field, blocks[a:b], 8)
+            assert images.shape == (b - a, 8, 8, 4)
+            for image, (rect, candidates) in zip(images, blocks[a:b]):
+                assert np.array_equal(image, reference_rasterize_block(
+                    field, candidates, rect, 8))
+
+    def test_rejects_bad_resolution_and_non_square_blocks(self, unit_rect):
+        field = uniform_field(Rect(0.0, 0.0, 2.0, 2.0), 1.0)
+        square = (unit_rect, network_of())
+        with pytest.raises(ValueError):
+            rasterize_blocks(field, [square, square], 4)
+        with pytest.raises(ValueError):
+            rasterize_blocks(field, [square, (Rect(0.0, 0.0, 2.0, 1.0),
+                                              network_of())], 8)

@@ -10,6 +10,7 @@ from dfm_upscale.surrogate import (Adam, Architecture, SurrogateModel,
                                    compute_metrics, evaluate,
                                    predict_in_batches, predict_samples, train,
                                    validation_loss, write_history_csv)
+from dfm_upscale.surrogate import layers
 from dfm_upscale.surrogate.layers import (BatchNorm, Conv3x3, Dense, MaxPool2,
                                          ReLU)
 from dfm_upscale.seeding import substream
@@ -270,6 +271,24 @@ class TestInferenceKernels:
         expect = (cols @ conv.params["kernel"].reshape(18, 3)
                   + conv.params["bias"]).reshape(2, 4, 3, 3)
         assert np.array_equal(conv.forward(x, train=False), expect)
+
+    def test_planes_conv_matches_columns_in_any_bands(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        kernel = rng.standard_normal((3, 3, 2, 3)).astype(np.float32)
+        x = rng.standard_normal((2, 9, 7, 2)).astype(np.float32)
+        cols = np.stack([x[:, i:i + 7, j:j + 5] for i in range(3)
+                         for j in range(3)], axis=3).reshape(70, 18)
+        expect = (cols @ kernel.reshape(18, 3)).reshape(2, 7, 5, 3)
+        planes = np.ascontiguousarray(x.transpose(3, 0, 1, 2))
+        whole = Conv3x3.convolve_planes(planes, kernel)  # one band per image
+        assert whole.shape == (3, 2, 7, 5)
+        np.testing.assert_allclose(whole.transpose(1, 2, 3, 0), expect,
+                                   rtol=1e-6, atol=1e-6)
+        # bands of 3, 3 and 1 output rows, and of one row each
+        for band_values in (270, 1):
+            monkeypatch.setattr(layers, "BAND_VALUES", band_values)
+            assert np.array_equal(Conv3x3.convolve_planes(planes, kernel),
+                                  whole)
 
 
 class TestAdam:
