@@ -132,10 +132,10 @@ def bench_anisotropy(cfg: RunConfig, seed: int, n_samples: int,
 def bench_speedup(cfg: RunConfig, seed: int, n_blocks: int,
                   surrogate_model=None, repetitions: int = 3) -> dict:
     """Median-of-repetitions wall-clock cost of per-block homogenization
-    (C_H: discretization + solves) versus the surrogate path
-    (C_S: rasterization and inference of every block, one chunk of
-    homogenizer.CHUNK_BLOCKS at a time, as the surrogate backend of
-    upscale runs them)."""
+    (C_H: discretization, solves and fits by the numeric backend) versus
+    the surrogate path (C_S: rasterization and inference). Both run one
+    chunk of homogenizer.CHUNK_BLOCKS blocks at a time, as the backends of
+    upscale do."""
     from .surrogate.predict import predict_samples
 
     field_, network, grid = fine_model(cfg, seed)
@@ -146,11 +146,12 @@ def bench_speedup(cfg: RunConfig, seed: int, n_blocks: int,
     raster_res = (surrogate_model.architecture.resolution
                   if surrogate_model is not None else cfg.raster.resolution)
 
+    numeric = numeric_backend(res)
     c_h, c_s, c_raster = [], [], []
     for _ in range(repetitions):
         t0 = time.perf_counter()
-        for rect, candidates in blocks:
-            anisotropy_tensor(field_, candidates, rect, res)
+        for i in range(0, len(blocks), CHUNK_BLOCKS):
+            numeric(field_, blocks[i:i + CHUNK_BLOCKS])
         c_h.append(time.perf_counter() - t0)
 
         t0 = time.perf_counter()

@@ -11,7 +11,8 @@ between the interpolated matrix head and the mean fracture head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -80,10 +81,8 @@ class DiscreteSystem:
     nx: int
     ny: int
     nodes: np.ndarray          # (n_m, 2) matrix node coords
-    tris: np.ndarray           # (n_tri, 3) node ids
-    tri_area: np.ndarray       # (n_tri,)
-    tri_grads: np.ndarray      # (n_tri, 3, 2) basis gradients
-    tri_K: np.ndarray          # (n_tri, 2, 2)
+    tris: np.ndarray           # (n_tri, 3) node ids (see _mesh_topology)
+    tri_k: np.ndarray          # (n_tri, 3) (k_xx, k_xy, k_yy) per triangle
     frac_nodes: np.ndarray     # (n_f, 2) coords; dof id = n_m + index
     frac_elems: np.ndarray     # (n_fe, 2) indices into frac_nodes
     frac_len: np.ndarray       # (n_fe,)
@@ -96,10 +95,19 @@ class DiscreteSystem:
     # domain is not in it and is not counted
     dropped_fractures: int = 0
     merged_fractures: int = 0
-    # (Dirichlet mask bytes, free DOFs in solve order, banded Cholesky
-    # factor of their matrix) of the last solve
-    _factor: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
+
+    @property
+    def hx(self) -> float:
+        return self.domain.width / self.nx
+
+    @property
+    def hy(self) -> float:
+        return self.domain.height / self.ny
+
+    @property
+    def tri_area(self) -> float:
+        """The area of every triangle."""
+        return 0.5 * self.hx * self.hy
 
     @property
     def n_matrix_dofs(self) -> int:
@@ -125,35 +133,67 @@ class DiscreteSystem:
                 "bottom": np.abs(y - d.y0) <= tol,
                 "top": np.abs(y - d.y1) <= tol}
 
-    @cached_property
-    def order(self) -> np.ndarray:
-        """Reverse Cuthill-McKee order of the full matrix. It does not
-        depend on the Dirichlet mask: every solve's free DOFs follow it."""
-        return reverse_cuthill_mckee(self.matrix, symmetric_mode=True)
-
-    @cached_property
-    def abs_matrix(self) -> sp.csr_matrix:
-        """|A|, which scales every solve's backward error."""
-        return abs(self.matrix)
-
 
 @dataclass
 class FlowSolution:
+    """Heads of one boundary condition. The flow fields derived from them
+    are computed when first read."""
+
     system: DiscreteSystem
     h: np.ndarray              # heads for all dofs
-    tri_grad: np.ndarray       # (n_tri, 2)
-    tri_vel: np.ndarray        # (n_tri, 2), u = -K grad h
-    frac_grad: np.ndarray      # (n_fe, 2), tangent * dh/ds
-    frac_vel: np.ndarray       # (n_fe, 2)
-    boundary_flux: dict = field(default_factory=dict)  # side -> outflow
+    reactions: np.ndarray      # A @ h: Dirichlet reactions on fixed DOFs
+    side_dofs: dict            # side -> its fixed DOFs, corners to the first
     residual: float = 0.0      # backward error of the solve (see gate)
+
+    @cached_property
+    def tri_grad(self) -> np.ndarray:
+        """(n_tri, 2) head gradients, head differences along cell edges:
+        the lower triangle takes its x difference from its cell's bottom
+        edge and its y difference from the right edge, the upper triangle
+        from the top and left edges."""
+        s = self.system
+        hg = self.h[:s.n_matrix_dofs].reshape(s.nx + 1, s.ny + 1)
+        dx = (hg[1:] - hg[:-1]) / s.hx          # (nx, ny + 1)
+        dy = (hg[:, 1:] - hg[:, :-1]) / s.hy    # (nx + 1, ny)
+        g = np.empty((s.nx, s.ny, 2, 2))
+        g[:, :, 0, 0], g[:, :, 0, 1] = dx[:, :-1], dy[1:]
+        g[:, :, 1, 0], g[:, :, 1, 1] = dx[:, 1:], dy[:-1]
+        return g.reshape(-1, 2)
+
+    @cached_property
+    def tri_vel(self) -> np.ndarray:
+        """(n_tri, 2), u = -K grad h."""
+        k, g = self.system.tri_k, self.tri_grad
+        return -np.column_stack([k[:, 0] * g[:, 0] + k[:, 1] * g[:, 1],
+                                 k[:, 1] * g[:, 0] + k[:, 2] * g[:, 1]])
+
+    @cached_property
+    def frac_grad(self) -> np.ndarray:
+        """(n_fe, 2), tangent * dh/ds."""
+        s = self.system
+        h0 = self.h[s.n_matrix_dofs + s.frac_elems[:, 0]]
+        h1 = self.h[s.n_matrix_dofs + s.frac_elems[:, 1]]
+        return s.frac_tangent * ((h1 - h0) / s.frac_len)[:, None]
+
+    @cached_property
+    def frac_vel(self) -> np.ndarray:
+        return -self.system.frac_cond[:, None] * self.frac_grad
+
+    @cached_property
+    def boundary_flux(self) -> dict:
+        """Side -> outflow (> 0) from the Dirichlet reactions, subtracted
+        one by one from 0.0 in DOF order: cumsum is sequential, where np.sum
+        would add pairwise and round differently."""
+        return {side: float(np.cumsum(np.r_[0.0, -self.reactions[dofs]])[-1])
+                for side, dofs in self.side_dofs.items()}
 
 
 @lru_cache(maxsize=8)
 def _mesh_topology(nx: int, ny: int):
     """Triangles of the structured nx x ny mesh and the row and column
-    indices of their 3 x 3 stiffness blocks. The arrays are shared by every
-    call with the same resolution, so they are read-only."""
+    indices of their 3 x 3 stiffness blocks. Triangles 2c and 2c + 1 are the
+    lower and the upper half of cell c = ix * ny + iy. The arrays are shared
+    by every call with the same resolution, so they are read-only."""
     def nid(ix, iy):
         return ix * (ny + 1) + iy
 
@@ -173,52 +213,78 @@ def _mesh_topology(nx: int, ny: int):
     return tris, rows, cols
 
 
-def _mesh_nodes(domain: Rect, nx: int, ny: int):
-    hx = domain.width / nx
-    hy = domain.height / ny
-    xs = domain.x0 + hx * np.arange(nx + 1)
-    ys = domain.y0 + hy * np.arange(ny + 1)
-    px, py = np.meshgrid(xs, ys, indexing="ij")
-    return np.stack([px.ravel(), py.ravel()], axis=1), hx, hy
+def _triangle_tensors(field_: TensorField, xs, ys) -> np.ndarray:
+    """(..., nx, ny, 2, 3) (k_xx, k_xy, k_yy) of the field cell holding each
+    triangle's centroid ((a + b) + c) / 3, lower triangle first, for the
+    (..., nx + 1) and (..., ny + 1) grid lines of one or more meshes. The
+    centroid coordinates are separable, and the field's cell lookup too."""
+    x0, x1 = xs[..., :-1], xs[..., 1:]
+    y0, y1 = ys[..., :-1], ys[..., 1:]
+    ix, iy = field_.grid.cell_index(
+        np.stack([((x0 + x1) + x1) / 3, ((x0 + x1) + x0) / 3], axis=-2),
+        np.stack([((y0 + y0) + y1) / 3, ((y0 + y1) + y1) / 3], axis=-2))
+    comp = np.stack([field_.kxx, field_.kxy, field_.kyy], axis=-1)
+    return np.stack([comp[ix[..., t, :, None], iy[..., t, None, :]]
+                     for t in range(2)], axis=-2)
 
 
-def _p1_gradients(nodes, tris):
-    p = nodes[tris]                      # (n, 3, 2)
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    area = 0.5 * np.abs(det)
-    grads = np.empty((len(tris), 3, 2))
-    # grad N_a = perp(edge opposite a) / (2 * signed area)
-    for a in range(3):
-        b, c = (a + 1) % 3, (a + 2) % 3
-        grads[:, a, 0] = (p[:, b, 1] - p[:, c, 1]) / det
-        grads[:, a, 1] = (p[:, c, 0] - p[:, b, 0]) / det
-    return area, grads
+@lru_cache(maxsize=32)
+def _stiffness_maps(hx: float, hy: float) -> np.ndarray:
+    """(2, 3, 9) maps from (k_xx, k_xy, k_yy) to the 3 x 3 stiffness
+    area * grad_a . K . grad_b of the lower and the upper triangle of a
+    hx x hy cell, whose basis gradients are constant. Read-only, shared by
+    every call with the same cell."""
+    gx, gy = 1.0 / hx, 1.0 / hy
+    grads = np.array([[[-gx, 0.0], [gx, -gy], [0.0, gy]],    # lower
+                      [[0.0, -gy], [gx, 0.0], [-gx, gy]]])   # upper
+    ga, gb = grads[:, :, None, :], grads[:, None, :, :]
+    maps = 0.5 * hx * hy * np.stack(
+        [ga[..., 0] * gb[..., 0],
+         ga[..., 0] * gb[..., 1] + ga[..., 1] * gb[..., 0],
+         ga[..., 1] * gb[..., 1]], axis=1).reshape(2, 3, 9)
+    maps.setflags(write=False)
+    return maps
 
 
-def _stiffness(grads, tri_K):
-    """grad_a . K . grad_b per triangle, the terms added to 0.0 one by one
-    over (d, c) = (0, 0), (0, 1), (1, 0), (1, 1): the order and rounding of
-    np.einsum("nad,ndc,nbc->nab", grads, tri_K, grads), in about half the
-    time."""
-    s = np.zeros((len(grads), 3, 3))
-    for d in range(2):
-        for c in range(2):
-            s = s + ((grads[:, :, None, d] * tri_K[:, None, None, d, c])
-                     * grads[:, None, :, c])
-    return s
+def _stiffness(tri_k: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """(..., 2, 9) stiffness entries of the (..., 2, 3) triangle tensors
+    under the broadcastable (..., 2, 3, 9) maps (see _stiffness_maps), each
+    entry on its own: the k_xx, k_xy and k_yy terms added in that order."""
+    return ((tri_k[..., 0, None] * maps[..., 0, :]
+             + tri_k[..., 1, None] * maps[..., 1, :])
+            + tri_k[..., 2, None] * maps[..., 2, :])
+
+
+def _cell_coords(x0, y0, hx, hy, nx: int, ny: int, x, y):
+    """(ix, iy, lx, ly): the clamped cell of each point on the nx x ny grid
+    of hx x hy cells from (x0, y0), and the point's coordinates in cell
+    units from that cell's lower-left node. The grid may be given per point
+    as arrays."""
+    fx = (np.asarray(x, float) - x0) / hx
+    fy = (np.asarray(y, float) - y0) / hy
+    ix = np.clip(np.floor(fx), 0, nx - 1).astype(np.int64)
+    iy = np.clip(np.floor(fy), 0, ny - 1).astype(np.int64)
+    return ix, iy, fx - ix, fy - iy
 
 
 def locate_triangle(domain: Rect, nx: int, ny: int, x, y):
     """Index of the triangle containing (x, y), elementwise over arrays;
     edge hits resolve toward the larger cell index, diagonal hits toward the
     lower triangle."""
-    fx = (np.asarray(x, float) - domain.x0) / (domain.width / nx)
-    fy = (np.asarray(y, float) - domain.y0) / (domain.height / ny)
-    ix = np.clip(np.floor(fx), 0, nx - 1).astype(np.int64)
-    iy = np.clip(np.floor(fy), 0, ny - 1).astype(np.int64)
-    return 2 * (ix * ny + iy) + (fx - ix < fy - iy)
+    ix, iy, lx, ly = _cell_coords(domain.x0, domain.y0, domain.width / nx,
+                                  domain.height / ny, nx, ny, x, y)
+    return 2 * (ix * ny + iy) + (lx < ly)
+
+
+def _barycentric(x0, y0, hx, hy, nx: int, ny: int, x, y):
+    """The triangle of each point (see _cell_coords and locate_triangle) and
+    the (n, 3) weights of its nodes: (1 - lx, lx - ly, ly) in a lower
+    triangle, (1 - ly, lx, ly - lx) in an upper one."""
+    ix, iy, lx, ly = _cell_coords(x0, y0, hx, hy, nx, ny, x, y)
+    upper = lx < ly
+    w = np.where(upper[:, None], np.column_stack([1.0 - ly, lx, ly - lx]),
+                 np.column_stack([1.0 - lx, lx - ly, ly]))
+    return 2 * (ix * ny + iy) + upper, w
 
 
 def _collinear_candidates(start, delta, tol):
@@ -377,14 +443,15 @@ def _fracture_chains(seg_p0, seg_p1, snap_tol, target):
         seg, t, key, keyed = seg[order], t[order], key[order], keyed[order]
 
     # a keyed point takes the node of its key's first point, every other
-    # point a new node
+    # point a new node; the stable sort keeps equal keys in point order
     point = np.arange(len(seg))
     owner = point.copy()
     kp = np.flatnonzero(keyed)
-    if len(kp):
-        _, first, inverse = np.unique(key[kp], axis=0, return_index=True,
-                                      return_inverse=True)
-        owner[kp] = kp[first][inverse.reshape(-1)]
+    by_key = kp[np.lexsort((key[kp, 1], key[kp, 0]))]
+    k = key[by_key]
+    first = np.ones(len(k), dtype=bool)
+    first[1:] = np.any(k[1:] != k[:-1], axis=1)
+    owner[by_key] = by_key[first][np.cumsum(first) - 1]
     new = owner == point
 
     piece = np.flatnonzero(seg[1:] == seg[:-1])
@@ -423,176 +490,240 @@ def discretize(field_: TensorField, network: FractureNetwork | None,
 
     The network's fractures are clipped to domain; any that miss it are
     ignored, so a caller may pass a superset of the fractures in it."""
+    return next(discretize_blocks(field_, [(domain, network)], nx, ny))
+
+
+def discretize_blocks(field_: TensorField, chunk, nx: int,
+                      ny: int) -> Iterator[DiscreteSystem]:
+    """An iterator over the systems of the (domain rect, fractures or None)
+    items of chunk, in order (see discretize). One pass over the whole
+    chunk builds the meshes and their triangle tensors, clips all fractures
+    at once, and computes the fracture elements and their coefficients.
+    Collinear merging and the fracture chains run per block, and each
+    system's stiffness and sparse matrix are built when the iterator
+    reaches it, so a caller that solves them in turn holds one at a time.
+    Every other step works entry by entry, so a block's system does not
+    depend on the other blocks of its chunk."""
     if nx < 2 or ny < 2:
         raise ValueError("resolution must be at least 2x2")
-    nodes, hx, hy = _mesh_nodes(domain, nx, ny)
+    domains = [rect for rect, _ in chunk]
+    nets = [net for _, net in chunk if net is not None]
+    n_b = len(chunk)
+    box = np.array([d.as_tuple() for d in domains])
+    hx = (box[:, 2] - box[:, 0]) / nx
+    hy = (box[:, 3] - box[:, 1]) / ny
+
+    # meshes: node id ix * (ny + 1) + iy, and the tensor of each triangle
+    xs = box[:, 0, None] + hx[:, None] * np.arange(nx + 1)
+    ys = box[:, 1, None] + hy[:, None] * np.arange(ny + 1)
+    nodes = np.empty((n_b, nx + 1, ny + 1, 2))
+    nodes[..., 0] = xs[:, :, None]
+    nodes[..., 1] = ys[:, None, :]
+    nodes = nodes.reshape(n_b, -1, 2)
+    n_m = nodes.shape[1]
     tris, rows, cols = _mesh_topology(nx, ny)
-    area, grads = _p1_gradients(nodes, tris)
+    tri_k = _triangle_tensors(field_, xs, ys)
 
-    centroids = nodes[tris].mean(axis=1)
-    tri_K = field_.tensor_at(centroids[:, 0], centroids[:, 1])
+    # fractures: one clip, then merging and chains per block
+    net_block = np.repeat(np.arange(n_b), [0 if net is None else len(net)
+                                           for _, net in chunk])
+    p0, p1, aperture, conductivity = (
+        np.concatenate([empty] + [getattr(net, name) for net in nets])
+        for name, empty in (("p0", np.zeros((0, 2))), ("p1", np.zeros((0, 2))),
+                            ("aperture", np.zeros(0)),
+                            ("conductivity", np.zeros(0))))
+    kept, q0, q1 = clip_segments(p0, p1, box[net_block])
+    bounds = np.searchsorted(net_block[kept], np.arange(n_b + 1))
+    snap_tol = np.array([1e-9 * d.diameter for d in domains])
+    chains, segs, merged = [], [], []
+    for b in range(n_b):
+        part = slice(bounds[b], bounds[b + 1])
+        seg_row, seg_p0, seg_p1, n_merged = _merge_collinear(
+            kept[part], q0[part], q1[part], aperture, snap_tol[b])
+        chains.append(_fracture_chains(seg_p0, seg_p1, snap_tol[b],
+                                       FRAC_ELEM_FACTOR * min(hx[b], hy[b])))
+        segs.append((seg_row, seg_p0, seg_p1))
+        merged.append(n_merged)
 
-    # matrix stiffness: S_ab = area * grad_a . K . grad_b
-    data = (_stiffness(grads, tri_K) * area[:, None, None]).ravel()
-
-    snap_tol = 1e-9 * domain.diameter
-    merged = 0
-    seg_row = np.zeros(0, np.int64)
-    seg_p0 = seg_p1 = np.zeros((0, 2))
-    aperture = conductivity = np.zeros(0)
-    if network is not None and len(network):
-        aperture, conductivity = network.aperture, network.conductivity
-        seg_row, q0, q1 = clip_segments(network.p0, network.p1, domain)
-        seg_row, seg_p0, seg_p1, merged = _merge_collinear(
-            seg_row, q0, q1, aperture, snap_tol)
-
-    n_m = len(nodes)
-    target = FRAC_ELEM_FACTOR * min(hx, hy)
-    frac_nodes, spans, dropped = _fracture_chains(
-        seg_p0, seg_p1, snap_tol, target)
-    sp_seg, sp_nsub, sp_first, sp_i0, sp_i1 = spans
+    # the blocks' chains side by side: segment and fracture node ids
+    # shifted by the blocks before
+    n_frac = np.array([len(nodes_b) for nodes_b, _, _ in chains])
+    node_off = np.cumsum(n_frac) - n_frac
+    n_seg = np.array([len(r) for r, _, _ in segs])
+    seg_off = np.cumsum(n_seg) - n_seg
+    frac_nodes = np.concatenate([nodes_b for nodes_b, _, _ in chains])
+    seg_row, seg_p0, seg_p1 = (np.concatenate(a) for a in zip(*segs))
+    sp_blk = np.repeat(np.arange(n_b), [len(sp[0]) for _, sp, _ in chains])
+    sp_seg, sp_nsub, sp_first, sp_i0, sp_i1 = (
+        np.concatenate(a) for a in zip(*(sp for _, sp, _ in chains)))
+    sp_seg = sp_seg + seg_off[sp_blk]
+    sp_first, sp_i0, sp_i1 = (a + node_off[sp_blk]
+                              for a in (sp_first, sp_i0, sp_i1))
     seg_d = seg_p1 - seg_p0
     # elements s = 0 .. nsub - 1 of every piece, in chain order
     span, s = runs(sp_nsub)
     n0 = np.where(s == 0, sp_i0[span], sp_first[span] + s - 1)
     n1 = np.where(s == sp_nsub[span] - 1, sp_i1[span], sp_first[span] + s)
-    p0, p1 = frac_nodes[n0], frac_nodes[n1]
-    e_len = np.hypot(p1[:, 0] - p0[:, 0], p1[:, 1] - p0[:, 1])
-    keep = e_len > snap_tol
-    n0, n1, p0, p1, e_len = n0[keep], n1[keep], p0[keep], p1[keep], e_len[keep]
-    e_seg = sp_seg[span[keep]]
+    e_p0, e_p1 = frac_nodes[n0], frac_nodes[n1]
+    e_len = np.hypot(e_p1[:, 0] - e_p0[:, 0], e_p1[:, 1] - e_p0[:, 1])
+    keep = e_len > snap_tol[sp_blk[span]]
+    span, n0, n1, e_p0, e_p1, e_len = (a[keep] for a in (span, n0, n1, e_p0,
+                                                         e_p1, e_len))
+    e_blk = sp_blk[span]
+    e_seg = sp_seg[span]
     e_tan = seg_d[e_seg] / np.hypot(seg_d[e_seg, 0], seg_d[e_seg, 1])[:, None]
     e_row = seg_row[e_seg]
     e_ap, e_cond = aperture[e_row], conductivity[e_row]
-    mid = 0.5 * (p0 + p1)
-    e_tri = locate_triangle(domain, nx, ny, mid[:, 0], mid[:, 1])
+    mid = 0.5 * (e_p0 + e_p1)
+    e_tri, w = _barycentric(box[e_blk, 0], box[e_blk, 1], hx[e_blk],
+                            hy[e_blk], nx, ny, mid[:, 0], mid[:, 1])
 
-    # fracture conduction along each element, then the matrix-fracture
-    # exchange at its midpoint: 4 + 25 entries per element, in that order
     t_e = e_ap * e_cond / e_len
     c = e_len * e_cond / e_ap
-    p = nodes[tris[e_tri]]
-    bary_t = np.stack([p[:, 0] - p[:, 2], p[:, 1] - p[:, 2]], axis=2)
-    w01 = np.linalg.solve(bary_t, (mid - p[:, 2])[..., None])[..., 0]
-    w = np.column_stack([w01, 1.0 - w01[:, 0] - w01[:, 1],
-                         np.full((len(c), 2), -0.5)])
-    f0, f1 = n_m + n0, n_m + n1
-    dofs = np.column_stack([tris[e_tri], f0, f1])
-    couple_rows = np.column_stack([f0, f1, f0, f1,
-                                   np.repeat(dofs, 5, axis=1)])
-    couple_cols = np.column_stack([f0, f1, f1, f0, np.tile(dofs, 5)])
-    couple_data = np.column_stack([
-        t_e, t_e, -t_e, -t_e,
-        (c[:, None, None] * w[:, :, None] * w[:, None, :]).reshape(-1, 25)])
+    elem_bounds = np.searchsorted(e_blk, np.arange(n_b + 1))
+    dropped = [n for _, _, n in chains]
 
-    n_dofs = n_m + len(frac_nodes)
-    all_rows = np.concatenate([rows, couple_rows.ravel()])
-    all_cols = np.concatenate([cols, couple_cols.ravel()])
-    all_data = np.concatenate([data, couple_data.ravel()])
-    matrix = sp.coo_matrix((all_data, (all_rows, all_cols)),
-                           shape=(n_dofs, n_dofs)).tocsr()
+    # Each block's stiffness and sparse matrix are built when its system is
+    # asked for, entry by entry as over the whole chunk. The closure holds
+    # only what it reads, so the pass's other arrays are freed on return.
+    def system(b: int) -> DiscreteSystem:
+        el = slice(elem_bounds[b], elem_bounds[b + 1])
+        # Fracture conduction t along each element, and the exchange
+        # c (w . h_tri - (h_f0 + h_f1) / 2)^2 / 2 at its midpoint. The
+        # exchange's triangle part c w w^T is added to its triangle's 9
+        # stiffness entries, element by element; conduction and the fracture
+        # part c / 4 share 4 entries, and the triangle-fracture part -c w / 2
+        # takes 6 + 6.
+        data = _stiffness(tri_k[b], _stiffness_maps(hx[b], hy[b]))
+        data = data.reshape(-1, 9)
+        cw = c[el, None] * w[el]
+        np.add.at(data, e_tri[el], (cw[:, :, None] * w[el, None, :]
+                                    ).reshape(-1, 9))
+        q = 0.25 * c[el]
+        plus, minus, half = t_e[el] + q, q - t_e[el], np.tile(-0.5 * cw, 2)
+        frac_elems = np.column_stack([n0[el], n1[el]]) - node_off[b]
+        f0, f1 = (n_m + frac_elems).T
+        tri_dofs = np.tile(tris[e_tri[el]], 2)
+        frac_dofs = np.repeat(n_m + frac_elems, 3, axis=1)
+        n_dofs = n_m + n_frac[b]
+        matrix = sp.coo_matrix(
+            (np.concatenate([data.ravel(), np.column_stack(
+                [plus, plus, minus, minus, half, half]).ravel()]),
+             (np.concatenate([rows, np.column_stack(
+                 [f0, f1, f0, f1, tri_dofs, frac_dofs]).ravel()]),
+              np.concatenate([cols, np.column_stack(
+                  [f0, f1, f1, f0, frac_dofs, tri_dofs]).ravel()]))),
+            shape=(n_dofs, n_dofs)).tocsr()
+        return DiscreteSystem(
+            domain=domains[b], nx=nx, ny=ny, nodes=nodes[b], tris=tris,
+            tri_k=tri_k[b].reshape(-1, 3),
+            frac_nodes=frac_nodes[node_off[b]:node_off[b] + n_frac[b]],
+            frac_elems=frac_elems, frac_len=e_len[el], frac_tangent=e_tan[el],
+            frac_aperture=e_ap[el], frac_cond=e_cond[el],
+            coupling_tri=e_tri[el], matrix=matrix,
+            dropped_fractures=dropped[b], merged_fractures=merged[b])
 
-    return DiscreteSystem(
-        domain=domain, nx=nx, ny=ny, nodes=nodes, tris=tris, tri_area=area,
-        tri_grads=grads, tri_K=tri_K, frac_nodes=frac_nodes,
-        frac_elems=np.column_stack([n0, n1]), frac_len=e_len,
-        frac_tangent=e_tan, frac_aperture=e_ap, frac_cond=e_cond,
-        coupling_tri=e_tri, matrix=matrix,
-        dropped_fractures=dropped,
-        merged_fractures=merged)
+    return map(system, range(n_b))
 
 
-def _dirichlet_dofs(system: DiscreteSystem, bc: BoundaryCondition):
-    """Dirichlet mask and values, plus each side's DOF indices in ascending
-    order; a DOF on two sides (a corner) belongs to the side listed first."""
+def _dirichlet_dofs(system: DiscreteSystem, bcs):
+    """Dirichlet mask, the (n_dofs, k) values of the k boundary conditions,
+    and each side's DOF indices in ascending order. A DOF on two sides (a
+    corner) takes its value from the side listed last and belongs to the
+    side listed first."""
+    sides = list(bcs[0].dirichlet)
+    if any(list(bc.dirichlet) != sides for bc in bcs[1:]):
+        raise ValueError("the boundary conditions of one solve must list "
+                         "the same Dirichlet sides in the same order")
     coords = system.dof_coords
-    values = np.zeros(system.n_dofs)
+    values = np.zeros((system.n_dofs, len(bcs)))
     mask = np.zeros(system.n_dofs, dtype=bool)
     side_dofs = {}
-    for side, g in bc.dirichlet.items():
+    for side in sides:
         m = system.side_masks[side]
-        values[m] = g(coords[m, 0], coords[m, 1])
+        for j, bc in enumerate(bcs):
+            values[m, j] = bc.dirichlet[side](coords[m, 0], coords[m, 1])
         side_dofs[side] = np.flatnonzero(m & ~mask)
         mask |= m
     return mask, values, side_dofs
 
 
-def _band_factor(system: DiscreteSystem, free):
-    """The free DOFs in the order they take in system.order, and the banded
-    Cholesky factor of their matrix in that order. The lower band is filled
-    straight from the CSR arrays of the full matrix."""
-    a = system.matrix
-    order = system.order[free[system.order]]
-    pos = np.full(system.n_dofs, -1)
+def _lower_band(a: sp.csr_matrix, order) -> np.ndarray:
+    """The lower band of a's rows and columns in order, in LAPACK's banded
+    storage, filled straight from the CSR arrays. In Fortran order LAPACK
+    factors it in place, without a copy."""
+    pos = np.full(a.shape[0], -1)
     pos[order] = np.arange(len(order))
     i = np.repeat(pos, np.diff(a.indptr))
     j = pos[a.indices]
-    lower = (j >= 0) & (i >= j)  # both DOFs free, on or below the diagonal
+    lower = (j >= 0) & (i >= j)  # both DOFs in order, on or below the diagonal
     i, j = i[lower], j[lower]
-    band = np.zeros((int((i - j).max()) + 1, len(order)))
+    band = np.zeros((int((i - j).max()) + 1, len(order)), order="F")
     band[i - j, j] = a.data[lower]
+    return band
+
+
+def _band_factor(system: DiscreteSystem, free):
+    """The free DOFs in the reverse Cuthill-McKee order of the full matrix,
+    and the banded Cholesky factor of their matrix in that order."""
+    order = reverse_cuthill_mckee(system.matrix, symmetric_mode=True)
+    order = order[free[order]]
     try:
-        return order, cholesky_banded(band, lower=True)
+        return order, cholesky_banded(_lower_band(system.matrix, order),
+                                      overwrite_ab=True, lower=True)
     except LinAlgError as exc:
         raise SolverError(
             f"free-DOF matrix of {system.domain} ({len(order)} free of "
             f"{system.n_dofs} DOFs) is not positive definite: {exc}") from exc
 
 
-def solve_darcy(system: DiscreteSystem, bc: BoundaryCondition) -> FlowSolution:
-    """Solve the assembled system under Dirichlet/no-flow boundary data.
+def solve_flows(system: DiscreteSystem, bcs) -> list[FlowSolution]:
+    """Solve the assembled system under boundary conditions that share their
+    Dirichlet sides, as the columns of one right-hand side.
 
-    The free-DOF matrix is SPD. Its DOFs follow the system's reverse
-    Cuthill-McKee order, which gives it a narrow band, and it is factored
-    by a banded Cholesky once per Dirichlet mask (the x and y linear-head
-    problems share one factor). The solve is direct because the fracture
-    coupling makes the system too ill-conditioned for a Jacobi-
+    The free-DOF matrix is SPD. Its DOFs follow the reverse Cuthill-McKee
+    order of the full matrix, which gives it a narrow band, and it is
+    factored once by a banded Cholesky for all columns. The solve is direct because
+    the fracture coupling makes the system too ill-conditioned for a Jacobi-
     preconditioned iterative solver at high fracture/matrix contrast. A
-    matrix that is not SPD raises SolverError, and so does a backward
-    error above RESIDUAL_GATE: the free-DOF residual relative to the terms
-    it sums, ||r_free|| / ||(|A| |h|)_free||. Rounding the exact heads
-    already leaves a residual near eps times that sum, so the gate measures
-    the solve and not the conditioning of the system.
+    matrix that is not SPD raises SolverError, and so does a column whose
+    backward error exceeds RESIDUAL_GATE: the free-DOF residual relative to
+    the terms it sums, ||r_free|| / ||(|A| |h|)_free||. Rounding the exact
+    heads already leaves a residual near eps times that sum, so the gate
+    measures the solve and not the conditioning of the system. Every step
+    treats the columns apart (the banded solve, the sparse products and the
+    per-column norms), so a column's results do not depend on the others.
     """
     a = system.matrix
-    mask, values, side_dofs = _dirichlet_dofs(system, bc)
+    mask, values, side_dofs = _dirichlet_dofs(system, bcs)
     free = ~mask
-    key = mask.tobytes()
-    if system._factor is None or system._factor[0] != key:
-        system._factor = (key, *_band_factor(system, free))
-    _, order, factor = system._factor
+    order, factor = _band_factor(system, free)
     # values is zero on the free DOFs, so -(A @ values) there is the
     # right-hand side of the free system
-    rhs = -(a @ values)[order]
-    h = np.array(values)
-    h[order] = cho_solve_banded((factor, True), rhs)
+    h = values
+    h[order] = cho_solve_banded((factor, True), -(a @ values)[order])
 
     # one product gives the residual on the free DOFs and the Dirichlet
     # reactions on the fixed ones
     r = a @ h
-    scale = np.linalg.norm((system.abs_matrix @ np.abs(h))[free])
-    residual = float(np.linalg.norm(r[free]) / scale) if scale > 0 else 0.0
-    if residual > RESIDUAL_GATE:
-        raise SolverError(f"direct solve backward error {residual:.2e} too "
-                          "large", residual=residual)
+    terms = abs(a) @ np.abs(h)
+    flows = []
+    for j in range(len(bcs)):
+        scale = np.linalg.norm(terms[free, j])
+        residual = (float(np.linalg.norm(r[free, j]) / scale) if scale > 0
+                    else 0.0)
+        if residual > RESIDUAL_GATE:
+            raise SolverError(
+                f"direct solve of {system.domain}: boundary-condition column "
+                f"{j} has backward error {residual:.2e} above "
+                f"{RESIDUAL_GATE:.0e} ({int(free.sum())} free of "
+                f"{system.n_dofs} DOFs)", residual=residual)
+        flows.append(FlowSolution(system=system, h=h[:, j], reactions=r[:, j],
+                                  side_dofs=side_dofs, residual=residual))
+    return flows
 
-    tri_grad = np.einsum("nad,na->nd", system.tri_grads, h[system.tris])
-    tri_vel = -np.einsum("ndc,nc->nd", system.tri_K, tri_grad)
 
-    n_m = system.n_matrix_dofs
-    h0 = h[n_m + system.frac_elems[:, 0]]
-    h1 = h[n_m + system.frac_elems[:, 1]]
-    dh_ds = (h1 - h0) / system.frac_len
-    frac_grad = system.frac_tangent * dh_ds[:, None]
-    frac_vel = -system.frac_cond[:, None] * frac_grad
-
-    # Dirichlet reactions give the discrete boundary fluxes (outflow > 0),
-    # subtracted one by one from 0.0 in DOF order: cumsum is sequential,
-    # where np.sum would add pairwise and round differently
-    boundary_flux = {side: float(np.cumsum(np.r_[0.0, -r[dofs]])[-1])
-                     for side, dofs in side_dofs.items()}
-
-    return FlowSolution(system=system, h=h, tri_grad=tri_grad,
-                        tri_vel=tri_vel, frac_grad=frac_grad,
-                        frac_vel=frac_vel, boundary_flux=boundary_flux,
-                        residual=residual)
+def solve_darcy(system: DiscreteSystem, bc: BoundaryCondition) -> FlowSolution:
+    """Solve the assembled system under one boundary condition (see
+    solve_flows)."""
+    return solve_flows(system, [bc])[0]

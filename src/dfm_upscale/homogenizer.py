@@ -1,7 +1,8 @@
 """Equivalent conductivity of blocks and domains.
 
-The anisotropy problem solves two Darcy problems with linear boundary heads
-and fits a symmetric tensor to the volume-averaged gradients and velocities.
+The anisotropy problem solves the two Darcy problems with linear boundary
+heads together and fits a symmetric tensor to the volume-averaged gradients
+and velocities.
 The aquifer problem measures horizontal equivalent conductivity from the
 total outflow. Overlapping half-step block grids tile the extended domain;
 a bounding-box screen picks each block's candidate fractures, which the
@@ -18,8 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dfm_solver import (FlowSolution, aquifer_bc, discretize, linear_head,
-                         solve_darcy)
+from .dfm_solver import (FlowSolution, aquifer_bc, discretize,
+                         discretize_blocks, linear_head, solve_darcy,
+                         solve_flows)
 from .frac_geom import FractureNetwork
 from .geometry import Rect
 from .random_field import Grid, TensorField
@@ -120,34 +122,45 @@ def block_candidates(network: FractureNetwork, grid: BlockGrid,
 def _weighted_averages(sol: FlowSolution):
     """Measure-and-cross-section weighted mean gradient and velocity."""
     sys_ = sol.system
-    w_m = sys_.tri_area  # matrix cross-section is 1
+    w_m = sys_.tri_area  # matrix cross-section is 1, every triangle alike
     w_f = sys_.frac_len * sys_.frac_aperture
-    total = w_m.sum() + w_f.sum()
-    grad = (w_m @ sol.tri_grad + w_f @ sol.frac_grad) / total
-    vel = (w_m @ sol.tri_vel + w_f @ sol.frac_vel) / total
+    total = w_m * len(sys_.tris) + w_f.sum()
+    grad = (w_m * sol.tri_grad.sum(axis=0) + w_f @ sol.frac_grad) / total
+    vel = (w_m * sol.tri_vel.sum(axis=0) + w_f @ sol.frac_vel) / total
     return grad, vel
+
+
+def _block_fits(field: TensorField, chunk, resolution: int) -> BlockResults:
+    """The tensors of the (block rect, candidate fractures) items of chunk,
+    each fitted from its two linear-head problems, which are solved
+    together. The chunk is assembled in one pass (see discretize_blocks)."""
+    bcs = [linear_head("x"), linear_head("y")]
+    k, residual = [], []
+    for system in discretize_blocks(field, chunk, resolution, resolution):
+        rows = []
+        rhs = []
+        for sol in solve_flows(system, bcs):
+            g, u = _weighted_averages(sol)
+            rows.append([g[0], g[1], 0.0])
+            rows.append([0.0, g[0], g[1]])
+            rhs.extend([u[0], u[1]])
+        a = -np.asarray(rows)
+        b = np.asarray(rhs)
+        fit, res, _, _ = np.linalg.lstsq(a, b, rcond=None)
+        k.append(fit)
+        residual.append(float(np.sqrt(res[0])) if len(res) else
+                        float(np.linalg.norm(a @ fit - b)))
+    return BlockResults(np.array(k), np.array(residual))
 
 
 def anisotropy_tensor(field: TensorField, network: FractureNetwork | None,
                       block: Rect, resolution: int):
-    """Fit the equivalent symmetric tensor from two linear-head solves.
+    """Fit the equivalent symmetric tensor from the two linear-head
+    problems: the one-block call of the numeric backend.
 
     Returns ((k_xx, k_xy, k_yy) array, least-squares residual)."""
-    system = discretize(field, network, block, resolution, resolution)
-    rows = []
-    rhs = []
-    for direction in ("x", "y"):
-        sol = solve_darcy(system, linear_head(direction))
-        g, u = _weighted_averages(sol)
-        rows.append([g[0], g[1], 0.0])
-        rows.append([0.0, g[0], g[1]])
-        rhs.extend([u[0], u[1]])
-    a = -np.asarray(rows)
-    b = np.asarray(rhs)
-    k, res, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    residual = float(np.sqrt(res[0])) if len(res) else \
-        float(np.linalg.norm(a @ k - b))
-    return k, residual
+    fit = _block_fits(field, [(block, network)], resolution)
+    return fit.k[0], float(fit.residual[0])
 
 
 def aquifer_kx(field: TensorField, network: FractureNetwork | None,
@@ -178,10 +191,7 @@ def numeric_backend(resolution: int):
     solver."""
 
     def run(field, chunk):
-        fits = [anisotropy_tensor(field, candidates, rect, resolution)
-                for rect, candidates in chunk]
-        return BlockResults(np.array([k for k, _ in fits]),
-                            np.array([res for _, res in fits]))
+        return _block_fits(field, chunk, resolution)
 
     return run
 

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 import warnings
 from unittest import mock
@@ -12,12 +13,15 @@ from dfm_upscale import dfm_solver
 from dfm_upscale.config import RATIO_CLASSES
 from dfm_upscale.dataset_pipeline import enforce_ratio
 from dfm_upscale.dfm_solver import (RESIDUAL_GATE, BoundaryCondition,
-                                    SolverError, _collinear_candidates,
-                                    _fracture_chains, _mesh_topology,
-                                    _stiffness, aquifer_bc, discretize,
-                                    linear_head, locate_triangle, solve_darcy)
+                                    SolverError, _barycentric,
+                                    _collinear_candidates, _fracture_chains,
+                                    _mesh_topology, _stiffness,
+                                    _stiffness_maps, aquifer_bc, discretize,
+                                    discretize_blocks, linear_head,
+                                    locate_triangle, solve_darcy, solve_flows)
 from dfm_upscale.geometry import (_PAIR_CHUNK, Rect, runs,
                                   segment_intersections)
+from dfm_upscale.homogenizer import anisotropy_tensor, positive_definite
 from dfm_upscale.random_field import Grid, TensorField
 
 from conftest import (layered_field, make_fracture, network_of,
@@ -156,18 +160,137 @@ class TestDegenerateGeometry:
             sys_.coupling_tri,
             locate_triangle(unit_rect, 8, 8, mid[:, 0], mid[:, 1]))
 
+    @pytest.mark.parametrize("ratio_class", sorted(RATIO_CLASSES))
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_NETWORKS))
+    def test_solve_invariants(self, unit_rect, name, ratio_class):
+        # every solve passes the gate (or raises SolverError), balances its
+        # boundary fluxes, and the fitted tensor is SPD
+        fracs = [make_fracture(p0, p1, frac_id=k) for k, (p0, p1)
+                 in enumerate(DEGENERATE_NETWORKS[name])]
+        field = random_tensor_field(unit_rect, 8, seed=1)
+        net, _ = enforce_ratio(network_of(*fracs), field,
+                               RATIO_CLASSES[ratio_class])
+        sys_ = discretize(field, net, unit_rect, 8, 8)
+        for bc in (linear_head("x"), linear_head("y"), aquifer_bc(1.0)):
+            sol = solve_darcy(sys_, bc)
+            assert sol.residual <= RESIDUAL_GATE
+            imbalance = abs(sum(sol.boundary_flux.values()))
+            # the reactions sum terms up to |A| |h|, and balance to their
+            # rounding; at class C (K_f / K_m = 1e7) that rounding reaches
+            # 1e-7 of the fluxes, above the TestMassBalance bound
+            terms = np.linalg.norm(abs(sys_.matrix) @ np.abs(sol.h))
+            assert imbalance <= 8 * EPS * terms
+            if ratio_class != "C":
+                scale = max(abs(v) for v in sol.boundary_flux.values())
+                assert imbalance <= 1e-8 * scale
+        k, _ = anisotropy_tensor(field, net, unit_rect, 8)
+        assert positive_definite(k[None])[0]
 
-class TestStiffness:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_einsum(self, seed):
-        rng = np.random.default_rng(seed)
-        grads = rng.standard_normal((1152, 3, 2)) * 10.0 ** rng.uniform(
-            -3, 3, (1152, 1, 1))
-        tri_k = rng.standard_normal((1152, 2, 2)) * 10.0 ** rng.uniform(
-            -8, 0, (1152, 1, 1))
-        assert np.array_equal(
-            _stiffness(grads, tri_k),
-            np.einsum("nad,ndc,nbc->nab", grads, tri_k, grads))
+
+def reference_stiffness(sys_):
+    """Per triangle, area * grad_a . K . grad_b with the basis gradients and
+    the area taken from the node coordinates, summed by einsum: the
+    coordinate-based form that the closed-form terms replace."""
+    p = sys_.nodes[sys_.tris]  # (n, 3, 2)
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    grads = np.empty((len(p), 3, 2))
+    # grad N_a = perp(edge opposite a) / (2 * signed area)
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        grads[:, a, 0] = (p[:, b, 1] - p[:, c, 1]) / det
+        grads[:, a, 1] = (p[:, c, 0] - p[:, b, 0]) / det
+    k = sys_.tri_k
+    tensors = np.stack([k[:, [0, 1]], k[:, [1, 2]]], axis=1)
+    return (np.einsum("nad,ndc,nbc->nab", grads, tensors, grads)
+            * (0.5 * np.abs(det))[:, None, None])
+
+
+def reference_barycentric(sys_, tri, x, y):
+    """Barycentric weights of the points in the given triangles from a 2 x 2
+    solve on the node coordinates."""
+    p = sys_.nodes[sys_.tris[tri]]
+    m = np.stack([p[:, 0] - p[:, 2], p[:, 1] - p[:, 2]], axis=2)
+    w01 = np.linalg.solve(m, (np.column_stack([x, y]) - p[:, 2])[..., None])
+    return np.column_stack([w01[..., 0], 1.0 - w01[:, 0, 0] - w01[:, 1, 0]])
+
+
+EPS = np.finfo(float).eps
+# near the origin, so the node coordinates the references start from round
+# far below the cell size; the second has hx != hy
+CLOSED_FORM_MESHES = [(Rect(0.0, 0.0, 1.0, 1.0), 8, 8),
+                      (Rect(0.3, -1.2, 1.6, -0.5), 7, 5)]
+
+
+class TestClosedFormTerms:
+    @pytest.mark.parametrize("rect, nx, ny", CLOSED_FORM_MESHES)
+    def test_stiffness_matches_coordinate_reference(self, rect, nx, ny):
+        sys_ = discretize(random_tensor_field(rect, 8, seed=2), None, rect,
+                          nx, ny)
+        got = _stiffness(sys_.tri_k.reshape(nx, ny, 2, 3),
+                         _stiffness_maps(sys_.hx, sys_.hy)).reshape(-1, 3, 3)
+        want = reference_stiffness(sys_)
+        scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(got - want) <= 16 * EPS * scale)
+
+    @pytest.mark.parametrize("rect, nx, ny", CLOSED_FORM_MESHES)
+    def test_barycentric_matches_coordinate_reference(self, rect, nx, ny):
+        sys_ = discretize(uniform_field(rect, 1.0), None, rect, nx, ny)
+        rng = np.random.default_rng(1)
+        # random points, points on vertical cell edges, and points on cell
+        # diagonals (lx == ly)
+        diagonal = rng.integers(0, min(nx, ny), 100) + rng.uniform(0, 1, 100)
+        fx = np.concatenate([rng.uniform(0, nx, 500), rng.integers(0, nx, 100),
+                             diagonal])
+        fy = np.concatenate([rng.uniform(0, ny, 500), rng.uniform(0, ny, 100),
+                             diagonal])
+        x = rect.x0 + fx * sys_.hx
+        y = rect.y0 + fy * sys_.hy
+        tri, w = _barycentric(rect.x0, rect.y0, sys_.hx, sys_.hy, nx, ny, x, y)
+        assert np.array_equal(tri, locate_triangle(rect, nx, ny, x, y))
+        want = reference_barycentric(sys_, tri, x, y)
+        assert np.all(np.abs(w - want) <= 16 * EPS)
+
+    def test_centroid_tensors_keep_their_bits(self):
+        # field cells a third of a mesh cell wide: every centroid's x lies
+        # on a field cell edge, so its last bit picks the cell
+        rect = Rect(0.3, -1.2, 1.6, -0.5)
+        nx, ny = 7, 5
+        rng = np.random.default_rng(3)
+        grid = Grid(3 * nx, 3 * ny, rect.width / (3 * nx), (rect.x0, rect.y0))
+        field = TensorField(grid, *rng.uniform(1.0, 2.0, (3, 3 * nx, 3 * ny)))
+        sys_ = discretize(field, None, rect, nx, ny)
+        centroids = sys_.nodes[sys_.tris].mean(axis=1)
+        want = field.tensor_at(centroids[:, 0], centroids[:, 1])
+        assert np.array_equal(sys_.tri_k,
+                              want.reshape(-1, 4)[:, [0, 1, 3]])
+
+
+class TestChunkAssembly:
+    def test_blocks_match_one_block_calls(self):
+        ext = Rect(-1.0, -1.0, 3.0, 3.0)
+        field = random_tensor_field(ext, 16, seed=6)
+        crossing = network_of(
+            make_fracture((-0.5, 0.3), (2.5, 0.6), frac_id=0),
+            make_fracture((0.2, -0.5), (1.8, 2.4), aperture=2e-3, frac_id=1),
+            make_fracture((0.7, 0.5), (0.7 + 1e-12, 0.5), frac_id=2),
+            domain=ext)
+        chunk = [(Rect(0.0, 0.0, 1.0, 1.0), crossing),
+                 (Rect(1.0, 0.0, 2.0, 1.5), None),
+                 (Rect(0.5, 0.5, 1.5, 1.5), network_of(domain=ext)),
+                 (Rect(1.0, 0.0, 2.0, 1.5), crossing),   # hx != hy
+                 (Rect(2.2, 2.2, 2.9, 2.9), crossing)]   # misses them all
+        systems = list(discretize_blocks(field, chunk, 8, 8))
+        assert len(systems) == len(chunk)
+        for (rect, net), got in zip(chunk, systems):
+            want = discretize(field, net, rect, 8, 8)
+            assert_systems_equal(got, want)
+            assert got.domain == rect
+            assert np.array_equal(got.nodes, want.nodes)
+            assert np.array_equal(got.tri_k, want.tri_k)
+        assert [len(s.frac_elems) > 0 for s in systems] == [
+            True, False, False, True, False]
 
 
 class TestMeshTopology:
@@ -497,9 +620,8 @@ class TestCollinearPreScreen:
 
 class TestFactorizationReuse:
     def test_each_solve_matches_a_fresh_system(self, unit_rect):
-        # x and y share the Dirichlet mask and one factorization; the
-        # aquifer problem has another mask and must refactor, and so must
-        # the linear-head problem after it
+        # every solve factors its own free-DOF matrix: solving one system
+        # under several masks in turn reads nothing an earlier solve left
         field = random_tensor_field(unit_rect, 16, seed=4)
         net = network_of(make_fracture((0.1, 0.2), (0.9, 0.8)),
                          make_fracture((0.2, 0.8), (0.8, 0.1), frac_id=1))
@@ -510,6 +632,49 @@ class TestFactorizationReuse:
             fresh = solve_darcy(discretize(field, net, unit_rect, 16, 16), bc)
             assert np.array_equal(sol.h, fresh.h)
             assert sol.boundary_flux == fresh.boundary_flux
+
+
+def head_bc(g):
+    """g(x, y) prescribed on the whole boundary."""
+    return BoundaryCondition({side: g for side in BoundaryCondition.SIDES})
+
+
+class TestColumnSolve:
+    FLOW_FIELDS = ("h", "tri_grad", "tri_vel", "frac_grad", "frac_vel")
+
+    @pytest.fixture
+    def system(self, unit_rect):
+        net = network_of(
+            make_fracture((0.05, 0.3), (0.95, 0.7), frac_id=0),
+            make_fracture((0.2, 0.9), (0.7, 0.0), aperture=2e-3, frac_id=1),
+            make_fracture((0.0, 0.5), (0.6, 0.5), frac_id=2))
+        return discretize(random_tensor_field(unit_rect, 16, seed=5), net,
+                          unit_rect, 16, 16)
+
+    @pytest.mark.parametrize("bcs", [
+        [linear_head("x"), linear_head("y"),
+         head_bc(lambda x, y: np.asarray(x - 2.0 * y, float))],
+        [aquifer_bc(1.0), aquifer_bc(2.5)]], ids=["linear", "aquifer"])
+    def test_columns_match_single_solves(self, system, bcs):
+        # one column, two, three and in either order: every column keeps
+        # the bits it has alone, its norms included
+        alone = [solve_darcy(system, bc) for bc in bcs]
+        for cols in ([0, 1], [1, 0], list(range(len(bcs))), [1]):
+            together = solve_flows(system, [bcs[j] for j in cols])
+            for j, sol in zip(cols, together):
+                for name in self.FLOW_FIELDS:
+                    assert np.array_equal(getattr(sol, name),
+                                          getattr(alone[j], name)), name
+                assert sol.boundary_flux == alone[j].boundary_flux
+                assert sol.residual == alone[j].residual
+
+    def test_columns_share_their_sides(self, system):
+        with pytest.raises(ValueError):
+            solve_flows(system, [linear_head("x"), aquifer_bc(1.0)])
+        with pytest.raises(ValueError):
+            solve_flows(system, [aquifer_bc(1.0), BoundaryCondition({
+                "right": lambda x, y: np.zeros_like(x),
+                "left": lambda x, y: np.ones_like(x)})])
 
 
 class TestLocateTriangle:
@@ -596,16 +761,16 @@ class TestMassBalance:
         assert abs(sum(sol.boundary_flux.values())) <= 1e-8 * scale
 
     # boundary fluxes of one heterogeneous fractured system, recorded from
-    # the banded Cholesky solve and summed in DOF order as the per-DOF loop
-    # did; corner DOFs count for the side listed first (left/right before
-    # bottom/top)
+    # the banded Cholesky solve of the closed-form P1 assembly and summed in
+    # DOF order as the per-DOF loop did; corner DOFs count for the side
+    # listed first (left/right before bottom/top)
     RECORDED_FLUXES = {
-        "aquifer": {"left": -0.004234483981411471,
-                    "right": 0.004234483981416889},
-        "x": {"left": 0.004956430843460615, "right": -0.0031653720926860056,
-              "bottom": -0.0023276760651540413, "top": 0.0005366173143997247},
-        "y": {"left": -0.001698291754429437, "right": -0.0007101514049974528,
-              "bottom": 0.006946453527859344, "top": -0.004538010368438602},
+        "aquifer": {"left": -0.004234483981398099,
+                    "right": 0.004234483981414242},
+        "x": {"left": 0.004956430843462756, "right": -0.003165372092687894,
+              "bottom": -0.0023276760651504956, "top": 0.000536617314398885},
+        "y": {"left": -0.001698291754422848, "right": -0.0007101514049992193,
+              "bottom": 0.0069464535278614455, "top": -0.004538010368439292},
     }
 
     def test_recorded_fluxes(self, unit_rect):
@@ -778,6 +943,18 @@ class TestSolvers:
             with pytest.raises(SolverError) as info:
                 solve_darcy(sys_, aquifer_bc(1.0))
         assert info.value.residual > RESIDUAL_GATE
+        message = str(info.value)
+        assert str(unit_rect) in message
+        assert "column 0" in message
+        assert f"{info.value.residual:.2e}" in message
+        assert "63 free of 81 DOFs" in message
+        # two columns, only the second one inaccurate: the gate names it
+        with mock.patch.object(dfm_solver, "cho_solve_banded",
+                               lambda *args: solve(*args) * [1.0, 1.0 + 1e-3]):
+            with pytest.raises(SolverError) as info:
+                solve_flows(sys_, [aquifer_bc(1.0), aquifer_bc(2.0)])
+        assert "column 1" in str(info.value)
+        assert info.value.residual > RESIDUAL_GATE
 
     def test_not_spd_raises_solver_error(self, unit_rect):
         # kxx < 0 makes the free-DOF matrix indefinite: the Cholesky fails
@@ -798,6 +975,60 @@ class TestSolvers:
         h_ref, _ = dense_reference(sys_, aquifer_bc(1.0))
         assert np.allclose(sol.h, h_ref, rtol=0,
                            atol=1e-10 * np.abs(h_ref).max())
+
+
+def scaled_block(segs, seed, alpha):
+    """A random 8 x 8 block with the segments as fractures, and the same
+    block with the matrix field and the fracture conductivities times
+    alpha."""
+    field = random_tensor_field(Rect(0.0, 0.0, 1.0, 1.0), 8, seed=seed)
+    net = network_of(*[make_fracture(a, b, frac_id=k)
+                       for k, (a, b) in enumerate(segs)])
+    scaled = copy.copy(net)
+    scaled.conductivity = alpha * net.conductivity
+    return ((field, net),
+            (TensorField(field.grid, alpha * field.kxx, alpha * field.kxy,
+                         alpha * field.kyy), scaled))
+
+
+def heads_and_tensor(field, net):
+    rect = Rect(0.0, 0.0, 1.0, 1.0)
+    sys_ = discretize(field, net, rect, 8, 8)
+    heads = [sol.h for sol in solve_flows(sys_, [linear_head("x"),
+                                                 linear_head("y")])]
+    return sys_, heads, anisotropy_tensor(field, net, rect, 8)
+
+
+class TestScaleEquivariance:
+    # times 4^k every product, sum, square root and quotient of assembly,
+    # factor and solve scales exactly: heads keep their bits
+    @settings(max_examples=40, deadline=None)
+    @given(segs=segment_lists, seed=st.integers(0, 2 ** 16),
+           k=st.integers(-5, 5))
+    def test_power_of_four_scales_exactly(self, segs, seed, k):
+        alpha = 4.0 ** k
+        plain, scaled = scaled_block(segs, seed, alpha)
+        _, heads, (kt, res) = heads_and_tensor(*plain)
+        _, heads_s, (kt_s, res_s) = heads_and_tensor(*scaled)
+        for h, h_s in zip(heads, heads_s):
+            assert np.array_equal(h, h_s)
+        assert np.array_equal(kt_s, alpha * kt)
+        assert res_s == alpha * res
+
+    @settings(max_examples=40, deadline=None)
+    @given(segs=segment_lists, seed=st.integers(0, 2 ** 16),
+           alpha=st.floats(1e-3, 1e3))
+    def test_any_factor_within_backward_stability(self, segs, seed, alpha):
+        plain, scaled = scaled_block(segs, seed, alpha)
+        sys_, heads, (kt, _) = heads_and_tensor(*plain)
+        _, heads_s, (kt_s, _) = heads_and_tensor(*scaled)
+        # the bound of two backward-stable solves (assert_matches_dense_solve)
+        _, cond = dense_reference(sys_, linear_head("x"))
+        tol = max(1e-10, cond * np.finfo(float).eps)
+        for h, h_s in zip(heads, heads_s):
+            assert np.allclose(h_s, h, rtol=0, atol=tol * np.abs(h).max())
+        assert np.allclose(kt_s / alpha, kt, rtol=0,
+                           atol=tol * np.abs(kt).max())
 
 
 class TestBoundaryConditions:
