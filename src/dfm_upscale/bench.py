@@ -138,6 +138,9 @@ def bench_speedup(cfg: RunConfig, seed: int, n_blocks: int,
     upscale do."""
     from .surrogate.predict import predict_samples
 
+    if n_blocks < 1:
+        raise ValueError(f"bench_speedup needs at least 1 block, got "
+                         f"{n_blocks}")
     field_, network, grid = fine_model(cfg, seed)
     blocks = list(islice(block_candidates(network, grid,
                                           cfg.blocks.length_threshold),

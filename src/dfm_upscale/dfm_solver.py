@@ -267,19 +267,12 @@ def _cell_coords(x0, y0, hx, hy, nx: int, ny: int, x, y):
     return ix, iy, fx - ix, fy - iy
 
 
-def locate_triangle(domain: Rect, nx: int, ny: int, x, y):
-    """Index of the triangle containing (x, y), elementwise over arrays;
-    edge hits resolve toward the larger cell index, diagonal hits toward the
-    lower triangle."""
-    ix, iy, lx, ly = _cell_coords(domain.x0, domain.y0, domain.width / nx,
-                                  domain.height / ny, nx, ny, x, y)
-    return 2 * (ix * ny + iy) + (lx < ly)
-
-
 def _barycentric(x0, y0, hx, hy, nx: int, ny: int, x, y):
-    """The triangle of each point (see _cell_coords and locate_triangle) and
-    the (n, 3) weights of its nodes: (1 - lx, lx - ly, ly) in a lower
-    triangle, (1 - ly, lx, ly - lx) in an upper one."""
+    """The triangle of each point and the (n, 3) weights of its nodes:
+    (1 - lx, lx - ly, ly) in a lower triangle, (1 - ly, lx, ly - lx) in an
+    upper one. The cell is _cell_coords' (edge hits go to the larger cell
+    index, points outside are clamped); diagonal hits go to the lower
+    triangle."""
     ix, iy, lx, ly = _cell_coords(x0, y0, hx, hy, nx, ny, x, y)
     upper = lx < ly
     w = np.where(upper[:, None], np.column_stack([1.0 - ly, lx, ly - lx]),

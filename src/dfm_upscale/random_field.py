@@ -59,16 +59,6 @@ class TensorField:
             if np.asarray(arr).shape != self.grid.shape:
                 raise ValueError("component shape does not match grid")
 
-    def tensor_at(self, x, y):
-        """Nearest-cell 2x2 tensors for query points; shape (..., 2, 2)."""
-        ix, iy = self.grid.cell_index(x, y)
-        out = np.empty(np.shape(ix) + (2, 2))
-        out[..., 0, 0] = self.kxx[ix, iy]
-        out[..., 0, 1] = self.kxy[ix, iy]
-        out[..., 1, 0] = self.kxy[ix, iy]
-        out[..., 1, 1] = self.kyy[ix, iy]
-        return out
-
 
 class EmbeddingError(RuntimeError):
     pass

@@ -1,10 +1,11 @@
 """Neural network layers with explicit forward/backward passes.
 
-Data layout is channels-last: (batch, height, width, channels). Convolutions
-are 3x3, stride 1, no padding ("valid"); pooling is 2x2 max with stride 2,
-truncating an odd trailing row/column. Parameters are stored in the layer's
-dtype; reductions accumulate in float64 when dtype is float64 (used by the
-finite-difference gradient check).
+The conv stages work on channel planes (channels, batch, height, width);
+Flatten turns them into (height, width, channel) rows for the dense layers.
+Convolutions are 3x3, stride 1, no padding ("valid"); pooling is 2x2 max
+with stride 2, truncating an odd trailing row/column. Parameters are stored
+in the layer's dtype; reductions accumulate in float64 when dtype is float64
+(used by the finite-difference gradient check).
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Layer:
-    """Base class; layers expose params/grads dicts keyed by name.
+    """Base class; layers expose params/grads dicts keyed by name, and
+    forward(x, train) and backward(dout).
 
     forward(x, train=True) saves in ``_cache`` what backward needs;
     forward(x, train=False) saves nothing, so inference frees its buffers.
@@ -25,12 +27,6 @@ class Layer:
         self.grads: dict[str, np.ndarray] = {}
         self._cache = None
 
-    def forward(self, x, train: bool):
-        raise NotImplementedError
-
-    def backward(self, dout):
-        raise NotImplementedError
-
     def state(self) -> dict:
         """Non-trainable state persisted in checkpoints."""
         return {}
@@ -39,20 +35,41 @@ class Layer:
         pass
 
 
-def _channel_rows(x, *vectors):
-    """x as rows of width * channels, and each per-channel vector tiled to
-    that row. Elementwise arithmetic between them gives the values that
-    broadcasting against the channel axis gives, with an inner loop as
-    long as a row instead of as the channel count."""
-    reps = x.shape[-2] if x.ndim > 2 else 1
-    return (x.reshape(-1, reps * x.shape[-1]),
-            *(np.tile(v, reps) for v in vectors))
+def _per_plane(v):
+    """A per-channel vector shaped to broadcast against (C, B, H, W)."""
+    return v.reshape(-1, 1, 1, 1)
 
 
-# Most values in one band of convolution columns at inference (256 KB in
-# float32). At the desk architecture on 64 x 64 rasters, a whole chunk's
-# conv0 columns (4.4 MB) made its forward pass about 1.7x slower.
+def add_plane_bias(planes, bias):
+    """In place: bias[c] added to plane c of planes (C, B, H, W)."""
+    planes += _per_plane(bias)
+    return planes
+
+
+# Most values in one band of convolution columns (256 KB in float32). At
+# the desk architecture on 64 x 64 rasters, a whole chunk's conv0 columns
+# (4.4 MB) made its forward pass about 1.7x slower.
 BAND_VALUES = 2 ** 16
+
+
+def _column_bands(x):
+    """The im2col columns of the valid 3x3 convolution of planes x
+    (C, B, H, W), band by band: (image, output rows, columns (9C, n)).
+
+    Each column holds the (kh, kw, C) values of one output pixel; a band
+    covers consecutive output rows of one image, at most BAND_VALUES values,
+    so that it is still in cache for its product.
+    """
+    c, b, h, w = x.shape
+    ho, wo = h - 2, w - 2
+    win = sliding_window_view(x, (3, 3), axis=(2, 3)) \
+        .transpose(4, 5, 0, 1, 2, 3)
+    bands = -(-9 * c * ho * wo // BAND_VALUES)
+    rows = -(-ho // bands)
+    for i in range(b):
+        for r in range(0, ho, rows):
+            yield i, slice(r, r + rows), \
+                win[:, :, :, i, r:r + rows].reshape(9 * c, -1)
 
 
 def he_uniform(rng, fan_in, shape, dtype):
@@ -63,45 +80,20 @@ def he_uniform(rng, fan_in, shape, dtype):
 class Conv3x3(Layer):
     def __init__(self, in_channels, out_channels, rng, dtype=np.float32):
         super().__init__()
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        fan_in = 9 * in_channels
-        self.params["kernel"] = he_uniform(rng, fan_in,
-                                           (3, 3, in_channels, out_channels),
-                                           dtype)
+        self.params["kernel"] = he_uniform(
+            rng, 9 * in_channels, (3, 3, in_channels, out_channels), dtype)
         self.params["bias"] = np.zeros(out_channels, dtype=dtype)
 
-    @staticmethod
-    def _im2col(x):
-        # (B, H, W, C) as rows of W*C values; a window is 3 rows by 3C
-        # values, one every C along the row: (B, H-2, W-2, 3, 3C) view ->
-        # (B*(H-2)*(W-2), 9C), columns in (kh, kw, C) order
-        b, h, w, c = x.shape
-        ho, wo = h - 2, w - 2
-        win = sliding_window_view(x.reshape(b, h, w * c), (3, 3 * c),
-                                  axis=(1, 2))[:, :, ::c]
-        return win.reshape(b * ho * wo, 9 * c), (b, ho, wo)
-
-    def _convolve(self, x, kernel, bias):
-        """(output, im2col columns) of x under the given kernel and bias."""
-        cols, (b, ho, wo) = self._im2col(x)
-        w = kernel.reshape(9 * self.in_channels, self.out_channels)
-        out, bias = _channel_rows(
-            (cols @ w).reshape(b, ho, wo, self.out_channels), bias)
-        out += bias
-        return out.reshape(b, ho, wo, self.out_channels), cols
-
     def forward(self, x, train: bool):
-        out, cols = self._convolve(x, self.params["kernel"],
-                                   self.params["bias"])
-        self._cache = (cols, x.shape) if train else None
-        return out
+        self._cache = x if train else None
+        return add_plane_bias(self.convolve_planes(x, self.params["kernel"]),
+                              self.params["bias"])
 
     def fold(self, bn: "BatchNorm"):
-        """(kernel, bias) of this convolution followed by bn in eval mode,
-        as one convolution: computed in float64 from the current parameters
-        and running moments, then cast to the layer dtype. Like any eval
-        forward, it frees both layers' backward buffers."""
+        """(kernel, bias) of this convolution followed by bn on its running
+        moments, as one convolution: computed in float64 from the current
+        parameters and running moments, then cast to the layer dtype. Like
+        any eval forward, it frees both layers' backward buffers."""
         s = bn.params["scale"] / np.sqrt(bn.running_var + bn.eps)
         kernel = self.params["kernel"] * s
         bias = (self.params["bias"] - bn.running_mean) * s \
@@ -112,51 +104,31 @@ class Conv3x3(Layer):
 
     @staticmethod
     def convolve_planes(x, kernel):
-        """Eval convolution of channel planes x (C, B, H, W), without bias:
-        planes (O, B, H-2, W-2).
-
-        Each column holds the (kh, kw, C) values of one _im2col row, but the
-        columns are copied in runs of W-2 values instead of 3C. They are
-        built and multiplied for a band of output rows of one image at a
-        time, at most BAND_VALUES values per band, so that a band is still
-        in cache for its product.
-        """
+        """Convolution of channel planes x (C, B, H, W) with a (3, 3, C, O)
+        kernel, without bias: planes (O, B, H-2, W-2)."""
         c, b, h, w = x.shape
-        ho, wo = h - 2, w - 2
         k = kernel.reshape(9 * c, -1).T
-        out = np.empty((k.shape[0], b, ho, wo), dtype=k.dtype)
-        win = sliding_window_view(x, (3, 3), axis=(2, 3)) \
-            .transpose(4, 5, 0, 1, 2, 3)
-        bands = -(-9 * c * ho * wo // BAND_VALUES)
-        rows = -(-ho // bands)
-        for i in range(b):
-            for r in range(0, ho, rows):
-                cols = win[:, :, :, i, r:r + rows].reshape(9 * c, -1)
-                out[:, i, r:r + rows] = (k @ cols).reshape(len(k), -1, wo)
+        out = np.empty((len(k), b, h - 2, w - 2), dtype=k.dtype)
+        for i, rows, cols in _column_bands(x):
+            out[:, i, rows] = (k @ cols).reshape(len(k), -1, w - 2)
         return out
 
     def backward(self, dout):
-        cols, x_shape = self._cache
-        b, h, w_in, c = x_shape
-        ho, wo = h - 2, w_in - 2
-        dflat = dout.reshape(b * ho * wo, self.out_channels)
-        wmat = self.params["kernel"].reshape(9 * c, self.out_channels)
-        self.grads["kernel"] = (cols.T @ dflat).reshape(3, 3, c,
-                                                        self.out_channels)
-        self.grads["bias"] = dflat.sum(axis=0)
+        kernel = self.params["kernel"]
+        grad = sum(dout[:, i, rows].reshape(len(dout), -1) @ cols.T
+                   for i, rows, cols in _column_bands(self._cache))
+        self.grads["kernel"] = grad.T.reshape(kernel.shape)
+        self.grads["bias"] = dout.sum(axis=(1, 2, 3))
         # input gradient: full correlation of dout with the flipped kernel
-        dpad = np.zeros((b, h + 2, w_in + 2, self.out_channels),
-                        dtype=dout.dtype)
-        dpad[:, 2:2 + ho, 2:2 + wo] = dout.reshape(b, ho, wo,
-                                                   self.out_channels)
-        wflip = self.params["kernel"][::-1, ::-1].transpose(0, 1, 3, 2)
-        cols2, (b2, h2, w2) = self._im2col(dpad)
-        dx = cols2 @ wflip.reshape(9 * self.out_channels, c)
-        return dx.reshape(b, h, w_in, c)
+        dpad = np.pad(dout, ((0, 0), (0, 0), (2, 2), (2, 2)))
+        return self.convolve_planes(
+            dpad, kernel[::-1, ::-1].transpose(0, 1, 3, 2))
 
 
 class BatchNorm(Layer):
-    """Per-channel batch normalization over (batch, height, width)."""
+    """Per-channel batch normalization over (batch, height, width) with the
+    batch statistics. Inference runs it only folded into its convolution
+    (Conv3x3.fold), on the running moments that training updates."""
 
     def __init__(self, channels, dtype=np.float32, momentum=0.1,
                  eps=1e-5):
@@ -169,36 +141,31 @@ class BatchNorm(Layer):
         self.eps = eps
 
     def forward(self, x, train: bool):
-        axes = tuple(range(x.ndim - 1))
-        if train:
-            mean = x.mean(axis=axes, dtype=np.float64)
-            var = x.var(axis=axes, dtype=np.float64)
-            self.running_mean = ((1 - self.momentum) * self.running_mean
-                                 + self.momentum * mean)
-            self.running_var = ((1 - self.momentum) * self.running_var
-                                + self.momentum * var)
-        else:
-            mean = self.running_mean
-            var = self.running_var
+        if not train:
+            raise ValueError("BatchNorm runs at inference only as part of "
+                             "Conv3x3.fold")
+        mean = x.mean(axis=(1, 2, 3), dtype=np.float64, keepdims=True)
+        var = x.var(axis=(1, 2, 3), dtype=np.float64, keepdims=True)
+        self.running_mean = ((1 - self.momentum) * self.running_mean
+                             + self.momentum * mean.ravel())
+        self.running_var = ((1 - self.momentum) * self.running_var
+                            + self.momentum * var.ravel())
         inv_std = (1.0 / np.sqrt(var + self.eps)).astype(x.dtype)
-        rows, mean, inv, scale, shift = _channel_rows(
-            x, mean.astype(x.dtype), inv_std, self.params["scale"],
-            self.params["shift"])
-        xhat = rows - mean
-        xhat *= inv
-        self._cache = (xhat.reshape(x.shape), inv_std, axes) if train else None
-        # inference keeps no xhat, so scale and shift go in place
-        out = xhat * scale if train else np.multiply(xhat, scale, out=xhat)
-        out += shift
-        return out.reshape(x.shape)
+        xhat = x - mean.astype(x.dtype)
+        xhat *= inv_std
+        self._cache = (xhat, inv_std)
+        out = xhat * _per_plane(self.params["scale"])
+        out += _per_plane(self.params["shift"])
+        return out
 
     def backward(self, dout):
-        xhat, inv_std, axes = self._cache
-        self.grads["scale"] = (dout * xhat).sum(axis=axes)
-        self.grads["shift"] = dout.sum(axis=axes)
-        dxhat = dout * self.params["scale"]
-        return (dxhat - dxhat.mean(axis=axes)
-                - xhat * (dxhat * xhat).mean(axis=axes)) * inv_std
+        xhat, inv_std = self._cache
+        self.grads["scale"] = (dout * xhat).sum(axis=(1, 2, 3))
+        self.grads["shift"] = dout.sum(axis=(1, 2, 3))
+        dxhat = dout * _per_plane(self.params["scale"])
+        return (dxhat - dxhat.mean(axis=(1, 2, 3), keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=(1, 2, 3), keepdims=True)) \
+            * inv_std
 
     def state(self):
         return {"running_mean": self.running_mean.copy(),
@@ -223,17 +190,19 @@ class ReLU(Layer):
 
 
 class MaxPool2(Layer):
+    @staticmethod
+    def _windows(x):
+        """A view of planes (C, B, H, W) as (C, B, H//2, W//2, 2, 2)
+        windows, indexed (kh, kw) last."""
+        c, b, h, w = x.shape
+        return x[:, :, :h // 2 * 2, :w // 2 * 2] \
+            .reshape(c, b, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+
     def forward(self, x, train: bool):
-        if not train:
-            return self.forward_planes(x.transpose(3, 0, 1, 2)) \
-                .transpose(1, 2, 3, 0)
-        b, h, w, c = x.shape
-        ho, wo = h // 2, w // 2
-        xt = x[:, :2 * ho, :2 * wo]
-        win = xt.reshape(b, ho, 2, wo, 2, c).transpose(0, 1, 3, 5, 2, 4)
-        win = win.reshape(b, ho, wo, c, 4)
+        win = self._windows(x)
+        win = win.reshape(win.shape[:4] + (4,))
         arg = win.argmax(axis=-1)
-        self._cache = (x.shape, arg)
+        self._cache = (x.shape, arg) if train else None
         return np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
 
     def forward_planes(self, x):
@@ -248,30 +217,28 @@ class MaxPool2(Layer):
         return np.maximum(rows[..., 0:2 * wo:2], rows[..., 1:2 * wo:2])
 
     def backward(self, dout):
-        (b, h, w, c), arg = self._cache
-        ho, wo = h // 2, w // 2
-        dwin = np.zeros((b, ho, wo, c, 4), dtype=dout.dtype)
-        np.put_along_axis(dwin, arg[..., None], dout[..., None], axis=-1)
-        dx = np.zeros((b, h, w, c), dtype=dout.dtype)
-        dx[:, :2 * ho, :2 * wo] = dwin.reshape(b, ho, wo, c, 2, 2) \
-            .transpose(0, 1, 4, 2, 5, 3).reshape(b, 2 * ho, 2 * wo, c)
+        shape, arg = self._cache
+        dwin = np.where(arg[..., None] == np.arange(4), dout[..., None], 0)
+        dx = np.zeros(shape, dtype=dout.dtype)
+        self._windows(dx)[...] = dwin.reshape(dwin.shape[:-1] + (2, 2))
         return dx
 
 
 class Flatten(Layer):
+    """Planes (C, B, H, W) to rows (B, H * W * C)."""
+
     def forward(self, x, train: bool):
         self._cache = x.shape if train else None
-        return x.reshape(x.shape[0], -1)
+        return x.transpose(1, 2, 3, 0).reshape(x.shape[1], -1)
 
     def backward(self, dout):
-        return dout.reshape(self._cache)
+        c, b, h, w = self._cache
+        return dout.reshape(b, h, w, c).transpose(3, 0, 1, 2)
 
 
 class Dense(Layer):
     def __init__(self, in_features, out_features, rng, dtype=np.float32):
         super().__init__()
-        self.in_features = in_features
-        self.out_features = out_features
         self.params["weight"] = he_uniform(rng, in_features,
                                            (in_features, out_features), dtype)
         self.params["bias"] = np.zeros(out_features, dtype=dtype)

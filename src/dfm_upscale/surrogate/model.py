@@ -1,9 +1,10 @@
 """Fixed-topology convolutional regressor.
 
-Each conv stage is Conv3x3 -> BatchNorm -> ReLU -> MaxPool2x2 (inference
-runs on channel planes, folds the BatchNorm into the convolution and pools
-before the bias and ReLU), so a side of length s maps to
-floor((s - 2) / 2). The default stack of
+forward takes (B, R, R, 4) rasters and runs the conv stages on channel
+planes (4, B, R, R), in training and at inference alike. Each conv stage is
+Conv3x3 -> BatchNorm -> ReLU -> MaxPool2x2 (inference folds the BatchNorm
+into the convolution and pools before the bias and ReLU), so a side of
+length s maps to floor((s - 2) / 2). The default stack of
 config.TrainSection on 256x256x4 input yields sides 127/62/30/14/6 and a
 9216-wide flatten, followed by its dense layers and a 3-wide linear output.
 """
@@ -19,7 +20,8 @@ import numpy as np
 
 from ..config import fingerprint
 from ..seeding import substream
-from .layers import (BatchNorm, Conv3x3, Dense, Flatten, MaxPool2, ReLU)
+from .layers import (BatchNorm, Conv3x3, Dense, Flatten, MaxPool2, ReLU,
+                     add_plane_bias)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -31,38 +33,26 @@ class Architecture:
     out_features: int = 3
 
     def stage_sides(self) -> list[int]:
-        """Side length after each conv stage; raises if any stage collapses."""
-        sides = []
-        side = self.resolution
-        for i, _ in enumerate(self.conv_channels):
-            if side < 3:
-                raise ValueError(
-                    f"stage {i}: side {side} cannot host a 3x3 convolution "
-                    f"(resolution {self.resolution} supports at most "
-                    f"{self.max_stages()} stages)")
-            side = (side - 2) // 2
-            if side < 1:
-                raise ValueError(f"stage {i}: output side collapsed to {side}")
-            sides.append(side)
-        return sides
+        """Side length after each conv stage; raises if a stage collapses
+        the side below 1."""
+        if len(self.conv_channels) > self.max_stages():
+            raise ValueError(
+                f"{len(self.conv_channels)} conv stages: resolution "
+                f"{self.resolution} supports at most {self.max_stages()}")
+        sides = [self.resolution]
+        for _ in self.conv_channels:
+            sides.append((sides[-1] - 2) // 2)
+        return sides[1:]
 
     def max_stages(self) -> int:
-        side = self.resolution
-        n = 0
-        while side >= 3 and (side - 2) // 2 >= 1:
-            side = (side - 2) // 2
-            n += 1
+        side, n = self.resolution, 0
+        while side >= 4:  # a 3x3 convolution and a 2x2 pool leave >= 1
+            side, n = (side - 2) // 2, n + 1
         return n
 
     @property
     def flatten_width(self) -> int:
         return self.stage_sides()[-1] ** 2 * self.conv_channels[-1]
-
-    def to_dict(self):
-        d = asdict(self)
-        d["conv_channels"] = list(self.conv_channels)
-        d["dense_widths"] = list(self.dense_widths)
-        return d
 
     @classmethod
     def from_dict(cls, d):
@@ -79,12 +69,6 @@ class TrainingState:
     best_val_loss: float = float("inf")
 
 
-def _add_channel_bias(planes, bias):
-    """In place: bias[c] added to plane c of planes (C, B, H, W)."""
-    planes += bias[:, None, None, None]
-    return planes
-
-
 class SurrogateModel:
     """The CNN plus ``stats``, the preprocessing statistics of its training
     split (``dataset_pipeline.compute_stats``) that prediction needs."""
@@ -97,28 +81,23 @@ class SurrogateModel:
         self.training_state = TrainingState()
         rng = substream(seed, "init")
         arch = architecture
-        arch.stage_sides()  # feasibility guard
 
-        self.layers: list = []
-        self.layer_names: list[str] = []
+        self.layers: dict = {}  # name -> layer, in forward order
         c_in = arch.in_channels
         for i, c_out in enumerate(arch.conv_channels):
-            self._add(f"conv{i}", Conv3x3(c_in, c_out, rng, dtype=dtype))
-            self._add(f"bn{i}", BatchNorm(c_out, dtype=dtype))
-            self._add(f"relu_c{i}", ReLU())
-            self._add(f"pool{i}", MaxPool2())
+            self.layers[f"conv{i}"] = Conv3x3(c_in, c_out, rng, dtype=dtype)
+            self.layers[f"bn{i}"] = BatchNorm(c_out, dtype=dtype)
+            self.layers[f"relu_c{i}"] = ReLU()
+            self.layers[f"pool{i}"] = MaxPool2()
             c_in = c_out
-        self._add("flatten", Flatten())
+        self.layers["flatten"] = Flatten()
         width = arch.flatten_width
         for i, w in enumerate(arch.dense_widths):
-            self._add(f"dense{i}", Dense(width, w, rng, dtype=dtype))
-            self._add(f"relu_d{i}", ReLU())
+            self.layers[f"dense{i}"] = Dense(width, w, rng, dtype=dtype)
+            self.layers[f"relu_d{i}"] = ReLU()
             width = w
-        self._add("output", Dense(width, arch.out_features, rng, dtype=dtype))
-
-    def _add(self, name, layer):
-        self.layers.append(layer)
-        self.layer_names.append(name)
+        self.layers["output"] = Dense(width, arch.out_features, rng,
+                                      dtype=dtype)
 
     # ------------------------------------------------------------------
     def forward(self, batch: np.ndarray, train: bool = False) -> np.ndarray:
@@ -128,9 +107,10 @@ class SurrogateModel:
             raise ValueError(
                 f"input: expected (B, {expected[0]}, {expected[1]}, "
                 f"{expected[2]}), got {batch.shape}")
-        x = batch.astype(self.dtype, copy=False)
+        x = np.ascontiguousarray(
+            batch.astype(self.dtype, copy=False).transpose(3, 0, 1, 2))
         steps = ([(name, partial(layer.forward, train=True))
-                  for name, layer in zip(self.layer_names, self.layers)]
+                  for name, layer in self.layers.items()]
                  if train else self._eval_steps())
         for name, step in steps:
             try:
@@ -142,35 +122,27 @@ class SurrogateModel:
     def _eval_steps(self):
         """(name, function) of every step of the inference pass.
 
-        The conv stages run on channel planes (C, B, H, W), where every
-        copy and elementwise pass moves whole image rows. Each stage runs
-        its Conv3x3 with the BatchNorm folded in, then pools, then adds the
-        folded bias and applies ReLU. Pooling before the bias and ReLU gives
-        the same values because both are monotone, and they then see a
-        quarter of them. Pooling cannot move before the folded kernel,
-        whose scale can be negative. The fold is recomputed on every call,
-        so it always reflects the current parameters and running moments.
-        The planes go back to channels-last for the flatten, so the dense
-        layers see the training layout.
+        Each conv stage runs its Conv3x3 with the BatchNorm folded in, then
+        pools, then adds the folded bias and applies ReLU. Pooling before
+        the bias and ReLU gives the same values because both are monotone,
+        and they then see a quarter of them. Pooling cannot move before the
+        folded kernel, whose scale can be negative. The fold is recomputed
+        on every call, so it always reflects the current parameters and
+        running moments.
         """
-        layers = dict(zip(self.layer_names, self.layers))
-        steps = [("planes",
-                  lambda x: np.ascontiguousarray(x.transpose(3, 0, 1, 2)))]
+        layers = self.layers
+        steps = []
         for i in range(len(self.architecture.conv_channels)):
             kernel, bias = layers[f"conv{i}"].fold(layers[f"bn{i}"])
             steps += [
                 (f"conv{i}", partial(Conv3x3.convolve_planes, kernel=kernel)),
                 (f"pool{i}", layers[f"pool{i}"].forward_planes),
-                (f"bias{i}", partial(_add_channel_bias, bias=bias)),
+                (f"bias{i}", partial(add_plane_bias, bias=bias)),
                 (f"relu_c{i}", partial(layers[f"relu_c{i}"].forward,
                                        train=False))]
-        flatten = layers["flatten"]
-        steps.append(("flatten", lambda x: flatten.forward(
-            x.transpose(1, 2, 3, 0), train=False)))
-        head = self.layer_names.index("flatten") + 1
+        head = list(layers).index("flatten")
         return steps + [(name, partial(layer.forward, train=False))
-                        for name, layer in zip(self.layer_names[head:],
-                                               self.layers[head:])]
+                        for name, layer in list(layers.items())[head:]]
 
     def loss_and_backward(self, batch: np.ndarray,
                           targets: np.ndarray) -> float:
@@ -183,39 +155,48 @@ class SurrogateModel:
         if not np.isfinite(loss):
             raise FloatingPointError("NaN/inf in loss")
         dout = (2.0 / len(batch)) * diff
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers.values()):
             dout = layer.backward(dout)
         return loss
 
     # ------------------------------------------------------------------
     def named_params(self):
-        for name, layer in zip(self.layer_names, self.layers):
+        for name, layer in self.layers.items():
             for key in layer.params:
                 yield f"{name}.{key}", layer, key
 
     def copy_params(self):
         params = {name: layer.params[key].copy()
                   for name, layer, key in self.named_params()}
-        state = {name: layer.state()
-                 for name, layer in zip(self.layer_names, self.layers)
+        state = {name: layer.state() for name, layer in self.layers.items()
                  if layer.state()}
         return params, state
 
     def load_params(self, params, state):
         for name, layer, key in self.named_params():
             layer.params[key] = params[name].copy()
-        for name, layer in zip(self.layer_names, self.layers):
+        for name, layer in self.layers.items():
             if name in state:
                 layer.load_state(state[name])
 
     # ------------------------------------------------------------------
+    def _blobs(self) -> dict:
+        """The named arrays of weights.npz: float32 parameters, float64
+        running state."""
+        params, state = self.copy_params()
+        blobs = {f"param/{k}": v.astype("<f4") for k, v in params.items()}
+        for lname, st in state.items():
+            for key, v in st.items():
+                blobs[f"state/{lname}/{key}"] = np.asarray(v, "<f8")
+        return blobs
+
     def save(self, path):
         """model.json (architecture, training state, stats_hash), named
-        float32 weight blobs in weights.npz, and stats.json."""
+        weight blobs in weights.npz, and stats.json."""
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
         header = {
-            "architecture": self.architecture.to_dict(),
+            "architecture": asdict(self.architecture),
             "stats_hash": fingerprint(self.stats),
             "training_state": asdict(self.training_state),
         }
@@ -223,17 +204,13 @@ class SurrogateModel:
             json.dump(header, f, indent=2)
         with open(path / "stats.json", "w") as f:
             json.dump(self.stats, f, indent=2)
-        params, state = self.copy_params()
-        blobs = {f"param/{k}": v.astype("<f4") for k, v in params.items()}
-        for lname, st in state.items():
-            for key, v in st.items():
-                blobs[f"state/{lname}/{key}"] = np.asarray(v, "<f8")
-        np.savez(path / "weights.npz", **blobs)
+        np.savez(path / "weights.npz", **self._blobs())
 
     @classmethod
     def load(cls, path) -> "SurrogateModel":
         """Read what save wrote; ValueError if stats.json does not match
-        model.json's stats_hash."""
+        model.json's stats_hash, or if weights.npz does not hold exactly
+        the architecture's arrays with their shapes."""
         path = Path(path)
         with open(path / "model.json") as f:
             header = json.load(f)
@@ -245,14 +222,19 @@ class SurrogateModel:
         model = cls(Architecture.from_dict(header["architecture"]),
                     stats=stats)
         model.training_state = TrainingState(**header["training_state"])
-        with np.load(path / "weights.npz") as blobs:
-            params = {}
-            state = {}
-            for key in blobs.files:
-                if key.startswith("param/"):
-                    params[key[6:]] = blobs[key].astype(model.dtype)
-                else:
-                    _, lname, skey = key.split("/", 2)
-                    state.setdefault(lname, {})[skey] = blobs[key]
-            model.load_params(params, state)
+        with np.load(path / "weights.npz") as npz:
+            blobs = {key: npz[key] for key in npz.files}
+        expected = model._blobs()
+        for key in sorted(blobs.keys() | expected.keys()):
+            found, needed = (d[key].shape if key in d else "no array"
+                             for d in (blobs, expected))
+            if found != needed:
+                raise ValueError(f"{path / 'weights.npz'}: {key}: found "
+                                 f"{found}, the architecture needs {needed}")
+        params, state = model.copy_params()
+        model.load_params(
+            {name: blobs[f"param/{name}"].astype(model.dtype)
+             for name in params},
+            {lname: {key: blobs[f"state/{lname}/{key}"] for key in st}
+             for lname, st in state.items()})
         return model

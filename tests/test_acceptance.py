@@ -194,14 +194,14 @@ def test_criterion_05_random_field_statistics():
 
 def test_criterion_06_reference_network_shapes():
     model = SurrogateModel(reference_architecture(), seed=0)
-    x = np.random.default_rng(0).standard_normal((1, 256, 256, 4)) \
-        .astype(np.float32)
+    x = np.random.default_rng(0).standard_normal((4, 1, 256, 256)) \
+        .astype(np.float32)  # channel planes of one raster
     sides = []
     flat_width = None
-    for name, layer in zip(model.layer_names, model.layers):
-        x = layer.forward(x, False)
+    for name, layer in model.layers.items():
+        x = layer.forward(x, True)
         if name.startswith("pool"):
-            sides.append(x.shape[1])
+            sides.append(x.shape[2])
         if name == "flatten":
             flat_width = x.shape[1]
     ok = sides == [127, 62, 30, 14, 6] and flat_width == 9216 \

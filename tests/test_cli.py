@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from dfm_upscale import random_field
@@ -29,6 +30,13 @@ def config_path(tmp_path):
 
 def run(argv):
     return main(argv)
+
+
+def unit_stats():
+    """Preprocessing statistics that leave every channel as it is."""
+    unit = {"avg": 0.0, "std": 1.0}
+    return {part: {key: dict(unit) for key in ("log_kxx", "kxy", "log_kyy")}
+            for part in ("input", "target")}
 
 
 class TestErrorHandling:
@@ -128,10 +136,7 @@ class TestErrorHandling:
 
     def test_tampered_model_stats_is_error(self, config_path, tmp_path,
                                            capsys):
-        unit = {"avg": 0.0, "std": 1.0}
-        stats = {part: {key: dict(unit)
-                        for key in ("log_kxx", "kxy", "log_kyy")}
-                 for part in ("input", "target")}
+        stats = unit_stats()
         model_dir = tmp_path / "model"
         arch = Architecture(resolution=16, conv_channels=(2,),
                             dense_widths=(4,))
@@ -147,6 +152,34 @@ class TestErrorHandling:
         err = json.loads(lines[0])
         assert err["error"] == "ValueError"
         assert "statistics" in err["message"]
+
+    @pytest.mark.parametrize("key, tamper", [
+        ("param/output.bias", lambda blobs: blobs.pop("param/output.bias")),
+        # one output channel instead of two: fold would broadcast it
+        ("param/conv0.kernel", lambda blobs: blobs.update(
+            {"param/conv0.kernel": blobs["param/conv0.kernel"][..., :1]})),
+        ("param/conv1.kernel", lambda blobs: blobs.update(
+            {"param/conv1.kernel": np.zeros((3, 3, 2, 2), "<f4")})),
+    ], ids=["missing", "shape", "extra"])
+    def test_tampered_model_weights_is_error(self, config_path, tmp_path,
+                                             capsys, key, tamper):
+        model_dir = tmp_path / "model"
+        arch = Architecture(resolution=16, conv_channels=(2,),
+                            dense_widths=(4,))
+        SurrogateModel(arch, stats=unit_stats()).save(model_dir)
+        with np.load(model_dir / "weights.npz") as npz:
+            blobs = dict(npz)
+        tamper(blobs)
+        np.savez(model_dir / "weights.npz", **blobs)
+        code = run(["upscale", "--config", config_path,
+                    "--backend", "surrogate", "--model", str(model_dir),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert f"weights.npz: {key}:" in err["message"]
 
 
 class TestBasicCommands:
@@ -237,6 +270,15 @@ class TestBenchCommands:
         report = json.loads((out / "report.json").read_text())
         assert report["backends"] == ["numeric", "numeric-2"]
         assert report["r2"] == [1.0]
+
+    def test_bench_speedup_rejects_zero_blocks(self, config_path, tmp_path,
+                                               capsys):
+        code = run(["bench-speedup", "--config", config_path,
+                    "--blocks", "0", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "ValueError"
+        assert "at least 1 block" in err["message"]
 
     def test_sweep_csv(self, config_path, tmp_path):
         import csv

@@ -18,7 +18,7 @@ from dfm_upscale.dfm_solver import (RESIDUAL_GATE, BoundaryCondition,
                                     _mesh_topology, _stiffness,
                                     _stiffness_maps, aquifer_bc, discretize,
                                     discretize_blocks, linear_head,
-                                    locate_triangle, solve_darcy, solve_flows)
+                                    solve_darcy, solve_flows)
 from dfm_upscale.geometry import (_PAIR_CHUNK, Rect, runs,
                                   segment_intersections)
 from dfm_upscale.homogenizer import anisotropy_tensor, positive_definite
@@ -158,7 +158,7 @@ class TestDegenerateGeometry:
         mid = 0.5 * (p[:, 0] + p[:, 1])
         assert np.array_equal(
             sys_.coupling_tri,
-            locate_triangle(unit_rect, 8, 8, mid[:, 0], mid[:, 1]))
+            triangle_of(unit_rect, 8, 8, mid[:, 0], mid[:, 1]))
 
     @pytest.mark.parametrize("ratio_class", sorted(RATIO_CLASSES))
     @pytest.mark.parametrize("name", sorted(DEGENERATE_NETWORKS))
@@ -207,6 +207,22 @@ def reference_stiffness(sys_):
             * (0.5 * np.abs(det))[:, None, None])
 
 
+def triangle_of(domain, nx, ny, x, y):
+    """The triangle index that _barycentric gives each point."""
+    return _barycentric(domain.x0, domain.y0, domain.width / nx,
+                        domain.height / ny, nx, ny, np.atleast_1d(x),
+                        np.atleast_1d(y))[0]
+
+
+def reference_triangle(domain, nx, ny, x, y):
+    """Scalar form of the floor, clamp and tie rules."""
+    fx = (x - domain.x0) / (domain.width / nx)
+    fy = (y - domain.y0) / (domain.height / ny)
+    ix = min(max(int(np.floor(fx)), 0), nx - 1)
+    iy = min(max(int(np.floor(fy)), 0), ny - 1)
+    return 2 * (ix * ny + iy) + (0 if fx - ix >= fy - iy else 1)
+
+
 def reference_barycentric(sys_, tri, x, y):
     """Barycentric weights of the points in the given triangles from a 2 x 2
     solve on the node coordinates."""
@@ -248,7 +264,8 @@ class TestClosedFormTerms:
         x = rect.x0 + fx * sys_.hx
         y = rect.y0 + fy * sys_.hy
         tri, w = _barycentric(rect.x0, rect.y0, sys_.hx, sys_.hy, nx, ny, x, y)
-        assert np.array_equal(tri, locate_triangle(rect, nx, ny, x, y))
+        assert np.array_equal(tri, [reference_triangle(rect, nx, ny, a, b)
+                                    for a, b in zip(x, y)])
         want = reference_barycentric(sys_, tri, x, y)
         assert np.all(np.abs(w - want) <= 16 * EPS)
 
@@ -262,9 +279,9 @@ class TestClosedFormTerms:
         field = TensorField(grid, *rng.uniform(1.0, 2.0, (3, 3 * nx, 3 * ny)))
         sys_ = discretize(field, None, rect, nx, ny)
         centroids = sys_.nodes[sys_.tris].mean(axis=1)
-        want = field.tensor_at(centroids[:, 0], centroids[:, 1])
-        assert np.array_equal(sys_.tri_k,
-                              want.reshape(-1, 4)[:, [0, 1, 3]])
+        ix, iy = grid.cell_index(centroids[:, 0], centroids[:, 1])
+        assert np.array_equal(sys_.tri_k, np.column_stack(
+            [field.kxx[ix, iy], field.kxy[ix, iy], field.kyy[ix, iy]]))
 
 
 class TestChunkAssembly:
@@ -678,35 +695,33 @@ class TestColumnSolve:
 
 
 class TestLocateTriangle:
+    """The triangle index that _barycentric gives each point."""
+
     domain = Rect(0.0, 0.0, 1.0, 1.0)
 
     def test_interior(self):
         # cell (0, 0): lower triangle below the diagonal, upper above
-        assert locate_triangle(self.domain, 4, 4, 0.2, 0.05) == 0
-        assert locate_triangle(self.domain, 4, 4, 0.05, 0.2) == 1
+        assert triangle_of(self.domain, 4, 4, 0.2, 0.05) == [0]
+        assert triangle_of(self.domain, 4, 4, 0.05, 0.2) == [1]
 
     def test_cell_offset(self):
-        # cell (ix, iy) holds triangles 2*(ix*ny + iy) and +1
-        assert locate_triangle(self.domain, 4, 4, 0.9, 0.55) in (28, 29)
+        # cell (ix, iy) holds triangles 2*(ix*ny + iy) and +1; a point on
+        # a cell edge goes to the larger cell, one on the diagonal to the
+        # lower triangle
+        assert triangle_of(self.domain, 4, 4, 0.9, 0.55) == [28]
+        assert triangle_of(self.domain, 4, 4, 0.6, 0.5) == [20]
+        assert triangle_of(self.domain, 4, 4, 0.3, 0.3) == [10]
 
     def test_clamped_outside(self):
-        assert locate_triangle(self.domain, 4, 4, -1.0, -1.0) == 0
-
-    @staticmethod
-    def reference(domain, nx, ny, x, y):
-        """Scalar form of the floor, clamp and tie rules."""
-        fx = (x - domain.x0) / (domain.width / nx)
-        fy = (y - domain.y0) / (domain.height / ny)
-        ix = min(max(int(np.floor(fx)), 0), nx - 1)
-        iy = min(max(int(np.floor(fy)), 0), ny - 1)
-        return 2 * (ix * ny + iy) + (0 if fx - ix >= fy - iy else 1)
+        assert triangle_of(self.domain, 4, 4, -1.0, -1.0) == [0]
+        assert triangle_of(self.domain, 4, 4, 2.0, 0.1) == [24]
 
     def test_arrays_match_scalar_reference(self):
         # cell edges, diagonals, corners and points outside the domain
         g = np.linspace(-0.25, 1.25, 25)
         x, y = (v.ravel() for v in np.meshgrid(g, g))
-        tri = locate_triangle(self.domain, 4, 4, x, y)
-        assert np.array_equal(tri, [self.reference(self.domain, 4, 4, a, b)
+        tri = triangle_of(self.domain, 4, 4, x, y)
+        assert np.array_equal(tri, [reference_triangle(self.domain, 4, 4, a, b)
                                     for a, b in zip(x, y)])
 
 

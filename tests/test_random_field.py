@@ -118,9 +118,11 @@ class TestAssembleTensorField:
         # recompute the principal values the same way to compare invariants
         det = f.kxx * f.kyy - f.kxy ** 2
         trace = f.kxx + f.kyy
-        eigs = np.linalg.eigvalsh(f.tensor_at(
-            grid.origin[0] + (np.arange(16) + 0.5),
-            grid.origin[1] + 8.5 * np.ones(16)))
+        ix, iy = grid.cell_index(grid.origin[0] + (np.arange(16) + 0.5),
+                                 grid.origin[1] + 8.5 * np.ones(16))
+        eigs = np.linalg.eigvalsh(np.stack(
+            [f.kxx[ix, iy], f.kxy[ix, iy], f.kxy[ix, iy], f.kyy[ix, iy]],
+            axis=-1).reshape(-1, 2, 2))
         assert np.all(det > 0)
         assert np.allclose(eigs[:, 0] * eigs[:, 1],
                            det[np.arange(16), 8], rtol=1e-12)

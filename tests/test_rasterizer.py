@@ -23,12 +23,12 @@ def reference_rasterize_block(field_, network, block, resolution):
     centers = block.x0 + pitch * (np.arange(r) + 0.5)
     centers_y = block.y0 + pitch * (np.arange(r) + 0.5)
     cx, cy = np.meshgrid(centers, centers_y, indexing="xy")
-    tensors = field_.tensor_at(cx, cy)  # (r, r, 2, 2), row-major in y
+    ix, iy = field_.grid.cell_index(cx, cy)  # (r, r), row-major in y
 
     image = np.empty((r, r, 4))
-    image[:, :, 0] = tensors[:, :, 0, 0]
-    image[:, :, 1] = tensors[:, :, 0, 1]
-    image[:, :, 2] = tensors[:, :, 1, 1]
+    image[:, :, 0] = field_.kxx[ix, iy]
+    image[:, :, 1] = field_.kxy[ix, iy]
+    image[:, :, 2] = field_.kyy[ix, iy]
     image[:, :, 3] = 1.0
 
     order = np.lexsort((-network.id, network.aperture))

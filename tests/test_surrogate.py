@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -23,6 +25,31 @@ SMALL_ARCH = Architecture(resolution=16, conv_channels=(2, 3),
 
 def small_model(seed=0, dtype=np.float32):
     return SurrogateModel(SMALL_ARCH, seed=seed, dtype=dtype)
+
+
+def planes(x):
+    """Channels-last (B, H, W, C) as channel planes (C, B, H, W)."""
+    return np.ascontiguousarray(x.transpose(3, 0, 1, 2))
+
+
+def unfolded_eval(model, x):
+    """The inference pass written out layer by layer without the fold:
+    conv with bias, BatchNorm on the running moments, ReLU, pool."""
+    h = planes(x)
+    for layer in model.layers.values():
+        if isinstance(layer, BatchNorm):
+            mean, var, scale, shift = (
+                np.asarray(v).astype(h.dtype).reshape(-1, 1, 1, 1)
+                for v in (layer.running_mean, layer.running_var + layer.eps,
+                          layer.params["scale"], layer.params["shift"]))
+            h = (h - mean) / np.sqrt(var) * scale + shift
+        elif isinstance(layer, MaxPool2):
+            c, b, hh, ww = h.shape
+            h = h[:, :, :hh // 2 * 2, :ww // 2 * 2] \
+                .reshape(c, b, hh // 2, 2, ww // 2, 2).max(axis=(3, 5))
+        else:
+            h = layer.forward(h, False)
+    return h
 
 
 def synthetic_dataset(rng, n, r=16):
@@ -54,7 +81,9 @@ class TestArchitecture:
             arch.stage_sides()
 
     def test_round_trip(self):
-        assert Architecture.from_dict(SMALL_ARCH.to_dict()) == SMALL_ARCH
+        # through the JSON of model.json
+        saved = json.loads(json.dumps(asdict(SMALL_ARCH)))
+        assert Architecture.from_dict(saved) == SMALL_ARCH
 
 
 class TestForward:
@@ -66,16 +95,16 @@ class TestForward:
         assert out.shape == (2, 3)
         # every layer's output against the sides the architecture predicts
         shapes = {}
-        h = x.astype(np.float32)
-        for name, layer in zip(model.layer_names, model.layers):
-            h = layer.forward(h, False)
-            shapes[name] = h.shape[1:]
+        h = planes(x.astype(np.float32))
+        for name, layer in model.layers.items():
+            h = layer.forward(h, True)
+            shapes[name] = h.shape
         assert arch.stage_sides() == [7, 2]
         assert [shapes[f"pool{i}"] for i in range(2)] == [
-            (side, side, c)
+            (c, 2, side, side)
             for side, c in zip(arch.stage_sides(), arch.conv_channels)]
-        assert shapes["flatten"] == (arch.flatten_width,) == (12,)
-        assert shapes["output"] == (3,)
+        assert shapes["flatten"] == (2, arch.flatten_width) == (2, 12)
+        assert shapes["output"] == (2, 3)
 
     def test_fresh_model_maps_zero_to_zero(self):
         # zero biases/shifts everywhere: the all-zero image stays zero
@@ -96,9 +125,10 @@ class TestForward:
         x = np.random.default_rng(3).standard_normal((4, 16, 16, 4)) \
             .astype(np.float32)
         model.loss_and_backward(x, np.zeros((4, 3)))  # fills every cache
-        assert all(layer._cache is not None for layer in model.layers)
+        layers = model.layers.values()
+        assert all(layer._cache is not None for layer in layers)
         model.forward(x, train=False)
-        assert all(layer._cache is None for layer in model.layers)
+        assert all(layer._cache is None for layer in layers)
 
     @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5),
                                              (np.float64, 1e-12)])
@@ -108,7 +138,7 @@ class TestForward:
         model = SurrogateModel(arch, seed=2, dtype=dtype)
         rng = np.random.default_rng(6)
         x = rng.standard_normal((3, 32, 32, 4)).astype(dtype)
-        bns = [layer for layer in model.layers
+        bns = [layer for layer in model.layers.values()
                if isinstance(layer, BatchNorm)]
         for _ in range(2):  # the fold follows the current moments
             for bn in bns:
@@ -118,9 +148,7 @@ class TestForward:
                 bn.params["scale"] = rng.uniform(0.3, 2.0, c).astype(dtype) \
                     * np.where(np.arange(c) % 2, -1, 1).astype(dtype)
                 bn.params["shift"] = rng.normal(0.0, 0.3, c).astype(dtype)
-            ref = x
-            for layer in model.layers:
-                ref = layer.forward(ref, False)
+            ref = unfolded_eval(model, x)
             out = model.forward(x)
             assert out.dtype == ref.dtype == dtype
             assert np.max(np.abs(out - ref)) <= rtol * np.max(np.abs(ref))
@@ -131,11 +159,11 @@ class TestForward:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((4, 16, 16, 4)).astype(np.float32)
         t = rng.standard_normal((4, 3))
-        ref = x
-        for layer in model.layers:
+        ref = planes(x)
+        for layer in model.layers.values():
             ref = layer.forward(ref, True)
         dout = (2.0 / len(x)) * (ref - t.astype(ref.dtype))
-        for layer in reversed(model.layers):
+        for layer in reversed(model.layers.values()):
             dout = layer.backward(dout)
         grads = {name: layer.grads[key].copy()
                  for name, layer, key in model.named_params()}
@@ -188,6 +216,24 @@ class TestLossAndGradients:
         for name, err in errors.items():
             assert err < 1e-4, f"{name}: max relative gradient error {err}"
 
+    def test_training_step_peak_memory(self):
+        # the desk architecture at batch 64: columns built band by band keep
+        # one step near 60 MB; whole im2col matrices took about 175 MB
+        arch = Architecture(resolution=64, conv_channels=(8, 16, 32),
+                            dense_widths=(64, 64))
+        model = SurrogateModel(arch, seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((64, 64, 64, 4)).astype(np.float32)
+        t = rng.standard_normal((64, 3))
+        model.loss_and_backward(x, t)
+        tracemalloc.start()
+        try:
+            model.loss_and_backward(x, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6, f"peak {peak / 1e6:.0f} MB"
+
     def test_nan_loss_rejected(self):
         model = small_model()
         x = np.zeros((1, 16, 16, 4), dtype=np.float32)
@@ -197,28 +243,42 @@ class TestLossAndGradients:
 
 class TestBatchNorm:
     def test_train_mode_batch_statistics(self):
+        # each channel plane is normalized with its own statistics
         bn = BatchNorm(3, dtype=np.float64)
-        x = np.random.default_rng(0).normal(5.0, 2.0, (8, 6, 6, 3))
+        x = np.random.default_rng(0).standard_normal((3, 8, 6, 6)) \
+            * np.array([2.0, 0.1, 7.0]).reshape(3, 1, 1, 1) \
+            + np.array([5.0, -2.0, 0.5]).reshape(3, 1, 1, 1)
         y = bn.forward(x, train=True)
-        mean = y.mean(axis=(0, 1, 2))
-        var = y.var(axis=(0, 1, 2))
-        assert np.all(np.abs(mean) < 1e-6)
-        assert np.all(np.abs(var - 1.0) < 1e-4)
+        assert np.all(np.abs(y.mean(axis=(1, 2, 3))) < 1e-12)
+        var = x.var(axis=(1, 2, 3))
+        np.testing.assert_allclose(y.var(axis=(1, 2, 3)),
+                                   var / (var + bn.eps), rtol=1e-12)
+        assert np.array_equal(bn.running_mean,
+                              0.1 * x.mean(axis=(1, 2, 3)))
 
     def test_eval_mode_uses_running_moments(self):
+        # inference folds the running moments into the convolution
         bn = BatchNorm(2, dtype=np.float64)
         rng = np.random.default_rng(1)
         for _ in range(200):
-            bn.forward(rng.normal(3.0, 1.5, (16, 4, 4, 2)), train=True)
-        x = rng.normal(3.0, 1.5, (16, 4, 4, 2))
-        y = bn.forward(x, train=False)
-        expect = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
-        assert np.allclose(y, expect)
+            bn.forward(rng.normal(3.0, 1.5, (2, 16, 4, 4)), train=True)
         assert np.allclose(bn.running_mean, 3.0, atol=0.1)
+        assert np.allclose(bn.running_var, 2.25, atol=0.1)
+        with pytest.raises(ValueError, match="fold"):
+            bn.forward(rng.normal(3.0, 1.5, (2, 16, 4, 4)), train=False)
+        conv = Conv3x3(3, 2, rng, dtype=np.float64)
+        conv.params["bias"] = rng.normal(0.0, 1.0, 2)
+        x = rng.standard_normal((3, 4, 6, 5))
+        kernel, bias = conv.fold(bn)
+        y = conv.forward(x, train=False)
+        expect = (y - bn.running_mean.reshape(2, 1, 1, 1)) \
+            / np.sqrt(bn.running_var + bn.eps).reshape(2, 1, 1, 1)
+        folded = Conv3x3.convolve_planes(x, kernel) + bias.reshape(2, 1, 1, 1)
+        np.testing.assert_allclose(folded, expect, rtol=1e-12, atol=1e-12)
 
     def test_state_round_trip(self):
         bn = BatchNorm(2)
-        bn.forward(np.random.default_rng(2).normal(1.0, 1.0, (4, 3, 3, 2)),
+        bn.forward(np.random.default_rng(2).normal(1.0, 1.0, (2, 4, 3, 3)),
                    train=True)
         st = bn.state()
         fresh = BatchNorm(2)
@@ -228,7 +288,7 @@ class TestBatchNorm:
 
 
 class TestInferenceKernels:
-    """The inference arithmetic gives the same bits as the plain formulas."""
+    """The layer arithmetic against the plain formulas."""
 
     @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32),
                                              (np.float64, np.uint64)])
@@ -242,24 +302,43 @@ class TestInferenceKernels:
                                   np.where(sub > 0, sub, 0).view(bits))
 
     def test_maxpool_inference_matches_argmax_path(self):
-        x = np.random.default_rng(1).standard_normal((3, 7, 9, 4))
+        # odd-sided planes, and windows that are all zero after the ReLU
+        x = np.random.default_rng(1).standard_normal((3, 7, 9, 5))
+        x[:, :, 2:4, 2:4] = 0.0
         x = np.where(x > 0, x, 0).astype(np.float32)
+        assert (x[:, :, :8, :4].reshape(3, 7, 4, 2, 2, 2)
+                .max(axis=(3, 5)) == 0).any()
         pool = MaxPool2()
-        assert np.array_equal(pool.forward(x, train=False),
+        assert np.array_equal(pool.forward_planes(x),
                               pool.forward(x, train=True))
+
+    def test_maxpool_backward_routes_to_first_maximum(self):
+        # windows in (kh, kw) order: ties go to the first maximum
+        x = np.array([[1.0, 3.0, 2.0, 2.0, 9.0],
+                      [3.0, 0.0, 2.0, 2.0, 9.0],
+                      [0.0, 0.0, -1.0, 5.0, 9.0]]).reshape(1, 1, 3, 5)
+        pool = MaxPool2()
+        assert np.array_equal(pool.forward(x, train=True),
+                              [[[[3.0, 2.0]]]])
+        dx = pool.backward(np.array([[[[10.0, 20.0]]]]))
+        assert np.array_equal(dx, np.array([[0.0, 10.0, 20.0, 0.0, 0.0],
+                                            [0.0, 0.0, 0.0, 0.0, 0.0],
+                                            [0.0, 0.0, 0.0, 0.0, 0.0]])
+                              .reshape(1, 1, 3, 5))
 
     def test_batchnorm_matches_channel_broadcast(self):
         rng = np.random.default_rng(2)
         bn = BatchNorm(5)
-        bn.running_mean = rng.normal(0.0, 1.0, 5)
-        bn.running_var = rng.uniform(0.5, 2.0, 5)
         bn.params["scale"] = rng.normal(1.0, 0.3, 5).astype(np.float32)
         bn.params["shift"] = rng.normal(0.0, 0.3, 5).astype(np.float32)
-        x = rng.standard_normal((3, 6, 7, 5)).astype(np.float32)
-        inv_std = (1.0 / np.sqrt(bn.running_var + bn.eps)).astype(np.float32)
-        expect = ((x - bn.running_mean.astype(np.float32)) * inv_std
-                  * bn.params["scale"] + bn.params["shift"])
-        assert np.array_equal(bn.forward(x, train=False), expect)
+        x = rng.standard_normal((5, 3, 6, 7)).astype(np.float32)
+        mean = x.mean(axis=(1, 2, 3), dtype=np.float64)
+        var = x.var(axis=(1, 2, 3), dtype=np.float64)
+        inv_std = (1.0 / np.sqrt(var + bn.eps)).astype(np.float32)
+        expect = ((x.transpose(1, 2, 3, 0) - mean.astype(np.float32))
+                  * inv_std * bn.params["scale"] + bn.params["shift"])
+        assert np.array_equal(bn.forward(x, train=True),
+                              expect.transpose(3, 0, 1, 2))
 
     def test_conv_columns_in_kernel_order(self):
         rng = np.random.default_rng(3)
@@ -270,7 +349,17 @@ class TestInferenceKernels:
                          for j in range(3)], axis=3).reshape(24, 18)
         expect = (cols @ conv.params["kernel"].reshape(18, 3)
                   + conv.params["bias"]).reshape(2, 4, 3, 3)
-        assert np.array_equal(conv.forward(x, train=False), expect)
+        out = conv.forward(planes(x), train=False)
+        assert out.shape == (3, 2, 4, 3)
+        assert np.array_equal(out.transpose(1, 2, 3, 0), expect)
+
+    def test_flatten_rows_in_height_width_channel_order(self):
+        # the order of the dense weights in weights.npz
+        x = np.random.default_rng(6).standard_normal((2, 3, 4, 5))
+        flat = layers.Flatten()
+        assert np.array_equal(flat.forward(planes(x), train=True),
+                              x.reshape(2, -1))
+        assert np.array_equal(flat.backward(x.reshape(2, -1)), planes(x))
 
     def test_planes_conv_matches_columns_in_any_bands(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -289,6 +378,32 @@ class TestInferenceKernels:
             monkeypatch.setattr(layers, "BAND_VALUES", band_values)
             assert np.array_equal(Conv3x3.convolve_planes(planes, kernel),
                                   whole)
+
+    def test_conv_gradients_in_any_bands(self, monkeypatch):
+        # the kernel gradient sums band products; the input gradient is the
+        # full correlation with the flipped kernel
+        rng = np.random.default_rng(5)
+        conv = Conv3x3(2, 3, rng, dtype=np.float64)
+        x = rng.standard_normal((2, 2, 9, 7))
+        dout = rng.standard_normal((3, 2, 7, 5))
+        cols = np.stack([x[:, :, i:i + 7, j:j + 5] for i in range(3)
+                         for j in range(3)])  # (9, C, B, 7, 5)
+        want_kernel = np.einsum("kcbhw,obhw->kco", cols, dout) \
+            .reshape(3, 3, 2, 3)
+        want_dx = np.zeros_like(x)
+        for i in range(3):
+            for j in range(3):
+                want_dx[:, :, i:i + 7, j:j + 5] += np.einsum(
+                    "co,obhw->cbhw", conv.params["kernel"][i, j], dout)
+        for band_values in (2 ** 16, 270, 1):
+            monkeypatch.setattr(layers, "BAND_VALUES", band_values)
+            conv.forward(x, train=True)
+            dx = conv.backward(dout)
+            np.testing.assert_allclose(conv.grads["kernel"], want_kernel,
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(conv.grads["bias"],
+                                       dout.sum(axis=(1, 2, 3)), rtol=1e-12)
+            np.testing.assert_allclose(dx, want_dx, rtol=1e-12, atol=1e-12)
 
 
 class TestAdam:
