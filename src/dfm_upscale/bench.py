@@ -10,8 +10,7 @@ from __future__ import annotations
 import os
 import platform
 import time
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,23 +52,19 @@ def environment_fingerprint() -> dict:
     }
 
 
-def fine_model(cfg: RunConfig, seed: int, index: int = 0,
-               rho_2d: float | None = None,
-               correlation_length: float | None = None):
+def fine_model(cfg: RunConfig, seed: int, index: int = 0):
     """One fine-scale realization (field + network) over the extended domain."""
     grid_geom = build_block_grid(cfg.blocks.domain_side, cfg.blocks.block_size)
     ext = grid_geom.extended
     res = cfg.srf.resolution
     cell = ext.width / res
     fgrid = Grid(res, res, cell, (ext.x0, ext.y0))
-    lam = (cfg.srf.correlation_length if correlation_length is None
-           else correlation_length)
     srf_seed = int(substream(seed, "bench-srf", index).integers(0, 2 ** 63))
     dfn_seed = int(substream(seed, "bench-dfn", index).integers(0, 2 ** 63))
-    field_ = sample_tensor_field(fgrid, lam, cfg.srf.mean_log,
+    field_ = sample_tensor_field(fgrid, cfg.srf.correlation_length,
+                                 cfg.srf.mean_log,
                                  np.asarray(cfg.srf.cov_log), srf_seed)
-    density = cfg.dfn.rho_2d if rho_2d is None else rho_2d
-    network = generate_dfn(cfg.dfn.power_law, density, ext,
+    network = generate_dfn(cfg.dfn.power_law, cfg.dfn.rho_2d, ext,
                            cfg.dfn.aperture_ratio, cfg.dfn.constants, dfn_seed)
     return field_, network, grid_geom
 
@@ -133,46 +128,54 @@ def bench_speedup(cfg: RunConfig, seed: int, n_blocks: int,
                   surrogate_model=None, repetitions: int = 3) -> dict:
     """Median-of-repetitions wall-clock cost of per-block homogenization
     (C_H: discretization, solves and fits by the numeric backend) versus
-    the surrogate path (C_S: rasterization and inference). Both run one
-    chunk of homogenizer.CHUNK_BLOCKS blocks at a time, as the backends of
-    upscale do."""
+    the surrogate path (C_S: rasterization and inference). Both build and
+    run one chunk of homogenizer.CHUNK_BLOCKS blocks at a time, as upscale
+    does."""
     from .surrogate.predict import predict_samples
 
     if n_blocks < 1:
         raise ValueError(f"bench_speedup needs at least 1 block, got "
                          f"{n_blocks}")
+    if repetitions < 1:
+        raise ValueError(f"bench_speedup needs at least 1 repetition, got "
+                         f"{repetitions}")
     field_, network, grid = fine_model(cfg, seed)
-    blocks = list(islice(block_candidates(network, grid,
-                                          cfg.blocks.length_threshold),
-                         n_blocks))
+    n_blocks = min(n_blocks, grid.n_blocks)
     res = cfg.solver.resolution
     raster_res = (surrogate_model.architecture.resolution
                   if surrogate_model is not None else cfg.raster.resolution)
+
+    def chunks():
+        for start, chunk in zip(range(0, n_blocks, CHUNK_BLOCKS),
+                                block_candidates(
+                                    network, grid,
+                                    cfg.blocks.length_threshold)):
+            yield chunk.head(n_blocks - start)
 
     numeric = numeric_backend(res)
     c_h, c_s, c_raster = [], [], []
     for _ in range(repetitions):
         t0 = time.perf_counter()
-        for i in range(0, len(blocks), CHUNK_BLOCKS):
-            numeric(field_, blocks[i:i + CHUNK_BLOCKS])
+        for chunk in chunks():
+            numeric(field_, chunk)
         c_h.append(time.perf_counter() - t0)
 
-        t0 = time.perf_counter()
+        # a chunk's rasterization time includes building its table
+        t0 = t1 = time.perf_counter()
         t_raster = 0.0
-        for i in range(0, len(blocks), CHUNK_BLOCKS):
-            t1 = time.perf_counter()
-            images = rasterize_blocks(field_, blocks[i:i + CHUNK_BLOCKS],
-                                      raster_res)
+        for chunk in chunks():
+            images = rasterize_blocks(field_, chunk, raster_res)
             t_raster += time.perf_counter() - t1
             if surrogate_model is not None:
                 predict_samples(surrogate_model, images)
+            t1 = time.perf_counter()
         c_s.append(time.perf_counter() - t0)
         c_raster.append(t_raster)
 
     ch = float(np.median(c_h))
     cs = float(np.median(c_s))
     return {
-        "n_blocks": len(blocks),
+        "n_blocks": n_blocks,
         "repetitions": repetitions,
         "c_h_seconds": ch,
         "c_s_seconds": cs,
@@ -196,9 +199,11 @@ def sweep(cfg: RunConfig, seed: int, param: str, values,
     rows = []
     res = cfg.solver.resolution
     for value in values:
-        kwargs = ({"rho_2d": float(value)} if param == "rho"
-                  else {"correlation_length": float(value)})
-        field_, network, grid = fine_model(cfg, seed, **kwargs)
+        cfg_v = (replace(cfg, dfn=replace(cfg.dfn, rho_2d=float(value)))
+                 if param == "rho" else
+                 replace(cfg, srf=replace(cfg.srf,
+                                          correlation_length=float(value))))
+        field_, network, grid = fine_model(cfg_v, seed)
         _, blocks, projected = upscale_domain(
             field_, network, grid, numeric_backend(res),
             length_threshold=cfg.blocks.length_threshold)

@@ -22,11 +22,10 @@ import numpy as np
 from . import bench
 from .config import ConfigError, RunConfig
 from .dataset_pipeline import generate_dataset, load_dataset, preprocess
-from .frac_geom import generate_dfn, save_network
-from .geometry import Rect
+from .frac_geom import save_network
 from .homogenizer import (numeric_backend, upscale_domain,
                           write_block_csv)
-from .random_field import Grid, sample_tensor_field, save_tensor_field
+from .random_field import save_tensor_field
 from .surrogate.model import Architecture, SurrogateModel
 from .surrogate.predict import surrogate_backend
 from .surrogate.training import evaluate, train, write_history_csv
@@ -76,27 +75,15 @@ def _backends(cfg: RunConfig, args):
     return backends
 
 
-def cmd_generate_dfn(cfg: RunConfig, args):
+def cmd_generate_fine(cfg: RunConfig, args):
+    """The fine model that upscale homogenizes: its fracture network and
+    its conductivity-tensor field."""
     out = _out_dir(args)
-    side = cfg.blocks.domain_side
-    network = generate_dfn(cfg.dfn.power_law, cfg.dfn.rho_2d,
-                           Rect(0, 0, side, side), cfg.dfn.aperture_ratio,
-                           cfg.dfn.constants, args.seed)
+    field, network, _ = bench.fine_model(cfg, args.seed)
     save_network(network, out / "network.csv")
-    log.info("generated %d fractures", len(network))
-    return ["network.csv", "network.json"]
-
-
-def cmd_generate_srf(cfg: RunConfig, args):
-    out = _out_dir(args)
-    side = cfg.blocks.domain_side
-    res = cfg.srf.resolution
-    grid = Grid(res, res, side / res, (0.0, 0.0))
-    field = sample_tensor_field(grid, cfg.srf.correlation_length,
-                                cfg.srf.mean_log,
-                                np.asarray(cfg.srf.cov_log), args.seed)
     save_tensor_field(field, out / "field.bin")
-    return ["field.bin", "field.bin.json"]
+    log.info("generated %d fractures", len(network))
+    return ["network.csv", "field.bin", "field.bin.json"]
 
 
 def _upscale(cfg: RunConfig, args, backend):
@@ -162,8 +149,7 @@ def cmd_train(cfg: RunConfig, args):
                    args.seed)
     model.save(out / "model")
     write_history_csv(result, out / "history.csv")
-    metrics = evaluate(model, images[splits["test"]], targets[splits["test"]],
-                       tc.batch_size)
+    metrics = evaluate(model, images[splits["test"]], targets[splits["test"]])
     with open(out / "metrics.json", "w") as f:
         json.dump(metrics.to_dict(), f, indent=2)
     log.info("best val loss %.4g at epoch %d; test mean R^2 %.4f",
@@ -219,8 +205,7 @@ def cmd_sweep(cfg: RunConfig, args):
 
 
 COMMANDS = {
-    "generate-dfn": cmd_generate_dfn,
-    "generate-srf": cmd_generate_srf,
+    "generate-fine": cmd_generate_fine,
     "build-dataset": cmd_build_dataset,
     "train": cmd_train,
     "evaluate": cmd_evaluate,
@@ -248,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1)
         return p
 
-    add("generate-dfn")
-    add("generate-srf")
+    add("generate-fine")
     add("build-dataset")
     p = add("train")
     p.add_argument("--dataset", required=True)

@@ -20,9 +20,8 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .frac_geom import FractureNetwork
-from .geometry import (_PAIR_CHUNK, Rect, clip_segments, runs,
-                       segment_intersections)
+from .frac_geom import BlockChunk, FractureNetwork, clip_to_blocks
+from .geometry import _PAIR_CHUNK, Rect, runs, segment_intersections
 from .random_field import TensorField
 
 FRAC_ELEM_FACTOR = 0.75  # target fracture element length / matrix cell size
@@ -483,26 +482,25 @@ def discretize(field_: TensorField, network: FractureNetwork | None,
 
     The network's fractures are clipped to domain; any that miss it are
     ignored, so a caller may pass a superset of the fractures in it."""
-    return next(discretize_blocks(field_, [(domain, network)], nx, ny))
+    return next(discretize_blocks(field_, clip_to_blocks(network, domain),
+                                  nx, ny))
 
 
-def discretize_blocks(field_: TensorField, chunk, nx: int,
+def discretize_blocks(field_: TensorField, chunk: BlockChunk, nx: int,
                       ny: int) -> Iterator[DiscreteSystem]:
-    """An iterator over the systems of the (domain rect, fractures or None)
-    items of chunk, in order (see discretize). One pass over the whole
-    chunk builds the meshes and their triangle tensors, clips all fractures
-    at once, and computes the fracture elements and their coefficients.
-    Collinear merging and the fracture chains run per block, and each
-    system's stiffness and sparse matrix are built when the iterator
-    reaches it, so a caller that solves them in turn holds one at a time.
-    Every other step works entry by entry, so a block's system does not
-    depend on the other blocks of its chunk."""
+    """An iterator over the systems of the blocks of chunk (see
+    frac_geom.clip_to_blocks), in order. One pass over the whole chunk
+    builds the meshes and their triangle tensors, and computes the fracture
+    elements and their coefficients. Collinear merging and the fracture
+    chains run per block, and each system's stiffness and sparse matrix are
+    built when the iterator reaches it, so a caller that solves them in
+    turn holds one at a time. Every other step works entry by entry, so a
+    block's system does not depend on the other blocks of its chunk."""
     if nx < 2 or ny < 2:
         raise ValueError("resolution must be at least 2x2")
-    domains = [rect for rect, _ in chunk]
-    nets = [net for _, net in chunk if net is not None]
-    n_b = len(chunk)
-    box = np.array([d.as_tuple() for d in domains])
+    box = chunk.rects
+    domains = [Rect(*row) for row in box.tolist()]
+    n_b = len(box)
     hx = (box[:, 2] - box[:, 0]) / nx
     hy = (box[:, 3] - box[:, 1]) / ny
 
@@ -517,22 +515,15 @@ def discretize_blocks(field_: TensorField, chunk, nx: int,
     tris, rows, cols = _mesh_topology(nx, ny)
     tri_k = _triangle_tensors(field_, xs, ys)
 
-    # fractures: one clip, then merging and chains per block
-    net_block = np.repeat(np.arange(n_b), [0 if net is None else len(net)
-                                           for _, net in chunk])
-    p0, p1, aperture, conductivity = (
-        np.concatenate([empty] + [getattr(net, name) for net in nets])
-        for name, empty in (("p0", np.zeros((0, 2))), ("p1", np.zeros((0, 2))),
-                            ("aperture", np.zeros(0)),
-                            ("conductivity", np.zeros(0))))
-    kept, q0, q1 = clip_segments(p0, p1, box[net_block])
-    bounds = np.searchsorted(net_block[kept], np.arange(n_b + 1))
+    # fractures: merging and chains per block, over its rows of the table
+    bounds = np.searchsorted(chunk.block, np.arange(n_b + 1))
     snap_tol = np.array([1e-9 * d.diameter for d in domains])
     chains, segs, merged = [], [], []
     for b in range(n_b):
         part = slice(bounds[b], bounds[b + 1])
         seg_row, seg_p0, seg_p1, n_merged = _merge_collinear(
-            kept[part], q0[part], q1[part], aperture, snap_tol[b])
+            np.arange(bounds[b], bounds[b + 1]), chunk.p0[part],
+            chunk.p1[part], chunk.aperture, snap_tol[b])
         chains.append(_fracture_chains(seg_p0, seg_p1, snap_tol[b],
                                        FRAC_ELEM_FACTOR * min(hx[b], hy[b])))
         segs.append((seg_row, seg_p0, seg_p1))
@@ -566,7 +557,7 @@ def discretize_blocks(field_: TensorField, chunk, nx: int,
     e_seg = sp_seg[span]
     e_tan = seg_d[e_seg] / np.hypot(seg_d[e_seg, 0], seg_d[e_seg, 1])[:, None]
     e_row = seg_row[e_seg]
-    e_ap, e_cond = aperture[e_row], conductivity[e_row]
+    e_ap, e_cond = chunk.aperture[e_row], chunk.conductivity[e_row]
     mid = 0.5 * (e_p0 + e_p1)
     e_tri, w = _barycentric(box[e_blk, 0], box[e_blk, 1], hx[e_blk],
                             hy[e_blk], nx, ny, mid[:, 0], mid[:, 1])

@@ -7,16 +7,14 @@ length and fracture conductivity follows the cubic law.
 
 from __future__ import annotations
 
-import copy
 import csv
-import json
-from dataclasses import dataclass, field, asdict
-from pathlib import Path
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .geometry import Rect
+from .geometry import Rect, clip_segments
 from .seeding import substream
 
 
@@ -62,11 +60,6 @@ class PowerLawSpec:
         return self.moment(1)
 
 
-# the per-fracture arrays of a FractureNetwork
-ARRAY_FIELDS = ("id", "center", "length", "angle", "aperture",
-                "conductivity", "p0", "p1")
-
-
 @dataclass(eq=False)
 class FractureNetwork:
     """Fractures as parallel arrays, one row per fracture.
@@ -81,12 +74,6 @@ class FractureNetwork:
     angle: np.ndarray         # (n,) rad, in [0, pi)
     aperture: np.ndarray      # (n,) m
     conductivity: np.ndarray  # (n,) m/s
-    domain: Rect
-    density: float
-    seed: int
-    constants: PhysicalConstants
-    spec: PowerLawSpec | None = None
-    aperture_ratio: float | None = None
     p0: np.ndarray = field(init=False, repr=False)
     p1: np.ndarray = field(init=False, repr=False)
 
@@ -104,14 +91,57 @@ class FractureNetwork:
     def __len__(self):
         return len(self.id)
 
-    def take(self, rows, domain: Rect) -> FractureNetwork:
-        """The fractures at rows (indices or a mask), re-rooted on domain;
-        the endpoints are sliced, not recomputed."""
-        out = copy.copy(self)
-        for name in ARRAY_FIELDS:
-            setattr(out, name, getattr(self, name)[rows])
-        out.domain = domain
-        return out
+
+class BlockChunk(NamedTuple):
+    """The fractures of a chunk of blocks, each cut to its block: one row
+    per clipped candidate, in (block, network row) order."""
+
+    rects: np.ndarray         # (n, 4) block rects (x0, y0, x1, y1)
+    block: np.ndarray         # (m,) the row's block, ascending
+    id: np.ndarray            # (m,) fracture id
+    aperture: np.ndarray      # (m,)
+    conductivity: np.ndarray  # (m,)
+    p0: np.ndarray            # (m, 2) clipped endpoints
+    p1: np.ndarray            # (m, 2)
+
+    def head(self, n: int) -> BlockChunk:
+        """The table of its first n blocks."""
+        end = np.searchsorted(self.block, n)
+        return BlockChunk(self.rects[:n], *(a[:end] for a in self[1:]))
+
+
+def clip_to_blocks(network: FractureNetwork | None, rects,
+                   rows=None) -> BlockChunk:
+    """The clipped fracture table of the blocks rects: a Rect, or an (n, 4)
+    array of (x0, y0, x1, y1) rows.
+
+    Only the network rows selected by the row mask rows (all, if None)
+    take part, and none if network is None. A fracture is a candidate of a
+    block when its bounding box meets the block's rect; one clip_segments
+    call cuts every candidate to its block, and the candidates whose clipped
+    part has nonzero length are the table's rows. The clip rejects every
+    fracture whose bounding box misses the rect, so a block's rows are what
+    clipping the whole network to its rect alone gives.
+    """
+    rects = np.asarray(rects.as_tuple() if isinstance(rects, Rect) else rects,
+                       float).reshape(-1, 4)
+    if network is None:
+        network = FractureNetwork([], [], [], [], [], [])
+    src = np.arange(len(network))
+    if rows is not None:
+        src = src[rows]
+    lo = np.minimum(network.p0[src], network.p1[src])
+    hi = np.maximum(network.p0[src], network.p1[src])
+    r = rects[:, :, None]
+    block, col = np.nonzero((lo[:, 0] <= r[:, 2]) & (hi[:, 0] >= r[:, 0])
+                            & (lo[:, 1] <= r[:, 3]) & (hi[:, 1] >= r[:, 1]))
+    row = src[col]
+    kept, q0, q1 = clip_segments(network.p0[row], network.p1[row],
+                                 rects[block])
+    row = row[kept]
+    return BlockChunk(rects, block[kept], network.id[row],
+                      network.aperture[row], network.conductivity[row],
+                      q0, q1)
 
 
 def sample_power_law(spec: PowerLawSpec, u):
@@ -178,17 +208,14 @@ def generate_dfn(spec: PowerLawSpec, density: float, domain: Rect,
     delta, k_f = fracture_conductivity(lengths, aperture_ratio, constants)
     return FractureNetwork(
         id=np.arange(n), center=np.column_stack([cx, cy]), length=lengths,
-        angle=angles, aperture=delta, conductivity=k_f, domain=domain,
-        density=density, seed=seed, spec=spec,
-        aperture_ratio=aperture_ratio, constants=constants)
+        angle=angles, aperture=delta, conductivity=k_f)
 
 
 CSV_COLUMNS = ("id", "cx", "cy", "length", "angle", "aperture", "conductivity")
 
 
 def save_network(network: FractureNetwork, csv_path):
-    """One CSV row per fracture plus a JSON sidecar with generation metadata."""
-    csv_path = Path(csv_path)
+    """One CSV row per fracture, floats as repr (they parse back exactly)."""
     columns = [network.center[:, 0], network.center[:, 1], network.length,
                network.angle, network.aperture, network.conductivity]
     with open(csv_path, "w", newline="") as f:
@@ -196,32 +223,3 @@ def save_network(network: FractureNetwork, csv_path):
         w.writerow(CSV_COLUMNS)
         w.writerows([i, *map(repr, values)] for i, *values in zip(
             network.id.tolist(), *(c.tolist() for c in columns)))
-    sidecar = {
-        "domain": network.domain.as_tuple(),
-        "density": network.density,
-        "seed": network.seed,
-        "spec": asdict(network.spec) if network.spec else None,
-        "aperture_ratio": network.aperture_ratio,
-        "constants": asdict(network.constants),
-        "count": len(network),
-    }
-    with open(csv_path.with_suffix(".json"), "w") as f:
-        json.dump(sidecar, f, indent=2)
-
-
-def load_network(csv_path) -> FractureNetwork:
-    csv_path = Path(csv_path)
-    with open(csv_path.with_suffix(".json")) as f:
-        meta = json.load(f)
-    with open(csv_path, newline="") as f:
-        header, *rows = csv.reader(f)
-    cols = dict(zip(header, np.array(rows, float).reshape(-1, len(header)).T))
-    spec = PowerLawSpec(**meta["spec"]) if meta.get("spec") else None
-    return FractureNetwork(
-        id=cols["id"], center=np.column_stack([cols["cx"], cols["cy"]]),
-        length=cols["length"], angle=cols["angle"],
-        aperture=cols["aperture"], conductivity=cols["conductivity"],
-        domain=Rect(*meta["domain"]), density=meta["density"],
-        seed=meta["seed"], spec=spec,
-        aperture_ratio=meta.get("aperture_ratio"),
-        constants=PhysicalConstants(**meta["constants"]))

@@ -5,16 +5,16 @@ heads together and fits a symmetric tensor to the volume-averaged gradients
 and velocities.
 The aquifer problem measures horizontal equivalent conductivity from the
 total outflow. Overlapping half-step block grids tile the extended domain;
-a bounding-box screen picks each block's candidate fractures, which the
-solver and the rasterizer clip to the block themselves. Per-block tensors
-are bilinearly interpolated onto a coarse raster.
+the blocks go to a backend a chunk at a time, each chunk as one table of
+its fractures clipped to their blocks (frac_geom.clip_to_blocks), which the
+solver and the rasterizer both read. Per-block tensors are bilinearly
+interpolated onto a coarse raster.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from .dfm_solver import (FlowSolution, aquifer_bc, discretize,
                          discretize_blocks, linear_head, solve_darcy,
                          solve_flows)
-from .frac_geom import FractureNetwork
+from .frac_geom import BlockChunk, FractureNetwork, clip_to_blocks
 from .geometry import Rect
 from .random_field import Grid, TensorField
 
@@ -99,24 +99,17 @@ def build_block_grid(side: float, block_size: float,
 
 def block_candidates(network: FractureNetwork, grid: BlockGrid,
                      length_threshold: float | None = None):
-    """(rect, candidate fractures) of every block in row-major order.
+    """The clipped fracture table (frac_geom.BlockChunk) of every
+    CHUNK_BLOCKS consecutive blocks, in row-major block order.
 
     Only fractures shorter than length_threshold (all, if None) take part.
-    A block's candidates are those whose bounding box meets its rect,
-    re-rooted on the rect. This is a superset of the fractures that cross
-    it: discretize and rasterize_blocks each clip to the rect themselves.
     """
-    if length_threshold is not None:
-        network = network.take(network.length < length_threshold,
-                               network.domain)
-    rects = [rect for _, _, _, rect in grid.blocks()]
-    lo = np.minimum(network.p0, network.p1)
-    hi = np.maximum(network.p0, network.p1)
-    r = np.array([rect.as_tuple() for rect in rects])[:, :, None]
-    hit = ((lo[:, 0] <= r[:, 2]) & (hi[:, 0] >= r[:, 0])
-           & (lo[:, 1] <= r[:, 3]) & (hi[:, 1] >= r[:, 1]))
-    for rect, candidates in zip(rects, hit):
-        yield rect, network.take(np.flatnonzero(candidates), rect)
+    rects = np.array([rect.as_tuple() for _, _, _, rect in grid.blocks()])
+    rows = (None if length_threshold is None
+            else network.length < length_threshold)
+    for start in range(0, len(rects), CHUNK_BLOCKS):
+        yield clip_to_blocks(network, rects[start:start + CHUNK_BLOCKS],
+                             rows)
 
 
 def _weighted_averages(sol: FlowSolution):
@@ -130,10 +123,11 @@ def _weighted_averages(sol: FlowSolution):
     return grad, vel
 
 
-def _block_fits(field: TensorField, chunk, resolution: int) -> BlockResults:
-    """The tensors of the (block rect, candidate fractures) items of chunk,
-    each fitted from its two linear-head problems, which are solved
-    together. The chunk is assembled in one pass (see discretize_blocks)."""
+def _block_fits(field: TensorField, chunk: BlockChunk,
+                resolution: int) -> BlockResults:
+    """The tensors of the blocks of chunk, each fitted from its two
+    linear-head problems, which are solved together. The chunk is assembled
+    in one pass (see discretize_blocks)."""
     bcs = [linear_head("x"), linear_head("y")]
     k, residual = [], []
     for system in discretize_blocks(field, chunk, resolution, resolution):
@@ -159,7 +153,7 @@ def anisotropy_tensor(field: TensorField, network: FractureNetwork | None,
     problems: the one-block call of the numeric backend.
 
     Returns ((k_xx, k_xy, k_yy) array, least-squares residual)."""
-    fit = _block_fits(field, [(block, network)], resolution)
+    fit = _block_fits(field, clip_to_blocks(network, block), resolution)
     return fit.k[0], float(fit.residual[0])
 
 
@@ -201,14 +195,11 @@ def block_tensors(field: TensorField, network: FractureNetwork,
                   length_threshold: float | None = None) -> BlockResults:
     """The backend's tensor of every block, row-major, unprojected.
 
-    backend(field, chunk) -> the BlockResults of a chunk, which holds up
-    to CHUNK_BLOCKS (block_rect, candidate fractures) items (see
-    block_candidates).
+    backend(field, chunk) -> the BlockResults of a chunk of up to
+    CHUNK_BLOCKS blocks (see block_candidates).
     """
-    blocks = block_candidates(network, grid, length_threshold)
-    chunks = []
-    while chunk := list(islice(blocks, CHUNK_BLOCKS)):
-        chunks.append(backend(field, chunk))
+    chunks = [backend(field, chunk) for chunk in
+              block_candidates(network, grid, length_threshold)]
     return BlockResults(*(np.concatenate(column) for column in zip(*chunks)))
 
 

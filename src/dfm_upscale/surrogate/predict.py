@@ -36,6 +36,6 @@ def surrogate_backend(model: SurrogateModel):
     def run(field, chunk):
         images = rasterize_blocks(field, chunk, res)
         return BlockResults(predict_samples(model, images),
-                            np.zeros(len(chunk)))
+                            np.zeros(len(images)))
 
     return run

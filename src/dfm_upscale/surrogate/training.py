@@ -13,6 +13,9 @@ from ..seeding import substream
 from .metrics import Metrics, compute_metrics
 from .model import SurrogateModel
 
+# images per eval forward pass in prediction, validation and evaluation
+PREDICT_BATCH = 64
+
 
 class Adam:
     def __init__(self, model: SurrogateModel, lr: float,
@@ -57,18 +60,17 @@ class TrainResult:
     best_epoch: int = -1
 
 
-def predict_in_batches(model: SurrogateModel, images: np.ndarray,
-                       batch_size: int = 64) -> np.ndarray:
+def predict_in_batches(model: SurrogateModel,
+                       images: np.ndarray) -> np.ndarray:
     out = []
-    for start in range(0, len(images), batch_size):
-        out.append(model.forward(images[start:start + batch_size],
+    for start in range(0, len(images), PREDICT_BATCH):
+        out.append(model.forward(images[start:start + PREDICT_BATCH],
                                  train=False))
     return np.concatenate(out) if out else np.zeros((0, 3))
 
 
-def validation_loss(model: SurrogateModel, images, targets,
-                    batch_size: int = 64) -> float:
-    preds = predict_in_batches(model, images, batch_size)
+def validation_loss(model: SurrogateModel, images, targets) -> float:
+    preds = predict_in_batches(model, images)
     return float(np.mean(np.sum((preds - targets) ** 2, axis=1)))
 
 
@@ -101,8 +103,7 @@ def train(model: SurrogateModel, train_images, train_targets,
                                                   train_targets[idx]))
             optimizer.step()
         train_loss = float(np.mean(losses))
-        val_loss = validation_loss(model, val_images, val_targets,
-                                   schedule.batch_size)
+        val_loss = validation_loss(model, val_images, val_targets)
         result.history.append(EpochRecord(epoch, train_loss, val_loss,
                                           optimizer.lr))
         if val_loss < result.best_val_loss:
@@ -133,9 +134,8 @@ def write_history_csv(result: TrainResult, path):
                         repr(rec.val_loss), repr(rec.lr)])
 
 
-def evaluate(model: SurrogateModel, images, targets,
-             batch_size: int = 64) -> Metrics:
+def evaluate(model: SurrogateModel, images, targets) -> Metrics:
     if len(images) == 0:
         raise ValueError("empty evaluation split")
-    preds = predict_in_batches(model, images, batch_size)
+    preds = predict_in_batches(model, images)
     return compute_metrics(preds, targets)

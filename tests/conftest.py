@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dfm_upscale.config import DfnSection, TrainSection
-from dfm_upscale.frac_geom import ARRAY_FIELDS, FractureNetwork
+from dfm_upscale.frac_geom import FractureNetwork
 from dfm_upscale.geometry import Rect
 from dfm_upscale.random_field import Grid, TensorField
 from dfm_upscale.surrogate.model import Architecture
@@ -89,20 +89,22 @@ def finite_difference_grad_errors(model, images, targets, eps=1e-3):
     return errors
 
 
-def network_of(*fractures, domain=Rect(0.0, 0.0, 1.0, 1.0)):
+NETWORK_ARRAYS = ("id", "center", "length", "angle", "aperture",
+                  "conductivity", "p0", "p1")
+
+
+def network_of(*fractures):
     """A network holding the make_fracture rows, in the given order; with
-    no rows, an empty network on domain."""
+    no rows, an empty network."""
     columns = {name: [getattr(fr, name) for fr in fractures]
-               for name in ("id", "center", "length", "angle", "aperture",
-                            "conductivity")}
-    return FractureNetwork(**columns, domain=domain, density=0.0, seed=0,
-                           constants=CONSTANTS)
+               for name in NETWORK_ARRAYS[:6]}
+    return FractureNetwork(**columns)
 
 
 def same_fractures(a, b) -> bool:
     """Every per-fracture array of the two networks is bit-identical."""
     return all(np.array_equal(getattr(a, name), getattr(b, name))
-               for name in ARRAY_FIELDS)
+               for name in NETWORK_ARRAYS)
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,10 @@ class TestFineModel:
 
     def test_parameter_overrides(self):
         cfg = small_run_config()
-        _, sparse, _ = fine_model(cfg, seed=3, rho_2d=0.5)
-        _, dense, _ = fine_model(cfg, seed=3, rho_2d=8.0)
+        _, sparse, _ = fine_model(
+            replace(cfg, dfn=replace(cfg.dfn, rho_2d=0.5)), seed=3)
+        _, dense, _ = fine_model(
+            replace(cfg, dfn=replace(cfg.dfn, rho_2d=8.0)), seed=3)
         assert len(dense) > len(sparse)
 
 
@@ -74,6 +78,11 @@ class TestSpeedup:
         assert not report["inference_included"]
         assert report["c_s_rasterization_seconds"] <= report["c_s_seconds"]
         assert "environment" in report
+
+    def test_rejects_zero_repetitions(self):
+        with pytest.raises(ValueError, match="repetition"):
+            bench_speedup(small_run_config(), seed=1, n_blocks=4,
+                          repetitions=0)
 
 
 class TestSweep:

@@ -1,10 +1,13 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from dfm_upscale import random_field
+from dfm_upscale.bench import fine_model
 from dfm_upscale.cli import main
+from dfm_upscale.config import RunConfig
 from dfm_upscale.surrogate import Architecture, SurrogateModel
 
 SMALL_CONFIG = {
@@ -43,13 +46,13 @@ class TestErrorHandling:
     def test_unknown_config_key_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"solvr": {}}))
-        code = run(["generate-dfn", "--config", str(bad),
+        code = run(["generate-fine", "--config", str(bad),
                     "--out", str(tmp_path / "o")])
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert "solvr" in err["message"]
-        assert err["command"] == "generate-dfn"
+        assert err["command"] == "generate-fine"
 
     def test_unknown_ratio_class_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -111,16 +114,17 @@ class TestErrorHandling:
                                           correlation_length=5.0))
         (tmp_path / "srf.json").write_text(json.dumps(cfg))
         out = tmp_path / "o"
-        code = run(["generate-srf", "--config", str(tmp_path / "srf.json"),
+        code = run(["generate-fine", "--config", str(tmp_path / "srf.json"),
                     "--out", str(out)])
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "EmbeddingError"
         assert not (out / "field.bin").exists()
+        assert not (out / "network.csv").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
-        code = run(["generate-srf", "--config", str(tmp_path / "nope.json"),
+        code = run(["generate-fine", "--config", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path / "o")])
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == \
@@ -183,23 +187,46 @@ class TestErrorHandling:
 
 
 class TestBasicCommands:
-    def test_generate_dfn_artifacts(self, config_path, tmp_path):
-        out = tmp_path / "dfn"
-        assert run(["generate-dfn", "--config", config_path,
+    def test_generate_fine_artifacts(self, config_path, tmp_path):
+        out = tmp_path / "fine"
+        assert run(["generate-fine", "--config", config_path,
                     "--out", str(out)]) == 0
-        assert (out / "network.csv").exists()
-        assert (out / "resolved_config.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "field.bin", "field.bin.json", "network.csv",
+            "resolved_config.json", "run_log.jsonl"]
         entry = json.loads((out / "run_log.jsonl").read_text().splitlines()[-1])
         assert entry["status"] == "ok"
         assert entry["seed"] == 5  # falls back to the config seed
+        assert entry["artifacts"] == ["network.csv", "field.bin",
+                                      "field.bin.json"]
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["config_hash"] == entry["config_hash"]
 
-    def test_generate_srf(self, config_path, tmp_path):
-        out = tmp_path / "srf"
-        assert run(["generate-srf", "--config", config_path,
+    def test_generate_fine_writes_the_upscaled_model(self, config_path,
+                                                     tmp_path):
+        # the fine model upscale homogenizes at the same seed: every
+        # network float parses back bit for bit, the field as float32
+        out = tmp_path / "fine"
+        assert run(["generate-fine", "--config", config_path, "--seed", "7",
                     "--out", str(out)]) == 0
-        assert (out / "field.bin").exists()
+        field, network, _ = fine_model(RunConfig.from_file(config_path), 7)
+        assert len(network) > 0
+        with open(out / "network.csv", newline="") as f:
+            header, *rows = csv.reader(f)
+        assert header == ["id", "cx", "cy", "length", "angle", "aperture",
+                          "conductivity"]
+        assert [int(row[0]) for row in rows] == network.id.tolist()
+        columns = np.array([[float(v) for v in row[1:]] for row in rows]).T
+        assert np.array_equal(columns, np.vstack([
+            network.center.T, network.length, network.angle,
+            network.aperture, network.conductivity]))
+        header = json.loads((out / "field.bin.json").read_text())
+        assert (header["nx"], header["ny"]) == field.grid.shape
+        assert header["origin"] == list(field.grid.origin)
+        planes = np.fromfile(out / "field.bin", "<f4").reshape(
+            3, *field.grid.shape)
+        assert np.array_equal(planes, np.stack(
+            [field.kxx, field.kxy, field.kyy]).astype("<f4"))
 
     def test_upscale_deterministic(self, config_path, tmp_path):
         out1 = tmp_path / "h1"

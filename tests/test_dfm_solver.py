@@ -19,6 +19,7 @@ from dfm_upscale.dfm_solver import (RESIDUAL_GATE, BoundaryCondition,
                                     _stiffness_maps, aquifer_bc, discretize,
                                     discretize_blocks, linear_head,
                                     solve_darcy, solve_flows)
+from dfm_upscale.frac_geom import clip_to_blocks
 from dfm_upscale.geometry import (_PAIR_CHUNK, Rect, runs,
                                   segment_intersections)
 from dfm_upscale.homogenizer import anisotropy_tensor, positive_definite
@@ -291,23 +292,23 @@ class TestChunkAssembly:
         crossing = network_of(
             make_fracture((-0.5, 0.3), (2.5, 0.6), frac_id=0),
             make_fracture((0.2, -0.5), (1.8, 2.4), aperture=2e-3, frac_id=1),
-            make_fracture((0.7, 0.5), (0.7 + 1e-12, 0.5), frac_id=2),
-            domain=ext)
-        chunk = [(Rect(0.0, 0.0, 1.0, 1.0), crossing),
-                 (Rect(1.0, 0.0, 2.0, 1.5), None),
-                 (Rect(0.5, 0.5, 1.5, 1.5), network_of(domain=ext)),
-                 (Rect(1.0, 0.0, 2.0, 1.5), crossing),   # hx != hy
-                 (Rect(2.2, 2.2, 2.9, 2.9), crossing)]   # misses them all
-        systems = list(discretize_blocks(field, chunk, 8, 8))
-        assert len(systems) == len(chunk)
-        for (rect, net), got in zip(chunk, systems):
-            want = discretize(field, net, rect, 8, 8)
-            assert_systems_equal(got, want)
-            assert got.domain == rect
-            assert np.array_equal(got.nodes, want.nodes)
-            assert np.array_equal(got.tri_k, want.tri_k)
-        assert [len(s.frac_elems) > 0 for s in systems] == [
-            True, False, False, True, False]
+            make_fracture((0.7, 0.5), (0.7 + 1e-12, 0.5), frac_id=2))
+        rects = [Rect(0.0, 0.0, 1.0, 1.0),
+                 Rect(1.0, 0.0, 2.0, 1.5),     # hx != hy
+                 Rect(0.5, 0.5, 1.5, 1.5),
+                 Rect(2.2, 2.2, 2.9, 2.9)]     # misses them all
+        for net in (crossing, network_of(), None):
+            chunk = clip_to_blocks(net, [rect.as_tuple() for rect in rects])
+            systems = list(discretize_blocks(field, chunk, 8, 8))
+            assert len(systems) == len(rects)
+            for rect, got in zip(rects, systems):
+                want = discretize(field, net, rect, 8, 8)
+                assert_systems_equal(got, want)
+                assert got.domain == rect
+                assert np.array_equal(got.nodes, want.nodes)
+                assert np.array_equal(got.tri_k, want.tri_k)
+            assert [len(s.frac_elems) > 0 for s in systems] == [
+                net is crossing] * 3 + [False]
 
 
 class TestMeshTopology:
@@ -550,8 +551,7 @@ class TestSubnormalSegments:
         field = uniform_field(SUBNORMAL_RECT, 1e-6)
         net = network_of(make_fracture((-1.0, 0.0), (1.0, 0.0)),
                          make_fracture((0.0, 0.0), (1e-300, 1e-300),
-                                       frac_id=1),
-                         domain=SUBNORMAL_RECT)
+                                       frac_id=1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = discretize(field, net, SUBNORMAL_RECT, 8, 8)

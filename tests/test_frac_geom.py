@@ -1,12 +1,14 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from dfm_upscale.frac_geom import (PowerLawSpec, calibrate_alpha,
+from dfm_upscale.frac_geom import (CSV_COLUMNS, FractureNetwork,
+                                   PowerLawSpec, calibrate_alpha,
                                    excluded_area, expected_count,
                                    fracture_conductivity, generate_dfn,
-                                   load_network, sample_power_law,
-                                   save_network)
+                                   sample_power_law, save_network)
 from dfm_upscale.geometry import Rect
 
 from conftest import CONSTANTS, same_fractures
@@ -211,15 +213,21 @@ class TestGenerateDfn:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
+        # network.csv parses back to exactly the arrays
         net = generate_dfn(PowerLawSpec(2.5, 2.0, 30.0), 5.0,
                            Rect(0, 0, 40, 40), 1e-4, CONSTANTS, seed=9)
-        path = tmp_path / "net.csv"
+        path = tmp_path / "network.csv"
         save_network(net, path)
-        back = load_network(path)
-        assert len(back) == len(net)
-        assert back.domain == net.domain
-        assert back.density == net.density
-        assert back.seed == net.seed
-        assert back.spec == net.spec
-        assert back.constants == net.constants == CONSTANTS
+        with open(path, newline="") as f:
+            header, *rows = csv.reader(f)
+        assert header == list(CSV_COLUMNS)
+        cols = {name: [float(v) for v in values]
+                for name, values in zip(header, zip(*rows))}
+        back = FractureNetwork(
+            id=[int(v) for v, *_ in rows],
+            center=np.column_stack([cols["cx"], cols["cy"]]),
+            **{name: cols[name] for name in
+               ("length", "angle", "aperture", "conductivity")})
+        assert len(back) == len(net) > 0
         assert same_fractures(back, net)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["network.csv"]

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from dfm_upscale import homogenizer
 from dfm_upscale.dataset_pipeline import compute_stats
 from dfm_upscale.dfm_solver import discretize, linear_head, solve_darcy
-from dfm_upscale.frac_geom import PowerLawSpec, generate_dfn
+from dfm_upscale.frac_geom import (FractureNetwork, PowerLawSpec,
+                                   clip_to_blocks, generate_dfn)
 from dfm_upscale.geometry import Rect, clip_segments
 from dfm_upscale.homogenizer import (BlockResults, anisotropy_tensor,
                                      aquifer_kx, block_candidates,
@@ -41,8 +42,7 @@ def exact_network(segments):
     """A network whose endpoints are exactly the given (x0, y0, x1, y1)
     rows, not recomputed from centers and angles."""
     net = network_of(*(make_fracture(s[:2], s[2:], frac_id=k)
-                       for k, s in enumerate(segments)),
-                     domain=Rect(-2.0, -2.0, 6.0, 6.0))
+                       for k, s in enumerate(segments)))
     ends = np.asarray(segments, float).reshape(-1, 4)
     net.p0, net.p1 = ends[:, :2], ends[:, 2:]
     return net
@@ -69,7 +69,7 @@ def scaled_problem(scale, seed):
                              aperture=scale * 1e-3, frac_id=i)
                for i, e in enumerate(ends)]
     return ((field, network_of(*fracs), rect),
-            (field_s, network_of(*fracs_s, domain=rect_s), rect_s))
+            (field_s, network_of(*fracs_s), rect_s))
 
 
 class TestAnisotropyTensor:
@@ -220,27 +220,44 @@ class TestBlockGrid:
 
 
 def candidates_of(network, block_size, threshold=None):
-    """The ids of every block's candidates over the 4 x 4 domain."""
+    """The ids of every block's clipped fractures over the 4 x 4 domain."""
     grid = build_block_grid(4.0, block_size)
-    return [c.id.tolist() for _, c in block_candidates(network, grid,
-                                                       threshold)]
+    return [chunk.id[chunk.block == b].tolist()
+            for chunk in block_candidates(network, grid, threshold)
+            for b in range(len(chunk.rects))]
+
+
+# random blocks, whose corners often lie on the half-steps of _coords
+_rects = st.tuples(_coords, _coords,
+                   st.one_of(st.sampled_from([0.5, 1.0, 2.0]),
+                             st.floats(0.1, 4.0)),
+                   st.one_of(st.sampled_from([0.5, 1.0, 2.0]),
+                             st.floats(0.1, 4.0))).map(
+    lambda t: (t[0], t[1], t[0] + t[2], t[1] + t[3]))
 
 
 class TestClipNetwork:
-    """The screen's candidates of each block, clipped to the block, are
-    what clipping the whole network to it gives."""
+    """A block's rows of a chunk are what clipping the whole network to
+    the block gives."""
 
     def test_keeps_intersecting_only(self):
         inside = make_fracture((0.2, 0.2), (0.8, 0.8), frac_id=0)
         outside = make_fracture((4.5, 4.5), (5.5, 5.5), frac_id=1)
-        net = network_of(inside, outside, domain=Rect(-1, -1, 6, 6))
+        net = network_of(inside, outside)
         grid = build_block_grid(4.0, 2.0)
-        rect, first = next(block_candidates(net, grid))
-        assert first.id.tolist() == [0]
-        assert rect == first.domain == grid.block_rect(0, 0)
-        kept, _, _ = clip_segments(first.p0, first.p1, rect)
-        assert kept.tolist() == [0]
-        assert all(1 not in ids for ids in candidates_of(net, 2.0)[:-1])
+        first = next(block_candidates(net, grid))
+        assert np.array_equal(first.rects, [
+            rect.as_tuple() for _, _, _, rect in grid.blocks()][:8])
+        # blocks 0, 1, 5 and 6 overlap at the inside fracture
+        assert first.block.tolist() == [0, 1, 5, 6]
+        assert first.id.tolist() == [0] * 4
+        _, q0, q1 = clip_segments(net.p0[:1], net.p1[:1],
+                                  grid.block_rect(0, 0))
+        assert np.array_equal(first.p0[:1], q0)
+        assert np.array_equal(first.p1[:1], q1)
+        ids = candidates_of(net, 2.0)
+        assert all(1 not in block for block in ids[:-1])
+        assert ids[-1] == [1]
 
     def test_length_threshold(self):
         short = make_fracture((0.2, 0.2), (0.4, 0.2), frac_id=0)
@@ -252,36 +269,57 @@ class TestClipNetwork:
         assert candidates_of(net, 2.0)[0] == [0, 1]
 
     def test_empty_network(self):
-        net = network_of(domain=Rect(0, 0, 4, 4))
-        assert candidates_of(net, 4.0) == [[]] * 9
+        assert candidates_of(network_of(), 4.0) == [[]] * 9
 
     @settings(max_examples=200, deadline=None)
-    @given(segments=st.lists(_segments, max_size=12),
-           block_size=st.sampled_from([2.0, 4.0]),
+    @given(segments=st.one_of(st.none(), st.lists(_segments, max_size=12)),
+           rects=st.lists(_rects, min_size=1, max_size=6),
+           touching=st.booleans(),
            threshold=st.one_of(st.none(), st.floats(0.1, 8.0)))
-    def test_screened_clip_equals_unscreened(self, segments, block_size,
-                                             threshold):
-        net = exact_network(segments)
-        short = (net if threshold is None
-                 else net.take(net.length < threshold, net.domain))
-        grid = build_block_grid(4.0, block_size)
-        screened = list(block_candidates(net, grid, threshold))
-        assert len(screened) == grid.n_blocks
-        for (_, _, _, rect), (srect, candidates) in zip(grid.blocks(),
-                                                        screened):
-            assert srect == candidates.domain == rect
-            kept, q0, q1 = clip_segments(candidates.p0, candidates.p1, rect)
-            whole, w0, w1 = clip_segments(short.p0, short.p1, rect)
-            assert np.array_equal(candidates.id[kept], short.id[whole])
-            assert np.array_equal(q0, w0) and np.array_equal(q1, w1)
+    def test_screened_clip_equals_unscreened(self, segments, rects,
+                                             touching, threshold):
+        if segments is not None and touching:
+            # one fracture meets the first block at its corner only, one
+            # runs along its bottom edge
+            x0, y0, x1, y1 = rects[0]
+            segments = segments + [(x1, y1, x1 + 1.0, y1 + 1.5),
+                                   (x0 - 0.5, y0, x1, y0)]
+        net = None if segments is None else exact_network(segments)
+        rows = (None if net is None or threshold is None
+                else net.length < threshold)
+        if net is not None:
+            net.aperture = 1e-3 * (1.0 + np.arange(len(net)))
+            net.conductivity = 1.0 + np.arange(len(net))
+        chunk = clip_to_blocks(net, rects, rows)
+        assert np.array_equal(chunk.rects, rects)
+        assert np.all(np.diff(chunk.block) >= 0)
+        for b, rect in enumerate(rects):
+            mine = chunk.block == b
+            if net is None:
+                assert not mine.any()
+                continue
+            sel = (np.arange(len(net)) if rows is None
+                   else np.flatnonzero(rows))
+            kept, q0, q1 = clip_segments(net.p0[sel], net.p1[sel],
+                                         Rect(*rect))
+            src = sel[kept]
+            assert np.array_equal(chunk.id[mine], net.id[src])
+            assert np.array_equal(chunk.aperture[mine], net.aperture[src])
+            assert np.array_equal(chunk.conductivity[mine],
+                                  net.conductivity[src])
+            assert np.array_equal(chunk.p0[mine], q0)
+            assert np.array_equal(chunk.p1[mine], q1)
+        one = clip_to_blocks(net, Rect(*rects[0]), rows)
+        for a, b in zip(one, chunk.head(1)):
+            assert np.array_equal(a, b)
 
     def test_screen_without_network(self):
         grid = build_block_grid(4.0, 2.0)
-        blocks = list(block_candidates(network_of(domain=grid.extended),
-                                       grid, 0.5))
-        assert [rect for rect, _ in blocks] == \
-            [rect for _, _, _, rect in grid.blocks()]
-        assert all(len(c) == 0 and c.domain == rect for rect, c in blocks)
+        chunks = list(block_candidates(network_of(), grid, 0.5))
+        assert [len(c.rects) for c in chunks] == [8, 8, 8, 1]
+        assert np.array_equal(np.concatenate([c.rects for c in chunks]), [
+            rect.as_tuple() for _, _, _, rect in grid.blocks()])
+        assert all(len(c.block) == len(c.id) == 0 for c in chunks)
 
 
 class TestProjectSpd:
@@ -308,7 +346,7 @@ class TestUpscaleDomain:
         field = uniform_field(rect, kxx, kxy, kyy)
         grid = build_block_grid(side, 4.0)
         coarse, blocks, projected = upscale_domain(
-            field, network_of(domain=rect), grid, numeric_backend(16),
+            field, network_of(), grid, numeric_backend(16),
             coarse_resolution=8)
         assert projected == 0
         assert blocks.k.shape == (9, 3) and blocks.residual.shape == (9,)
@@ -320,15 +358,16 @@ class TestUpscaleDomain:
     def test_interpolation_between_blocks(self):
         # synthetic backend: kxx equals the block-center x coordinate
         def backend(field, chunk):
-            k = [[0.5 * (rect.x0 + rect.x1) + 3.0, 0.0, 1.0]
-                 for rect, _ in chunk]
-            return BlockResults(np.array(k), np.zeros(len(chunk)))
+            x0, _, x1, _ = chunk.rects.T
+            k = np.column_stack([0.5 * (x0 + x1) + 3.0, np.zeros(len(x0)),
+                                 np.ones(len(x0))])
+            return BlockResults(k, np.zeros(len(x0)))
 
         side = 4.0
         rect = Rect(-2.0, -2.0, 6.0, 6.0)
         field = uniform_field(rect, 1.0)
         grid = build_block_grid(side, 4.0)
-        coarse, _, _ = upscale_domain(field, network_of(domain=rect), grid,
+        coarse, _, _ = upscale_domain(field, network_of(), grid,
                                       backend, coarse_resolution=4)
         # coarse cell centers at x = 0.5, 1.5, 2.5, 3.5 interpolate linearly
         assert np.allclose(coarse.kxx[:, 0], np.array([0.5, 1.5, 2.5, 3.5])
@@ -336,14 +375,14 @@ class TestUpscaleDomain:
 
     def test_non_spd_blocks_projected(self):
         def backend(field, chunk):
-            return BlockResults(np.tile([1.0, 2.0, 1.0], (len(chunk), 1)),
-                                np.zeros(len(chunk)))
+            n = len(chunk.rects)
+            return BlockResults(np.tile([1.0, 2.0, 1.0], (n, 1)), np.zeros(n))
 
         rect = Rect(-2.0, -2.0, 6.0, 6.0)
         field = uniform_field(rect, 1.0)
         grid = build_block_grid(4.0, 4.0)
         coarse, blocks, projected = upscale_domain(
-            field, network_of(domain=rect), grid, backend)
+            field, network_of(), grid, backend)
         assert projected == 9
         assert positive_definite(blocks.k).all()
 
@@ -365,7 +404,9 @@ class TestUpscaleDomain:
             coarse_resolution=6)
         assert grid.n_blocks % homogenizer.CHUNK_BLOCKS != 0
         # every block as the per-block loop computes it, unscreened
-        short = net.take(net.length < threshold, net.domain)
+        mask = net.length < threshold
+        short = FractureNetwork(*(getattr(net, name)[mask] for name in (
+            "id", "center", "length", "angle", "aperture", "conductivity")))
         for (_, _, _, rect), k, res in zip(grid.blocks(), blocks.k,
                                            blocks.residual):
             ref, ref_res = anisotropy_tensor(field, short, rect, 8)
@@ -373,16 +414,17 @@ class TestUpscaleDomain:
                 ref = project_spd(ref)
             assert res == ref_res
             assert np.array_equal(k, ref)
-        # one block per backend call gives the same bytes
-        monkeypatch.setattr(homogenizer, "CHUNK_BLOCKS", 1)
-        coarse1, blocks1, projected1 = upscale_domain(
-            field, net, grid, numeric_backend(8), threshold,
-            coarse_resolution=6)
-        assert projected1 == projected
-        assert np.array_equal(blocks1.k, blocks.k)
-        assert np.array_equal(blocks1.residual, blocks.residual)
-        for c in ("kxx", "kxy", "kyy"):
-            assert np.array_equal(getattr(coarse1, c), getattr(coarse, c))
+        # one block per chunk, or all blocks in one, gives the same bytes
+        for size in (1, grid.n_blocks):
+            monkeypatch.setattr(homogenizer, "CHUNK_BLOCKS", size)
+            coarse1, blocks1, projected1 = upscale_domain(
+                field, net, grid, numeric_backend(8), threshold,
+                coarse_resolution=6)
+            assert projected1 == projected
+            assert np.array_equal(blocks1.k, blocks.k)
+            assert np.array_equal(blocks1.residual, blocks.residual)
+            for c in ("kxx", "kxy", "kyy"):
+                assert np.array_equal(getattr(coarse1, c), getattr(coarse, c))
 
     def test_surrogate_chunks_match_per_block_loop(self, monkeypatch):
         grid = build_block_grid(4.0, 2.0)  # 25 blocks: chunks of 8, 8, 8, 1
@@ -404,14 +446,15 @@ class TestUpscaleDomain:
         net.aperture = np.array([1e-3, 1e-3, 2e-3, 1e-3])
         net.conductivity = np.array([1.0, 2.0, 3.0, 4.0])
         res = 16
-        blocks = list(block_candidates(net, grid))
-        assert [len(c) for _, c in blocks[20:]] == [0] * 5
-        images = np.concatenate([
-            rasterize_blocks(field, blocks[i:i + homogenizer.CHUNK_BLOCKS],
-                             res)
-            for i in range(0, grid.n_blocks, homogenizer.CHUNK_BLOCKS)])
-        single = np.stack([rasterize_block(field, candidates, rect, res)
-                           for rect, candidates in blocks])
+        chunks = list(block_candidates(net, grid))
+        assert [len(c.rects) for c in chunks] == [8, 8, 8, 1]
+        block = np.concatenate([c.block + homogenizer.CHUNK_BLOCKS * i
+                                for i, c in enumerate(chunks)])
+        assert block.max() < 20
+        images = np.concatenate([rasterize_blocks(field, c, res)
+                                 for c in chunks])
+        single = np.stack([rasterize_block(field, net, rect, res)
+                           for _, _, _, rect in grid.blocks()])
         assert np.array_equal(images, single)
         # the fractures of one block do not paint another
         conductivity = images[:, :, :, 3] != 1.0

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfm_upscale.geometry import Rect, clip_segments, supercover_cells
-from dfm_upscale.homogenizer import block_candidates, build_block_grid
+from dfm_upscale.frac_geom import clip_to_blocks
+from dfm_upscale.homogenizer import build_block_grid
 from dfm_upscale.rasterizer import rasterize_block, rasterize_blocks
 from dfm_upscale.random_field import Grid, TensorField
 
@@ -240,24 +241,25 @@ class TestChunks:
         ids = data.draw(st.permutations(range(len(rows))))
         net = network_of(*(make_fracture(r[:2], r[2:4], aperture=r[4],
                                          conductivity=float(k), frac_id=i)
-                           for k, (r, i) in enumerate(zip(rows, ids))),
-                         domain=ext)
+                           for k, (r, i) in enumerate(zip(rows, ids))))
         net.p0 = np.array([r[:2] for r in rows], float).reshape(-1, 2)
         net.p1 = np.array([r[2:4] for r in rows], float).reshape(-1, 2)
-        blocks = list(block_candidates(net, grid))
-        cuts = sorted(data.draw(st.sets(st.integers(1, len(blocks) - 1))))
-        for a, b in zip([0] + cuts, cuts + [len(blocks)]):
-            images = rasterize_blocks(field, blocks[a:b], 8)
+        rects = np.array([rect.as_tuple() for _, _, _, rect in grid.blocks()])
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(rects) - 1))))
+        for a, b in zip([0] + cuts, cuts + [len(rects)]):
+            images = rasterize_blocks(field, clip_to_blocks(net, rects[a:b]),
+                                      8)
             assert images.shape == (b - a, 8, 8, 4)
-            for image, (rect, candidates) in zip(images, blocks[a:b]):
+            for image, rect in zip(images, rects[a:b]):
                 assert np.array_equal(image, reference_rasterize_block(
-                    field, candidates, rect, 8))
+                    field, net, Rect(*rect), 8))
 
     def test_rejects_bad_resolution_and_non_square_blocks(self, unit_rect):
         field = uniform_field(Rect(0.0, 0.0, 2.0, 2.0), 1.0)
-        square = (unit_rect, network_of())
+        square = unit_rect.as_tuple()
         with pytest.raises(ValueError):
-            rasterize_blocks(field, [square, square], 4)
+            rasterize_blocks(field, clip_to_blocks(network_of(),
+                                                   [square, square]), 4)
         with pytest.raises(ValueError):
-            rasterize_blocks(field, [square, (Rect(0.0, 0.0, 2.0, 1.0),
-                                              network_of())], 8)
+            rasterize_blocks(field, clip_to_blocks(
+                None, [square, (0.0, 0.0, 2.0, 1.0)]), 8)

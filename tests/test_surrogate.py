@@ -12,7 +12,7 @@ from dfm_upscale.surrogate import (Adam, Architecture, SurrogateModel,
                                    compute_metrics, evaluate,
                                    predict_in_batches, predict_samples, train,
                                    validation_loss, write_history_csv)
-from dfm_upscale.surrogate import layers
+from dfm_upscale.surrogate import layers, training
 from dfm_upscale.surrogate.layers import (BatchNorm, Conv3x3, Dense, MaxPool2,
                                          ReLU)
 from dfm_upscale.seeding import substream
@@ -467,7 +467,7 @@ class TestTraining:
                        prep[12:].astype(np.float32), tgt[12:], schedule,
                        seed=0)
         final_val = validation_loss(model, prep[12:].astype(np.float32),
-                                    tgt[12:], 4)
+                                    tgt[12:])
         assert final_val == pytest.approx(result.best_val_loss, rel=1e-12)
         assert 1 <= result.best_epoch <= 4
         assert len(result.history) == 4
@@ -608,15 +608,19 @@ class TestPrediction:
             single = predict_samples(model, rasters[i:i + 1])[0]
             assert np.allclose(batch[i], single, rtol=1e-6)
 
-    def test_evaluate_and_batches(self):
+    def test_evaluate_and_batches(self, monkeypatch):
         model, images, stats = self.make_fixture()
         x = images.astype(np.float32)
-        preds = predict_in_batches(model, x, batch_size=3)
+        whole = predict_in_batches(model, x)
+        # batches of 3, 3 and 2 predict what one batch of 8 does
+        monkeypatch.setattr(training, "PREDICT_BATCH", 3)
+        preds = predict_in_batches(model, x)
         assert preds.shape == (8, 3)
+        assert np.allclose(preds, whole, rtol=1e-6)
         t = preds + np.random.default_rng(2).standard_normal((8, 3))
-        m = evaluate(model, x, t, batch_size=3)
-        assert m.mse == pytest.approx(
-            validation_loss(model, x, t, 3), rel=1e-9)
+        m = evaluate(model, x, t)
+        assert m.mse == pytest.approx(validation_loss(model, x, t),
+                                      rel=1e-9)
 
 
 class TestSerialization:
