@@ -270,7 +270,7 @@ def main(argv=None) -> int:
         artifacts = COMMANDS[args.cmd](cfg, args)
         _finish(_out_dir(args), cfg, args, artifacts)
         return 0
-    except (ConfigError, FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (ConfigError, OSError, ValueError, RuntimeError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc),
                    "command": args.cmd}, sys.stderr)
         sys.stderr.write("\n")

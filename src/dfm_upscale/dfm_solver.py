@@ -35,43 +35,8 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-@dataclass
-class BoundaryCondition:
-    """Dirichlet head values on a subset of sides; other sides are no-flow.
-
-    dirichlet maps side name ('left', 'right', 'bottom', 'top') to a callable
-    g(x, y) -> head, vectorized over numpy arrays.
-    """
-
-    dirichlet: dict
-
-    SIDES = ("left", "right", "bottom", "top")
-
-    def __post_init__(self):
-        unknown = set(self.dirichlet) - set(self.SIDES)
-        if unknown:
-            raise ValueError(f"unknown sides {sorted(unknown)}")
-        if not self.dirichlet:
-            raise ValueError("at least one Dirichlet side is required")
-
-
-def linear_head(direction: str) -> BoundaryCondition:
-    """h = x or h = y prescribed on the whole boundary."""
-    if direction == "x":
-        g = lambda x, y: np.asarray(x, float)
-    elif direction == "y":
-        g = lambda x, y: np.asarray(y, float)
-    else:
-        raise ValueError("direction must be 'x' or 'y'")
-    return BoundaryCondition({s: g for s in BoundaryCondition.SIDES})
-
-
-def aquifer_bc(head: float) -> BoundaryCondition:
-    """h = head at the left side, h = 0 at the right, no-flow top/bottom."""
-    return BoundaryCondition({
-        "left": lambda x, y: np.full_like(np.asarray(x, float), head),
-        "right": lambda x, y: np.zeros_like(np.asarray(x, float)),
-    })
+# the sides of a rectangle, as solve_darcy and side_masks name them
+SIDES = ("left", "right", "bottom", "top")
 
 
 @dataclass
@@ -89,7 +54,7 @@ class DiscreteSystem:
     frac_aperture: np.ndarray  # (n_fe,)
     frac_cond: np.ndarray      # (n_fe,) hydraulic conductivity
     coupling_tri: np.ndarray   # (n_fe,) containing matrix element per midpoint
-    matrix: sp.csr_matrix      # assembled stiffness, no BCs applied
+    matrix: sp.csr_matrix      # assembled stiffness, no heads fixed
     # fractures whose clipped part keeps no element; one that misses the
     # domain is not in it and is not counted
     dropped_fractures: int = 0
@@ -135,7 +100,7 @@ class DiscreteSystem:
 
 @dataclass
 class FlowSolution:
-    """Heads of one boundary condition. The flow fields derived from them
+    """Heads of one head problem. The flow fields derived from them
     are computed when first read."""
 
     system: DiscreteSystem
@@ -610,28 +575,6 @@ def discretize_blocks(field_: TensorField, chunk: BlockChunk, nx: int,
     return map(system, range(n_b))
 
 
-def _dirichlet_dofs(system: DiscreteSystem, bcs):
-    """Dirichlet mask, the (n_dofs, k) values of the k boundary conditions,
-    and each side's DOF indices in ascending order. A DOF on two sides (a
-    corner) takes its value from the side listed last and belongs to the
-    side listed first."""
-    sides = list(bcs[0].dirichlet)
-    if any(list(bc.dirichlet) != sides for bc in bcs[1:]):
-        raise ValueError("the boundary conditions of one solve must list "
-                         "the same Dirichlet sides in the same order")
-    coords = system.dof_coords
-    values = np.zeros((system.n_dofs, len(bcs)))
-    mask = np.zeros(system.n_dofs, dtype=bool)
-    side_dofs = {}
-    for side in sides:
-        m = system.side_masks[side]
-        for j, bc in enumerate(bcs):
-            values[m, j] = bc.dirichlet[side](coords[m, 0], coords[m, 1])
-        side_dofs[side] = np.flatnonzero(m & ~mask)
-        mask |= m
-    return mask, values, side_dofs
-
-
 def _lower_band(a: sp.csr_matrix, order) -> np.ndarray:
     """The lower band of a's rows and columns in order, in LAPACK's banded
     storage, filled straight from the CSR arrays. In Fortran order LAPACK
@@ -661,15 +604,18 @@ def _band_factor(system: DiscreteSystem, free):
             f"{system.n_dofs} DOFs) is not positive definite: {exc}") from exc
 
 
-def solve_flows(system: DiscreteSystem, bcs) -> list[FlowSolution]:
-    """Solve the assembled system under boundary conditions that share their
-    Dirichlet sides, as the columns of one right-hand side.
+def solve_darcy(system: DiscreteSystem, sides,
+                heads: np.ndarray) -> list[FlowSolution]:
+    """Solve the assembled system for k head problems at once: heads is
+    (n_dofs, k), and its entries on the listed sides are the fixed heads of
+    the k problems; the other sides are no-flow. A DOF on two listed sides
+    (a corner) belongs to the side listed first.
 
     The free-DOF matrix is SPD. Its DOFs follow the reverse Cuthill-McKee
     order of the full matrix, which gives it a narrow band, and it is
-    factored once by a banded Cholesky for all columns. The solve is direct because
-    the fracture coupling makes the system too ill-conditioned for a Jacobi-
-    preconditioned iterative solver at high fracture/matrix contrast. A
+    factored once by a banded Cholesky for all columns. The solve is direct
+    because the fracture coupling makes the system too ill-conditioned for a
+    Jacobi-preconditioned iterative solver at high fracture/matrix contrast. A
     matrix that is not SPD raises SolverError, and so does a column whose
     backward error exceeds RESIDUAL_GATE: the free-DOF residual relative to
     the terms it sums, ||r_free|| / ||(|A| |h|)_free||. Rounding the exact
@@ -678,36 +624,44 @@ def solve_flows(system: DiscreteSystem, bcs) -> list[FlowSolution]:
     treats the columns apart (the banded solve, the sparse products and the
     per-column norms), so a column's results do not depend on the others.
     """
+    sides = list(sides)
+    if (not sides or len(set(sides)) < len(sides)
+            or not set(sides) <= set(SIDES)):
+        raise ValueError(f"sides must be distinct names from {SIDES}, at "
+                         f"least one: got {sides}")
+    heads = np.asarray(heads, float)
+    if heads.ndim != 2 or heads.shape[0] != system.n_dofs:
+        raise ValueError(f"heads must be shaped (n_dofs, k) = "
+                         f"({system.n_dofs}, k), not {heads.shape}")
     a = system.matrix
-    mask, values, side_dofs = _dirichlet_dofs(system, bcs)
+    mask = np.zeros(system.n_dofs, dtype=bool)
+    side_dofs = {}
+    for side in sides:
+        m = system.side_masks[side]
+        side_dofs[side] = np.flatnonzero(m & ~mask)
+        mask |= m
     free = ~mask
     order, factor = _band_factor(system, free)
-    # values is zero on the free DOFs, so -(A @ values) there is the
-    # right-hand side of the free system
-    h = values
-    h[order] = cho_solve_banded((factor, True), -(a @ values)[order])
+    # h is zero on the free DOFs, so -(A @ h) there is the right-hand side
+    # of the free system
+    h = np.where(mask[:, None], heads, 0.0)
+    h[order] = cho_solve_banded((factor, True), -(a @ h)[order])
 
     # one product gives the residual on the free DOFs and the Dirichlet
     # reactions on the fixed ones
     r = a @ h
     terms = abs(a) @ np.abs(h)
     flows = []
-    for j in range(len(bcs)):
+    for j in range(h.shape[1]):
         scale = np.linalg.norm(terms[free, j])
         residual = (float(np.linalg.norm(r[free, j]) / scale) if scale > 0
                     else 0.0)
         if residual > RESIDUAL_GATE:
             raise SolverError(
-                f"direct solve of {system.domain}: boundary-condition column "
+                f"direct solve of {system.domain}: head column "
                 f"{j} has backward error {residual:.2e} above "
                 f"{RESIDUAL_GATE:.0e} ({int(free.sum())} free of "
                 f"{system.n_dofs} DOFs)", residual=residual)
         flows.append(FlowSolution(system=system, h=h[:, j], reactions=r[:, j],
                                   side_dofs=side_dofs, residual=residual))
     return flows
-
-
-def solve_darcy(system: DiscreteSystem, bc: BoundaryCondition) -> FlowSolution:
-    """Solve the assembled system under one boundary condition (see
-    solve_flows)."""
-    return solve_flows(system, [bc])[0]

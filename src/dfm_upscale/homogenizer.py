@@ -19,9 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dfm_solver import (FlowSolution, aquifer_bc, discretize,
-                         discretize_blocks, linear_head, solve_darcy,
-                         solve_flows)
+from .dfm_solver import (SIDES, FlowSolution, discretize, discretize_blocks,
+                         solve_darcy)
 from .frac_geom import BlockChunk, FractureNetwork, clip_to_blocks
 from .geometry import Rect
 from .random_field import Grid, TensorField
@@ -126,14 +125,14 @@ def _weighted_averages(sol: FlowSolution):
 def _block_fits(field: TensorField, chunk: BlockChunk,
                 resolution: int) -> BlockResults:
     """The tensors of the blocks of chunk, each fitted from its two
-    linear-head problems, which are solved together. The chunk is assembled
-    in one pass (see discretize_blocks)."""
-    bcs = [linear_head("x"), linear_head("y")]
+    linear-head problems h = x and h = y on the whole boundary, which are
+    solved together: their boundary heads are the DOF coordinates. The
+    chunk is assembled in one pass (see discretize_blocks)."""
     k, residual = [], []
     for system in discretize_blocks(field, chunk, resolution, resolution):
         rows = []
         rhs = []
-        for sol in solve_flows(system, bcs):
+        for sol in solve_darcy(system, SIDES, system.dof_coords):
             g, u = _weighted_averages(sol)
             rows.append([g[0], g[1], 0.0])
             rows.append([0.0, g[0], g[1]])
@@ -159,11 +158,14 @@ def anisotropy_tensor(field: TensorField, network: FractureNetwork | None,
 
 def aquifer_kx(field: TensorField, network: FractureNetwork | None,
                domain: Rect, resolution: int, head: float):
-    """Total horizontal outflow Y and equivalent horizontal conductivity."""
+    """Total horizontal outflow Y and equivalent horizontal conductivity
+    under h = head at the left side, h = 0 at the right and no-flow top and
+    bottom."""
     if head <= 0.0:
         raise ValueError("head must be positive")
     system = discretize(field, network, domain, resolution, resolution)
-    sol = solve_darcy(system, aquifer_bc(head))
+    sol, = solve_darcy(system, ("left", "right"),
+                       np.where(system.side_masks["left"], head, 0.0)[:, None])
     outflow = sol.boundary_flux["right"]
     k_x = outflow * domain.width / (head * domain.height)
     return float(outflow), float(k_x)

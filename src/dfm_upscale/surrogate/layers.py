@@ -113,16 +113,20 @@ class Conv3x3(Layer):
             out[:, i, rows] = (k @ cols).reshape(len(k), -1, w - 2)
         return out
 
-    def backward(self, dout):
-        kernel = self.params["kernel"]
+    def param_backward(self, dout):
+        """The kernel and bias gradients of dout, without the input
+        gradient: all that the first layer of a model needs."""
         grad = sum(dout[:, i, rows].reshape(len(dout), -1) @ cols.T
                    for i, rows, cols in _column_bands(self._cache))
-        self.grads["kernel"] = grad.T.reshape(kernel.shape)
+        self.grads["kernel"] = grad.T.reshape(self.params["kernel"].shape)
         self.grads["bias"] = dout.sum(axis=(1, 2, 3))
+
+    def backward(self, dout):
+        self.param_backward(dout)
         # input gradient: full correlation of dout with the flipped kernel
         dpad = np.pad(dout, ((0, 0), (0, 0), (2, 2), (2, 2)))
         return self.convolve_planes(
-            dpad, kernel[::-1, ::-1].transpose(0, 1, 3, 2))
+            dpad, self.params["kernel"][::-1, ::-1].transpose(0, 1, 3, 2))
 
 
 class BatchNorm(Layer):

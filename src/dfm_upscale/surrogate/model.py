@@ -155,8 +155,11 @@ class SurrogateModel:
         if not np.isfinite(loss):
             raise FloatingPointError("NaN/inf in loss")
         dout = (2.0 / len(batch)) * diff
-        for layer in reversed(self.layers.values()):
+        conv0, *rest = self.layers.values()
+        for layer in reversed(rest):
             dout = layer.backward(dout)
+        # nothing precedes conv0: its input gradient is not computed
+        conv0.param_backward(dout)
         return loss
 
     # ------------------------------------------------------------------

@@ -130,6 +130,24 @@ class TestErrorHandling:
         assert json.loads(capsys.readouterr().err)["error"] == \
             "FileNotFoundError"
 
+    def test_config_directory_is_json_error(self, tmp_path, capsys):
+        code = run(["generate-fine", "--config", str(tmp_path),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "IsADirectoryError"
+
+    def test_out_existing_file_is_json_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        code = run(["generate-fine", "--out", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "FileExistsError"
+        assert out.read_text() == "kept"
+
     def test_surrogate_backend_requires_model(self, config_path, tmp_path,
                                               capsys):
         code = run(["upscale", "--config", config_path,

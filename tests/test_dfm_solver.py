@@ -12,13 +12,11 @@ from scipy.linalg import LinAlgError
 from dfm_upscale import dfm_solver
 from dfm_upscale.config import RATIO_CLASSES
 from dfm_upscale.dataset_pipeline import enforce_ratio
-from dfm_upscale.dfm_solver import (RESIDUAL_GATE, BoundaryCondition,
-                                    SolverError, _barycentric,
-                                    _collinear_candidates, _fracture_chains,
-                                    _mesh_topology, _stiffness,
-                                    _stiffness_maps, aquifer_bc, discretize,
-                                    discretize_blocks, linear_head,
-                                    solve_darcy, solve_flows)
+from dfm_upscale.dfm_solver import (RESIDUAL_GATE, SIDES, SolverError,
+                                    _barycentric, _collinear_candidates,
+                                    _fracture_chains, _mesh_topology,
+                                    _stiffness, _stiffness_maps, discretize,
+                                    discretize_blocks, solve_darcy)
 from dfm_upscale.frac_geom import clip_to_blocks
 from dfm_upscale.geometry import (_PAIR_CHUNK, Rect, runs,
                                   segment_intersections)
@@ -41,6 +39,30 @@ def random_tensor_field(rect, n, seed, log_spread=1.0):
     kyy = s ** 2 * kx + c ** 2 * ky
     kxy = c * s * (kx - ky)
     return TensorField(grid, kxx, kxy, kyy)
+
+
+def linear_head(sys_, direction):
+    """(sides, heads) of h = x or h = y on the whole boundary."""
+    return SIDES, sys_.dof_coords[:, ["x", "y"].index(direction), None]
+
+
+def aquifer_head(sys_, head=1.0):
+    """(sides, heads) of h = head at the left side and h = 0 at the right,
+    no-flow top and bottom."""
+    return (("left", "right"),
+            np.where(sys_.side_masks["left"], head, 0.0)[:, None])
+
+
+def paper_problems(sys_):
+    """The (sides, heads) of h = x, of h = y and of the aquifer."""
+    return [linear_head(sys_, "x"), linear_head(sys_, "y"),
+            aquifer_head(sys_)]
+
+
+def solve_one(sys_, bc):
+    """The FlowSolution of a one-column (sides, heads)."""
+    sol, = solve_darcy(sys_, *bc)
+    return sol
 
 
 class TestDiscretize:
@@ -172,8 +194,8 @@ class TestDegenerateGeometry:
         net, _ = enforce_ratio(network_of(*fracs), field,
                                RATIO_CLASSES[ratio_class])
         sys_ = discretize(field, net, unit_rect, 8, 8)
-        for bc in (linear_head("x"), linear_head("y"), aquifer_bc(1.0)):
-            sol = solve_darcy(sys_, bc)
+        for bc in paper_problems(sys_):
+            sol = solve_one(sys_, bc)
             assert sol.residual <= RESIDUAL_GATE
             imbalance = abs(sum(sol.boundary_flux.values()))
             # the reactions sum terms up to |A| |h|, and balance to their
@@ -643,17 +665,18 @@ class TestFactorizationReuse:
         net = network_of(make_fracture((0.1, 0.2), (0.9, 0.8)),
                          make_fracture((0.2, 0.8), (0.8, 0.1), frac_id=1))
         sys_ = discretize(field, net, unit_rect, 16, 16)
-        for bc in (linear_head("x"), linear_head("y"), aquifer_bc(1.0),
-                   linear_head("x")):
-            sol = solve_darcy(sys_, bc)
-            fresh = solve_darcy(discretize(field, net, unit_rect, 16, 16), bc)
+        for bc in paper_problems(sys_) + [linear_head(sys_, "x")]:
+            sol = solve_one(sys_, bc)
+            fresh = solve_one(discretize(field, net, unit_rect, 16, 16), bc)
             assert np.array_equal(sol.h, fresh.h)
             assert sol.boundary_flux == fresh.boundary_flux
 
 
-def head_bc(g):
-    """g(x, y) prescribed on the whole boundary."""
-    return BoundaryCondition({side: g for side in BoundaryCondition.SIDES})
+def head_bc(sys_, *gs):
+    """(sides, heads) of the heads g(x, y) of each g on the whole
+    boundary, one column per g."""
+    x, y = sys_.dof_coords.T
+    return SIDES, np.column_stack([g(x, y) for g in gs])
 
 
 class TestColumnSolve:
@@ -668,30 +691,26 @@ class TestColumnSolve:
         return discretize(random_tensor_field(unit_rect, 16, seed=5), net,
                           unit_rect, 16, 16)
 
-    @pytest.mark.parametrize("bcs", [
-        [linear_head("x"), linear_head("y"),
-         head_bc(lambda x, y: np.asarray(x - 2.0 * y, float))],
-        [aquifer_bc(1.0), aquifer_bc(2.5)]], ids=["linear", "aquifer"])
-    def test_columns_match_single_solves(self, system, bcs):
+    @pytest.mark.parametrize("problem", [
+        lambda s: head_bc(s, lambda x, y: x, lambda x, y: y,
+                          lambda x, y: x - 2.0 * y),
+        lambda s: (("left", "right"), np.column_stack(
+            [aquifer_head(s, v)[1] for v in (1.0, 2.5)]))],
+        ids=["linear", "aquifer"])
+    def test_columns_match_single_solves(self, system, problem):
         # one column, two, three and in either order: every column keeps
         # the bits it has alone, its norms included
-        alone = [solve_darcy(system, bc) for bc in bcs]
-        for cols in ([0, 1], [1, 0], list(range(len(bcs))), [1]):
-            together = solve_flows(system, [bcs[j] for j in cols])
+        sides, heads = problem(system)
+        k = heads.shape[1]
+        alone = [solve_one(system, (sides, heads[:, [j]])) for j in range(k)]
+        for cols in ([0, 1], [1, 0], list(range(k)), [1]):
+            together = solve_darcy(system, sides, heads[:, cols])
             for j, sol in zip(cols, together):
                 for name in self.FLOW_FIELDS:
                     assert np.array_equal(getattr(sol, name),
                                           getattr(alone[j], name)), name
                 assert sol.boundary_flux == alone[j].boundary_flux
                 assert sol.residual == alone[j].residual
-
-    def test_columns_share_their_sides(self, system):
-        with pytest.raises(ValueError):
-            solve_flows(system, [linear_head("x"), aquifer_bc(1.0)])
-        with pytest.raises(ValueError):
-            solve_flows(system, [aquifer_bc(1.0), BoundaryCondition({
-                "right": lambda x, y: np.zeros_like(x),
-                "left": lambda x, y: np.ones_like(x)})])
 
 
 class TestLocateTriangle:
@@ -729,7 +748,7 @@ class TestLinearExactness:
     def test_isotropic(self, unit_rect):
         field = uniform_field(unit_rect, 2.5e-6, n=8)
         sys_ = discretize(field, None, unit_rect, 8, 8)
-        sol = solve_darcy(sys_, linear_head("x"))
+        sol = solve_one(sys_, linear_head(sys_, "x"))
         assert np.allclose(sol.h, sys_.nodes[:, 0], atol=1e-12)
         assert np.allclose(sol.tri_grad, [1.0, 0.0], atol=1e-10)
         assert np.allclose(sol.tri_vel, [-2.5e-6, 0.0], atol=1e-16)
@@ -738,7 +757,7 @@ class TestLinearExactness:
         kxx, kxy, kyy = 2e-6, 3e-7, 1e-6
         field = uniform_field(unit_rect, kxx, kxy, kyy, n=8)
         sys_ = discretize(field, None, unit_rect, 16, 16)
-        sol = solve_darcy(sys_, linear_head("y"))
+        sol = solve_one(sys_, linear_head(sys_, "y"))
         assert np.allclose(sol.h, sys_.nodes[:, 1], atol=1e-12)
         # u = -K grad h with grad h = (0, 1)
         assert np.allclose(sol.tri_vel, [-kxy, -kyy], rtol=1e-10)
@@ -748,7 +767,7 @@ class TestLinearExactness:
         field = uniform_field(unit_rect, 1e-6, n=8)
         net = network_of(make_fracture((0.0, 0.5), (1.0, 0.5)))
         sys_ = discretize(field, net, unit_rect, 8, 8)
-        sol = solve_darcy(sys_, linear_head("x"))
+        sol = solve_one(sys_, linear_head(sys_, "x"))
         coords = sys_.dof_coords
         assert np.allclose(sol.h, coords[:, 0], atol=1e-9)
         assert np.allclose(sol.frac_grad, [1.0, 0.0], atol=1e-8)
@@ -762,14 +781,14 @@ class TestMassBalance:
             make_fracture((0.3, 0.05), (0.6, 0.95), frac_id=1),
             make_fracture((0.1, 0.8), (0.9, 0.3), frac_id=2))
         sys_ = discretize(field, net, unit_rect, 32, 32)
-        sol = solve_darcy(sys_, linear_head("x"))
+        sol = solve_one(sys_, linear_head(sys_, "x"))
         scale = max(abs(v) for v in sol.boundary_flux.values())
         assert abs(sum(sol.boundary_flux.values())) <= 1e-8 * scale
 
     def test_aquifer_left_right_balance(self, unit_rect):
         field = random_tensor_field(unit_rect, 16, seed=9)
         sys_ = discretize(field, None, unit_rect, 16, 16)
-        sol = solve_darcy(sys_, aquifer_bc(1.0))
+        sol = solve_one(sys_, aquifer_head(sys_))
         assert set(sol.boundary_flux) == {"left", "right"}
         assert sol.boundary_flux["right"] > 0  # outflow at the low-head side
         scale = abs(sol.boundary_flux["right"])
@@ -795,9 +814,10 @@ class TestMassBalance:
             make_fracture((0.2, 0.9), (0.7, 0.0), aperture=2e-3, frac_id=1),
             make_fracture((0.0, 0.5), (0.6, 0.5), frac_id=2))
         sys_ = discretize(field, net, unit_rect, 16, 16)
-        for name, bc in [("aquifer", aquifer_bc(1.0)),
-                         ("x", linear_head("x")), ("y", linear_head("y"))]:
-            flux = solve_darcy(sys_, bc).boundary_flux
+        for name, bc in [("aquifer", aquifer_head(sys_)),
+                         ("x", linear_head(sys_, "x")),
+                         ("y", linear_head(sys_, "y"))]:
+            flux = solve_one(sys_, bc).boundary_flux
             assert flux == self.RECORDED_FLUXES[name]
             assert list(flux) == list(self.RECORDED_FLUXES[name])
 
@@ -808,12 +828,10 @@ class TestLayeredOracles:
         # discrete flux equals the harmonic mean exactly
         k_vals = [1e-6, 1e-8, 5e-7, 2e-6]
         field = layered_field(unit_rect, k_vals, n=32)
-        bc = BoundaryCondition({
-            "bottom": lambda x, y: np.ones_like(np.asarray(x, float)),
-            "top": lambda x, y: np.zeros_like(np.asarray(x, float)),
-        })
         sys_ = discretize(field, None, unit_rect, 32, 32)
-        sol = solve_darcy(sys_, bc)
+        # h = 1 at the bottom, h = 0 at the top
+        heads = np.where(sys_.side_masks["bottom"], 1.0, 0.0)[:, None]
+        sol, = solve_darcy(sys_, ("bottom", "top"), heads)
         harmonic = len(k_vals) / sum(1.0 / k for k in k_vals)
         assert sol.boundary_flux["top"] == pytest.approx(harmonic, rel=1e-9)
 
@@ -821,7 +839,7 @@ class TestLayeredOracles:
         k_vals = [1e-6, 1e-8, 5e-7, 2e-6]
         field = layered_field(unit_rect, k_vals, n=32)
         sys_ = discretize(field, None, unit_rect, 32, 32)
-        sol = solve_darcy(sys_, aquifer_bc(1.0))
+        sol = solve_one(sys_, aquifer_head(sys_))
         assert sol.boundary_flux["right"] == pytest.approx(
             np.mean(k_vals), rel=1e-9)
 
@@ -835,7 +853,7 @@ class TestLayeredOracles:
         for n in (16, 32, 64):
             field = layered_field(unit_rect, k_vals, n=n)
             sys_ = discretize(field, None, unit_rect, n, n)
-            sol = solve_darcy(sys_, linear_head("y"))
+            sol = solve_one(sys_, linear_head(sys_, "y"))
             # h = y drives flow downward: outflow leaves at the bottom
             fluxes.append(sol.boundary_flux["bottom"])
         assert abs(fluxes[2] - fluxes[1]) < abs(fluxes[1] - fluxes[0])
@@ -853,7 +871,7 @@ class TestAquiferSuperposition:
         net = network_of(make_fracture((0.0, 0.5), (1.0, 0.5),
                                        aperture=aperture))
         sys_ = discretize(field, net, unit_rect, 64, 64)
-        sol = solve_darcy(sys_, aquifer_bc(1.0))
+        sol = solve_one(sys_, aquifer_head(sys_))
         expected = k_m * 1.0 + aperture * k_f
         assert sol.boundary_flux["right"] == pytest.approx(expected, rel=0.05)
 
@@ -863,19 +881,17 @@ class TestMonotonicity:
         field = random_tensor_field(unit_rect, 16, seed=11)
         scaled = TensorField(field.grid, 3.0 * field.kxx, 3.0 * field.kxy,
                              3.0 * field.kyy)
-        f1 = solve_darcy(discretize(field, None, unit_rect, 16, 16),
-                         aquifer_bc(1.0)).boundary_flux["right"]
-        f3 = solve_darcy(discretize(scaled, None, unit_rect, 16, 16),
-                         aquifer_bc(1.0)).boundary_flux["right"]
+        f1, f3 = (solve_one(s, aquifer_head(s)).boundary_flux["right"]
+                  for s in (discretize(k, None, unit_rect, 16, 16)
+                            for k in (field, scaled)))
         assert f3 == pytest.approx(3.0 * f1, rel=1e-9)
 
     def test_fracture_increases_outflow(self, unit_rect):
         field = uniform_field(unit_rect, 1e-6, n=8)
         net = network_of(make_fracture((0.1, 0.5), (0.9, 0.5)))
-        base = solve_darcy(discretize(field, None, unit_rect, 32, 32),
-                           aquifer_bc(1.0)).boundary_flux["right"]
-        frac = solve_darcy(discretize(field, net, unit_rect, 32, 32),
-                           aquifer_bc(1.0)).boundary_flux["right"]
+        base, frac = (solve_one(s, aquifer_head(s)).boundary_flux["right"]
+                      for s in (discretize(field, n, unit_rect, 32, 32)
+                                for n in (None, net)))
         assert frac > base
 
 
@@ -884,20 +900,17 @@ class TestMonotonicity:
 BACKWARD_ERROR_BOUND = 8 * np.finfo(float).eps
 
 
-def dense_reference(sys_, bc):
-    """Heads from a dense solve of the reduced free-DOF system, with the
-    fixed DOFs found from the unit square's sides: an independent
-    reference for solve_darcy. Also returns the condition number of the
-    free-DOF matrix."""
+def dense_reference(sys_, sides, heads):
+    """Heads from a dense solve of the reduced free-DOF system for the
+    one-column heads, with the fixed DOFs found from the unit square's
+    sides: an independent reference for solve_darcy. Also returns the
+    condition number of the free-DOF matrix."""
     x, y = sys_.dof_coords[:, 0], sys_.dof_coords[:, 1]
     tol = 1e-9 * np.sqrt(2.0)  # a DOF within 1e-9 diameters is on a side
     on = {"left": np.abs(x) <= tol, "right": np.abs(x - 1.0) <= tol,
           "bottom": np.abs(y) <= tol, "top": np.abs(y - 1.0) <= tol}
-    h = np.zeros(len(x))
-    fixed = np.zeros(len(x), dtype=bool)
-    for side, g in bc.dirichlet.items():
-        h[on[side]] = g(x[on[side]], y[on[side]])
-        fixed |= on[side]
+    fixed = np.logical_or.reduce([on[side] for side in sides])
+    h = np.where(fixed, heads[:, 0], 0.0)
     free = ~fixed
     a = sys_.matrix.toarray()
     a_ff = a[np.ix_(free, free)]
@@ -908,9 +921,9 @@ def dense_reference(sys_, bc):
 def assert_matches_dense_solve(sys_, bc):
     """solve_darcy passes its gate with a backward error near eps, and its
     heads match the dense reference."""
-    sol = solve_darcy(sys_, bc)
+    sol = solve_one(sys_, bc)
     assert sol.residual <= BACKWARD_ERROR_BOUND
-    h_ref, cond = dense_reference(sys_, bc)
+    h_ref, cond = dense_reference(sys_, *bc)
     # two backward-stable solves agree to about cond * eps; at class B and
     # C contrast that exceeds 1e-10
     tol = max(1e-10, cond * np.finfo(float).eps)
@@ -928,7 +941,7 @@ class TestSolvers:
         for ratio in RATIO_CLASSES.values():
             scaled, _ = enforce_ratio(net, field, ratio)
             sys_ = discretize(field, scaled, rect, 8, 8)
-            for bc in (linear_head("x"), linear_head("y"), aquifer_bc(1.0)):
+            for bc in paper_problems(sys_):
                 assert_matches_dense_solve(sys_, bc)
 
     # a gate on ||r_free|| / ||rhs|| rejects some of these solves, whatever
@@ -946,7 +959,7 @@ class TestSolvers:
         for ratio_class in ("B", "C"):
             scaled, _ = enforce_ratio(net, field, RATIO_CLASSES[ratio_class])
             sys_ = discretize(field, scaled, unit_rect, 8, 8)
-            for bc in (linear_head("x"), linear_head("y"), aquifer_bc(1.0)):
+            for bc in paper_problems(sys_):
                 assert_matches_dense_solve(sys_, bc)
 
     def test_gate_rejects_inaccurate_heads(self, unit_rect):
@@ -956,7 +969,7 @@ class TestSolvers:
         with mock.patch.object(dfm_solver, "cho_solve_banded",
                                lambda *args: solve(*args) * (1.0 + 1e-3)):
             with pytest.raises(SolverError) as info:
-                solve_darcy(sys_, aquifer_bc(1.0))
+                solve_one(sys_, aquifer_head(sys_))
         assert info.value.residual > RESIDUAL_GATE
         message = str(info.value)
         assert str(unit_rect) in message
@@ -967,7 +980,8 @@ class TestSolvers:
         with mock.patch.object(dfm_solver, "cho_solve_banded",
                                lambda *args: solve(*args) * [1.0, 1.0 + 1e-3]):
             with pytest.raises(SolverError) as info:
-                solve_flows(sys_, [aquifer_bc(1.0), aquifer_bc(2.0)])
+                solve_darcy(sys_, ("left", "right"), np.column_stack(
+                    [aquifer_head(sys_, v)[1] for v in (1.0, 2.0)]))
         assert "column 1" in str(info.value)
         assert info.value.residual > RESIDUAL_GATE
 
@@ -976,7 +990,7 @@ class TestSolvers:
         field = uniform_field(unit_rect, -1e-6, kyy=1e-6)
         sys_ = discretize(field, None, unit_rect, 8, 8)
         with pytest.raises(SolverError) as info:
-            solve_darcy(sys_, linear_head("x"))
+            solve_one(sys_, linear_head(sys_, "x"))
         assert not isinstance(info.value, LinAlgError)
         assert isinstance(info.value.__cause__, LinAlgError)
         message = str(info.value)
@@ -986,8 +1000,8 @@ class TestSolvers:
     def test_direct_matches_dense_solve(self, unit_rect):
         field = random_tensor_field(unit_rect, 16, seed=5, log_spread=0.5)
         sys_ = discretize(field, None, unit_rect, 16, 16)
-        sol = solve_darcy(sys_, aquifer_bc(1.0))
-        h_ref, _ = dense_reference(sys_, aquifer_bc(1.0))
+        sol = solve_one(sys_, aquifer_head(sys_))
+        h_ref, _ = dense_reference(sys_, *aquifer_head(sys_))
         assert np.allclose(sol.h, h_ref, rtol=0,
                            atol=1e-10 * np.abs(h_ref).max())
 
@@ -1009,8 +1023,7 @@ def scaled_block(segs, seed, alpha):
 def heads_and_tensor(field, net):
     rect = Rect(0.0, 0.0, 1.0, 1.0)
     sys_ = discretize(field, net, rect, 8, 8)
-    heads = [sol.h for sol in solve_flows(sys_, [linear_head("x"),
-                                                 linear_head("y")])]
+    heads = [sol.h for sol in solve_darcy(sys_, SIDES, sys_.dof_coords)]
     return sys_, heads, anisotropy_tensor(field, net, rect, 8)
 
 
@@ -1038,7 +1051,7 @@ class TestScaleEquivariance:
         sys_, heads, (kt, _) = heads_and_tensor(*plain)
         _, heads_s, (kt_s, _) = heads_and_tensor(*scaled)
         # the bound of two backward-stable solves (assert_matches_dense_solve)
-        _, cond = dense_reference(sys_, linear_head("x"))
+        _, cond = dense_reference(sys_, *linear_head(sys_, "x"))
         tol = max(1e-10, cond * np.finfo(float).eps)
         for h, h_s in zip(heads, heads_s):
             assert np.allclose(h_s, h, rtol=0, atol=tol * np.abs(h).max())
@@ -1047,14 +1060,31 @@ class TestScaleEquivariance:
 
 
 class TestBoundaryConditions:
-    def test_unknown_side_rejected(self):
-        with pytest.raises(ValueError):
-            BoundaryCondition({"north": lambda x, y: x})
+    @pytest.fixture
+    def system(self, unit_rect):
+        return discretize(uniform_field(unit_rect, 1e-6), None, unit_rect,
+                          4, 4)
 
-    def test_empty_rejected(self):
+    def test_unknown_side_rejected(self, system):
         with pytest.raises(ValueError):
-            BoundaryCondition({})
+            solve_darcy(system, ("left", "north"), system.dof_coords)
 
-    def test_linear_head_direction(self):
+    def test_empty_rejected(self, system):
         with pytest.raises(ValueError):
-            linear_head("z")
+            solve_darcy(system, (), system.dof_coords)
+
+    def test_repeated_side_rejected(self, system):
+        with pytest.raises(ValueError):
+            solve_darcy(system, ("left", "left"), system.dof_coords)
+
+    @pytest.mark.parametrize("shape", [(25,), (24, 1), (26, 2), (25, 1, 1)])
+    def test_heads_shape_rejected(self, system, shape):
+        with pytest.raises(ValueError):
+            solve_darcy(system, SIDES, np.zeros(shape))
+
+    def test_corner_belongs_to_first_side(self, system):
+        # DOF 0 is the corner (0, 0)
+        for sides in (("left", "bottom"), ("bottom", "left")):
+            sol, = solve_darcy(system, sides, system.dof_coords[:, :1])
+            assert 0 in sol.side_dofs[sides[0]]
+            assert 0 not in sol.side_dofs[sides[1]]

@@ -154,7 +154,8 @@ class TestForward:
             assert np.max(np.abs(out - ref)) <= rtol * np.max(np.abs(ref))
 
     def test_train_path_is_the_layer_composition(self):
-        # the train forward and backward run every layer in turn
+        # the train forward and backward run every layer in turn; skipping
+        # conv0's input gradient leaves every parameter gradient bit for bit
         model = small_model(seed=5)
         rng = np.random.default_rng(8)
         x = rng.standard_normal((4, 16, 16, 4)).astype(np.float32)
@@ -205,6 +206,19 @@ class TestLossAndGradients:
         l1 = model.loss_and_backward(x, preds - d)
         l2 = model.loss_and_backward(x, preds - 2 * d)
         assert l2 == pytest.approx(4.0 * l1, rel=1e-5)
+
+    def test_first_layer_input_gradient_skipped(self, monkeypatch):
+        # a forward convolution per conv layer, and an input gradient per
+        # conv layer but the first
+        model = small_model(seed=5)
+        x = np.zeros((2, 16, 16, 4), dtype=np.float32)
+        calls = []
+        convolve = Conv3x3.convolve_planes
+        monkeypatch.setattr(Conv3x3, "convolve_planes", staticmethod(
+            lambda planes, kernel: calls.append(1) or convolve(planes,
+                                                               kernel)))
+        model.loss_and_backward(x, np.zeros((2, 3)))
+        assert len(calls) == 2 * len(SMALL_ARCH.conv_channels) - 1
 
     def test_finite_difference_gradient_check(self):
         model = SurrogateModel(SMALL_ARCH, seed=0, dtype=np.float64)
