@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .geometry import Rect, clip_segments
 from .seeding import substream
@@ -169,7 +168,13 @@ def expected_count(spec: PowerLawSpec, density: float, domain_area: float) -> fl
 def calibrate_alpha(target_count: float, density: float, domain_area: float,
                     r_min: float, r_max: float,
                     bracket=(1.2, 4.5)) -> float:
-    """Exponent for which the expected count matches target_count."""
+    """Exponent for which the expected count matches target_count.
+
+    Criterion 04 (the calibrated fracture count) is its caller; no command
+    calls it, since every config gives the exponent (`dfn.alpha`).
+    """
+    # imported here: scipy.optimize would add ~17 MB to every CLI process
+    from scipy.optimize import brentq
 
     def gap(alpha):
         return expected_count(PowerLawSpec(alpha, r_min, r_max),

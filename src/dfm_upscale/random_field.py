@@ -103,11 +103,15 @@ def sample_gaussian_field(grid: Grid, lam: float, seed: int,
     if lam == 0.0:
         return rng.standard_normal(grid.shape)
     amp = _circulant_amplitude(grid.nx, grid.ny, grid.cell, lam)
-    noise = rng.standard_normal(amp.shape) + 1j * rng.standard_normal(amp.shape)
+    # real parts are drawn first: the draw order fixes every recorded field
+    noise = np.empty(amp.shape, complex)
+    noise.real = rng.standard_normal(amp.shape)
+    noise.imag = rng.standard_normal(amp.shape)
+    noise *= amp
     # the nx x ny corner of fft2, which transforms the rows and then the
     # columns: only the ny kept columns get the second transform; the copy
     # keeps no padded transform alive
-    rows = np.fft.fft(amp * noise, axis=1)
+    rows = np.fft.fft(noise, axis=1)
     return np.fft.fft(rows[:, :grid.ny], axis=0)[:grid.nx].real.copy()
 
 

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dfm_upscale
 from dfm_upscale import random_field
 from dfm_upscale.bench import fine_model
 from dfm_upscale.cli import main
@@ -334,3 +339,28 @@ class TestBenchCommands:
             rows = list(csv.DictReader(f))
         assert len(rows) == 2
         assert float(rows[0]["value"]) == 0.5
+
+
+# Prints the scipy modules a fresh interpreter holds after importing the CLI.
+IMPORT_PROBE = """
+import json, sys
+import dfm_upscale.cli
+names = sorted(n for n in sys.modules if n.split(".")[0] == "scipy")
+packages = sorted({n.split(".")[1] for n in names if n.count(".") == 1
+                   and not n.split(".")[1].startswith("_")
+                   and hasattr(sys.modules[n], "__path__")})
+print(json.dumps({"modules": names, "packages": packages}))
+"""
+
+
+class TestImportGraph:
+    def test_cli_loads_only_sparse_and_linalg(self):
+        src = str(Path(dfm_upscale.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        loaded = json.loads(out.stdout)
+        assert not [n for n in loaded["modules"]
+                    if n.startswith("scipy.optimize")]
+        assert set(loaded["packages"]) <= {"sparse", "linalg"}
