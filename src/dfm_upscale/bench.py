@@ -10,16 +10,16 @@ from __future__ import annotations
 import os
 import platform
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .config import RunConfig
 from .frac_geom import generate_dfn
 from .geometry import Rect
-from .homogenizer import (CHUNK_BLOCKS, anisotropy_tensor, aquifer_kx,
-                          block_candidates, block_tensors, build_block_grid,
-                          numeric_backend, upscale_domain)
+from .homogenizer import (anisotropy_tensor, aquifer_kx, block_candidates,
+                          block_tensors, build_block_grid, numeric_backend,
+                          upscale_domain)
 from .random_field import Grid, sample_tensor_field
 from .rasterizer import rasterize_blocks
 from .seeding import substream
@@ -36,9 +36,7 @@ class BenchmarkReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {"name": self.name, "n_samples": self.n_samples,
-                "backends": self.backends, "r2": self.r2,
-                "pairs": self.pairs, "metadata": self.metadata}
+        return asdict(self)
 
 
 def environment_fingerprint() -> dict:
@@ -69,59 +67,52 @@ def fine_model(cfg: RunConfig, seed: int, index: int = 0):
     return field_, network, grid_geom
 
 
-def _coarse_models(cfg, seed, index, backends):
-    field_, network, grid = fine_model(cfg, seed, index)
-    out = {}
-    for name, backend in backends.items():
-        coarse, _, _ = upscale_domain(
+def _compare(name: str, cfg: RunConfig, seed: int, n_samples: int,
+             backends: dict, measure, **metadata) -> BenchmarkReport:
+    """Upscale n_samples fine models with each of the two backends and
+    record measure(coarse field, domain, solver resolution) of every
+    coarse model; R² is the second backend's per component against the
+    first's."""
+    names = list(backends)
+    if len(names) != 2:
+        raise ValueError("exactly two backends are compared")
+    if n_samples < 2:
+        raise ValueError(f"the {name} comparison needs at least 2 samples "
+                         f"(R² of fewer is undefined), got {n_samples}")
+    domain = Rect(0.0, 0.0, cfg.blocks.domain_side, cfg.blocks.domain_side)
+    report = BenchmarkReport(name, n_samples, names, metadata=metadata)
+    for i in range(n_samples):
+        field_, network, grid = fine_model(cfg, seed, i)
+        coarse = [upscale_domain(
             field_, network, grid, backend,
             length_threshold=cfg.blocks.length_threshold,
-            coarse_resolution=cfg.blocks.coarse_resolution)
-        out[name] = coarse
-    return out
+            coarse_resolution=cfg.blocks.coarse_resolution)[0]
+            for backend in backends.values()]
+        report.pairs.append([measure(c, domain, cfg.solver.resolution)
+                             for c in coarse])
+    pairs = np.asarray(report.pairs).reshape(n_samples, 2, -1)
+    report.r2 = [float(v) for v in compute_metrics(pairs[:, 1],
+                                                   pairs[:, 0]).r2]
+    report.metadata["environment"] = environment_fingerprint()
+    return report
 
 
 def bench_aquifer(cfg: RunConfig, seed: int, n_samples: int,
                   backends: dict, head: float = 1.0) -> BenchmarkReport:
     """Total horizontal outflow Y of the two upscaled coarse models."""
-    names = list(backends)
-    if len(names) != 2:
-        raise ValueError("exactly two backends are compared")
-    domain = Rect(0.0, 0.0, cfg.blocks.domain_side, cfg.blocks.domain_side)
-    res = cfg.solver.resolution
-    report = BenchmarkReport("aquifer", n_samples, names)
-    for i in range(n_samples):
-        coarse = _coarse_models(cfg, seed, i, backends)
-        ys = [aquifer_kx(coarse[name], None, domain, res, head)[0]
-              for name in names]
-        report.pairs.append(ys)
-    pairs = np.asarray(report.pairs)
-    m = compute_metrics(pairs[:, 1:2], pairs[:, 0:1])
-    report.r2 = [float(m.r2[0])]
-    report.metadata = {"head": head, "environment": environment_fingerprint()}
-    return report
+    return _compare(
+        "aquifer", cfg, seed, n_samples, backends,
+        lambda coarse, domain, res: aquifer_kx(coarse, None, domain, res,
+                                               head)[0], head=head)
 
 
 def bench_anisotropy(cfg: RunConfig, seed: int, n_samples: int,
                      backends: dict) -> BenchmarkReport:
     """Whole-domain equivalent tensors of the two upscaled coarse models."""
-    names = list(backends)
-    if len(names) != 2:
-        raise ValueError("exactly two backends are compared")
-    domain = Rect(0.0, 0.0, cfg.blocks.domain_side, cfg.blocks.domain_side)
-    res = cfg.solver.resolution
-    report = BenchmarkReport("anisotropy", n_samples, names)
-    for i in range(n_samples):
-        coarse = _coarse_models(cfg, seed, i, backends)
-        ks = [anisotropy_tensor(coarse[name], None, domain, res)[0]
-              for name in names]
-        report.pairs.append([ks[0].tolist(), ks[1].tolist()])
-    ref = np.asarray([p[0] for p in report.pairs])
-    cand = np.asarray([p[1] for p in report.pairs])
-    m = compute_metrics(cand, ref)
-    report.r2 = [float(v) for v in m.r2]
-    report.metadata = {"environment": environment_fingerprint()}
-    return report
+    return _compare(
+        "anisotropy", cfg, seed, n_samples, backends,
+        lambda coarse, domain, res: anisotropy_tensor(coarse, None, domain,
+                                                      res)[0].tolist())
 
 
 def bench_speedup(cfg: RunConfig, seed: int, n_blocks: int,
@@ -145,25 +136,21 @@ def bench_speedup(cfg: RunConfig, seed: int, n_blocks: int,
     raster_res = (surrogate_model.architecture.resolution
                   if surrogate_model is not None else cfg.raster.resolution)
 
-    def chunks():
-        for start, chunk in zip(range(0, n_blocks, CHUNK_BLOCKS),
-                                block_candidates(
-                                    network, grid,
-                                    cfg.blocks.length_threshold)):
-            yield chunk.head(n_blocks - start)
-
+    rects = grid.rects[:n_blocks]
     numeric = numeric_backend(res)
     c_h, c_s, c_raster = [], [], []
     for _ in range(repetitions):
         t0 = time.perf_counter()
-        for chunk in chunks():
+        for chunk in block_candidates(network, rects,
+                                      cfg.blocks.length_threshold):
             numeric(field_, chunk)
         c_h.append(time.perf_counter() - t0)
 
         # a chunk's rasterization time includes building its table
         t0 = t1 = time.perf_counter()
         t_raster = 0.0
-        for chunk in chunks():
+        for chunk in block_candidates(network, rects,
+                                      cfg.blocks.length_threshold):
             images = rasterize_blocks(field_, chunk, raster_res)
             t_raster += time.perf_counter() - t1
             if surrogate_model is not None:

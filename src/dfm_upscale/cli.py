@@ -122,7 +122,8 @@ def cmd_build_dataset(cfg: RunConfig, args):
 
 def _preprocessed_splits(dataset_dir):
     images, targets, manifest, stats = load_dataset(dataset_dir)
-    splits = {k: np.asarray(v) for k, v in manifest["splits"].items()}
+    splits = {k: np.asarray(v, dtype=np.int64)
+              for k, v in manifest["splits"].items()}
     prep_images, prep_targets, _ = preprocess(images, targets, stats)
     return (prep_images.astype(np.float32), prep_targets.astype(np.float32),
             splits, manifest, stats)

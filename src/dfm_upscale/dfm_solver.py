@@ -219,25 +219,19 @@ def _stiffness(tri_k: np.ndarray, maps: np.ndarray) -> np.ndarray:
             + tri_k[..., 2, None] * maps[..., 2, :])
 
 
-def _cell_coords(x0, y0, hx, hy, nx: int, ny: int, x, y):
-    """(ix, iy, lx, ly): the clamped cell of each point on the nx x ny grid
-    of hx x hy cells from (x0, y0), and the point's coordinates in cell
-    units from that cell's lower-left node. The grid may be given per point
-    as arrays."""
+def _barycentric(x0, y0, hx, hy, nx: int, ny: int, x, y):
+    """The triangle of each point on the nx x ny grid of hx x hy cells from
+    (x0, y0), which may be given per point as arrays, and the (n, 3)
+    weights of its nodes: (1 - lx, lx - ly, ly) in a lower triangle,
+    (1 - ly, lx, ly - lx) in an upper one, with (lx, ly) the point in cell
+    units from its cell's lower-left node. Edge hits go to the larger cell
+    index, points outside are clamped; diagonal hits go to the lower
+    triangle."""
     fx = (np.asarray(x, float) - x0) / hx
     fy = (np.asarray(y, float) - y0) / hy
     ix = np.clip(np.floor(fx), 0, nx - 1).astype(np.int64)
     iy = np.clip(np.floor(fy), 0, ny - 1).astype(np.int64)
-    return ix, iy, fx - ix, fy - iy
-
-
-def _barycentric(x0, y0, hx, hy, nx: int, ny: int, x, y):
-    """The triangle of each point and the (n, 3) weights of its nodes:
-    (1 - lx, lx - ly, ly) in a lower triangle, (1 - ly, lx, ly - lx) in an
-    upper one. The cell is _cell_coords' (edge hits go to the larger cell
-    index, points outside are clamped); diagonal hits go to the lower
-    triangle."""
-    ix, iy, lx, ly = _cell_coords(x0, y0, hx, hy, nx, ny, x, y)
+    lx, ly = fx - ix, fy - iy
     upper = lx < ly
     w = np.where(upper[:, None], np.column_stack([1.0 - ly, lx, ly - lx]),
                  np.column_stack([1.0 - lx, lx - ly, ly]))

@@ -103,11 +103,6 @@ class BlockChunk(NamedTuple):
     p0: np.ndarray            # (m, 2) clipped endpoints
     p1: np.ndarray            # (m, 2)
 
-    def head(self, n: int) -> BlockChunk:
-        """The table of its first n blocks."""
-        end = np.searchsorted(self.block, n)
-        return BlockChunk(self.rects[:n], *(a[:end] for a in self[1:]))
-
 
 def clip_to_blocks(network: FractureNetwork | None, rects,
                    rows=None) -> BlockChunk:

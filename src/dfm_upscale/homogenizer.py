@@ -33,7 +33,7 @@ CHUNK_BLOCKS = 8
 
 
 class BlockResults(NamedTuple):
-    """Per-block results; row b is block b of BlockGrid.blocks()."""
+    """Per-block results; row b is the block of row b of BlockGrid.rects."""
 
     k: np.ndarray         # (n, 3) equivalent tensors (k_xx, k_xy, k_yy)
     residual: np.ndarray  # (n,) least-squares residual of each fit
@@ -53,29 +53,23 @@ class BlockGrid:
     original: Rect     # Omega_o
     extended: Rect     # inflated by half a block per side
     block_size: float
-    centers_x: np.ndarray
-    centers_y: np.ndarray
+    centers: np.ndarray  # block-center coordinates, along x and along y
 
     @property
     def n_per_axis(self) -> int:
-        return len(self.centers_x)
+        return len(self.centers)
 
     @property
     def n_blocks(self) -> int:
         return self.n_per_axis ** 2
 
-    def block_rect(self, i: int, j: int) -> Rect:
+    @property
+    def rects(self) -> np.ndarray:
+        """(n_blocks, 4) block rects (x0, y0, x1, y1), row-major: block
+        b = j * n + i is centered at (centers[i], centers[j])."""
         half = 0.5 * self.block_size
-        return Rect(self.centers_x[i] - half, self.centers_y[j] - half,
-                    self.centers_x[i] + half, self.centers_y[j] + half)
-
-    def blocks(self):
-        """Row-major (id, i, j, rect) iterator over block centers."""
-        bid = 0
-        for j in range(self.n_per_axis):
-            for i in range(self.n_per_axis):
-                yield bid, i, j, self.block_rect(i, j)
-                bid += 1
+        cx, cy = (c.ravel() for c in np.meshgrid(self.centers, self.centers))
+        return np.column_stack([cx - half, cy - half, cx + half, cy + half])
 
 
 def build_block_grid(side: float, block_size: float,
@@ -93,17 +87,16 @@ def build_block_grid(side: float, block_size: float,
     return BlockGrid(
         original=Rect(0.0, 0.0, side, side),
         extended=Rect(-half, -half, side + half, side + half),
-        block_size=l_eff, centers_x=centers, centers_y=centers)
+        block_size=l_eff, centers=centers)
 
 
-def block_candidates(network: FractureNetwork, grid: BlockGrid,
+def block_candidates(network: FractureNetwork, rects: np.ndarray,
                      length_threshold: float | None = None):
     """The clipped fracture table (frac_geom.BlockChunk) of every
-    CHUNK_BLOCKS consecutive blocks, in row-major block order.
+    CHUNK_BLOCKS consecutive rows of the (n, 4) block rects, in order.
 
     Only fractures shorter than length_threshold (all, if None) take part.
     """
-    rects = np.array([rect.as_tuple() for _, _, _, rect in grid.blocks()])
     rows = (None if length_threshold is None
             else network.length < length_threshold)
     for start in range(0, len(rects), CHUNK_BLOCKS):
@@ -201,7 +194,7 @@ def block_tensors(field: TensorField, network: FractureNetwork,
     CHUNK_BLOCKS blocks (see block_candidates).
     """
     chunks = [backend(field, chunk) for chunk in
-              block_candidates(network, grid, length_threshold)]
+              block_candidates(network, grid.rects, length_threshold)]
     return BlockResults(*(np.concatenate(column) for column in zip(*chunks)))
 
 
@@ -230,15 +223,12 @@ def upscale_domain(field: TensorField, network: FractureNetwork,
     cell = side / nc
     centers = cell * (np.arange(nc) + 0.5)
     step = 0.5 * grid.block_size
-    # bilinear interpolation from the block-center lattice, per component
+    # bilinear interpolation from the block-center lattice
     f = np.clip(centers / step, 0.0, n - 1.0)
     i0 = np.minimum(f.astype(int), n - 2)
     w = f - i0
-    out = np.zeros((3, nc, nc))
-    for c in range(3):
-        g = comp[c]
-        gx = g[i0] * (1 - w)[:, None] + g[i0 + 1] * w[:, None]
-        out[c] = gx[:, i0] * (1 - w)[None, :] + gx[:, i0 + 1] * w[None, :]
+    gx = comp[:, i0] * (1 - w)[:, None] + comp[:, i0 + 1] * w[:, None]
+    out = gx[:, :, i0] * (1 - w) + gx[:, :, i0 + 1] * w
     coarse = TensorField(Grid(nc, nc, cell, (0.0, 0.0)),
                          out[0], out[1], out[2],
                          metadata={"block_size": grid.block_size,
@@ -249,13 +239,14 @@ def upscale_domain(field: TensorField, network: FractureNetwork,
 def write_block_csv(grid: BlockGrid, blocks: BlockResults, path):
     """One row per block: id, center, tensor, SPD flag and fit residual."""
     pd_flag = positive_definite(blocks.k).astype(int)
+    n = grid.n_per_axis
+    centers = grid.centers.tolist()
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["block_id", "cx", "cy", "k_xx", "k_xy", "k_yy",
                     "pd_flag", "residual"])
-        for (bid, i, j, _), k, pd, res in zip(
-                grid.blocks(), blocks.k.tolist(), pd_flag.tolist(),
-                blocks.residual.tolist()):
-            w.writerow([bid, repr(float(grid.centers_x[i])),
-                        repr(float(grid.centers_y[j])), *map(repr, k), pd,
-                        repr(res)])
+        for b, (k, pd, res) in enumerate(zip(blocks.k.tolist(),
+                                             pd_flag.tolist(),
+                                             blocks.residual.tolist())):
+            w.writerow([b, repr(centers[b % n]), repr(centers[b // n]),
+                        *map(repr, k), pd, repr(res)])

@@ -86,6 +86,8 @@ def train(model: SurrogateModel, train_images, train_targets,
     """
     if len(train_images) == 0:
         raise ValueError("empty training split")
+    if len(val_images) == 0:
+        raise ValueError("empty validation split")
     optimizer = Adam(model, schedule.learning_rate)
     model.training_state.learning_rate = optimizer.lr
     result = TrainResult()

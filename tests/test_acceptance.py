@@ -350,7 +350,7 @@ def test_criterion_13_determinism(tmp_path):
         runs.append(blocks.k)
     checks["homogenize"] = np.array_equal(runs[0], runs[1])
 
-    block = bgrid.block_rect(1, 1)
+    block = Rect(*bgrid.rects[bgrid.n_per_axis + 1])  # center (1, 1)
     rasters = [rasterize_block(fields[0], nets[0], block, 16)
                for _ in range(2)]
     checks["rasterize"] = np.array_equal(rasters[0], rasters[1])

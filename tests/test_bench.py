@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dfm_upscale import bench
 from dfm_upscale.bench import (bench_anisotropy, bench_aquifer, bench_speedup,
                                environment_fingerprint, fine_model, sweep)
 from dfm_upscale.config import RunConfig
-from dfm_upscale.homogenizer import numeric_backend
+from dfm_upscale.homogenizer import (CHUNK_BLOCKS, build_block_grid,
+                                     numeric_backend)
 
 from conftest import same_fractures
 
@@ -65,6 +67,13 @@ class TestBackendComparisons:
         with pytest.raises(ValueError):
             bench_aquifer(cfg, 0, 2, {"a": numeric_backend(12)})
 
+    @pytest.mark.parametrize("compare", [bench_aquifer, bench_anisotropy])
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_rejects_fewer_than_two_samples(self, compare, n_samples):
+        backends = {"a": numeric_backend(12), "b": numeric_backend(12)}
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            compare(small_run_config(), 0, n_samples, backends)
+
 
 class TestSpeedup:
     def test_report_contents(self):
@@ -78,6 +87,30 @@ class TestSpeedup:
         assert not report["inference_included"]
         assert report["c_s_rasterization_seconds"] <= report["c_s_seconds"]
         assert "environment" in report
+
+    @pytest.mark.parametrize("n_blocks", [5, 9])
+    def test_times_the_first_n_blocks(self, monkeypatch, n_blocks):
+        # both timed loops get the first n_blocks rects of the 25, in
+        # chunks of CHUNK_BLOCKS
+        cfg = small_run_config()
+        cfg = replace(cfg, blocks=replace(cfg.blocks, block_size=10.0))
+        rects = build_block_grid(20.0, 10.0).rects
+        solved, rasterized = [], []
+        monkeypatch.setattr(bench, "numeric_backend", lambda res: (
+            lambda field, chunk: solved.append(chunk)))
+        monkeypatch.setattr(bench, "rasterize_blocks", lambda field, chunk,
+                            res: rasterized.append(chunk))
+        report = bench_speedup(cfg, seed=1, n_blocks=n_blocks, repetitions=2)
+        assert report["n_blocks"] == n_blocks
+        sizes = [min(CHUNK_BLOCKS, n_blocks - start)
+                 for start in range(0, n_blocks, CHUNK_BLOCKS)]
+        for chunks in (solved, rasterized):
+            assert [len(c.rects) for c in chunks] == sizes * 2
+            for rep in (chunks[:len(sizes)], chunks[len(sizes):]):
+                assert np.array_equal(
+                    np.concatenate([c.rects for c in rep]), rects[:n_blocks])
+                assert all(c.block.max(initial=-1) < len(c.rects)
+                           for c in rep)
 
     def test_rejects_zero_repetitions(self):
         with pytest.raises(ValueError, match="repetition"):

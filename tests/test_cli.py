@@ -153,6 +153,40 @@ class TestErrorHandling:
         assert json.loads(lines[0])["error"] == "FileExistsError"
         assert out.read_text() == "kept"
 
+    def test_train_on_empty_validation_split_is_json_error(self, tmp_path,
+                                                           capsys):
+        # 5 samples split into train 4, val 0 and test 1
+        cfg = tmp_path / "five.json"
+        cfg.write_text(json.dumps(dict(
+            SMALL_CONFIG, dataset=dict(SMALL_CONFIG["dataset"], n_samples=5))))
+        ds = tmp_path / "dataset"
+        assert run(["build-dataset", "--config", str(cfg),
+                    "--out", str(ds)]) == 0
+        assert json.loads((ds / "manifest.json").read_text())["splits"][
+            "val"] == []
+        capsys.readouterr()
+        code = run(["train", "--config", str(cfg), "--dataset", str(ds),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert err["message"] == "empty validation split"
+
+    @pytest.mark.parametrize("command", ["bench-aquifer", "bench-anisotropy"])
+    @pytest.mark.parametrize("n_samples", ["0", "1"])
+    def test_bench_too_few_samples_is_json_error(self, config_path, tmp_path,
+                                                 capsys, command, n_samples):
+        code = run([command, "--config", config_path, "--n-samples",
+                    n_samples, "--out", str(tmp_path / "o")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert "at least 2 samples" in err["message"]
+
     def test_surrogate_backend_requires_model(self, config_path, tmp_path,
                                               capsys):
         code = run(["upscale", "--config", config_path,

@@ -151,7 +151,7 @@ class TestGoldenTensors:
                                     seed=9)
         grid = build_block_grid(20.0, 20.0)
         for (i, j), expected in self.GOLDEN.items():
-            rect = grid.block_rect(i, j)
+            rect = Rect(*grid.rects[j * grid.n_per_axis + i])
             k, _ = anisotropy_tensor(field, net, rect, 12)
             assert k == pytest.approx(expected, rel=1e-12)
 
@@ -195,36 +195,43 @@ class TestBlockGrid:
         grid = build_block_grid(100.0, 2 * 100.0 / 14)
         assert grid.n_per_axis == 15
         assert grid.n_blocks == 225
-        assert grid.centers_x[0] == 0.0
-        assert grid.centers_x[-1] == pytest.approx(100.0)
+        assert grid.centers[0] == 0.0
+        assert grid.centers[-1] == pytest.approx(100.0)
         assert grid.extended.x0 == pytest.approx(-100.0 / 14)
         assert grid.extended.x1 == pytest.approx(100.0 + 100.0 / 14)
 
     def test_small_tiling(self):
         grid = build_block_grid(4.0, 4.0)
         assert grid.n_blocks == 9
-        assert np.allclose(grid.centers_x, [0.0, 2.0, 4.0])
-        rect = grid.block_rect(0, 0)
-        assert rect.as_tuple() == (-2.0, -2.0, 2.0, 2.0)
+        assert np.allclose(grid.centers, [0.0, 2.0, 4.0])
+        assert grid.rects[0].tolist() == [-2.0, -2.0, 2.0, 2.0]
 
     def test_non_integer_ratio_rejected(self):
         with pytest.raises(ValueError):
             build_block_grid(100.0, 13.0)
 
-    def test_block_iterator_row_major(self):
-        grid = build_block_grid(4.0, 4.0)
-        ids = [(bid, i, j) for bid, i, j, _ in grid.blocks()]
-        assert ids[0] == (0, 0, 0)
-        assert ids[1] == (1, 1, 0)   # x fastest
-        assert ids[3] == (3, 0, 1)
-        assert len(ids) == 9
+    def test_rects_row_major(self):
+        # block b = j * n + i, x fastest, is centers (i, j) -/+ half a
+        # block, bit for bit
+        for side, block_size in [(4.0, 4.0), (4.0, 2.0),
+                                 (100.0, 2 * 100.0 / 14), (20.0, 10.0)]:
+            grid = build_block_grid(side, block_size)
+            n, half = grid.n_per_axis, 0.5 * grid.block_size
+            c = grid.centers
+            expected = [Rect(c[i] - half, c[j] - half, c[i] + half,
+                             c[j] + half).as_tuple()
+                        for j in range(n) for i in range(n)]
+            assert grid.rects.shape == (grid.n_blocks, 4)
+            assert np.array_equal(grid.rects, expected)
+            assert grid.rects[1, 0] > grid.rects[0, 0]   # x fastest
+            assert grid.rects[n, 1] > grid.rects[0, 1]
 
 
 def candidates_of(network, block_size, threshold=None):
     """The ids of every block's clipped fractures over the 4 x 4 domain."""
     grid = build_block_grid(4.0, block_size)
     return [chunk.id[chunk.block == b].tolist()
-            for chunk in block_candidates(network, grid, threshold)
+            for chunk in block_candidates(network, grid.rects, threshold)
             for b in range(len(chunk.rects))]
 
 
@@ -246,14 +253,12 @@ class TestClipNetwork:
         outside = make_fracture((4.5, 4.5), (5.5, 5.5), frac_id=1)
         net = network_of(inside, outside)
         grid = build_block_grid(4.0, 2.0)
-        first = next(block_candidates(net, grid))
-        assert np.array_equal(first.rects, [
-            rect.as_tuple() for _, _, _, rect in grid.blocks()][:8])
+        first = next(block_candidates(net, grid.rects))
+        assert np.array_equal(first.rects, grid.rects[:8])
         # blocks 0, 1, 5 and 6 overlap at the inside fracture
         assert first.block.tolist() == [0, 1, 5, 6]
         assert first.id.tolist() == [0] * 4
-        _, q0, q1 = clip_segments(net.p0[:1], net.p1[:1],
-                                  grid.block_rect(0, 0))
+        _, q0, q1 = clip_segments(net.p0[:1], net.p1[:1], grid.rects[:1])
         assert np.array_equal(first.p0[:1], q0)
         assert np.array_equal(first.p1[:1], q1)
         ids = candidates_of(net, 2.0)
@@ -311,15 +316,15 @@ class TestClipNetwork:
             assert np.array_equal(chunk.p0[mine], q0)
             assert np.array_equal(chunk.p1[mine], q1)
         one = clip_to_blocks(net, Rect(*rects[0]), rows)
-        for a, b in zip(one, chunk.head(1)):
+        for a, b in zip(one, clip_to_blocks(net, rects[:1], rows)):
             assert np.array_equal(a, b)
 
     def test_screen_without_network(self):
         grid = build_block_grid(4.0, 2.0)
-        chunks = list(block_candidates(network_of(), grid, 0.5))
+        chunks = list(block_candidates(network_of(), grid.rects, 0.5))
         assert [len(c.rects) for c in chunks] == [8, 8, 8, 1]
-        assert np.array_equal(np.concatenate([c.rects for c in chunks]), [
-            rect.as_tuple() for _, _, _, rect in grid.blocks()])
+        assert np.array_equal(np.concatenate([c.rects for c in chunks]),
+                              grid.rects)
         assert all(len(c.block) == len(c.id) == 0 for c in chunks)
 
 
@@ -408,9 +413,8 @@ class TestUpscaleDomain:
         mask = net.length < threshold
         short = FractureNetwork(*(getattr(net, name)[mask] for name in (
             "id", "center", "length", "angle", "aperture", "conductivity")))
-        for (_, _, _, rect), k, res in zip(grid.blocks(), blocks.k,
-                                           blocks.residual):
-            ref, ref_res = anisotropy_tensor(field, short, rect, 8)
+        for rect, k, res in zip(grid.rects, blocks.k, blocks.residual):
+            ref, ref_res = anisotropy_tensor(field, short, Rect(*rect), 8)
             if not positive_definite(ref[None])[0]:
                 ref = project_spd(ref)
             assert res == ref_res
@@ -447,15 +451,15 @@ class TestUpscaleDomain:
         net.aperture = np.array([1e-3, 1e-3, 2e-3, 1e-3])
         net.conductivity = np.array([1.0, 2.0, 3.0, 4.0])
         res = 16
-        chunks = list(block_candidates(net, grid))
+        chunks = list(block_candidates(net, grid.rects))
         assert [len(c.rects) for c in chunks] == [8, 8, 8, 1]
         block = np.concatenate([c.block + homogenizer.CHUNK_BLOCKS * i
                                 for i, c in enumerate(chunks)])
         assert block.max() < 20
         images = np.concatenate([rasterize_blocks(field, c, res)
                                  for c in chunks])
-        single = np.stack([rasterize_block(field, net, rect, res)
-                           for _, _, _, rect in grid.blocks()])
+        single = np.stack([rasterize_block(field, net, Rect(*rect), res)
+                           for rect in grid.rects])
         assert np.array_equal(images, single)
         # the fractures of one block do not paint another
         conductivity = images[:, :, :, 3] != 1.0

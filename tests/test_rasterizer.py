@@ -244,7 +244,7 @@ class TestChunks:
                            for k, (r, i) in enumerate(zip(rows, ids))))
         net.p0 = np.array([r[:2] for r in rows], float).reshape(-1, 2)
         net.p1 = np.array([r[2:4] for r in rows], float).reshape(-1, 2)
-        rects = np.array([rect.as_tuple() for _, _, _, rect in grid.blocks()])
+        rects = grid.rects
         cuts = sorted(data.draw(st.sets(st.integers(1, len(rects) - 1))))
         for a, b in zip([0] + cuts, cuts + [len(rects)]):
             images = rasterize_blocks(field, clip_to_blocks(net, rects[a:b]),
