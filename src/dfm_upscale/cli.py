@@ -130,9 +130,15 @@ def _preprocessed_splits(dataset_dir):
 
 
 def cmd_train(cfg: RunConfig, args):
-    out = _out_dir(args)
     images, targets, splits, manifest, stats = \
         _preprocessed_splits(args.dataset)
+    # R² of the test split needs 2 samples; an empty validation split is
+    # train()'s error
+    n_test = len(splits["test"])
+    if len(splits["val"]) and n_test < 2:
+        raise ValueError(f"the test split needs at least 2 samples "
+                         f"(dataset.n_samples of at least 10), got {n_test}")
+    out = _out_dir(args)
     res = manifest["raster_resolution"]
     tc = cfg.train
     arch = Architecture(resolution=res, conv_channels=tuple(tc.conv_channels),

@@ -8,6 +8,8 @@ import typing
 from dataclasses import dataclass, field, fields, asdict, is_dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .frac_geom import PhysicalConstants, PowerLawSpec
 
 # fracture to matrix conductivity ratio of each dataset class
@@ -101,6 +103,17 @@ class SrfSection:
         if [len(row) for row in self.cov_log] != [2, 2]:
             raise ConfigError("srf.cov_log: expected a 2 x 2 matrix, got "
                               f"{self.cov_log!r}")
+        # the field is drawn from the lower Cholesky factor, which reads only
+        # the lower triangle
+        cov = np.array(self.cov_log, float)
+        if cov[0, 1] != cov[1, 0]:
+            raise ConfigError("srf.cov_log: must be symmetric, got "
+                              f"{self.cov_log!r}")
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise ConfigError("srf.cov_log: must be positive definite, got "
+                              f"{self.cov_log!r}") from None
 
 
 @dataclass
@@ -161,6 +174,11 @@ class TrainSection:
     conv_channels: list[int] = field(
         default_factory=lambda: [24, 48, 96, 192, 256])
     dense_widths: list[int] = field(default_factory=lambda: [2048, 2048, 1024])
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigError("train.batch_size: must be at least 1, got "
+                              f"{self.batch_size!r}")
 
 
 @dataclass

@@ -220,8 +220,8 @@ def _stiffness(tri_k: np.ndarray, maps: np.ndarray) -> np.ndarray:
 
 
 def _barycentric(x0, y0, hx, hy, nx: int, ny: int, x, y):
-    """The triangle of each point on the nx x ny grid of hx x hy cells from
-    (x0, y0), which may be given per point as arrays, and the (n, 3)
+    """The triangle of each point on the nx x ny grid of hx x hy cells
+    whose lower-left corner is (x0, y0), all scalars, and the (n, 3)
     weights of its nodes: (1 - lx, lx - ly, ly) in a lower triangle,
     (1 - ly, lx, ly - lx) in an upper one, with (lx, ly) the point in cell
     units from its cell's lower-left node. Edge hits go to the larger cell
@@ -257,10 +257,10 @@ def _collinear_candidates(start, delta, tol):
     return False
 
 
-def _merge_collinear(rows, p0, p1, aperture, tol):
-    """Merge overlapping collinear segments rows[k]: p0[k]-p1[k]; the
-    fracture row with the wider aperture wins. Returns (rows, p0, p1,
-    merged count).
+def _merge_collinear(p0, p1, aperture, tol):
+    """Merge overlapping collinear segments p0[k]-p1[k]. Returns (rows, p0,
+    p1, merged count): per kept segment, the row k whose properties it takes
+    (of two merged rows, the one with the wider aperture), and its ends.
 
     Each segment is tested against all later ones at once; a merge changes
     only the earlier segment, so the later ones keep their original arrays.
@@ -269,8 +269,8 @@ def _merge_collinear(rows, p0, p1, aperture, tol):
     """
     start, delta = p0, p1 - p0
     if not _collinear_candidates(start, delta, tol):
-        return rows, p0, p1, 0
-    out = list(zip(rows, p0, p1))
+        return np.arange(len(p0)), p0, p1, 0
+    out = list(zip(range(len(p0)), p0, p1))
     alive = np.ones(len(out), dtype=bool)
     merged = 0
     for i in range(len(out)):
@@ -448,60 +448,48 @@ def discretize(field_: TensorField, network: FractureNetwork | None,
 def discretize_blocks(field_: TensorField, chunk: BlockChunk, nx: int,
                       ny: int) -> Iterator[DiscreteSystem]:
     """An iterator over the systems of the blocks of chunk (see
-    frac_geom.clip_to_blocks), in order. One pass over the whole chunk
-    builds the meshes and their triangle tensors, and computes the fracture
-    elements and their coefficients. Collinear merging and the fracture
-    chains run per block, and each system's stiffness and sparse matrix are
-    built when the iterator reaches it, so a caller that solves them in
-    turn holds one at a time. Every other step works entry by entry, so a
-    block's system does not depend on the other blocks of its chunk."""
+    frac_geom.clip_to_blocks), in order. The grid lines of the blocks'
+    meshes and their triangle tensors are computed for the whole chunk at
+    once, each block's from its own rect. Everything else of a block is
+    assembled from its own rows of the chunk's table alone, when the
+    iterator reaches it, so a caller that solves the systems in turn holds
+    one at a time."""
     if nx < 2 or ny < 2:
         raise ValueError("resolution must be at least 2x2")
     box = chunk.rects
-    domains = [Rect(*row) for row in box.tolist()]
-    n_b = len(box)
     hx = (box[:, 2] - box[:, 0]) / nx
     hy = (box[:, 3] - box[:, 1]) / ny
-
-    # meshes: node id ix * (ny + 1) + iy, and the tensor of each triangle
     xs = box[:, 0, None] + hx[:, None] * np.arange(nx + 1)
     ys = box[:, 1, None] + hy[:, None] * np.arange(ny + 1)
-    nodes = np.empty((n_b, nx + 1, ny + 1, 2))
-    nodes[..., 0] = xs[:, :, None]
-    nodes[..., 1] = ys[:, None, :]
-    nodes = nodes.reshape(n_b, -1, 2)
-    n_m = nodes.shape[1]
-    tris, rows, cols = _mesh_topology(nx, ny)
     tri_k = _triangle_tensors(field_, xs, ys)
+    bounds = np.searchsorted(chunk.block, np.arange(len(box) + 1))
+    return (_assemble(Rect(*box[b].tolist()), xs[b], ys[b], tri_k[b],
+                      chunk.p0[a:e], chunk.p1[a:e], chunk.aperture[a:e],
+                      chunk.conductivity[a:e])
+            for b, (a, e) in enumerate(zip(bounds[:-1], bounds[1:])))
 
-    # fractures: merging and chains per block, over its rows of the table
-    bounds = np.searchsorted(chunk.block, np.arange(n_b + 1))
-    snap_tol = np.array([1e-9 * d.diameter for d in domains])
-    chains, segs, merged = [], [], []
-    for b in range(n_b):
-        part = slice(bounds[b], bounds[b + 1])
-        seg_row, seg_p0, seg_p1, n_merged = _merge_collinear(
-            np.arange(bounds[b], bounds[b + 1]), chunk.p0[part],
-            chunk.p1[part], chunk.aperture, snap_tol[b])
-        chains.append(_fracture_chains(seg_p0, seg_p1, snap_tol[b],
-                                       FRAC_ELEM_FACTOR * min(hx[b], hy[b])))
-        segs.append((seg_row, seg_p0, seg_p1))
-        merged.append(n_merged)
 
-    # the blocks' chains side by side: segment and fracture node ids
-    # shifted by the blocks before
-    n_frac = np.array([len(nodes_b) for nodes_b, _, _ in chains])
-    node_off = np.cumsum(n_frac) - n_frac
-    n_seg = np.array([len(r) for r, _, _ in segs])
-    seg_off = np.cumsum(n_seg) - n_seg
-    frac_nodes = np.concatenate([nodes_b for nodes_b, _, _ in chains])
-    seg_row, seg_p0, seg_p1 = (np.concatenate(a) for a in zip(*segs))
-    sp_blk = np.repeat(np.arange(n_b), [len(sp[0]) for _, sp, _ in chains])
-    sp_seg, sp_nsub, sp_first, sp_i0, sp_i1 = (
-        np.concatenate(a) for a in zip(*(sp for _, sp, _ in chains)))
-    sp_seg = sp_seg + seg_off[sp_blk]
-    sp_first, sp_i0, sp_i1 = (a + node_off[sp_blk]
-                              for a in (sp_first, sp_i0, sp_i1))
+def _assemble(domain: Rect, xs, ys, tri_k, p0, p1, aperture,
+              conductivity) -> DiscreteSystem:
+    """The system of one block on the mesh with grid lines xs and ys and
+    triangle tensors tri_k, with its clipped fractures p0[k]-p1[k]."""
+    nx, ny = len(xs) - 1, len(ys) - 1
+    hx, hy = domain.width / nx, domain.height / ny
+    snap_tol = 1e-9 * domain.diameter
+
+    # mesh: node id ix * (ny + 1) + iy
+    nodes = np.empty((nx + 1, ny + 1, 2))
+    nodes[..., 0] = xs[:, None]
+    nodes[..., 1] = ys[None, :]
+    nodes = nodes.reshape(-1, 2)
+    n_m = len(nodes)
+    tris, rows, cols = _mesh_topology(nx, ny)
+
+    seg_row, seg_p0, seg_p1, merged = _merge_collinear(p0, p1, aperture,
+                                                       snap_tol)
+    frac_nodes, (sp_seg, sp_nsub, sp_first, sp_i0, sp_i1), dropped = \
+        _fracture_chains(seg_p0, seg_p1, snap_tol,
+                         FRAC_ELEM_FACTOR * min(hx, hy))
     seg_d = seg_p1 - seg_p0
     # elements s = 0 .. nsub - 1 of every piece, in chain order
     span, s = runs(sp_nsub)
@@ -509,64 +497,48 @@ def discretize_blocks(field_: TensorField, chunk: BlockChunk, nx: int,
     n1 = np.where(s == sp_nsub[span] - 1, sp_i1[span], sp_first[span] + s)
     e_p0, e_p1 = frac_nodes[n0], frac_nodes[n1]
     e_len = np.hypot(e_p1[:, 0] - e_p0[:, 0], e_p1[:, 1] - e_p0[:, 1])
-    keep = e_len > snap_tol[sp_blk[span]]
+    keep = e_len > snap_tol
     span, n0, n1, e_p0, e_p1, e_len = (a[keep] for a in (span, n0, n1, e_p0,
                                                          e_p1, e_len))
-    e_blk = sp_blk[span]
     e_seg = sp_seg[span]
     e_tan = seg_d[e_seg] / np.hypot(seg_d[e_seg, 0], seg_d[e_seg, 1])[:, None]
     e_row = seg_row[e_seg]
-    e_ap, e_cond = chunk.aperture[e_row], chunk.conductivity[e_row]
+    e_ap, e_cond = aperture[e_row], conductivity[e_row]
     mid = 0.5 * (e_p0 + e_p1)
-    e_tri, w = _barycentric(box[e_blk, 0], box[e_blk, 1], hx[e_blk],
-                            hy[e_blk], nx, ny, mid[:, 0], mid[:, 1])
+    e_tri, w = _barycentric(domain.x0, domain.y0, hx, hy, nx, ny, mid[:, 0],
+                            mid[:, 1])
 
+    # Fracture conduction t along each element, and the exchange
+    # c (w . h_tri - (h_f0 + h_f1) / 2)^2 / 2 at its midpoint. The exchange's
+    # triangle part c w w^T is added to its triangle's 9 stiffness entries,
+    # element by element; conduction and the fracture part c / 4 share 4
+    # entries, and the triangle-fracture part -c w / 2 takes 6 + 6.
     t_e = e_ap * e_cond / e_len
     c = e_len * e_cond / e_ap
-    elem_bounds = np.searchsorted(e_blk, np.arange(n_b + 1))
-    dropped = [n for _, _, n in chains]
-
-    # Each block's stiffness and sparse matrix are built when its system is
-    # asked for, entry by entry as over the whole chunk. The closure holds
-    # only what it reads, so the pass's other arrays are freed on return.
-    def system(b: int) -> DiscreteSystem:
-        el = slice(elem_bounds[b], elem_bounds[b + 1])
-        # Fracture conduction t along each element, and the exchange
-        # c (w . h_tri - (h_f0 + h_f1) / 2)^2 / 2 at its midpoint. The
-        # exchange's triangle part c w w^T is added to its triangle's 9
-        # stiffness entries, element by element; conduction and the fracture
-        # part c / 4 share 4 entries, and the triangle-fracture part -c w / 2
-        # takes 6 + 6.
-        data = _stiffness(tri_k[b], _stiffness_maps(hx[b], hy[b]))
-        data = data.reshape(-1, 9)
-        cw = c[el, None] * w[el]
-        np.add.at(data, e_tri[el], (cw[:, :, None] * w[el, None, :]
-                                    ).reshape(-1, 9))
-        q = 0.25 * c[el]
-        plus, minus, half = t_e[el] + q, q - t_e[el], np.tile(-0.5 * cw, 2)
-        frac_elems = np.column_stack([n0[el], n1[el]]) - node_off[b]
-        f0, f1 = (n_m + frac_elems).T
-        tri_dofs = np.tile(tris[e_tri[el]], 2)
-        frac_dofs = np.repeat(n_m + frac_elems, 3, axis=1)
-        n_dofs = n_m + n_frac[b]
-        matrix = sp.coo_matrix(
-            (np.concatenate([data.ravel(), np.column_stack(
-                [plus, plus, minus, minus, half, half]).ravel()]),
-             (np.concatenate([rows, np.column_stack(
-                 [f0, f1, f0, f1, tri_dofs, frac_dofs]).ravel()]),
-              np.concatenate([cols, np.column_stack(
-                  [f0, f1, f1, f0, frac_dofs, tri_dofs]).ravel()]))),
-            shape=(n_dofs, n_dofs)).tocsr()
-        return DiscreteSystem(
-            domain=domains[b], nx=nx, ny=ny, nodes=nodes[b], tris=tris,
-            tri_k=tri_k[b].reshape(-1, 3),
-            frac_nodes=frac_nodes[node_off[b]:node_off[b] + n_frac[b]],
-            frac_elems=frac_elems, frac_len=e_len[el], frac_tangent=e_tan[el],
-            frac_aperture=e_ap[el], frac_cond=e_cond[el],
-            coupling_tri=e_tri[el], matrix=matrix,
-            dropped_fractures=dropped[b], merged_fractures=merged[b])
-
-    return map(system, range(n_b))
+    data = _stiffness(tri_k, _stiffness_maps(hx, hy)).reshape(-1, 9)
+    cw = c[:, None] * w
+    np.add.at(data, e_tri, (cw[:, :, None] * w[:, None, :]).reshape(-1, 9))
+    q = 0.25 * c
+    plus, minus, half = t_e + q, q - t_e, np.tile(-0.5 * cw, 2)
+    frac_elems = np.column_stack([n0, n1])
+    f0, f1 = (n_m + frac_elems).T
+    tri_dofs = np.tile(tris[e_tri], 2)
+    frac_dofs = np.repeat(n_m + frac_elems, 3, axis=1)
+    n_dofs = n_m + len(frac_nodes)
+    matrix = sp.coo_matrix(
+        (np.concatenate([data.ravel(), np.column_stack(
+            [plus, plus, minus, minus, half, half]).ravel()]),
+         (np.concatenate([rows, np.column_stack(
+             [f0, f1, f0, f1, tri_dofs, frac_dofs]).ravel()]),
+          np.concatenate([cols, np.column_stack(
+              [f0, f1, f1, f0, frac_dofs, tri_dofs]).ravel()]))),
+        shape=(n_dofs, n_dofs)).tocsr()
+    return DiscreteSystem(
+        domain=domain, nx=nx, ny=ny, nodes=nodes, tris=tris,
+        tri_k=tri_k.reshape(-1, 3), frac_nodes=frac_nodes,
+        frac_elems=frac_elems, frac_len=e_len, frac_tangent=e_tan,
+        frac_aperture=e_ap, frac_cond=e_cond, coupling_tri=e_tri,
+        matrix=matrix, dropped_fractures=dropped, merged_fractures=merged)
 
 
 def _lower_band(a: sp.csr_matrix, order) -> np.ndarray:

@@ -119,8 +119,7 @@ def _block_fits(field: TensorField, chunk: BlockChunk,
                 resolution: int) -> BlockResults:
     """The tensors of the blocks of chunk, each fitted from its two
     linear-head problems h = x and h = y on the whole boundary, which are
-    solved together: their boundary heads are the DOF coordinates. The
-    chunk is assembled in one pass (see discretize_blocks)."""
+    solved together: their boundary heads are the DOF coordinates."""
     k, residual = [], []
     for system in discretize_blocks(field, chunk, resolution, resolution):
         rows = []

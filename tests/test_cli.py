@@ -81,6 +81,10 @@ class TestErrorHandling:
         ({"train": {"dense_widths": [True]}}, "train.dense_widths"),
         ({"blocks": {"block_size": 0}}, "blocks.block_size"),
         ({"blocks": {"coarse_resolution": 0}}, "blocks.coarse_resolution"),
+        ({"srf": {"cov_log": [[0.25, 0.2], [0.1, 0.25]]}}, "srf.cov_log"),
+        ({"srf": {"cov_log": [[0.25, 0.3], [0.3, 0.25]]}}, "srf.cov_log"),
+        ({"train": {"batch_size": 0}}, "train.batch_size"),
+        ({"train": {"batch_size": -1}}, "train.batch_size"),
     ])
     def test_mistyped_value_is_config_error(self, tmp_path, capsys, config,
                                             key):
@@ -173,6 +177,31 @@ class TestErrorHandling:
         err = json.loads(lines[0])
         assert err["error"] == "ValueError"
         assert err["message"] == "empty validation split"
+
+    def test_train_with_one_test_sample_is_json_error(self, tmp_path,
+                                                      capsys):
+        # 6 samples split into train 4, val 1 and test 1
+        cfg = tmp_path / "six.json"
+        cfg.write_text(json.dumps(dict(
+            SMALL_CONFIG, dataset=dict(SMALL_CONFIG["dataset"], n_samples=6))))
+        ds = tmp_path / "dataset"
+        assert run(["build-dataset", "--config", str(cfg),
+                    "--out", str(ds)]) == 0
+        splits = json.loads((ds / "manifest.json").read_text())["splits"]
+        assert [len(splits[k]) for k in ("train", "val", "test")] == [4, 1, 1]
+        capsys.readouterr()
+        out = tmp_path / "o"
+        code = run(["train", "--config", str(cfg), "--dataset", str(ds),
+                    "--out", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert err["message"] == ("the test split needs at least 2 samples "
+                                  "(dataset.n_samples of at least 10), got 1")
+        assert not (out / "model").exists()
+        assert not (out / "history.csv").exists()
 
     @pytest.mark.parametrize("command", ["bench-aquifer", "bench-anisotropy"])
     @pytest.mark.parametrize("n_samples", ["0", "1"])

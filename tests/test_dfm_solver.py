@@ -307,30 +307,62 @@ class TestClosedFormTerms:
             [field.kxx[ix, iy], field.kxy[ix, iy], field.kyy[ix, iy]]))
 
 
+CHUNK_FIELD = random_tensor_field(Rect(-1.0, -1.0, 3.0, 3.0), 16, seed=6)
+CROSSING = network_of(
+    make_fracture((-0.5, 0.3), (2.5, 0.6), frac_id=0),
+    make_fracture((0.2, -0.5), (1.8, 2.4), aperture=2e-3, frac_id=1),
+    make_fracture((0.7, 0.5), (0.7 + 1e-12, 0.5), frac_id=2))
+HIT_RECTS = [Rect(0.0, 0.0, 1.0, 1.0),
+             Rect(1.0, 0.0, 2.0, 1.5),     # hx != hy
+             Rect(0.5, 0.5, 1.5, 1.5)]
+MISS_RECTS = [Rect(2.2, 2.2, 2.9, 2.9), Rect(-0.9, 2.0, -0.2, 2.9)]
+
+
+def chunk_systems(net, rects):
+    return list(discretize_blocks(
+        CHUNK_FIELD, clip_to_blocks(net, [r.as_tuple() for r in rects]),
+        8, 8))
+
+
+def assert_same_block(got, want):
+    assert_systems_equal(got, want)
+    assert got.domain == want.domain
+    assert np.array_equal(got.nodes, want.nodes)
+    assert np.array_equal(got.tri_k, want.tri_k)
+
+
 class TestChunkAssembly:
-    def test_blocks_match_one_block_calls(self):
-        ext = Rect(-1.0, -1.0, 3.0, 3.0)
-        field = random_tensor_field(ext, 16, seed=6)
-        crossing = network_of(
-            make_fracture((-0.5, 0.3), (2.5, 0.6), frac_id=0),
-            make_fracture((0.2, -0.5), (1.8, 2.4), aperture=2e-3, frac_id=1),
-            make_fracture((0.7, 0.5), (0.7 + 1e-12, 0.5), frac_id=2))
-        rects = [Rect(0.0, 0.0, 1.0, 1.0),
-                 Rect(1.0, 0.0, 2.0, 1.5),     # hx != hy
-                 Rect(0.5, 0.5, 1.5, 1.5),
-                 Rect(2.2, 2.2, 2.9, 2.9)]     # misses them all
-        for net in (crossing, network_of(), None):
-            chunk = clip_to_blocks(net, [rect.as_tuple() for rect in rects])
-            systems = list(discretize_blocks(field, chunk, 8, 8))
+    # each block's system comes from its rows of the chunk's table, so a
+    # block without rows may stand anywhere in the chunk
+    @pytest.mark.parametrize("empty_at", [0, 1, 3], ids=["first", "middle",
+                                                         "last"])
+    def test_blocks_match_one_block_calls(self, empty_at):
+        rects = list(HIT_RECTS)
+        rects.insert(empty_at, MISS_RECTS[0])
+        for net in (CROSSING, network_of(), None):
+            systems = chunk_systems(net, rects)
             assert len(systems) == len(rects)
             for rect, got in zip(rects, systems):
-                want = discretize(field, net, rect, 8, 8)
-                assert_systems_equal(got, want)
+                want = discretize(CHUNK_FIELD, net, rect, 8, 8)
                 assert got.domain == rect
-                assert np.array_equal(got.nodes, want.nodes)
-                assert np.array_equal(got.tri_k, want.tri_k)
+                assert_same_block(got, want)
             assert [len(s.frac_elems) > 0 for s in systems] == [
-                net is crossing] * 3 + [False]
+                net is CROSSING and k != empty_at for k in range(len(rects))]
+
+    def test_chunk_with_empty_table(self):
+        assert len(clip_to_blocks(CROSSING, [r.as_tuple() for r in
+                                             MISS_RECTS]).block) == 0
+        for got, rect in zip(chunk_systems(CROSSING, MISS_RECTS), MISS_RECTS):
+            assert len(got.frac_nodes) == 0
+            assert got.dropped_fractures == got.merged_fractures == 0
+            assert_same_block(got, discretize(CHUNK_FIELD, None, rect, 8, 8))
+
+    def test_reversed_rects_reverse_the_systems(self):
+        rects = HIT_RECTS + MISS_RECTS[:1]
+        forward = chunk_systems(CROSSING, rects)
+        backward = chunk_systems(CROSSING, rects[::-1])
+        for got, want in zip(backward, forward[::-1]):
+            assert_same_block(got, want)
 
 
 class TestMeshTopology:
