@@ -101,7 +101,16 @@ def _upscale(cfg: RunConfig, args, backend):
     return ["blocks.csv", "coarse_field.bin", "coarse_field.bin.json"]
 
 
+def _serial(args):
+    """upscale and train run in one process: any other --workers is an
+    error, not a silent serial run."""
+    if args.workers != 1:
+        raise ValueError(f"--workers {args.workers}: {args.cmd} runs "
+                         "serially, only --workers 1 is accepted")
+
+
 def cmd_upscale(cfg: RunConfig, args):
+    _serial(args)
     if args.backend == "surrogate":
         if not args.model:
             raise ValueError("--model is required for the surrogate backend")
@@ -112,6 +121,8 @@ def cmd_upscale(cfg: RunConfig, args):
 
 
 def cmd_build_dataset(cfg: RunConfig, args):
+    if args.workers < 1:
+        raise ValueError(f"--workers {args.workers}: must be at least 1")
     out = _out_dir(args)
     manifest, _ = generate_dataset(cfg, args.seed, out, workers=args.workers)
     log.info("dataset: %d samples, %d skipped", manifest["n_samples"],
@@ -130,6 +141,7 @@ def _preprocessed_splits(dataset_dir):
 
 
 def cmd_train(cfg: RunConfig, args):
+    _serial(args)
     images, targets, splits, manifest, stats = \
         _preprocessed_splits(args.dataset)
     # R² of the test split needs 2 samples; an empty validation split is
@@ -231,23 +243,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "and its convolutional surrogate.")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add(name, **extra):
+    def add(name, workers=False):
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (default: config seed)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--workers", type=int, default=1)
+        if workers:
+            p.add_argument("--workers", type=int, default=1)
         return p
 
     add("generate-fine")
-    add("build-dataset")
-    p = add("train")
+    add("build-dataset", workers=True)
+    p = add("train", workers=True)
     p.add_argument("--dataset", required=True)
     p = add("evaluate")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", required=True)
-    p = add("upscale")
+    p = add("upscale", workers=True)
     p.add_argument("--backend", choices=["numeric", "surrogate"],
                    default="numeric")
     p.add_argument("--model")

@@ -179,6 +179,16 @@ class TrainSection:
         if self.batch_size < 1:
             raise ConfigError("train.batch_size: must be at least 1, got "
                               f"{self.batch_size!r}")
+        if self.epochs < 0:
+            raise ConfigError("train.epochs: must be at least 0, got "
+                              f"{self.epochs!r}")
+        if not self.conv_channels:
+            raise ConfigError("train.conv_channels: must be non-empty")
+        for key in ("conv_channels", "dense_widths"):
+            widths = getattr(self, key)
+            if any(w < 1 for w in widths):
+                raise ConfigError(f"train.{key}: every entry must be at "
+                                  f"least 1, got {widths!r}")
 
 
 @dataclass

@@ -37,7 +37,8 @@ def enforce_ratio(network: FractureNetwork, field_, ratio: float):
     median(K_f) / geometric-mean of the matrix trace/2 equals ratio."""
     if not len(network):
         return network, 1.0
-    km = float(np.exp(np.mean(np.log(0.5 * (field_.kxx + field_.kyy)))))
+    k = field_.k
+    km = float(np.exp(np.mean(np.log(0.5 * (k[..., 0] + k[..., 2])))))
     med = float(np.median(network.conductivity))
     factor = ratio * km / med
     scaled = replace(network, conductivity=network.conductivity * factor)
@@ -188,9 +189,11 @@ def compute_stats(images, targets, train_idx):
     return stats
 
 
-def _record_bytes(image: np.ndarray, target: np.ndarray) -> bytes:
-    planes = np.ascontiguousarray(image.transpose(2, 0, 1)).astype("<f4")
-    return planes.tobytes() + np.asarray(target, dtype="<f4").tobytes()
+def record_dtype(resolution: int) -> np.dtype:
+    """One shard record: the raster's four (R, R) channel planes, then its
+    (3,) target, all float32-LE."""
+    return np.dtype([("planes", "<f4", (4, resolution, resolution)),
+                     ("target", "<f4", (3,))])
 
 
 def _try_sample(args):
@@ -212,7 +215,6 @@ def generate_dataset(cfg: RunConfig, seed: int, out_dir, workers: int = 1):
     (out_dir / "shards").mkdir(parents=True, exist_ok=True)
     n_samples = cfg.dataset.n_samples
     r = cfg.raster.resolution
-    record_size = 4 * (4 * r * r + 3)
 
     jobs = [(cfg, idx, seed) for idx in range(n_samples)]
     if workers > 1:
@@ -222,8 +224,7 @@ def generate_dataset(cfg: RunConfig, seed: int, out_dir, workers: int = 1):
     else:
         results = [_try_sample(job) for job in jobs]
 
-    images = np.empty((n_samples, r, r, 4), dtype=np.float32)
-    targets = np.empty((n_samples, 3), dtype=np.float32)
+    records = np.empty(n_samples, record_dtype(r))
     lambdas = np.empty(n_samples)
     kept = 0
     skipped = 0
@@ -235,32 +236,30 @@ def generate_dataset(cfg: RunConfig, seed: int, out_dir, workers: int = 1):
                 raise RuntimeError(
                     f"aborting: {skipped} homogenization failures")
             continue
-        images[kept], targets[kept], lambdas[kept] = sample
+        image, target, lambdas[kept] = sample
+        records[kept] = image.transpose(2, 0, 1), target
         kept += 1
-    images = images[:kept]
-    targets = targets[:kept]
+    records = records[:kept]
 
     shards = []
     for start in range(0, kept, SHARD_RECORDS):
         name = f"shard_{len(shards):05d}.bin"
-        payload = b"".join(
-            _record_bytes(images[i], targets[i])
-            for i in range(start, min(start + SHARD_RECORDS, kept)))
+        payload = records[start:start + SHARD_RECORDS].tobytes()
         (out_dir / "shards" / name).write_bytes(payload)
         shards.append({"file": f"shards/{name}",
                        "records": min(start + SHARD_RECORDS, kept) - start,
                        "sha256": hashlib.sha256(payload).hexdigest()})
 
     splits = split_indices(kept, seed)
-    stats = compute_stats(images.astype(float), targets.astype(float),
-                          splits["train"])
+    images, targets = _unpack(records)
+    stats = compute_stats(images, targets, splits["train"])
     manifest = {
         "config": cfg.to_dict(),
         "config_hash": cfg.hash(),
         "seed": seed,
         "n_samples": kept,
         "skipped": skipped,
-        "record_size_bytes": record_size,
+        "record_size_bytes": records.dtype.itemsize,
         "raster_resolution": r,
         "lambda_per_sample": lambdas[:kept].tolist(),
         "splits": {k: v.tolist() for k, v in splits.items()},
@@ -273,6 +272,13 @@ def generate_dataset(cfg: RunConfig, seed: int, out_dir, workers: int = 1):
     return manifest, stats
 
 
+def _unpack(records: np.ndarray):
+    """C-contiguous float64 (images (n, R, R, 4), targets (n, 3)) of shard
+    records."""
+    return (records["planes"].transpose(0, 2, 3, 1).astype(float, order="C"),
+            records["target"].astype(float, order="C"))
+
+
 def load_dataset(dataset_dir):
     """Load shards back into memory: (images, targets, manifest, stats)."""
     dataset_dir = Path(dataset_dir)
@@ -280,16 +286,15 @@ def load_dataset(dataset_dir):
         manifest = json.load(f)
     with open(dataset_dir / "stats.json") as f:
         stats = json.load(f)
-    r = manifest["raster_resolution"]
-    rec = 4 * r * r + 3
-    images = []
-    targets = []
+    dtype = record_dtype(manifest["raster_resolution"])
+    parts = []
     for shard in manifest["shards"]:
-        data = np.fromfile(dataset_dir / shard["file"], dtype="<f4")
-        data = data.reshape(shard["records"], rec)
-        images.append(data[:, :4 * r * r].reshape(-1, 4, r, r)
-                      .transpose(0, 2, 3, 1))
-        targets.append(data[:, 4 * r * r:])
-    images = np.concatenate(images) if images else np.zeros((0, r, r, 4))
-    targets = np.concatenate(targets) if targets else np.zeros((0, 3))
-    return images.astype(float), targets.astype(float), manifest, stats
+        path = dataset_dir / shard["file"]
+        size = path.stat().st_size
+        if size != shard["records"] * dtype.itemsize:
+            raise ValueError(f"shard {shard['file']}: expected "
+                             f"{shard['records']} records of "
+                             f"{dtype.itemsize} bytes, found {size} bytes")
+        parts.append(np.fromfile(path, dtype))
+    records = np.concatenate(parts) if parts else np.empty(0, dtype)
+    return *_unpack(records), manifest, stats

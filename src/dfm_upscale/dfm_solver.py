@@ -187,8 +187,7 @@ def _triangle_tensors(field_: TensorField, xs, ys) -> np.ndarray:
     ix, iy = field_.grid.cell_index(
         np.stack([((x0 + x1) + x1) / 3, ((x0 + x1) + x0) / 3], axis=-2),
         np.stack([((y0 + y0) + y1) / 3, ((y0 + y1) + y1) / 3], axis=-2))
-    comp = np.stack([field_.kxx, field_.kxy, field_.kyy], axis=-1)
-    return np.stack([comp[ix[..., t, :, None], iy[..., t, None, :]]
+    return np.stack([field_.k[ix[..., t, :, None], iy[..., t, None, :]]
                      for t in range(2)], axis=-2)
 
 

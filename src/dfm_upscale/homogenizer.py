@@ -214,8 +214,8 @@ def upscale_domain(field: TensorField, network: FractureNetwork,
     for row in bad:
         k[row] = project_spd(k[row])
     n = grid.n_per_axis
-    # block b = j * n + i holds center (i, j): comp[c, i, j]
-    comp = k.reshape(n, n, 3).transpose(2, 1, 0)
+    # block b = j * n + i holds center (i, j): comp[i, j, c]
+    comp = k.reshape(n, n, 3).transpose(1, 0, 2)
 
     nc = coarse_resolution or n
     side = grid.original.width
@@ -226,10 +226,9 @@ def upscale_domain(field: TensorField, network: FractureNetwork,
     f = np.clip(centers / step, 0.0, n - 1.0)
     i0 = np.minimum(f.astype(int), n - 2)
     w = f - i0
-    gx = comp[:, i0] * (1 - w)[:, None] + comp[:, i0 + 1] * w[:, None]
-    out = gx[:, :, i0] * (1 - w) + gx[:, :, i0 + 1] * w
-    coarse = TensorField(Grid(nc, nc, cell, (0.0, 0.0)),
-                         out[0], out[1], out[2],
+    gx = comp[i0] * (1 - w)[:, None, None] + comp[i0 + 1] * w[:, None, None]
+    out = gx[:, i0] * (1 - w)[:, None] + gx[:, i0 + 1] * w[:, None]
+    coarse = TensorField(Grid(nc, nc, cell, (0.0, 0.0)), out,
                          metadata={"block_size": grid.block_size,
                                    "length_threshold": length_threshold})
     return coarse, blocks._replace(k=k), len(bad)

@@ -46,18 +46,17 @@ class Grid:
 
 @dataclass
 class TensorField:
-    """Per-cell symmetric conductivity tensor (k_xx, k_xy, k_yy)."""
+    """Per-cell symmetric conductivity tensor: k[ix, iy] is the
+    (k_xx, k_xy, k_yy) row of cell (ix, iy)."""
 
     grid: Grid
-    kxx: np.ndarray
-    kxy: np.ndarray
-    kyy: np.ndarray
+    k: np.ndarray
     metadata: dict | None = None
 
     def __post_init__(self):
-        for arr in (self.kxx, self.kxy, self.kyy):
-            if np.asarray(arr).shape != self.grid.shape:
-                raise ValueError("component shape does not match grid")
+        if np.shape(self.k) != self.grid.shape + (3,):
+            raise ValueError(f"tensor shape {np.shape(self.k)} does not "
+                             f"match grid {self.grid.shape} x 3")
 
 
 class EmbeddingError(RuntimeError):
@@ -136,10 +135,9 @@ def assemble_tensor_field(grid: Grid, dir_x, dir_y, logk_x, logk_y,
     yx = dir_x / norm
     yy = dir_y / norm
 
-    kxx = yx ** 2 * kx + yy ** 2 * ky
-    kyy = yy ** 2 * kx + yx ** 2 * ky
-    kxy = yx * yy * (ky - kx)
-    return TensorField(grid, kxx, kxy, kyy, metadata=metadata)
+    k = np.stack([yx ** 2 * kx + yy ** 2 * ky, yx * yy * (ky - kx),
+                  yy ** 2 * kx + yx ** 2 * ky], axis=-1)
+    return TensorField(grid, k, metadata=metadata)
 
 
 def sample_tensor_field(grid: Grid, lam: float, mean_log, cov_log,
@@ -157,8 +155,7 @@ def sample_tensor_field(grid: Grid, lam: float, mean_log, cov_log,
 def save_tensor_field(field: TensorField, path):
     """Three row-major float32-LE planes (k_xx, k_xy, k_yy) + JSON header."""
     path = Path(path)
-    planes = np.stack([field.kxx, field.kxy, field.kyy]).astype("<f4")
-    planes.tofile(path)
+    np.moveaxis(field.k, -1, 0).astype("<f4").tofile(path)
     header = {
         "nx": field.grid.nx, "ny": field.grid.ny,
         "cell": field.grid.cell, "origin": list(field.grid.origin),

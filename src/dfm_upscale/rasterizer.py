@@ -40,8 +40,8 @@ def rasterize_blocks(field_: TensorField, chunk: BlockChunk,
     # the column and its y index the row
     centers = rects[:, :2, None] + pitch[:, None, None] * (np.arange(r) + 0.5)
     ix, iy = field_.grid.cell_index(centers[:, 0], centers[:, 1])
-    table = np.stack([field_.kxx, field_.kxy, field_.kyy,
-                      np.ones(field_.grid.shape)], axis=-1).reshape(-1, 4)
+    table = np.concatenate([field_.k, np.ones(field_.grid.shape + (1,))],
+                           axis=-1).reshape(-1, 4)
     images = np.take(table, ix[:, None, :] * field_.grid.ny + iy[:, :, None],
                      axis=0)
 

@@ -26,9 +26,8 @@ def uniform_field(rect: Rect, kxx, kxy=0.0, kyy=None, n=8) -> TensorField:
     if kyy is None:
         kyy = kxx
     grid = Grid(n, n, rect.width / n, (rect.x0, rect.y0))
-    shape = (n, n)
-    return TensorField(grid, np.full(shape, float(kxx)),
-                       np.full(shape, float(kxy)), np.full(shape, float(kyy)))
+    row = np.array([kxx, kxy, kyy], dtype=float)
+    return TensorField(grid, np.tile(row, (n, n, 1)))
 
 
 def layered_field(rect: Rect, k_values, n=64) -> TensorField:
@@ -39,7 +38,7 @@ def layered_field(rect: Rect, k_values, n=64) -> TensorField:
     assert per_layer * len(layers) == n, "layer count must divide n"
     column = np.repeat(layers, per_layer)
     kxx = np.tile(column, (n, 1))  # [ix, iy]
-    return TensorField(grid, kxx, np.zeros((n, n)), kxx.copy())
+    return TensorField(grid, np.stack([kxx, np.zeros((n, n)), kxx], axis=-1))
 
 
 def make_fracture(p0, p1, aperture=1e-3, conductivity=None, frac_id=0):

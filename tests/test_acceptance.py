@@ -338,9 +338,7 @@ def test_criterion_13_determinism(tmp_path):
     fields = [sample_tensor_field(grid, 3.0, (-6.0, -5.8),
                                   np.array([[0.25, 0.2], [0.2, 0.25]]),
                                   seed=9) for _ in range(2)]
-    checks["srf"] = (np.array_equal(fields[0].kxx, fields[1].kxx)
-                     and np.array_equal(fields[0].kxy, fields[1].kxy)
-                     and np.array_equal(fields[0].kyy, fields[1].kyy))
+    checks["srf"] = np.array_equal(fields[0].k, fields[1].k)
 
     bgrid = build_block_grid(20.0, 20.0)
     runs = []

@@ -28,7 +28,7 @@ class TestFineModel:
         cfg = small_run_config()
         f1, n1, g1 = fine_model(cfg, seed=3)
         f2, n2, g2 = fine_model(cfg, seed=3)
-        assert np.array_equal(f1.kxx, f2.kxx)
+        assert np.array_equal(f1.k[..., 0], f2.k[..., 0])
         assert len(n1) == len(n2)
         assert same_fractures(n1, n2)
         assert g1.n_blocks == g2.n_blocks == 9

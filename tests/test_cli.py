@@ -85,6 +85,10 @@ class TestErrorHandling:
         ({"srf": {"cov_log": [[0.25, 0.3], [0.3, 0.25]]}}, "srf.cov_log"),
         ({"train": {"batch_size": 0}}, "train.batch_size"),
         ({"train": {"batch_size": -1}}, "train.batch_size"),
+        ({"train": {"epochs": -3}}, "train.epochs"),
+        ({"train": {"conv_channels": []}}, "train.conv_channels"),
+        ({"train": {"conv_channels": [4, 0]}}, "train.conv_channels"),
+        ({"train": {"dense_widths": [0]}}, "train.dense_widths"),
     ])
     def test_mistyped_value_is_config_error(self, tmp_path, capsys, config,
                                             key):
@@ -224,6 +228,31 @@ class TestErrorHandling:
         assert code == 1
         assert "model" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("command, workers, artifact", [
+        ("upscale", "2", "blocks.csv"),
+        ("build-dataset", "0", "manifest.json"),
+    ])
+    def test_workers_out_of_range_is_json_error(self, config_path, tmp_path,
+                                                capsys, command, workers,
+                                                artifact):
+        out = tmp_path / "o"
+        code = run([command, "--config", config_path, "--workers", workers,
+                    "--out", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert "--workers" in err["message"]
+        assert not (out / artifact).exists()
+
+    def test_workers_only_where_accepted(self, config_path, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", "--config", config_path, "--param", "rho",
+                 "--values", "2.0", "--workers", "1",
+                 "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
     def test_tampered_model_stats_is_error(self, config_path, tmp_path,
                                            capsys):
         stats = unit_stats()
@@ -312,7 +341,7 @@ class TestBasicCommands:
         planes = np.fromfile(out / "field.bin", "<f4").reshape(
             3, *field.grid.shape)
         assert np.array_equal(planes, np.stack(
-            [field.kxx, field.kxy, field.kyy]).astype("<f4"))
+            [field.k[..., 0], field.k[..., 1], field.k[..., 2]]).astype("<f4"))
 
     def test_upscale_deterministic(self, config_path, tmp_path):
         out1 = tmp_path / "h1"

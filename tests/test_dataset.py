@@ -60,7 +60,8 @@ class TestEnforceRatio:
                            1e-4, CONSTANTS, seed=3)
         assert len(net) > 1
         scaled, factor = enforce_ratio(net, field, 1e3)
-        km = np.exp(np.mean(np.log(0.5 * (field.kxx + field.kyy))))
+        k = field.k
+        km = np.exp(np.mean(np.log(0.5 * (k[..., 0] + k[..., 2]))))
         med = np.median(scaled.conductivity)
         assert med / km == pytest.approx(1e3, rel=1e-12)
         # one common factor: conductivity ratios between fractures unchanged
@@ -264,6 +265,19 @@ class TestGenerateDataset:
         image, target, _ = generate_sample(cfg, 0, seed=21)
         assert np.allclose(images[0], image, rtol=1e-6)
         assert np.allclose(targets[0], target, rtol=1e-6)
+        # training's reductions read the arrays in this layout
+        for arr in (images, targets):
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous
+
+    @pytest.mark.parametrize("change", [-1, 4])
+    def test_shard_of_wrong_size_rejected(self, tmp_path, change):
+        generate_dataset(small_config(), seed=21, out_dir=tmp_path / "d")
+        shard = tmp_path / "d" / "shards" / "shard_00000.bin"
+        data = shard.read_bytes()
+        shard.write_bytes(data[:change] if change < 0
+                          else data + bytes(change))
+        with pytest.raises(ValueError, match="shards/shard_00000.bin"):
+            load_dataset(tmp_path / "d")
 
     def test_class_a_log_spread_bounded(self, tmp_path):
         cfg = small_config(n_samples=12)

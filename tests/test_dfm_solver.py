@@ -38,7 +38,7 @@ def random_tensor_field(rect, n, seed, log_spread=1.0):
     kxx = c ** 2 * kx + s ** 2 * ky
     kyy = s ** 2 * kx + c ** 2 * ky
     kxy = c * s * (kx - ky)
-    return TensorField(grid, kxx, kxy, kyy)
+    return TensorField(grid, np.stack([kxx, kxy, kyy], axis=-1))
 
 
 def linear_head(sys_, direction):
@@ -299,12 +299,13 @@ class TestClosedFormTerms:
         nx, ny = 7, 5
         rng = np.random.default_rng(3)
         grid = Grid(3 * nx, 3 * ny, rect.width / (3 * nx), (rect.x0, rect.y0))
-        field = TensorField(grid, *rng.uniform(1.0, 2.0, (3, 3 * nx, 3 * ny)))
+        field = TensorField(grid, np.moveaxis(
+            rng.uniform(1.0, 2.0, (3, 3 * nx, 3 * ny)), 0, -1))
         sys_ = discretize(field, None, rect, nx, ny)
         centroids = sys_.nodes[sys_.tris].mean(axis=1)
         ix, iy = grid.cell_index(centroids[:, 0], centroids[:, 1])
         assert np.array_equal(sys_.tri_k, np.column_stack(
-            [field.kxx[ix, iy], field.kxy[ix, iy], field.kyy[ix, iy]]))
+            [field.k[ix, iy, 0], field.k[ix, iy, 1], field.k[ix, iy, 2]]))
 
 
 CHUNK_FIELD = random_tensor_field(Rect(-1.0, -1.0, 3.0, 3.0), 16, seed=6)
@@ -911,8 +912,7 @@ class TestAquiferSuperposition:
 class TestMonotonicity:
     def test_flux_scales_linearly_with_conductivity(self, unit_rect):
         field = random_tensor_field(unit_rect, 16, seed=11)
-        scaled = TensorField(field.grid, 3.0 * field.kxx, 3.0 * field.kxy,
-                             3.0 * field.kyy)
+        scaled = TensorField(field.grid, 3.0 * field.k)
         f1, f3 = (solve_one(s, aquifer_head(s)).boundary_flux["right"]
                   for s in (discretize(k, None, unit_rect, 16, 16)
                             for k in (field, scaled)))
@@ -1048,8 +1048,7 @@ def scaled_block(segs, seed, alpha):
     scaled = copy.copy(net)
     scaled.conductivity = alpha * net.conductivity
     return ((field, net),
-            (TensorField(field.grid, alpha * field.kxx, alpha * field.kxy,
-                         alpha * field.kyy), scaled))
+            (TensorField(field.grid, alpha * field.k), scaled))
 
 
 def heads_and_tensor(field, net):

@@ -57,14 +57,15 @@ def scaled_problem(scale, seed):
     rect = Rect(0.0, 0.0, 1.0, 1.0)
     kx = np.exp(-6 + 0.5 * rng.standard_normal((n, n)))
     ky = np.exp(-6 + 0.5 * rng.standard_normal((n, n)))
-    field = TensorField(Grid(n, n, 1.0 / n), kx, np.zeros((n, n)), ky)
+    field = TensorField(Grid(n, n, 1.0 / n),
+                        np.stack([kx, np.zeros((n, n)), ky], axis=-1))
     ends = rng.uniform(0.1, 0.9, (3, 4))
     fracs = [make_fracture(e[:2], e[2:], aperture=1e-3, frac_id=i)
              for i, e in enumerate(ends)]
 
     rect_s = Rect(0.0, 0.0, scale, scale)
-    field_s = TensorField(Grid(n, n, scale / n), scale ** 2 * kx,
-                          np.zeros((n, n)), scale ** 2 * ky)
+    field_s = TensorField(Grid(n, n, scale / n), np.stack(
+        [scale ** 2 * kx, np.zeros((n, n)), scale ** 2 * ky], axis=-1))
     fracs_s = [make_fracture(scale * e[:2], scale * e[2:],
                              aperture=scale * 1e-3, frac_id=i)
                for i, e in enumerate(ends)]
@@ -102,7 +103,7 @@ class TestAnisotropyTensor:
         k_vals = [1e-6, 1e-7, 3e-7, 2e-6]
         field = layered_field(unit_rect, k_vals, n=32)
         # same medium rotated a quarter turn: vertical layers
-        rot = TensorField(field.grid, field.kyy.T, field.kxy.T, field.kxx.T)
+        rot = TensorField(field.grid, field.k[:, :, ::-1].transpose(1, 0, 2))
         k, _ = anisotropy_tensor(field, None, unit_rect, 32)
         k_rot, _ = anisotropy_tensor(rot, None, unit_rect, 32)
         assert k_rot[0] == pytest.approx(k[2], rel=0.02)
@@ -173,8 +174,7 @@ class TestAquiferKx:
         # k_x is intrinsic: a 2:1 domain gives the same value
         rect = Rect(0.0, 0.0, 2.0, 1.0)
         grid = Grid(16, 8, 0.125)
-        field = TensorField(grid, np.full((16, 8), 1e-6),
-                            np.zeros((16, 8)), np.full((16, 8), 1e-6))
+        field = TensorField(grid, np.tile([1e-6, 0.0, 1e-6], (16, 8, 1)))
         _, kx = aquifer_kx(field, None, rect, 16, head=1.0)
         assert kx == pytest.approx(1e-6, rel=1e-8)
 
@@ -357,9 +357,9 @@ class TestUpscaleDomain:
         assert projected == 0
         assert blocks.k.shape == (9, 3) and blocks.residual.shape == (9,)
         assert coarse.grid.shape == (8, 8)
-        assert np.allclose(coarse.kxx, kxx, rtol=1e-8)
-        assert np.allclose(coarse.kxy, kxy, rtol=1e-8)
-        assert np.allclose(coarse.kyy, kyy, rtol=1e-8)
+        assert np.allclose(coarse.k[..., 0], kxx, rtol=1e-8)
+        assert np.allclose(coarse.k[..., 1], kxy, rtol=1e-8)
+        assert np.allclose(coarse.k[..., 2], kyy, rtol=1e-8)
 
     def test_interpolation_between_blocks(self):
         # synthetic backend: kxx equals the block-center x coordinate
@@ -376,7 +376,7 @@ class TestUpscaleDomain:
         coarse, _, _ = upscale_domain(field, network_of(), grid,
                                       backend, coarse_resolution=4)
         # coarse cell centers at x = 0.5, 1.5, 2.5, 3.5 interpolate linearly
-        assert np.allclose(coarse.kxx[:, 0], np.array([0.5, 1.5, 2.5, 3.5])
+        assert np.allclose(coarse.k[:, 0, 0], np.array([0.5, 1.5, 2.5, 3.5])
                            + 3.0, rtol=1e-12)
 
     def test_non_spd_blocks_projected(self):
@@ -402,7 +402,7 @@ class TestUpscaleDomain:
         n = 16
         kx = np.exp(-6 + 0.5 * rng.standard_normal((n, n)))
         field = TensorField(Grid(n, n, ext.width / n, (ext.x0, ext.y0)),
-                            kx, 0.1 * kx, kx[::-1].copy())
+                            np.stack([kx, 0.1 * kx, kx[::-1]], axis=-1))
         net = generate_dfn(PowerLawSpec(2.5, 0.5, 4.0), 1.5, ext, 1e-4,
                            CONSTANTS, seed=3)
         coarse, blocks, projected = upscale_domain(
@@ -428,8 +428,7 @@ class TestUpscaleDomain:
             assert projected1 == projected
             assert np.array_equal(blocks1.k, blocks.k)
             assert np.array_equal(blocks1.residual, blocks.residual)
-            for c in ("kxx", "kxy", "kyy"):
-                assert np.array_equal(getattr(coarse1, c), getattr(coarse, c))
+            assert np.array_equal(coarse1.k, coarse.k)
 
     def test_surrogate_chunks_match_per_block_loop(self, monkeypatch):
         grid = build_block_grid(4.0, 2.0)  # 25 blocks: chunks of 8, 8, 8, 1
@@ -439,7 +438,7 @@ class TestUpscaleDomain:
         n = 16
         kx = np.exp(-6 + 0.5 * rng.standard_normal((n, n)))
         field = TensorField(Grid(n, n, ext.width / n, (ext.x0, ext.y0)),
-                            kx, 0.1 * kx, kx[::-1].copy())
+                            np.stack([kx, 0.1 * kx, kx[::-1]], axis=-1))
         # block (i, j) covers [i - 1, i + 1] x [j - 1, j + 1]; no fracture
         # reaches y > 2.5, so blocks 20-24 have no candidates
         net = exact_network([

@@ -14,8 +14,9 @@ COV_LOG = np.array([[0.25, 0.2], [0.2, 0.25]])
 
 
 def is_spd(field: TensorField) -> bool:
-    return bool(np.all(field.kxx > 0) and np.all(field.kyy > 0)
-                and np.all(field.kxx * field.kyy - field.kxy ** 2 > 0))
+    kxx, kxy, kyy = np.moveaxis(field.k, -1, 0)
+    return bool(np.all(kxx > 0) and np.all(kyy > 0)
+                and np.all(kxx * kyy - kxy ** 2 > 0))
 
 
 def load_tensor_field(path) -> TensorField:
@@ -25,7 +26,7 @@ def load_tensor_field(path) -> TensorField:
     grid = Grid(header["nx"], header["ny"], header["cell"],
                 tuple(header["origin"]))
     raw = np.fromfile(path, dtype="<f4").reshape(3, grid.nx, grid.ny)
-    return TensorField(grid, *raw.astype(float),
+    return TensorField(grid, np.moveaxis(raw, 0, -1).astype(float),
                        metadata=header.get("metadata"))
 
 
@@ -98,16 +99,16 @@ class TestAssembleTensorField:
             constant_scalar(self.grid, ky_tilde), mean, cov)
 
     def test_identity_rotation(self):
-        f = self.assemble(1.0, 0.0)
-        assert f.kxx.flat[0] == pytest.approx(np.exp(-6.0))
-        assert f.kyy.flat[0] == pytest.approx(np.exp(-5.8))
-        assert f.kxy.flat[0] == pytest.approx(0.0, abs=1e-18)
+        kxx, kxy, kyy = self.assemble(1.0, 0.0).k[0, 0]
+        assert kxx == pytest.approx(np.exp(-6.0))
+        assert kyy == pytest.approx(np.exp(-5.8))
+        assert kxy == pytest.approx(0.0, abs=1e-18)
 
     def test_quarter_turn_swaps(self):
-        f = self.assemble(0.0, 1.0)
-        assert f.kxx.flat[0] == pytest.approx(np.exp(-5.8))
-        assert f.kyy.flat[0] == pytest.approx(np.exp(-6.0))
-        assert f.kxy.flat[0] == pytest.approx(0.0, abs=1e-18)
+        kxx, kxy, kyy = self.assemble(0.0, 1.0).k[0, 0]
+        assert kxx == pytest.approx(np.exp(-5.8))
+        assert kyy == pytest.approx(np.exp(-6.0))
+        assert kxy == pytest.approx(0.0, abs=1e-18)
 
     def test_similarity_invariants(self):
         rng = np.random.default_rng(3)
@@ -116,12 +117,13 @@ class TestAssembleTensorField:
             grid, *rng.standard_normal((4,) + grid.shape), MEAN_LOG, COV_LOG)
         chol = np.linalg.cholesky(COV_LOG)
         # recompute the principal values the same way to compare invariants
-        det = f.kxx * f.kyy - f.kxy ** 2
-        trace = f.kxx + f.kyy
+        kxx, kxy, kyy = np.moveaxis(f.k, -1, 0)
+        det = kxx * kyy - kxy ** 2
+        trace = kxx + kyy
         ix, iy = grid.cell_index(grid.origin[0] + (np.arange(16) + 0.5),
                                  grid.origin[1] + 8.5 * np.ones(16))
         eigs = np.linalg.eigvalsh(np.stack(
-            [f.kxx[ix, iy], f.kxy[ix, iy], f.kxy[ix, iy], f.kyy[ix, iy]],
+            [kxx[ix, iy], kxy[ix, iy], kxy[ix, iy], kyy[ix, iy]],
             axis=-1).reshape(-1, 2, 2))
         assert np.all(det > 0)
         assert np.allclose(eigs[:, 0] * eigs[:, 1],
@@ -140,8 +142,9 @@ class TestAssembleTensorField:
         kt_y = sample_gaussian_field(field.grid, 0.0, 17, "logk-y")
         kx = np.exp(MEAN_LOG[0] + chol[0, 0] * kt_x)
         ky = np.exp(MEAN_LOG[1] + chol[1, 0] * kt_x + chol[1, 1] * kt_y)
-        mats = np.stack([np.stack([field.kxx, field.kxy], -1),
-                         np.stack([field.kxy, field.kyy], -1)], -2)
+        kxx, kxy, kyy = np.moveaxis(field.k, -1, 0)
+        mats = np.stack([np.stack([kxx, kxy], -1),
+                         np.stack([kxy, kyy], -1)], -2)
         eigs = np.sort(np.linalg.eigvalsh(mats), axis=-1)
         expect = np.sort(np.stack([kx, ky], -1), axis=-1)
         assert np.allclose(eigs, expect, rtol=1e-12)
@@ -176,6 +179,13 @@ class TestAssembleTensorField:
                                   MEAN_LOG, COV_LOG)
 
 
+class TestTensorField:
+    @pytest.mark.parametrize("shape", [(4, 5), (4, 5, 2), (5, 4, 3)])
+    def test_k_must_be_grid_by_three(self, shape):
+        with pytest.raises(ValueError):
+            TensorField(Grid(4, 5, 1.0), np.ones(shape))
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         field = sample_tensor_field(Grid(12, 9, 0.5, (1.0, -2.0)), 3.0,
@@ -185,6 +195,7 @@ class TestSerialization:
         back = load_tensor_field(path)
         assert back.grid == field.grid
         # float32 round-trip
-        assert np.allclose(back.kxx, field.kxx, rtol=1e-6)
-        assert np.allclose(back.kxy, field.kxy, rtol=1e-6, atol=1e-12)
-        assert np.allclose(back.kyy, field.kyy, rtol=1e-6)
+        assert np.allclose(back.k[..., 0], field.k[..., 0], rtol=1e-6)
+        assert np.allclose(back.k[..., 1], field.k[..., 1], rtol=1e-6,
+                           atol=1e-12)
+        assert np.allclose(back.k[..., 2], field.k[..., 2], rtol=1e-6)

@@ -27,9 +27,9 @@ def reference_rasterize_block(field_, network, block, resolution):
     ix, iy = field_.grid.cell_index(cx, cy)  # (r, r), row-major in y
 
     image = np.empty((r, r, 4))
-    image[:, :, 0] = field_.kxx[ix, iy]
-    image[:, :, 1] = field_.kxy[ix, iy]
-    image[:, :, 2] = field_.kyy[ix, iy]
+    image[:, :, 0] = field_.k[ix, iy, 0]
+    image[:, :, 1] = field_.k[ix, iy, 1]
+    image[:, :, 2] = field_.k[ix, iy, 2]
     image[:, :, 3] = 1.0
 
     order = np.lexsort((-network.id, network.aperture))
@@ -74,7 +74,7 @@ class TestMatrixFill:
         # kxx increasing with y must appear as increasing row index
         grid = Grid(8, 8, 1.0 / 8)
         ky = np.tile(np.arange(8, dtype=float) + 1.0, (8, 1))  # [ix, iy]
-        field = TensorField(grid, ky, np.zeros((8, 8)), ky.copy())
+        field = TensorField(grid, np.stack([ky, np.zeros((8, 8)), ky], -1))
         s = rasterize_block(field, network_of(), unit_rect, 8)
         assert np.all(np.diff(s[:, 0, 0]) > 0)     # rows follow y
         assert np.all(s[0, :, 0] == s[0, 0, 0])  # constant in x
@@ -92,8 +92,7 @@ class TestMatrixFill:
     def test_non_square_block_rejected(self):
         rect = Rect(0.0, 0.0, 2.0, 1.0)
         grid = Grid(8, 8, 0.25)
-        field = TensorField(grid, np.ones((8, 8)), np.zeros((8, 8)),
-                            np.ones((8, 8)))
+        field = TensorField(grid, np.tile([1.0, 0.0, 1.0], (8, 8, 1)))
         with pytest.raises(ValueError):
             rasterize_block(field, network_of(), rect, 8)
 
@@ -237,7 +236,8 @@ class TestChunks:
         ext = grid.extended
         rng = np.random.default_rng(len(rows))
         field = TensorField(Grid(12, 12, ext.width / 12, (ext.x0, ext.y0)),
-                            *rng.uniform(1.0, 2.0, (3, 12, 12)))
+                            np.moveaxis(rng.uniform(1.0, 2.0, (3, 12, 12)),
+                                        0, -1))
         ids = data.draw(st.permutations(range(len(rows))))
         net = network_of(*(make_fracture(r[:2], r[2:4], aperture=r[4],
                                          conductivity=float(k), frac_id=i)
