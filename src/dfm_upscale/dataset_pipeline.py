@@ -104,17 +104,24 @@ _CHANNEL_KEYS = ("log_kxx", "kxy", "log_kyy")
 def _normalize(images: np.ndarray, targets: np.ndarray | None):
     """(images, targets, xbar): copies of `images` (..., H, W, 4) and
     `targets` (None or (..., 3)) whose tensor components are divided by
-    their own image's matrix mean xbar (...)."""
+    their own image's matrix mean xbar (...).
+
+    The image copy is a (..., H, W, 4) view of channel-major memory
+    (4, ..., H, W): every channel is one contiguous plane. The per-channel
+    passes of _standardize then run over contiguous memory, a float32 cast
+    (order "K") keeps the layout, and the model's (C, B, H, W) transpose of
+    it is contiguous.
+    """
     images = np.asarray(images)
     xbar = np.array([sample_matrix_mean(image) for image in
                      images.reshape((-1,) + images.shape[-3:])])
     xbar = xbar.reshape(images.shape[:-3])
-    # all four channels in one pass, then the cross-section put back: a
-    # [..., :3] operand makes numpy loop over three elements at a time
-    out = images / xbar[..., None, None, None]
-    out[..., 3] = images[..., 3]
+    planes = np.moveaxis(images, -1, 0)
+    out = np.empty(planes.shape, np.result_type(images, xbar))
+    np.divide(planes[:3], xbar[..., None, None], out=out[:3])
+    out[3] = planes[3]
     tgt = None if targets is None else np.asarray(targets) / xbar[..., None]
-    return out, tgt, xbar
+    return np.moveaxis(out, 0, -1), tgt, xbar
 
 
 def _standardize(values: np.ndarray, stats3: dict) -> np.ndarray:

@@ -582,8 +582,9 @@ def solve_darcy(system: DiscreteSystem, sides,
     because the fracture coupling makes the system too ill-conditioned for a
     Jacobi-preconditioned iterative solver at high fracture/matrix contrast. A
     matrix that is not SPD raises SolverError, and so does a column whose
-    backward error exceeds RESIDUAL_GATE: the free-DOF residual relative to
-    the terms it sums, ||r_free|| / ||(|A| |h|)_free||. Rounding the exact
+    backward error exceeds RESIDUAL_GATE (it is inf where the heads are not
+    finite): the free-DOF residual relative to the terms it sums,
+    ||r_free|| / ||(|A| |h|)_free||. Rounding the exact
     heads already leaves a residual near eps times that sum, so the gate
     measures the solve and not the conditioning of the system. Every step
     treats the columns apart (the banded solve, the sparse products and the
@@ -619,8 +620,11 @@ def solve_darcy(system: DiscreteSystem, sides,
     flows = []
     for j in range(h.shape[1]):
         scale = np.linalg.norm(terms[free, j])
-        residual = (float(np.linalg.norm(r[free, j]) / scale) if scale > 0
-                    else 0.0)
+        if not np.isfinite(scale):  # heads that are inf or NaN
+            residual = np.inf
+        else:
+            residual = (float(np.linalg.norm(r[free, j]) / scale)
+                        if scale > 0 else 0.0)
         if residual > RESIDUAL_GATE:
             raise SolverError(
                 f"direct solve of {system.domain}: head column "

@@ -162,5 +162,5 @@ def supercover_cells(a, b, nx: int, ny: int):
     piece = (seg[1:] == seg[:-1]) & (t[1:] != t[:-1])
     seg = seg[1:][piece]
     tm = 0.5 * (t[:-1][piece] + t[1:][piece])
-    cells = np.floor(a[seg] + tm[:, None] * d[seg])
-    return seg, np.clip(cells, 0, [nx - 1, ny - 1]).astype(np.int64)
+    cells = np.floor(a[seg] + tm[:, None] * d[seg]).astype(np.int64)
+    return seg, np.clip(cells, 0, [nx - 1, ny - 1], out=cells)

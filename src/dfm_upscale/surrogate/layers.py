@@ -109,8 +109,12 @@ class Conv3x3(Layer):
         c, b, h, w = x.shape
         k = kernel.reshape(9 * c, -1).T
         out = np.empty((len(k), b, h - 2, w - 2), dtype=k.dtype)
+        # each band's product is written into its rows of out: (O, B, pixels)
+        # is a view, and its rows of one image are one strided matrix
+        pixels = out.reshape(len(k), b, -1)
         for i, rows, cols in _column_bands(x):
-            out[:, i, rows] = (k @ cols).reshape(len(k), -1, w - 2)
+            np.matmul(k, cols, out=pixels[:, i, rows.start * (w - 2):
+                                          rows.stop * (w - 2)])
         return out
 
     def param_backward(self, dout):

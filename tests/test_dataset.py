@@ -132,6 +132,22 @@ class TestSplits:
             split_indices(4, seed=0)
 
 
+def reference_preprocess(image, stats3):
+    """(image, xbar) of one (H, W, 4) raster, in place on its channels-last
+    copy: the per-image form of preprocess's image path, kept as its
+    reference."""
+    xbar = sample_matrix_mean(image)
+    out = image / xbar
+    out[..., 3] = image[..., 3]
+    for c, key in enumerate(("log_kxx", "kxy", "log_kyy")):
+        v = out[..., c]
+        if key.startswith("log"):
+            np.log(v, out=v)
+        v -= stats3[key]["avg"]
+        v /= stats3[key]["std"]
+    return out, xbar
+
+
 class TestPreprocessing:
     def test_matrix_mean_hand_example(self):
         image = np.zeros((8, 8, 4))
@@ -183,6 +199,24 @@ class TestPreprocessing:
             assert isinstance(xbar, float) and xbars[i] == xbar
             assert np.array_equal(imgs[i], img)
             assert np.array_equal(tgts[i], tgt)
+
+    def test_matches_channels_last_reference(self):
+        rng = np.random.default_rng(5)
+        images, targets = random_sample_arrays(rng, 6)
+        images[:, 2, :, 3] = 1e-3  # a fracture row, left out of xbar
+        stats = compute_stats(images, targets, np.arange(4))
+        stack = images.reshape(2, 3, 8, 8, 4)
+        for batch in (images, stack, images[0]):
+            out, _, xbars = preprocess(batch, None, stats)
+            flat = out.reshape(-1, 8, 8, 4)
+            for i, image in enumerate(batch.reshape(-1, 8, 8, 4)):
+                ref, xbar = reference_preprocess(image, stats["input"])
+                assert np.array_equal(flat[i], ref)
+                assert np.ravel(xbars)[i] == xbar
+            # channel-major memory: the model's (C, ..., H, W) transpose of
+            # the float32 cast is contiguous and copies nothing
+            planes = np.moveaxis(out.astype(np.float32), -1, 0)
+            assert planes.flags.c_contiguous
 
     def test_standardized_train_statistics(self):
         rng = np.random.default_rng(1)

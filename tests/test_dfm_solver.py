@@ -1017,6 +1017,23 @@ class TestSolvers:
         assert "column 1" in str(info.value)
         assert info.value.residual > RESIDUAL_GATE
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gate_rejects_non_finite_heads(self, unit_rect, bad):
+        # NaN compares false with everything, so an unguarded gate would
+        # let these columns through with residual 0
+        field = random_tensor_field(unit_rect, 8, seed=3)
+        sys_ = discretize(field, None, unit_rect, 8, 8)
+        with mock.patch.object(dfm_solver, "cho_solve_banded",
+                               lambda factor, b: np.full(b.shape, bad)):
+            with pytest.raises(SolverError) as info:
+                solve_darcy(sys_, ("left", "right"), np.column_stack(
+                    [aquifer_head(sys_, v)[1] for v in (1.0, 2.0)]))
+        assert info.value.residual > RESIDUAL_GATE
+        message = str(info.value)
+        assert str(unit_rect) in message
+        assert "column 0" in message
+        assert "63 free of 81 DOFs" in message
+
     def test_not_spd_raises_solver_error(self, unit_rect):
         # kxx < 0 makes the free-DOF matrix indefinite: the Cholesky fails
         field = uniform_field(unit_rect, -1e-6, kyy=1e-6)

@@ -357,3 +357,22 @@ class TestSupercover:
         assert seg.tolist() == [k for k, p in enumerate(pieces)
                                 for _ in range(len(p))]
         assert np.array_equal(cells, np.concatenate(pieces))
+
+    # segment counts on each side of the uint8 and uint16 limits of a
+    # segment index
+    @pytest.mark.parametrize("m", [255, 256, 65_535, 65_536])
+    def test_many_segments_match_one_segment_calls(self, m):
+        # the segments cycle through a pool of 257 (coprime with 256 and
+        # 65 536, so a wrapped segment index would pair unequal segments);
+        # equal inputs give equal one-segment calls, so each is made once
+        rng = np.random.default_rng(m)
+        pool = rng.uniform(-1.0, 9.0, (257, 2, 2))
+        pool[::3] = np.round(pool[::3])  # edge and corner ties
+        singles = [supercover_cells(p[:1], p[1:], 8, 8) for p in pool]
+        k = np.arange(m) % len(pool)
+        seg, cells = supercover_cells(pool[k, 0], pool[k, 1], 8, 8)
+        assert seg.dtype == cells.dtype == np.int64
+        assert np.array_equal(seg, np.repeat(
+            np.arange(m), [len(singles[i][0]) for i in k]))
+        assert np.array_equal(cells,
+                              np.concatenate([singles[i][1] for i in k]))

@@ -254,6 +254,36 @@ class TestChunks:
                 assert np.array_equal(image, reference_rasterize_block(
                     field, net, Rect(*rect), 8))
 
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(_fracture, max_size=10), seed=st.integers(0, 99))
+    def test_transpose_equivariant(self, rows, seed):
+        # swapping x and y (the field's k_xx and k_yy, the rects and the
+        # endpoints) transposes every image and swaps channels 0 and 2, bit
+        # for bit, when each block's width and height are equal floats
+        grid = build_block_grid(3.0, 2.0)
+        ext = grid.extended
+        rng = np.random.default_rng(seed)
+        k = np.moveaxis(rng.uniform(1.0, 2.0, (3, 12, 10)), 0, -1)
+        field = TensorField(Grid(12, 10, ext.width / 12, (ext.x0, ext.y0)),
+                            k)
+        swapped = TensorField(Grid(10, 12, ext.width / 12, (ext.y0, ext.x0)),
+                              k.transpose(1, 0, 2)[..., ::-1])
+        net = network_of(*(make_fracture(r[:2], r[2:4], aperture=r[4],
+                                         conductivity=float(i + 1),
+                                         frac_id=i)
+                           for i, r in enumerate(rows)))
+        net.p0 = np.array([r[:2] for r in rows], float).reshape(-1, 2)
+        net.p1 = np.array([r[2:4] for r in rows], float).reshape(-1, 2)
+        rects = grid.rects
+        assert np.array_equal(rects[:, 2] - rects[:, 0],
+                              rects[:, 3] - rects[:, 1])
+        chunk = clip_to_blocks(net, rects)
+        mirror = chunk._replace(rects=rects[:, [1, 0, 3, 2]],
+                                p0=chunk.p0[:, ::-1], p1=chunk.p1[:, ::-1])
+        images = rasterize_blocks(field, chunk, 8)
+        assert np.array_equal(rasterize_blocks(swapped, mirror, 8),
+                              images.transpose(0, 2, 1, 3)[..., [2, 1, 0, 3]])
+
     def test_rejects_bad_resolution_and_non_square_blocks(self, unit_rect):
         field = uniform_field(Rect(0.0, 0.0, 2.0, 2.0), 1.0)
         square = unit_rect.as_tuple()
