@@ -115,6 +115,8 @@ def cmd_upscale(cfg: RunConfig, args):
         if not args.model:
             raise ValueError("--model is required for the surrogate backend")
         backend = surrogate_backend(SurrogateModel.load(args.model))
+    elif args.model:
+        raise ValueError("--model: only --backend surrogate takes a model")
     else:
         backend = numeric_backend(cfg.solver.resolution)
     return _upscale(cfg, args, backend)

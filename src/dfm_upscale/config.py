@@ -28,6 +28,21 @@ def fingerprint(obj) -> str:
         json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
 
 
+def json_object(obj, where, required=(), allowed=None, error=ValueError):
+    """obj, a JSON value read from where, if it is an object holding every
+    key of required and, when allowed is given, no other key; otherwise
+    error naming where and the keys."""
+    if not isinstance(obj, dict):
+        raise error(f"{where}: expected an object")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise error(f"{where}: missing keys {missing}")
+    unknown = [] if allowed is None else sorted(set(obj) - set(allowed))
+    if unknown:
+        raise error(f"{where}: unknown keys {unknown}")
+    return obj
+
+
 def _accepts(hint, value) -> bool:
     """Whether a JSON value fits a field's type hint: float takes int,
     no number field takes bool, X | None takes None, and list[T] takes a
@@ -45,12 +60,8 @@ def _accepts(hint, value) -> bool:
 
 
 def _build(cls, data: dict, path: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path or 'config'}: expected an object")
     known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
+    json_object(data, path or "config", allowed=known, error=ConfigError)
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for name in known & set(data):

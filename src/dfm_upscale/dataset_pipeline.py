@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import MIN_SPLIT_SAMPLES, RATIO_CLASSES, RunConfig
+from .config import MIN_SPLIT_SAMPLES, RATIO_CLASSES, RunConfig, json_object
 from .frac_geom import generate_dfn, FractureNetwork
 from .geometry import Rect
 from .homogenizer import anisotropy_tensor
@@ -287,10 +287,14 @@ def _unpack(records: np.ndarray):
 
 
 def load_dataset(dataset_dir):
-    """Load shards back into memory: (images, targets, manifest, stats)."""
+    """Load shards back into memory: (images, targets, manifest, stats);
+    ValueError naming the key if manifest.json misses raster_resolution,
+    shards or splits."""
     dataset_dir = Path(dataset_dir)
-    with open(dataset_dir / "manifest.json") as f:
-        manifest = json.load(f)
+    where = dataset_dir / "manifest.json"
+    with open(where) as f:
+        manifest = json_object(json.load(f), where, (
+            "raster_resolution", "shards", "splits"))
     with open(dataset_dir / "stats.json") as f:
         stats = json.load(f)
     dtype = record_dtype(manifest["raster_resolution"])

@@ -1,7 +1,7 @@
 """Neural network layers with explicit forward/backward passes.
 
 The conv stages work on channel planes (channels, batch, height, width);
-Flatten turns them into (height, width, channel) rows for the dense layers.
+flatten turns them into (height, width, channel) rows for the dense layers.
 Convolutions are 3x3, stride 1, no padding ("valid"); pooling is 2x2 max
 with stride 2, truncating an odd trailing row/column. Parameters are stored
 in the layer's dtype; reductions accumulate in float64 when dtype is float64
@@ -16,11 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 class Layer:
     """Base class; layers expose params/grads dicts keyed by name, and
-    forward(x, train) and backward(dout).
-
-    forward(x, train=True) saves in ``_cache`` what backward needs;
-    forward(x, train=False) saves nothing, so inference frees its buffers.
-    """
+    forward(x), which saves in ``_cache`` what backward(dout) needs."""
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
@@ -84,22 +80,20 @@ class Conv3x3(Layer):
             rng, 9 * in_channels, (3, 3, in_channels, out_channels), dtype)
         self.params["bias"] = np.zeros(out_channels, dtype=dtype)
 
-    def forward(self, x, train: bool):
-        self._cache = x if train else None
+    def forward(self, x):
+        self._cache = x
         return add_plane_bias(self.convolve_planes(x, self.params["kernel"]),
                               self.params["bias"])
 
     def fold(self, bn: "BatchNorm"):
         """(kernel, bias) of this convolution followed by bn on its running
         moments, as one convolution: computed in float64 from the current
-        parameters and running moments, then cast to the layer dtype. Like
-        any eval forward, it frees both layers' backward buffers."""
+        parameters and running moments, then cast to the layer dtype."""
         s = bn.params["scale"] / np.sqrt(bn.running_var + bn.eps)
         kernel = self.params["kernel"] * s
         bias = (self.params["bias"] - bn.running_mean) * s \
             + bn.params["shift"]
         dtype = self.params["kernel"].dtype
-        self._cache = bn._cache = None
         return kernel.astype(dtype), bias.astype(dtype)
 
     @staticmethod
@@ -148,10 +142,7 @@ class BatchNorm(Layer):
         self.momentum = momentum
         self.eps = eps
 
-    def forward(self, x, train: bool):
-        if not train:
-            raise ValueError("BatchNorm runs at inference only as part of "
-                             "Conv3x3.fold")
+    def forward(self, x):
         mean = x.mean(axis=(1, 2, 3), dtype=np.float64, keepdims=True)
         var = x.var(axis=(1, 2, 3), dtype=np.float64, keepdims=True)
         self.running_mean = ((1 - self.momentum) * self.running_mean
@@ -184,17 +175,27 @@ class BatchNorm(Layer):
         self.running_var = np.asarray(state["running_var"], np.float64)
 
 
+def relu(x):
+    """Bit for bit np.where(x > 0, x, 0), several times faster: fmax sends
+    NaN to 0, and adding +0.0 turns a -0.0 into +0.0."""
+    out = np.fmax(x, 0)
+    out += 0.0
+    return out
+
+
+def flatten(x):
+    """Planes (C, B, H, W) to rows (B, H * W * C)."""
+    return x.transpose(1, 2, 3, 0).reshape(x.shape[1], -1)
+
+
 class ReLU(Layer):
-    def forward(self, x, train: bool):
-        self._cache = x > 0 if train else None
-        # Bit for bit np.where(x > 0, x, 0), several times faster: fmax
-        # sends NaN to 0, and adding +0.0 turns a -0.0 into +0.0.
-        out = np.fmax(x, 0)
-        out += 0.0
-        return out
+    def forward(self, x):
+        # its output is > 0 exactly where x is; the next layer keeps it too
+        self._cache = relu(x)
+        return self._cache
 
     def backward(self, dout):
-        return np.where(self._cache, dout, 0)
+        return np.where(self._cache > 0, dout, 0)
 
 
 class MaxPool2(Layer):
@@ -206,38 +207,34 @@ class MaxPool2(Layer):
         return x[:, :, :h // 2 * 2, :w // 2 * 2] \
             .reshape(c, b, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
 
-    def forward(self, x, train: bool):
-        win = self._windows(x)
-        win = win.reshape(win.shape[:4] + (4,))
-        arg = win.argmax(axis=-1)
-        self._cache = (x.shape, arg) if train else None
-        return np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    def forward(self, x):
+        self._cache = x
+        return self.forward_planes(x)
 
-    def forward_planes(self, x):
-        """Eval pooling of channel planes (C, B, H, W): the value that the
-        argmax of forward picks (a tie can differ only in the sign of a
-        zero, and the ReLU beside a pool, before or after it, leaves none).
-        The larger of each row pair comes first, so that maximum runs along
-        whole rows. Frees the backward buffer."""
+    @staticmethod
+    def forward_planes(x):
+        """Pooling of channel planes (C, B, H, W). The larger of each row
+        pair comes first, so that maximum runs along whole rows."""
         ho, wo = x.shape[2] // 2, x.shape[3] // 2
-        self._cache = None
         rows = np.maximum(x[:, :, 0:2 * ho:2], x[:, :, 1:2 * ho:2])
         return np.maximum(rows[..., 0:2 * wo:2], rows[..., 1:2 * wo:2])
 
     def backward(self, dout):
-        shape, arg = self._cache
+        """dout to the first maximum of each (kh, kw) window, which holds
+        the value of forward_planes: the input, a ReLU output, has no -0.0."""
+        x = self._cache
+        win = self._windows(x)
+        arg = win.reshape(win.shape[:4] + (4,)).argmax(axis=-1)
         dwin = np.where(arg[..., None] == np.arange(4), dout[..., None], 0)
-        dx = np.zeros(shape, dtype=dout.dtype)
+        dx = np.zeros(x.shape, dtype=dout.dtype)
         self._windows(dx)[...] = dwin.reshape(dwin.shape[:-1] + (2, 2))
         return dx
 
 
 class Flatten(Layer):
-    """Planes (C, B, H, W) to rows (B, H * W * C)."""
-
-    def forward(self, x, train: bool):
-        self._cache = x.shape if train else None
-        return x.transpose(1, 2, 3, 0).reshape(x.shape[1], -1)
+    def forward(self, x):
+        self._cache = x.shape
+        return flatten(x)
 
     def backward(self, dout):
         c, b, h, w = self._cache
@@ -251,8 +248,8 @@ class Dense(Layer):
                                            (in_features, out_features), dtype)
         self.params["bias"] = np.zeros(out_features, dtype=dtype)
 
-    def forward(self, x, train: bool):
-        self._cache = x if train else None
+    def forward(self, x):
+        self._cache = x
         return x @ self.params["weight"] + self.params["bias"]
 
     def backward(self, dout):

@@ -1,7 +1,8 @@
 """Fixed-topology convolutional regressor.
 
-forward takes (B, R, R, 4) rasters and runs the conv stages on channel
-planes (4, B, R, R), in training and at inference alike. Each conv stage is
+forward (the inference pass) and loss_and_backward (the training pass)
+take (B, R, R, 4) rasters and run the conv stages on channel planes
+(4, B, R, R). Each conv stage is
 Conv3x3 -> BatchNorm -> ReLU -> MaxPool2x2 (inference folds the BatchNorm
 into the convolution and pools before the bias and ReLU), so a side of
 length s maps to floor((s - 2) / 2). The default stack of
@@ -12,16 +13,18 @@ config.TrainSection on 256x256x4 input yields sides 127/62/30/14/6 and a
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
-from functools import partial
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from ..config import fingerprint
+from ..config import fingerprint, json_object
 from ..seeding import substream
 from .layers import (BatchNorm, Conv3x3, Dense, Flatten, MaxPool2, ReLU,
-                     add_plane_bias)
+                     add_plane_bias, flatten, relu)
+
+# images per step of the inference pass
+PREDICT_BATCH = 64
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -100,55 +103,57 @@ class SurrogateModel:
                                       dtype=dtype)
 
     # ------------------------------------------------------------------
-    def forward(self, batch: np.ndarray, train: bool = False) -> np.ndarray:
+    def _planes(self, batch: np.ndarray) -> np.ndarray:
+        """The (B, R, R, 4) rasters of batch as channel planes (4, B, R, R)
+        in the model dtype; ValueError for any other shape."""
         arch = self.architecture
         expected = (arch.resolution, arch.resolution, arch.in_channels)
         if batch.ndim != 4 or batch.shape[1:] != expected:
             raise ValueError(
                 f"input: expected (B, {expected[0]}, {expected[1]}, "
                 f"{expected[2]}), got {batch.shape}")
-        x = np.ascontiguousarray(
-            batch.astype(self.dtype, copy=False).transpose(3, 0, 1, 2))
-        steps = ([(name, partial(layer.forward, train=True))
-                  for name, layer in self.layers.items()]
-                 if train else self._eval_steps())
-        for name, step in steps:
-            try:
-                x = step(x)
-            except ValueError as exc:
-                raise ValueError(f"layer {name}: {exc}") from exc
-        return x
+        return batch.astype(self.dtype, copy=False).transpose(3, 0, 1, 2)
 
-    def _eval_steps(self):
-        """(name, function) of every step of the inference pass.
+    def forward(self, batch: np.ndarray) -> np.ndarray:
+        """The inference pass: (B, 3) predictions of (B, R, R, 4) rasters,
+        PREDICT_BATCH images at a time, keeping no backward buffer.
 
-        Each conv stage runs its Conv3x3 with the BatchNorm folded in, then
-        pools, then adds the folded bias and applies ReLU. Pooling before
-        the bias and ReLU gives the same values because both are monotone,
-        and they then see a quarter of them. Pooling cannot move before the
-        folded kernel, whose scale can be negative. The fold is recomputed
-        on every call, so it always reflects the current parameters and
-        running moments.
+        Each conv stage runs its Conv3x3 with the BatchNorm folded in (from
+        the current parameters and running moments), pools, then adds the
+        folded bias and applies ReLU: both are monotone, so pooling first
+        gives the same values on a quarter of them. Pooling cannot move
+        before the folded kernel, whose scale can be negative.
         """
+        planes = self._planes(batch)
         layers = self.layers
-        steps = []
-        for i in range(len(self.architecture.conv_channels)):
-            kernel, bias = layers[f"conv{i}"].fold(layers[f"bn{i}"])
-            steps += [
-                (f"conv{i}", partial(Conv3x3.convolve_planes, kernel=kernel)),
-                (f"pool{i}", layers[f"pool{i}"].forward_planes),
-                (f"bias{i}", partial(add_plane_bias, bias=bias)),
-                (f"relu_c{i}", partial(layers[f"relu_c{i}"].forward,
-                                       train=False))]
-        head = list(layers).index("flatten")
-        return steps + [(name, partial(layer.forward, train=False))
-                        for name, layer in list(layers.items())[head:]]
+        for layer in layers.values():
+            layer._cache = None
+        folds = [layers[f"conv{i}"].fold(layers[f"bn{i}"])
+                 for i in range(len(self.architecture.conv_channels))]
+        dense = [layers[f"dense{i}"]
+                 for i in range(len(self.architecture.dense_widths))]
+        out = []
+        for start in range(0, planes.shape[1], PREDICT_BATCH):
+            x = np.ascontiguousarray(planes[:, start:start + PREDICT_BATCH])
+            for kernel, bias in folds:
+                x = relu(add_plane_bias(MaxPool2.forward_planes(
+                    Conv3x3.convolve_planes(x, kernel)), bias))
+            x = flatten(x)
+            for layer in dense:
+                x = relu(x @ layer.params["weight"] + layer.params["bias"])
+            head = layers["output"].params
+            out.append(x @ head["weight"] + head["bias"])
+        return np.concatenate(out) if out else \
+            np.zeros((0, self.architecture.out_features), self.dtype)
 
     def loss_and_backward(self, batch: np.ndarray,
                           targets: np.ndarray) -> float:
         """MSE loss (summed over components, averaged over samples) and
-        parameter gradients via reverse-mode differentiation."""
-        preds = self.forward(batch, train=True)
+        parameter gradients via reverse-mode differentiation: the training
+        pass runs every layer's forward, BatchNorm on batch statistics."""
+        preds = np.ascontiguousarray(self._planes(batch))
+        for layer in self.layers.values():
+            preds = layer.forward(preds)
         targets = np.asarray(targets, dtype=preds.dtype)
         diff = preds - targets
         loss = float(np.mean(np.sum(diff.astype(np.float64) ** 2, axis=1)))
@@ -168,30 +173,25 @@ class SurrogateModel:
             for key in layer.params:
                 yield f"{name}.{key}", layer, key
 
-    def copy_params(self):
-        params = {name: layer.params[key].copy()
+    def checkpoint(self) -> dict:
+        """Copies of the named arrays of the model, in weights.npz order:
+        "param/<layer>.<key>" in the model dtype, then the running state
+        "state/<layer>/<key>" in float64."""
+        arrays = {f"param/{name}": layer.params[key].copy()
                   for name, layer, key in self.named_params()}
-        state = {name: layer.state() for name, layer in self.layers.items()
-                 if layer.state()}
-        return params, state
+        for lname, layer in self.layers.items():
+            for key, v in layer.state().items():
+                arrays[f"state/{lname}/{key}"] = np.asarray(v, np.float64)
+        return arrays
 
-    def load_params(self, params, state):
+    def restore(self, arrays: dict):
+        """Set every parameter and running state from a checkpoint's
+        arrays, as copies in the model dtype and in float64."""
         for name, layer, key in self.named_params():
-            layer.params[key] = params[name].copy()
-        for name, layer in self.layers.items():
-            if name in state:
-                layer.load_state(state[name])
-
-    # ------------------------------------------------------------------
-    def _blobs(self) -> dict:
-        """The named arrays of weights.npz: float32 parameters, float64
-        running state."""
-        params, state = self.copy_params()
-        blobs = {f"param/{k}": v.astype("<f4") for k, v in params.items()}
-        for lname, st in state.items():
-            for key, v in st.items():
-                blobs[f"state/{lname}/{key}"] = np.asarray(v, "<f8")
-        return blobs
+            layer.params[key] = arrays[f"param/{name}"].astype(self.dtype)
+        for lname, layer in self.layers.items():
+            layer.load_state({key: arrays[f"state/{lname}/{key}"]
+                              for key in layer.state()})
 
     def save(self, path):
         """model.json (architecture, training state, stats_hash), named
@@ -207,37 +207,40 @@ class SurrogateModel:
             json.dump(header, f, indent=2)
         with open(path / "stats.json", "w") as f:
             json.dump(self.stats, f, indent=2)
-        np.savez(path / "weights.npz", **self._blobs())
+        np.savez(path / "weights.npz", **{
+            key: v.astype("<f4" if key.startswith("param/") else "<f8")
+            for key, v in self.checkpoint().items()})
 
     @classmethod
     def load(cls, path) -> "SurrogateModel":
-        """Read what save wrote; ValueError if stats.json does not match
-        model.json's stats_hash, or if weights.npz does not hold exactly
-        the architecture's arrays with their shapes."""
+        """Read what save wrote; ValueError if model.json misses a key or
+        holds an unknown training_state key, if stats.json does not match
+        its stats_hash, or if weights.npz does not hold exactly the
+        architecture's arrays with their shapes."""
         path = Path(path)
-        with open(path / "model.json") as f:
-            header = json.load(f)
+        where = path / "model.json"
+        with open(where) as f:
+            header = json_object(json.load(f), where, (
+                "architecture", "stats_hash", "training_state"))
         with open(path / "stats.json") as f:
             stats = json.load(f)
         if fingerprint(stats) != header["stats_hash"]:
             raise ValueError(f"{path / 'stats.json'}: preprocessing "
                              "statistics do not match the model")
-        model = cls(Architecture.from_dict(header["architecture"]),
-                    stats=stats)
-        model.training_state = TrainingState(**header["training_state"])
+        arch = json_object(header["architecture"], f"{where}: architecture",
+                           [f.name for f in fields(Architecture)])
+        model = cls(Architecture.from_dict(arch), stats=stats)
+        model.training_state = TrainingState(**json_object(
+            header["training_state"], f"{where}: training_state",
+            allowed=[f.name for f in fields(TrainingState)]))
         with np.load(path / "weights.npz") as npz:
             blobs = {key: npz[key] for key in npz.files}
-        expected = model._blobs()
+        expected = model.checkpoint()
         for key in sorted(blobs.keys() | expected.keys()):
             found, needed = (d[key].shape if key in d else "no array"
                              for d in (blobs, expected))
             if found != needed:
                 raise ValueError(f"{path / 'weights.npz'}: {key}: found "
                                  f"{found}, the architecture needs {needed}")
-        params, state = model.copy_params()
-        model.load_params(
-            {name: blobs[f"param/{name}"].astype(model.dtype)
-             for name in params},
-            {lname: {key: blobs[f"state/{lname}/{key}"] for key in st}
-             for lname, st in state.items()})
+        model.restore(blobs)
         return model

@@ -8,7 +8,6 @@ from ..dataset_pipeline import inverse_preprocess, preprocess
 from ..homogenizer import BlockResults
 from ..rasterizer import rasterize_blocks
 from .model import SurrogateModel
-from .training import predict_in_batches
 
 
 def predict_samples(model: SurrogateModel, images: np.ndarray) -> np.ndarray:
@@ -22,7 +21,7 @@ def predict_samples(model: SurrogateModel, images: np.ndarray) -> np.ndarray:
     if model.stats is None:
         raise ValueError("the model has no preprocessing statistics")
     prepped, _, xbars = preprocess(images, None, model.stats)
-    preds = predict_in_batches(model, prepped.astype(np.float32))
+    preds = model.forward(prepped.astype(np.float32))
     return inverse_preprocess(None, preds.astype(float), model.stats,
                               xbars)[1]
 

@@ -13,9 +13,6 @@ from ..seeding import substream
 from .metrics import Metrics, compute_metrics
 from .model import SurrogateModel
 
-# images per eval forward pass in prediction, validation and evaluation
-PREDICT_BATCH = 64
-
 
 class Adam:
     def __init__(self, model: SurrogateModel, lr: float,
@@ -60,20 +57,6 @@ class TrainResult:
     best_epoch: int = -1
 
 
-def predict_in_batches(model: SurrogateModel,
-                       images: np.ndarray) -> np.ndarray:
-    out = []
-    for start in range(0, len(images), PREDICT_BATCH):
-        out.append(model.forward(images[start:start + PREDICT_BATCH],
-                                 train=False))
-    return np.concatenate(out) if out else np.zeros((0, 3))
-
-
-def validation_loss(model: SurrogateModel, images, targets) -> float:
-    preds = predict_in_batches(model, images)
-    return float(np.mean(np.sum((preds - targets) ** 2, axis=1)))
-
-
 def train(model: SurrogateModel, train_images, train_targets,
           val_images, val_targets,
           schedule: TrainSection, seed: int) -> TrainResult:
@@ -91,8 +74,7 @@ def train(model: SurrogateModel, train_images, train_targets,
     optimizer = Adam(model, schedule.learning_rate)
     model.training_state.learning_rate = optimizer.lr
     result = TrainResult()
-    best_params = None
-    best_state = None
+    best = None
     since_improvement = 0
 
     for epoch in range(1, schedule.epochs + 1):
@@ -105,13 +87,14 @@ def train(model: SurrogateModel, train_images, train_targets,
                                                   train_targets[idx]))
             optimizer.step()
         train_loss = float(np.mean(losses))
-        val_loss = validation_loss(model, val_images, val_targets)
+        val_loss = float(np.mean(np.sum(
+            (model.forward(val_images) - val_targets) ** 2, axis=1)))
         result.history.append(EpochRecord(epoch, train_loss, val_loss,
                                           optimizer.lr))
         if val_loss < result.best_val_loss:
             result.best_val_loss = val_loss
             result.best_epoch = epoch
-            best_params, best_state = model.copy_params()
+            best = model.checkpoint()
             since_improvement = 0
         else:
             since_improvement += 1
@@ -122,8 +105,8 @@ def train(model: SurrogateModel, train_images, train_targets,
         model.training_state.learning_rate = optimizer.lr
         model.training_state.best_val_loss = result.best_val_loss
 
-    if best_params is not None:
-        model.load_params(best_params, best_state)
+    if best is not None:
+        model.restore(best)
     return result
 
 
@@ -139,5 +122,4 @@ def write_history_csv(result: TrainResult, path):
 def evaluate(model: SurrogateModel, images, targets) -> Metrics:
     if len(images) == 0:
         raise ValueError("empty evaluation split")
-    preds = predict_in_batches(model, images)
-    return compute_metrics(preds, targets)
+    return compute_metrics(model.forward(images), targets)

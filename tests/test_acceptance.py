@@ -199,7 +199,7 @@ def test_criterion_06_reference_network_shapes():
     sides = []
     flat_width = None
     for name, layer in model.layers.items():
-        x = layer.forward(x, True)
+        x = layer.forward(x)
         if name.startswith("pool"):
             sides.append(x.shape[2])
         if name == "flatten":
@@ -373,7 +373,7 @@ def test_criterion_13_determinism(tmp_path):
         model = SurrogateModel(arch, seed=1)
         train(model, x, t, x, t, TrainSection(epochs=2, batch_size=4),
               seed=1)
-        p, _ = model.copy_params()
+        p = model.checkpoint()
         params.append(p)
     checks["training"] = all(np.array_equal(params[0][k], params[1][k])
                              for k in params[0])

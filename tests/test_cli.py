@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,23 @@ def config_path(tmp_path):
 
 def run(argv):
     return main(argv)
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    """A dataset of SMALL_CONFIG, built once; copy it before editing it."""
+    root = tmp_path_factory.mktemp("small")
+    (root / "config.json").write_text(json.dumps(SMALL_CONFIG))
+    assert run(["build-dataset", "--config", str(root / "config.json"),
+                "--out", str(root / "dataset")]) == 0
+    return root / "dataset"
+
+
+def single_error(capsys):
+    """The one JSON error line on stderr."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
 
 
 def unit_stats():
@@ -299,6 +317,67 @@ class TestErrorHandling:
         err = json.loads(lines[0])
         assert err["error"] == "ValueError"
         assert f"weights.npz: {key}:" in err["message"]
+
+
+    def test_numeric_backend_rejects_model(self, config_path, tmp_path,
+                                           capsys):
+        # a model directory that does not exist, which the numeric backend
+        # would never read
+        out = tmp_path / "o"
+        code = run(["upscale", "--config", config_path, "--backend", "numeric",
+                    "--model", str(tmp_path / "no-model"), "--out", str(out)])
+        assert code == 1
+        err = single_error(capsys)
+        assert err["error"] == "ValueError"
+        assert "--model" in err["message"]
+        assert not (out / "blocks.csv").exists()
+
+    @pytest.mark.parametrize("part, edit, message", [
+        ("training_state", lambda d: d.update(momentum=0.9),
+         "unknown keys ['momentum']"),
+        ("architecture", lambda d: d.pop("dense_widths"),
+         "missing keys ['dense_widths']"),
+    ], ids=["unknown-state-key", "missing-architecture-key"])
+    def test_malformed_model_json_is_json_error(self, config_path, tmp_path,
+                                                small_dataset, capsys, part,
+                                                edit, message):
+        model_dir = tmp_path / "model"
+        arch = Architecture(resolution=16, conv_channels=(2,),
+                            dense_widths=(4,))
+        SurrogateModel(arch, stats=unit_stats()).save(model_dir)
+        header = json.loads((model_dir / "model.json").read_text())
+        edit(header[part])
+        (model_dir / "model.json").write_text(json.dumps(header))
+        capsys.readouterr()
+        code = run(["evaluate", "--config", config_path,
+                    "--dataset", str(small_dataset), "--model", str(model_dir),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = single_error(capsys)
+        assert err["error"] == "ValueError"
+        assert err["message"] == \
+            f"{model_dir / 'model.json'}: {part}: {message}"
+
+    @pytest.mark.parametrize("key", ["raster_resolution", "shards", "splits"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_manifest_missing_key_is_json_error(self, config_path, tmp_path,
+                                                small_dataset, capsys,
+                                                command, key):
+        ds = tmp_path / "dataset"
+        shutil.copytree(small_dataset, ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        del manifest[key]
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        argv = [command, "--config", config_path, "--dataset", str(ds),
+                "--out", str(tmp_path / "o")]
+        if command == "evaluate":  # the dataset is read before the model
+            argv += ["--model", str(tmp_path / "model")]
+        assert run(argv) == 1
+        err = single_error(capsys)
+        assert err["error"] == "ValueError"
+        assert err["message"] == \
+            f"{ds / 'manifest.json'}: missing keys [{key!r}]"
 
 
 class TestBasicCommands:

@@ -10,11 +10,10 @@ from dfm_upscale.dataset_pipeline import (compute_stats, inverse_preprocess,
 from dfm_upscale.config import TrainSection
 from dfm_upscale.surrogate import (Adam, Architecture, SurrogateModel,
                                    compute_metrics, evaluate,
-                                   predict_in_batches, predict_samples, train,
-                                   validation_loss, write_history_csv)
-from dfm_upscale.surrogate import layers, training
-from dfm_upscale.surrogate.layers import (BatchNorm, Conv3x3, Dense, MaxPool2,
-                                         ReLU)
+                                   predict_samples, train, write_history_csv)
+from dfm_upscale.surrogate import layers
+from dfm_upscale.surrogate import model as model_module
+from dfm_upscale.surrogate.layers import BatchNorm, Conv3x3, Dense, MaxPool2
 from dfm_upscale.seeding import substream
 
 from conftest import finite_difference_grad_errors, reference_architecture
@@ -30,6 +29,21 @@ def small_model(seed=0, dtype=np.float32):
 def planes(x):
     """Channels-last (B, H, W, C) as channel planes (C, B, H, W)."""
     return np.ascontiguousarray(x.transpose(3, 0, 1, 2))
+
+
+def train_pass(model, x):
+    """The predictions of the training pass: every layer's forward in turn,
+    BatchNorm on the batch statistics (and updating its running moments)."""
+    h = planes(x)
+    for layer in model.layers.values():
+        h = layer.forward(h)
+    return h
+
+
+def mse(preds, targets):
+    """The validation loss of train: summed over components, averaged over
+    samples."""
+    return float(np.mean(np.sum((preds - targets) ** 2, axis=1)))
 
 
 def unfolded_eval(model, x):
@@ -48,7 +62,7 @@ def unfolded_eval(model, x):
             h = h[:, :, :hh // 2 * 2, :ww // 2 * 2] \
                 .reshape(c, b, hh // 2, 2, ww // 2, 2).max(axis=(3, 5))
         else:
-            h = layer.forward(h, False)
+            h = layer.forward(h)
     return h
 
 
@@ -97,7 +111,7 @@ class TestForward:
         shapes = {}
         h = planes(x.astype(np.float32))
         for name, layer in model.layers.items():
-            h = layer.forward(h, True)
+            h = layer.forward(h)
             shapes[name] = h.shape
         assert arch.stage_sides() == [7, 2]
         assert [shapes[f"pool{i}"] for i in range(2)] == [
@@ -127,7 +141,7 @@ class TestForward:
         model.loss_and_backward(x, np.zeros((4, 3)))  # fills every cache
         layers = model.layers.values()
         assert all(layer._cache is not None for layer in layers)
-        model.forward(x, train=False)
+        model.forward(x)
         assert all(layer._cache is None for layer in layers)
 
     @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5),
@@ -160,18 +174,21 @@ class TestForward:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((4, 16, 16, 4)).astype(np.float32)
         t = rng.standard_normal((4, 3))
-        ref = planes(x)
-        for layer in model.layers.values():
-            ref = layer.forward(ref, True)
-        dout = (2.0 / len(x)) * (ref - t.astype(ref.dtype))
+        ref = train_pass(model, x)
+        diff = ref - t.astype(ref.dtype)
+        dout = (2.0 / len(x)) * diff
         for layer in reversed(model.layers.values()):
             dout = layer.backward(dout)
         grads = {name: layer.grads[key].copy()
                  for name, layer, key in model.named_params()}
-        assert np.array_equal(model.forward(x, train=True), ref)
-        model.loss_and_backward(x, t)
+        assert model.loss_and_backward(x, t) == float(np.mean(np.sum(
+            diff.astype(np.float64) ** 2, axis=1)))
         assert all(np.array_equal(layer.grads[key], grads[name])
                    for name, layer, key in model.named_params())
+
+    def test_empty_batch_predicts_nothing(self):
+        out = small_model().forward(np.zeros((0, 16, 16, 4), np.float32))
+        assert out.shape == (0, 3) and out.dtype == np.float32
 
     def test_wrong_input_shape_rejected(self):
         model = small_model()
@@ -181,8 +198,8 @@ class TestForward:
     def test_deterministic_init(self):
         a = small_model(seed=7)
         b = small_model(seed=7)
-        pa, _ = a.copy_params()
-        pb, _ = b.copy_params()
+        pa = a.checkpoint()
+        pb = b.checkpoint()
         assert all(np.array_equal(pa[k], pb[k]) for k in pa)
 
 
@@ -191,7 +208,7 @@ class TestLossAndGradients:
         model = small_model(seed=1)
         x = np.random.default_rng(2).standard_normal((4, 16, 16, 4)) \
             .astype(np.float32)
-        preds = model.forward(x, train=True)
+        preds = train_pass(model, x)
         loss = model.loss_and_backward(x, preds)
         assert loss == pytest.approx(0.0, abs=1e-12)
         for _, layer, key in model.named_params():
@@ -201,7 +218,7 @@ class TestLossAndGradients:
         model = small_model(seed=1)
         x = np.random.default_rng(3).standard_normal((4, 16, 16, 4)) \
             .astype(np.float32)
-        preds = model.forward(x, train=True)
+        preds = train_pass(model, x)
         d = np.random.default_rng(4).standard_normal(preds.shape)
         l1 = model.loss_and_backward(x, preds - d)
         l2 = model.loss_and_backward(x, preds - 2 * d)
@@ -262,7 +279,7 @@ class TestBatchNorm:
         x = np.random.default_rng(0).standard_normal((3, 8, 6, 6)) \
             * np.array([2.0, 0.1, 7.0]).reshape(3, 1, 1, 1) \
             + np.array([5.0, -2.0, 0.5]).reshape(3, 1, 1, 1)
-        y = bn.forward(x, train=True)
+        y = bn.forward(x)
         assert np.all(np.abs(y.mean(axis=(1, 2, 3))) < 1e-12)
         var = x.var(axis=(1, 2, 3))
         np.testing.assert_allclose(y.var(axis=(1, 2, 3)),
@@ -275,16 +292,14 @@ class TestBatchNorm:
         bn = BatchNorm(2, dtype=np.float64)
         rng = np.random.default_rng(1)
         for _ in range(200):
-            bn.forward(rng.normal(3.0, 1.5, (2, 16, 4, 4)), train=True)
+            bn.forward(rng.normal(3.0, 1.5, (2, 16, 4, 4)))
         assert np.allclose(bn.running_mean, 3.0, atol=0.1)
         assert np.allclose(bn.running_var, 2.25, atol=0.1)
-        with pytest.raises(ValueError, match="fold"):
-            bn.forward(rng.normal(3.0, 1.5, (2, 16, 4, 4)), train=False)
         conv = Conv3x3(3, 2, rng, dtype=np.float64)
         conv.params["bias"] = rng.normal(0.0, 1.0, 2)
         x = rng.standard_normal((3, 4, 6, 5))
         kernel, bias = conv.fold(bn)
-        y = conv.forward(x, train=False)
+        y = conv.forward(x)
         expect = (y - bn.running_mean.reshape(2, 1, 1, 1)) \
             / np.sqrt(bn.running_var + bn.eps).reshape(2, 1, 1, 1)
         folded = Conv3x3.convolve_planes(x, kernel) + bias.reshape(2, 1, 1, 1)
@@ -292,8 +307,7 @@ class TestBatchNorm:
 
     def test_state_round_trip(self):
         bn = BatchNorm(2)
-        bn.forward(np.random.default_rng(2).normal(1.0, 1.0, (2, 4, 3, 3)),
-                   train=True)
+        bn.forward(np.random.default_rng(2).normal(1.0, 1.0, (2, 4, 3, 3)))
         st = bn.state()
         fresh = BatchNorm(2)
         fresh.load_state(st)
@@ -311,20 +325,35 @@ class TestInferenceKernels:
             .astype(dtype)
         x.flat[:6] = [-0.0, np.nan, 0.0, np.inf, -np.inf, 1e-45]
         for sub in (x, x[:1, :1, :1, :2]):
-            y = ReLU().forward(sub, train=False)
+            y = layers.relu(sub)
             assert np.array_equal(y.view(bits),
                                   np.where(sub > 0, sub, 0).view(bits))
 
     def test_maxpool_inference_matches_argmax_path(self):
-        # odd-sided planes, and windows that are all zero after the ReLU
-        x = np.random.default_rng(1).standard_normal((3, 7, 9, 5))
+        # odd-sided planes, and windows that are all zero after the ReLU:
+        # the pooled values and the routing of ties against the first
+        # maximum of each (kh, kw) window
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((3, 7, 9, 5))
         x[:, :, 2:4, 2:4] = 0.0
         x = np.where(x > 0, x, 0).astype(np.float32)
         assert (x[:, :, :8, :4].reshape(3, 7, 4, 2, 2, 2)
                 .max(axis=(3, 5)) == 0).any()
+
+        def windows(a):
+            return a[:, :, :8, :4].reshape(3, 7, 4, 2, 2, 2) \
+                .transpose(0, 1, 2, 4, 3, 5).reshape(3, 7, 4, 2, 4)
+
+        arg = windows(x).argmax(axis=-1)
         pool = MaxPool2()
-        assert np.array_equal(pool.forward_planes(x),
-                              pool.forward(x, train=True))
+        assert np.array_equal(pool.forward(x), np.take_along_axis(
+            windows(x), arg[..., None], axis=-1)[..., 0])
+        assert np.array_equal(MaxPool2.forward_planes(x), pool.forward(x))
+        dout = rng.standard_normal(arg.shape).astype(np.float32)
+        dx = pool.backward(dout)
+        assert np.array_equal(windows(dx), np.where(
+            arg[..., None] == np.arange(4), dout[..., None], 0))
+        assert not dx[:, :, 8:].any() and not dx[..., 4:].any()
 
     def test_maxpool_backward_routes_to_first_maximum(self):
         # windows in (kh, kw) order: ties go to the first maximum
@@ -332,8 +361,7 @@ class TestInferenceKernels:
                       [3.0, 0.0, 2.0, 2.0, 9.0],
                       [0.0, 0.0, -1.0, 5.0, 9.0]]).reshape(1, 1, 3, 5)
         pool = MaxPool2()
-        assert np.array_equal(pool.forward(x, train=True),
-                              [[[[3.0, 2.0]]]])
+        assert np.array_equal(pool.forward(x), [[[[3.0, 2.0]]]])
         dx = pool.backward(np.array([[[[10.0, 20.0]]]]))
         assert np.array_equal(dx, np.array([[0.0, 10.0, 20.0, 0.0, 0.0],
                                             [0.0, 0.0, 0.0, 0.0, 0.0],
@@ -351,8 +379,7 @@ class TestInferenceKernels:
         inv_std = (1.0 / np.sqrt(var + bn.eps)).astype(np.float32)
         expect = ((x.transpose(1, 2, 3, 0) - mean.astype(np.float32))
                   * inv_std * bn.params["scale"] + bn.params["shift"])
-        assert np.array_equal(bn.forward(x, train=True),
-                              expect.transpose(3, 0, 1, 2))
+        assert np.array_equal(bn.forward(x), expect.transpose(3, 0, 1, 2))
 
     def test_conv_columns_in_kernel_order(self):
         rng = np.random.default_rng(3)
@@ -363,7 +390,7 @@ class TestInferenceKernels:
                          for j in range(3)], axis=3).reshape(24, 18)
         expect = (cols @ conv.params["kernel"].reshape(18, 3)
                   + conv.params["bias"]).reshape(2, 4, 3, 3)
-        out = conv.forward(planes(x), train=False)
+        out = conv.forward(planes(x))
         assert out.shape == (3, 2, 4, 3)
         assert np.array_equal(out.transpose(1, 2, 3, 0), expect)
 
@@ -371,8 +398,7 @@ class TestInferenceKernels:
         # the order of the dense weights in weights.npz
         x = np.random.default_rng(6).standard_normal((2, 3, 4, 5))
         flat = layers.Flatten()
-        assert np.array_equal(flat.forward(planes(x), train=True),
-                              x.reshape(2, -1))
+        assert np.array_equal(flat.forward(planes(x)), x.reshape(2, -1))
         assert np.array_equal(flat.backward(x.reshape(2, -1)), planes(x))
 
     def test_planes_conv_matches_columns_in_any_bands(self, monkeypatch):
@@ -411,7 +437,7 @@ class TestInferenceKernels:
                     "co,obhw->cbhw", conv.params["kernel"][i, j], dout)
         for band_values in (2 ** 16, 270, 1):
             monkeypatch.setattr(layers, "BAND_VALUES", band_values)
-            conv.forward(x, train=True)
+            conv.forward(x)
             dx = conv.backward(dout)
             np.testing.assert_allclose(conv.grads["kernel"], want_kernel,
                                        rtol=1e-12, atol=1e-12)
@@ -480,8 +506,8 @@ class TestTraining:
         result = train(model, prep[:12].astype(np.float32), tgt[:12],
                        prep[12:].astype(np.float32), tgt[12:], schedule,
                        seed=0)
-        final_val = validation_loss(model, prep[12:].astype(np.float32),
-                                    tgt[12:])
+        final_val = mse(model.forward(prep[12:].astype(np.float32)),
+                        tgt[12:])
         assert final_val == pytest.approx(result.best_val_loss, rel=1e-12)
         assert 1 <= result.best_epoch <= 4
         assert len(result.history) == 4
@@ -625,16 +651,15 @@ class TestPrediction:
     def test_evaluate_and_batches(self, monkeypatch):
         model, images, stats = self.make_fixture()
         x = images.astype(np.float32)
-        whole = predict_in_batches(model, x)
+        whole = model.forward(x)
         # batches of 3, 3 and 2 predict what one batch of 8 does
-        monkeypatch.setattr(training, "PREDICT_BATCH", 3)
-        preds = predict_in_batches(model, x)
+        monkeypatch.setattr(model_module, "PREDICT_BATCH", 3)
+        preds = model.forward(x)
         assert preds.shape == (8, 3)
         assert np.allclose(preds, whole, rtol=1e-6)
         t = preds + np.random.default_rng(2).standard_normal((8, 3))
         m = evaluate(model, x, t)
-        assert m.mse == pytest.approx(validation_loss(model, x, t),
-                                      rel=1e-9)
+        assert m.mse == pytest.approx(mse(model.forward(x), t), rel=1e-9)
 
 
 class TestSerialization:
@@ -646,7 +671,7 @@ class TestSerialization:
         # give batchnorm non-trivial running state
         x = np.random.default_rng(0).standard_normal((4, 16, 16, 4)) \
             .astype(np.float32)
-        model.forward(x, train=True)
+        train_pass(model, x)
         model.save(tmp_path / "m")
         assert sorted(p.name for p in (tmp_path / "m").iterdir()) == \
             ["model.json", "stats.json", "weights.npz"]
