@@ -59,6 +59,16 @@ def _accepts(hint, value) -> bool:
     return isinstance(value, options)
 
 
+def json_value(hint, value, where, error=ValueError):
+    """value, a JSON value read from where, if it fits hint (see _accepts);
+    otherwise error naming where, the type expected and the value."""
+    if not _accepts(hint, value):
+        expected = hint if typing.get_args(hint) else hint.__name__
+        raise error(f"{where}: expected {expected}, got "
+                    f"{type(value).__name__} {value!r}")
+    return value
+
+
 def _build(cls, data: dict, path: str):
     known = {f.name for f in fields(cls)}
     json_object(data, path or "config", allowed=known, error=ConfigError)
@@ -70,10 +80,8 @@ def _build(cls, data: dict, path: str):
         where = f"{path}.{name}".lstrip(".")
         if isinstance(hint, type) and is_dataclass(hint):
             value = _build(hint, value, where)
-        elif not _accepts(hint, value):
-            expected = hint if typing.get_args(hint) else hint.__name__
-            raise ConfigError(f"{where}: expected {expected}, got "
-                              f"{type(value).__name__} {value!r}")
+        else:
+            json_value(hint, value, where, ConfigError)
         kwargs[name] = value
     return cls(**kwargs)
 

@@ -289,7 +289,7 @@ def _unpack(records: np.ndarray):
 def load_dataset(dataset_dir):
     """Load shards back into memory: (images, targets, manifest, stats);
     ValueError naming the key if manifest.json misses raster_resolution,
-    shards or splits."""
+    shards or splits, or an entry of shards misses file or records."""
     dataset_dir = Path(dataset_dir)
     where = dataset_dir / "manifest.json"
     with open(where) as f:
@@ -299,7 +299,8 @@ def load_dataset(dataset_dir):
         stats = json.load(f)
     dtype = record_dtype(manifest["raster_resolution"])
     parts = []
-    for shard in manifest["shards"]:
+    for i, shard in enumerate(manifest["shards"]):
+        json_object(shard, f"{where}: shards[{i}]", ("file", "records"))
         path = dataset_dir / shard["file"]
         size = path.stat().st_size
         if size != shard["records"] * dtype.itemsize:

@@ -154,10 +154,11 @@ class FlowSolution:
 
 @lru_cache(maxsize=8)
 def _mesh_topology(nx: int, ny: int):
-    """Triangles of the structured nx x ny mesh and the row and column
-    indices of their 3 x 3 stiffness blocks. Triangles 2c and 2c + 1 are the
-    lower and the upper half of cell c = ix * ny + iy. The arrays are shared
-    by every call with the same resolution, so they are read-only."""
+    """Triangles of the structured nx x ny mesh and the int32 row and
+    column indices of their 3 x 3 stiffness blocks, the index dtype of the
+    assembled matrix. Triangles 2c and 2c + 1 are the lower and the upper
+    half of cell c = ix * ny + iy. The arrays are shared by every call with
+    the same resolution, so they are read-only."""
     def nid(ix, iy):
         return ix * (ny + 1) + iy
 
@@ -170,8 +171,8 @@ def _mesh_topology(nx: int, ny: int):
     tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
     tris[0::2] = lower
     tris[1::2] = upper
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
+    rows = np.repeat(tris, 3, axis=1).ravel().astype(np.int32)
+    cols = np.tile(tris, (1, 3)).ravel().astype(np.int32)
     for a in (tris, rows, cols):
         a.setflags(write=False)
     return tris, rows, cols
@@ -232,8 +233,9 @@ def _barycentric(x0, y0, hx, hy, nx: int, ny: int, x, y):
     iy = np.clip(np.floor(fy), 0, ny - 1).astype(np.int64)
     lx, ly = fx - ix, fy - iy
     upper = lx < ly
-    w = np.where(upper[:, None], np.column_stack([1.0 - ly, lx, ly - lx]),
-                 np.column_stack([1.0 - lx, lx - ly, ly]))
+    w = np.column_stack([np.where(upper, 1.0 - ly, 1.0 - lx),
+                         np.where(upper, lx, lx - ly),
+                         np.where(upper, ly - lx, ly)])
     return 2 * (ix * ny + iy) + upper, w
 
 
@@ -448,11 +450,11 @@ def discretize_blocks(field_: TensorField, chunk: BlockChunk, nx: int,
                       ny: int) -> Iterator[DiscreteSystem]:
     """An iterator over the systems of the blocks of chunk (see
     frac_geom.clip_to_blocks), in order. The grid lines of the blocks'
-    meshes and their triangle tensors are computed for the whole chunk at
-    once, each block's from its own rect. Everything else of a block is
-    assembled from its own rows of the chunk's table alone, when the
-    iterator reaches it, so a caller that solves the systems in turn holds
-    one at a time."""
+    meshes, their triangle tensors and the triangles' stiffness are
+    computed for the whole chunk at once, each block's from its own rect.
+    Everything else of a block is assembled from its own rows of the
+    chunk's table alone, when the iterator reaches it, so a caller that
+    solves the systems in turn holds one at a time."""
     if nx < 2 or ny < 2:
         raise ValueError("resolution must be at least 2x2")
     box = chunk.rects
@@ -461,17 +463,31 @@ def discretize_blocks(field_: TensorField, chunk: BlockChunk, nx: int,
     xs = box[:, 0, None] + hx[:, None] * np.arange(nx + 1)
     ys = box[:, 1, None] + hy[:, None] * np.arange(ny + 1)
     tri_k = _triangle_tensors(field_, xs, ys)
+    maps = np.reshape([_stiffness_maps(a, b) for a, b in
+                       zip(hx.tolist(), hy.tolist())], (-1, 1, 1, 2, 3, 9))
+    stiffness = _stiffness(tri_k, maps)
     bounds = np.searchsorted(chunk.block, np.arange(len(box) + 1))
     return (_assemble(Rect(*box[b].tolist()), xs[b], ys[b], tri_k[b],
-                      chunk.p0[a:e], chunk.p1[a:e], chunk.aperture[a:e],
-                      chunk.conductivity[a:e])
+                      stiffness[b], chunk.p0[a:e], chunk.p1[a:e],
+                      chunk.aperture[a:e], chunk.conductivity[a:e])
             for b, (a, e) in enumerate(zip(bounds[:-1], bounds[1:])))
 
 
-def _assemble(domain: Rect, xs, ys, tri_k, p0, p1, aperture,
+# the 16 COO entries of a fracture element, as columns of its (f0, f1, t0,
+# t1, t2) DOFs and of its (plus, minus, -c w / 2) values: conduction and
+# the exchange's fracture part on f0 and f1, then the triangle-fracture
+# part, (t, f) and its transpose (f, t). np.take writes them straight into
+# its out array in any mode but "raise", which buffers; all are in range.
+_FRAC_ROWS = [0, 1, 0, 1, 2, 3, 4, 2, 3, 4, 0, 0, 0, 1, 1, 1]
+_FRAC_COLS = [0, 1, 1, 0, 0, 0, 0, 1, 1, 1, 2, 3, 4, 2, 3, 4]
+_FRAC_VALUES = [0, 0, 1, 1, 2, 3, 4, 2, 3, 4, 2, 3, 4, 2, 3, 4]
+
+
+def _assemble(domain: Rect, xs, ys, tri_k, stiffness, p0, p1, aperture,
               conductivity) -> DiscreteSystem:
-    """The system of one block on the mesh with grid lines xs and ys and
-    triangle tensors tri_k, with its clipped fractures p0[k]-p1[k]."""
+    """The system of one block on the mesh with grid lines xs and ys,
+    triangle tensors tri_k and triangle stiffness entries stiffness (see
+    _stiffness), with its clipped fractures p0[k]-p1[k]."""
     nx, ny = len(xs) - 1, len(ys) - 1
     hx, hy = domain.width / nx, domain.height / ny
     snap_tol = 1e-9 * domain.diameter
@@ -511,27 +527,32 @@ def _assemble(domain: Rect, xs, ys, tri_k, p0, p1, aperture,
     # c (w . h_tri - (h_f0 + h_f1) / 2)^2 / 2 at its midpoint. The exchange's
     # triangle part c w w^T is added to its triangle's 9 stiffness entries,
     # element by element; conduction and the fracture part c / 4 share 4
-    # entries, and the triangle-fracture part -c w / 2 takes 6 + 6.
+    # entries, and the triangle-fracture part -c w / 2 takes 6 + 6. The
+    # COO entries are written in place: 9 per triangle, then 16 per element.
     t_e = e_ap * e_cond / e_len
     c = e_len * e_cond / e_ap
-    data = _stiffness(tri_k, _stiffness_maps(hx, hy)).reshape(-1, 9)
     cw = c[:, None] * w
-    np.add.at(data, e_tri, (cw[:, :, None] * w[:, None, :]).reshape(-1, 9))
+    n9, n_fe = 9 * len(tris), len(e_tri)
+    data = np.empty(n9 + 16 * n_fe)
+    data[:n9] = stiffness.ravel()
+    np.add.at(data, (9 * e_tri[:, None] + np.arange(9)).ravel(),
+              (cw[:, :, None] * w[:, None, :]).ravel())
     q = 0.25 * c
-    plus, minus, half = t_e + q, q - t_e, np.tile(-0.5 * cw, 2)
+    values = np.empty((n_fe, 5))
+    values[:, 0], values[:, 1], values[:, 2:] = t_e + q, q - t_e, -0.5 * cw
+    np.take(values, _FRAC_VALUES, axis=1, mode="clip",
+            out=data[n9:].reshape(n_fe, 16))
     frac_elems = np.column_stack([n0, n1])
-    f0, f1 = (n_m + frac_elems).T
-    tri_dofs = np.tile(tris[e_tri], 2)
-    frac_dofs = np.repeat(n_m + frac_elems, 3, axis=1)
+    dofs = np.empty((n_fe, 5), np.int32)
+    dofs[:, :2], dofs[:, 2:] = n_m + frac_elems, tris[e_tri]
+    ij = np.empty((2, len(data)), np.int32)
+    ij[0, :n9], ij[1, :n9] = rows, cols
+    for k, pattern in enumerate((_FRAC_ROWS, _FRAC_COLS)):
+        np.take(dofs, pattern, axis=1, mode="clip",
+                out=ij[k, n9:].reshape(n_fe, 16))
     n_dofs = n_m + len(frac_nodes)
-    matrix = sp.coo_matrix(
-        (np.concatenate([data.ravel(), np.column_stack(
-            [plus, plus, minus, minus, half, half]).ravel()]),
-         (np.concatenate([rows, np.column_stack(
-             [f0, f1, f0, f1, tri_dofs, frac_dofs]).ravel()]),
-          np.concatenate([cols, np.column_stack(
-              [f0, f1, f1, f0, frac_dofs, tri_dofs]).ravel()]))),
-        shape=(n_dofs, n_dofs)).tocsr()
+    matrix = sp.coo_matrix((data, (ij[0], ij[1])),
+                           shape=(n_dofs, n_dofs)).tocsr()
     return DiscreteSystem(
         domain=domain, nx=nx, ny=ny, nodes=nodes, tris=tris,
         tri_k=tri_k.reshape(-1, 3), frac_nodes=frac_nodes,
@@ -544,15 +565,19 @@ def _lower_band(a: sp.csr_matrix, order) -> np.ndarray:
     """The lower band of a's rows and columns in order, in LAPACK's banded
     storage, filled straight from the CSR arrays. In Fortran order LAPACK
     factors it in place, without a copy."""
-    pos = np.full(a.shape[0], -1)
-    pos[order] = np.arange(len(order))
+    n = len(order)
+    pos = np.full(a.shape[0], n)  # a DOF not in order goes past the last
+    pos[order] = np.arange(n)
     i = np.repeat(pos, np.diff(a.indptr))
     j = pos[a.indices]
-    lower = (j >= 0) & (i >= j)  # both DOFs in order, on or below the diagonal
-    i, j = i[lower], j[lower]
-    band = np.zeros((int((i - j).max()) + 1, len(order)), order="F")
-    band[i - j, j] = a.data[lower]
-    return band
+    d = i - j
+    lower = (d >= 0) & (i < n)  # both DOFs in order, on or below the diagonal
+    d, j = np.compress(lower, d), np.compress(lower, j)
+    width = int(d.max()) + 1
+    # band[d, j] is entry j * width + d of the band's Fortran-order memory
+    band = np.zeros(n * width)
+    band[j * width + d] = np.compress(lower, a.data)
+    return band.reshape(n, width).T
 
 
 def _band_factor(system: DiscreteSystem, free):
@@ -616,14 +641,17 @@ def solve_darcy(system: DiscreteSystem, sides,
     # one product gives the residual on the free DOFs and the Dirichlet
     # reactions on the fixed ones
     r = a @ h
-    terms = abs(a) @ np.abs(h)
+    # |A| shares a's index arrays
+    terms = sp.csr_matrix((np.abs(a.data), a.indices, a.indptr),
+                          shape=a.shape) @ np.abs(h)
+    r_free, terms_free = r[free], terms[free]
     flows = []
     for j in range(h.shape[1]):
-        scale = np.linalg.norm(terms[free, j])
+        scale = np.linalg.norm(terms_free[:, j])
         if not np.isfinite(scale):  # heads that are inf or NaN
             residual = np.inf
         else:
-            residual = (float(np.linalg.norm(r[free, j]) / scale)
+            residual = (float(np.linalg.norm(r_free[:, j]) / scale)
                         if scale > 0 else 0.0)
         if residual > RESIDUAL_GATE:
             raise SolverError(

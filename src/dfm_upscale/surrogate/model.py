@@ -13,18 +13,23 @@ config.TrainSection on 256x256x4 input yields sides 127/62/30/14/6 and a
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from ..config import fingerprint, json_object
+from ..config import fingerprint, json_object, json_value
 from ..seeding import substream
 from .layers import (BatchNorm, Conv3x3, Dense, Flatten, MaxPool2, ReLU,
                      add_plane_bias, flatten, relu)
 
 # images per step of the inference pass
 PREDICT_BATCH = 64
+# the JSON type of each Architecture field in model.json
+_ARCHITECTURE_JSON = {"resolution": int, "in_channels": int,
+                     "conv_channels": list[int], "dense_widths": list[int],
+                     "out_features": int}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -213,9 +218,10 @@ class SurrogateModel:
 
     @classmethod
     def load(cls, path) -> "SurrogateModel":
-        """Read what save wrote; ValueError if model.json misses a key or
-        holds an unknown training_state key, if stats.json does not match
-        its stats_hash, or if weights.npz does not hold exactly the
+        """Read what save wrote; ValueError if model.json misses a key,
+        holds an unknown training_state key or an architecture or
+        training_state value of the wrong type, if stats.json does not
+        match its stats_hash, or if weights.npz does not hold exactly the
         architecture's arrays with their shapes."""
         path = Path(path)
         where = path / "model.json"
@@ -228,11 +234,17 @@ class SurrogateModel:
             raise ValueError(f"{path / 'stats.json'}: preprocessing "
                              "statistics do not match the model")
         arch = json_object(header["architecture"], f"{where}: architecture",
-                           [f.name for f in fields(Architecture)])
+                           list(_ARCHITECTURE_JSON))
+        for key, hint in _ARCHITECTURE_JSON.items():
+            json_value(hint, arch[key], f"{where}: architecture.{key}")
+        state = json_object(header["training_state"],
+                            f"{where}: training_state",
+                            allowed=[f.name for f in fields(TrainingState)])
+        hints = typing.get_type_hints(TrainingState)
+        for key, value in state.items():
+            json_value(hints[key], value, f"{where}: training_state.{key}")
         model = cls(Architecture.from_dict(arch), stats=stats)
-        model.training_state = TrainingState(**json_object(
-            header["training_state"], f"{where}: training_state",
-            allowed=[f.name for f in fields(TrainingState)]))
+        model.training_state = TrainingState(**state)
         with np.load(path / "weights.npz") as npz:
             blobs = {key: npz[key] for key in npz.files}
         expected = model.checkpoint()

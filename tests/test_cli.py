@@ -358,6 +358,56 @@ class TestErrorHandling:
         assert err["message"] == \
             f"{model_dir / 'model.json'}: {part}: {message}"
 
+    @pytest.mark.parametrize("part, key, value, expected", [
+        ("architecture", "dense_widths", 5, "list[int]"),
+        ("architecture", "conv_channels", [2.5], "list[int]"),
+        ("architecture", "resolution", "16", "int"),
+        ("architecture", "out_features", True, "int"),
+        ("training_state", "epoch", 1.5, "int"),
+        ("training_state", "learning_rate", "fast", "float | None"),
+    ], ids=["dense-widths", "conv-channels", "resolution", "out-features",
+            "epoch", "learning-rate"])
+    def test_model_json_value_of_wrong_type_is_json_error(
+            self, config_path, tmp_path, capsys, part, key, value, expected):
+        model_dir = tmp_path / "model"
+        arch = Architecture(resolution=16, conv_channels=(2,),
+                            dense_widths=(4,))
+        SurrogateModel(arch, stats=unit_stats()).save(model_dir)
+        header = json.loads((model_dir / "model.json").read_text())
+        header[part][key] = value
+        (model_dir / "model.json").write_text(json.dumps(header))
+        capsys.readouterr()
+        code = run(["upscale", "--config", config_path,
+                    "--backend", "surrogate", "--model", str(model_dir),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = single_error(capsys)
+        assert err["error"] == "ValueError"
+        assert err["message"] == (
+            f"{model_dir / 'model.json'}: {part}.{key}: expected {expected}, "
+            f"got {type(value).__name__} {value!r}")
+
+    @pytest.mark.parametrize("key", ["file", "records"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_manifest_shard_missing_key_is_json_error(
+            self, config_path, tmp_path, small_dataset, capsys, command, key):
+        ds = tmp_path / "dataset"
+        shutil.copytree(small_dataset, ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        del manifest["shards"][-1][key]
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        argv = [command, "--config", config_path, "--dataset", str(ds),
+                "--out", str(tmp_path / "o")]
+        if command == "evaluate":  # the dataset is read before the model
+            argv += ["--model", str(tmp_path / "model")]
+        assert run(argv) == 1
+        err = single_error(capsys)
+        assert err["error"] == "ValueError"
+        last = len(manifest["shards"]) - 1
+        assert err["message"] == (f"{ds / 'manifest.json'}: shards[{last}]: "
+                                  f"missing keys [{key!r}]")
+
     @pytest.mark.parametrize("key", ["raster_resolution", "shards", "splits"])
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_manifest_missing_key_is_json_error(self, config_path, tmp_path,

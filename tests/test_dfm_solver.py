@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import tracemalloc
 import warnings
 from unittest import mock
@@ -7,15 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.sparse as sp
 from scipy.linalg import LinAlgError
 
 from dfm_upscale import dfm_solver
-from dfm_upscale.config import RATIO_CLASSES
+from dfm_upscale.bench import fine_model
+from dfm_upscale.config import RATIO_CLASSES, RunConfig
 from dfm_upscale.dataset_pipeline import enforce_ratio
 from dfm_upscale.dfm_solver import (RESIDUAL_GATE, SIDES, SolverError,
-                                    _barycentric, _collinear_candidates,
-                                    _fracture_chains, _mesh_topology,
-                                    _stiffness, _stiffness_maps, discretize,
+                                    _band_factor, _barycentric,
+                                    _collinear_candidates, _fracture_chains,
+                                    _lower_band, _mesh_topology, _stiffness,
+                                    _stiffness_maps, discretize,
                                     discretize_blocks, solve_darcy)
 from dfm_upscale.frac_geom import clip_to_blocks
 from dfm_upscale.geometry import (_PAIR_CHUNK, Rect, runs,
@@ -1136,3 +1140,91 @@ class TestBoundaryConditions:
             sol, = solve_darcy(system, sides, system.dof_coords[:, :1])
             assert 0 in sol.side_dofs[sides[0]]
             assert 0 not in sol.side_dofs[sides[1]]
+
+
+# criterion 12's fine model: 225 overlapping blocks of a 100 m domain, SRF
+# 64, solver 24
+CRITERION_12 = RunConfig.from_dict({
+    "blocks": {"domain_side": 100.0, "block_size": 2 * 100.0 / 14},
+    "srf": {"resolution": 64, "correlation_length": 0.0},
+    "solver": {"resolution": 24},
+    "raster": {"resolution": 64},
+})
+
+
+@pytest.fixture(scope="module")
+def criterion_12_blocks():
+    """The field, the rects and the systems of blocks 0 (a corner) and 112
+    (the center) of criterion 12's fine model at seed 0."""
+    field, network, grid = fine_model(CRITERION_12, 0)
+    rects = grid.rects[[0, 112]]
+    return field, rects, list(discretize_blocks(
+        field, clip_to_blocks(network, rects), 24, 24))
+
+
+class TestAssembledMatrix:
+    # (dtype, SHA-256) of the CSR arrays of criterion 12's blocks 0 and 112
+    # at seed 0, recorded before the COO entries were written in place:
+    # another entry order sums the duplicates in another order
+    RECORDED_CSR = {
+        0: {"data": ("float64", "9995d152057816e2084befab34f7339f"
+                                "9a3d379f69f5958d7f0a611b6e251af9"),
+            "indices": ("int32", "c4c0ffc802d9a77b9d02fc35b87e17cd"
+                                 "03f67f07d7d31ac2024075b1330c6582"),
+            "indptr": ("int32", "c68f5e768fc6ab952c833576f203f6bf"
+                                "ec4412e3a1326ddd3179546952da604f")},
+        112: {"data": ("float64", "09251dd3d4e542bf4723793080115cbe"
+                                  "74c263052decebca10672b85c3853122"),
+              "indices": ("int32", "4c74d2d79e58aedd40e4e3e8a95800ba"
+                                   "dfd24e6eea27cd91157edfdabe0529fd"),
+              "indptr": ("int32", "969c4237f37286d4ba3d6f69320f3158"
+                                  "59b694b9e2192c83b8a27dd55ae94dc2")}}
+
+    def test_recorded_csr_arrays(self, criterion_12_blocks):
+        _, _, systems = criterion_12_blocks
+        for block, system in zip((0, 112), systems):
+            assert len(system.frac_elems) > 0
+            got = {}
+            for name in ("data", "indices", "indptr"):
+                a = getattr(system.matrix, name)
+                got[name] = (str(a.dtype),
+                             hashlib.sha256(a.tobytes()).hexdigest())
+            assert got == self.RECORDED_CSR[block], block
+
+
+def dense_lower_band(a, order):
+    """The lower band of a's rows and columns in order, in LAPACK's banded
+    storage (band[d, j] = a[j + d, j]), from the dense matrix; the band is
+    as wide as the widest stored entry below the diagonal."""
+    sub = a[order][:, order]
+    stored = sp.tril(sub).tocoo()
+    width = int((stored.row - stored.col).max()) + 1
+    dense = sub.toarray()
+    band = np.zeros((width, len(order)))
+    for d in range(width):
+        band[d, :len(order) - d] = np.diagonal(dense, -d)
+    return band
+
+
+class TestLowerBand:
+    def assert_dense_band(self, system, sides):
+        free = ~np.logical_or.reduce([system.side_masks[s] for s in sides])
+        order, _ = _band_factor(system, free)
+        band = _lower_band(system.matrix, order)
+        assert band.flags.f_contiguous
+        assert np.array_equal(band, dense_lower_band(system.matrix, order))
+
+    def test_fractured_criterion_12_block(self, criterion_12_blocks):
+        _, _, systems = criterion_12_blocks
+        assert len(systems[1].frac_elems) > 0
+        self.assert_dense_band(systems[1], SIDES)
+
+    def test_block_without_fractures(self, criterion_12_blocks):
+        field, rects, _ = criterion_12_blocks
+        self.assert_dense_band(discretize(field, None, Rect(*rects[1]), 24,
+                                          24), SIDES)
+
+    @pytest.mark.parametrize("sides", [SIDES, ("left",)])
+    def test_two_by_two_mesh(self, unit_rect, sides):
+        self.assert_dense_band(discretize(random_tensor_field(
+            unit_rect, 2, seed=4), None, unit_rect, 2, 2), sides)
