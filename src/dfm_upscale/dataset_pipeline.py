@@ -17,12 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import MIN_SPLIT_SAMPLES, RATIO_CLASSES, RunConfig, json_object
-from .frac_geom import generate_dfn, FractureNetwork
+from .frac_geom import clip_to_blocks, generate_dfn, FractureNetwork
 from .geometry import Rect
-from .homogenizer import anisotropy_tensor
+from .homogenizer import numeric_backend
 from .dfm_solver import SolverError
 from .random_field import Grid, sample_tensor_field
-from .rasterizer import rasterize_block
+from .rasterizer import rasterize_blocks
 from .seeding import substream
 
 log = logging.getLogger(__name__)
@@ -46,7 +46,7 @@ def enforce_ratio(network: FractureNetwork, field_, ratio: float):
 
 
 def generate_sample(cfg: RunConfig, index: int, seed: int):
-    """One sample as (image (R, R, 4), target (3,), lambda); deterministic
+    """One sample as (image (4, R, R), target (3,), lambda); deterministic
     in (cfg, seed, index).
 
     Reads cfg.dataset, cfg.dfn, the SRF moments of cfg.srf and
@@ -65,8 +65,9 @@ def generate_sample(cfg: RunConfig, index: int, seed: int):
                            dfn.aperture_ratio, dfn.constants, dfn_seed)
     network, _ = enforce_ratio(network, field_,
                                RATIO_CLASSES[ds.ratio_class])
-    k, _ = anisotropy_tensor(field_, network, block, ds.solver_resolution)
-    image = rasterize_block(field_, network, block, cfg.raster.resolution)
+    chunk = clip_to_blocks(network, block)
+    k = numeric_backend(ds.solver_resolution)(field_, chunk).k[0]
+    image = rasterize_blocks(field_, chunk, cfg.raster.resolution)[0]
     return image, k, lam
 
 
@@ -85,12 +86,12 @@ def split_indices(n: int, seed: int):
 
 def sample_matrix_mean(image: np.ndarray) -> float:
     """Arithmetic mean of the three tensor channels over matrix pixels."""
-    mask = image[:, :, 3] == 1.0
+    mask = image[3] == 1.0
     if not mask.any():
         raise ValueError("sample has no matrix pixels")
-    # the rows image[mask] gives, several times faster
-    rows = np.compress(mask.ravel(), image.reshape(-1, image.shape[-1]),
-                       axis=0)
+    # C-contiguous (k, 4) rows fix the order in which the mean sums, and so
+    # the bits of xbar and of the preprocessing statistics
+    rows = np.compress(mask.ravel(), image.reshape(4, -1).T, axis=0)
     xbar = float(rows[:, :3].mean())
     if xbar <= 0.0:
         raise ValueError("non-positive matrix mean conductivity")
@@ -102,33 +103,27 @@ _CHANNEL_KEYS = ("log_kxx", "kxy", "log_kyy")
 
 
 def _normalize(images: np.ndarray, targets: np.ndarray | None):
-    """(images, targets, xbar): copies of `images` (..., H, W, 4) and
+    """(images, targets, xbar): copies of `images` (..., 4, H, W) and
     `targets` (None or (..., 3)) whose tensor components are divided by
-    their own image's matrix mean xbar (...).
-
-    The image copy is a (..., H, W, 4) view of channel-major memory
-    (4, ..., H, W): every channel is one contiguous plane. The per-channel
-    passes of _standardize then run over contiguous memory, a float32 cast
-    (order "K") keeps the layout, and the model's (C, B, H, W) transpose of
-    it is contiguous.
-    """
+    their own image's matrix mean xbar (...)."""
     images = np.asarray(images)
     xbar = np.array([sample_matrix_mean(image) for image in
                      images.reshape((-1,) + images.shape[-3:])])
     xbar = xbar.reshape(images.shape[:-3])
-    planes = np.moveaxis(images, -1, 0)
-    out = np.empty(planes.shape, np.result_type(images, xbar))
-    np.divide(planes[:3], xbar[..., None, None], out=out[:3])
-    out[3] = planes[3]
+    out = np.empty(images.shape, np.result_type(images, xbar))
+    np.divide(images[..., :3, :, :], xbar[..., None, None, None],
+              out=out[..., :3, :, :])
+    out[..., 3, :, :] = images[..., 3, :, :]
     tgt = None if targets is None else np.asarray(targets) / xbar[..., None]
-    return np.moveaxis(out, 0, -1), tgt, xbar
+    return out, tgt, xbar
 
 
-def _standardize(values: np.ndarray, stats3: dict) -> np.ndarray:
-    """In place on components (..., 3) of a float array: log of the
-    diagonal, then (v - avg) / std. Returns `values`."""
+def _standardize(values: np.ndarray, stats3: dict):
+    """In place on the tensor components values[..., c, :, :], c = 0, 1, 2,
+    of a float array: log of the diagonal, then (v - avg) / std. Targets
+    (..., 3) pass as their (..., 3, 1, 1) view."""
     for c, key in enumerate(_CHANNEL_KEYS):
-        v = values[..., c]
+        v = values[..., c, :, :]
         if key.startswith("log"):
             if np.any(v <= 0.0):
                 bad = tuple(np.argwhere(v <= 0.0)[0].tolist())
@@ -137,32 +132,30 @@ def _standardize(values: np.ndarray, stats3: dict) -> np.ndarray:
             np.log(v, out=v)
         v -= stats3[key]["avg"]
         v /= stats3[key]["std"]
-    return values
 
 
-def _unstandardize(values: np.ndarray, stats3: dict) -> np.ndarray:
-    """In place, the exact inverse of _standardize. Returns `values`."""
+def _unstandardize(values: np.ndarray, stats3: dict):
+    """In place, the exact inverse of _standardize."""
     for c, key in enumerate(_CHANNEL_KEYS):
-        v = values[..., c]
+        v = values[..., c, :, :]
         v *= stats3[key]["std"]
         v += stats3[key]["avg"]
         if key.startswith("log"):
             np.exp(v, out=v)
-    return values
 
 
 def preprocess(images: np.ndarray, targets: np.ndarray | None, stats: dict):
     """Per-sample normalization followed by train-split standardization.
 
-    `images` is one (H, W, 4) raster or a stack of them along leading
+    `images` is one (4, H, W) raster or a stack of them along leading
     axes; `targets` is None or the matching (..., 3). Each image is divided
     by its own matrix mean xbar. Returns (images, targets, xbar); xbar is a
     float for one image and an array for a stack, needed for the inverse.
     """
     out, tgt, xbar = _normalize(images, targets)
-    _standardize(out[..., :3], stats["input"])
+    _standardize(out, stats["input"])
     if tgt is not None:
-        _standardize(tgt, stats["target"])
+        _standardize(tgt[..., None, None], stats["target"])
     return out, tgt, float(xbar) if xbar.ndim == 0 else xbar
 
 
@@ -174,11 +167,12 @@ def inverse_preprocess(images: np.ndarray | None, targets: np.ndarray | None,
     out = tgt = None
     if images is not None:
         out = np.array(images, dtype=float)
-        _unstandardize(out[..., :3], stats["input"])
-        out[..., :3] *= xbar[..., None, None, None]
+        _unstandardize(out, stats["input"])
+        out[..., :3, :, :] *= xbar[..., None, None, None]
     if targets is not None:
-        tgt = _unstandardize(np.array(targets, dtype=float),
-                             stats["target"]) * xbar[..., None]
+        tgt = np.array(targets, dtype=float)
+        _unstandardize(tgt[..., None, None], stats["target"])
+        tgt *= xbar[..., None]
     return out, tgt
 
 
@@ -186,9 +180,9 @@ def compute_stats(images, targets, train_idx):
     """Standardization statistics of normalized data over the training split."""
     norm, tgt, _ = _normalize(images[train_idx], targets[train_idx])
     stats = {"input": {}, "target": {}}
-    for part, values in (("input", norm), ("target", tgt)):
+    for part, values in (("input", norm), ("target", tgt[..., None, None])):
         for c, key in enumerate(_CHANNEL_KEYS):
-            flat = values[..., c].ravel()
+            flat = values[..., c, :, :].ravel()
             flat = np.log(flat) if key.startswith("log") else flat
             std = float(flat.std())
             stats[part][key] = {"avg": float(flat.mean()),
@@ -244,7 +238,7 @@ def generate_dataset(cfg: RunConfig, seed: int, out_dir, workers: int = 1):
                     f"aborting: {skipped} homogenization failures")
             continue
         image, target, lambdas[kept] = sample
-        records[kept] = image.transpose(2, 0, 1), target
+        records[kept] = image, target
         kept += 1
     records = records[:kept]
 
@@ -280,9 +274,9 @@ def generate_dataset(cfg: RunConfig, seed: int, out_dir, workers: int = 1):
 
 
 def _unpack(records: np.ndarray):
-    """C-contiguous float64 (images (n, R, R, 4), targets (n, 3)) of shard
+    """C-contiguous float64 (images (n, 4, R, R), targets (n, 3)) of shard
     records."""
-    return (records["planes"].transpose(0, 2, 3, 1).astype(float, order="C"),
+    return (records["planes"].astype(float, order="C"),
             records["target"].astype(float, order="C"))
 
 

@@ -309,9 +309,10 @@ def _merge_collinear(p0, p1, aperture, tol):
 def _clean_chain(points, seg_len, tol):
     """(t, share key) breakpoints of one segment plus its endpoints, sorted
     by t, dropping each point within tol of the last kept one; a dropped
-    keyed point passes its key to a kept endpoint. Equal t resolve in set
-    order."""
-    pts = sorted(set([(0.0, None), (1.0, None)] + points), key=lambda p: p[0])
+    keyed point passes its key to a kept endpoint. At equal t, keyed points
+    come before an endpoint and in ascending key order."""
+    pts = sorted(set([(0.0, None), (1.0, None)] + points),
+                 key=lambda p: (p[0], p[1] is None, p[1]))
     cleaned = [pts[0]]
     for t, k in pts[1:]:
         if (t - cleaned[-1][0]) * seg_len <= tol:

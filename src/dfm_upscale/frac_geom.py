@@ -160,10 +160,12 @@ def expected_count(spec: PowerLawSpec, density: float, domain_area: float) -> fl
     return density * domain_area / excluded_area(spec)
 
 
+ALPHA_BRACKET = (1.2, 4.5)
+
+
 def calibrate_alpha(target_count: float, density: float, domain_area: float,
-                    r_min: float, r_max: float,
-                    bracket=(1.2, 4.5)) -> float:
-    """Exponent for which the expected count matches target_count.
+                    r_min: float, r_max: float) -> float:
+    """Exponent in ALPHA_BRACKET whose expected count is target_count.
 
     Criterion 04 (the calibrated fracture count) is its caller; no command
     calls it, since every config gives the exponent (`dfn.alpha`).
@@ -175,7 +177,7 @@ def calibrate_alpha(target_count: float, density: float, domain_area: float,
         return expected_count(PowerLawSpec(alpha, r_min, r_max),
                               density, domain_area) - target_count
 
-    return float(brentq(gap, *bracket, xtol=1e-10))
+    return float(brentq(gap, *ALPHA_BRACKET, xtol=1e-10))
 
 
 def fracture_conductivity(length, aperture_ratio: float,

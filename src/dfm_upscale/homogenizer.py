@@ -30,6 +30,8 @@ from .random_field import Grid, TensorField
 # 0.45 MB to the peak of the prediction (mostly the float64 copies of
 # preprocessing; the convolutions build their columns in bands).
 CHUNK_BLOCKS = 8
+GRID_TOLERANCE = 1e-6
+SPD_FLOOR = 1e-14
 
 
 class BlockResults(NamedTuple):
@@ -72,13 +74,12 @@ class BlockGrid:
         return np.column_stack([cx - half, cy - half, cx + half, cy + half])
 
 
-def build_block_grid(side: float, block_size: float,
-                     tol: float = 1e-6) -> BlockGrid:
+def build_block_grid(side: float, block_size: float) -> BlockGrid:
     """Overlapping blocks with step block_size/2 over (0, side)^2; corner
     block centers coincide with the corners of the original domain."""
     ratio = 2.0 * side / block_size
     n2 = round(ratio)
-    if n2 < 1 or abs(ratio - n2) > tol * max(1.0, ratio):
+    if n2 < 1 or abs(ratio - n2) > GRID_TOLERANCE * max(1.0, ratio):
         raise ValueError(
             f"2*side/block_size = {ratio} is not an integer; adjust config")
     l_eff = 2.0 * side / n2
@@ -163,12 +164,12 @@ def aquifer_kx(field: TensorField, network: FractureNetwork | None,
     return float(outflow), float(k_x)
 
 
-def project_spd(k: np.ndarray, floor_fraction: float = 1e-14) -> np.ndarray:
-    """Clamp the eigenvalues of one (k_xx, k_xy, k_yy) tensor to a small
-    positive floor relative to the trace."""
+def project_spd(k: np.ndarray) -> np.ndarray:
+    """Clamp the eigenvalues of one (k_xx, k_xy, k_yy) tensor to the
+    positive floor SPD_FLOOR relative to the trace."""
     m = np.array([[k[0], k[1]], [k[1], k[2]]])
     vals, vecs = np.linalg.eigh(m)
-    floor = floor_fraction * max(abs(np.trace(m)), 1e-300)
+    floor = SPD_FLOOR * max(abs(np.trace(m)), 1e-300)
     clamped = np.maximum(vals, floor)
     fixed = vecs @ np.diag(clamped) @ vecs.T
     return np.array([fixed[0, 0], fixed[0, 1], fixed[1, 1]])

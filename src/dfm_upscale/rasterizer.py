@@ -1,7 +1,7 @@
 """Rasterize blocks' tensor field and fractures into the 4-channel surrogate
 input image.
 
-Image layout: image[row, col, ch] with row = y index (row 0 at the bottom of
+Image layout: image[ch, row, col] with row = y index (row 0 at the bottom of
 the block), col = x index. Channels: k_xx, k_xy, k_yy, cross-section. Matrix
 pixels carry the nearest field tensor and cross-section 1; fracture pixels
 carry isotropic fracture conductivity (k_xy = 0) and the fracture aperture in
@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frac_geom import BlockChunk, FractureNetwork, clip_to_blocks
-from .geometry import Rect, supercover_cells
+from .frac_geom import BlockChunk
+from .geometry import supercover_cells
 from .random_field import TensorField
 
 
 def rasterize_blocks(field_: TensorField, chunk: BlockChunk,
                      resolution: int) -> np.ndarray:
-    """The (n, R, R, 4) images of the n blocks of chunk: nearest-cell
+    """The (n, 4, R, R) images of the n blocks of chunk: nearest-cell
     matrix fill, then one-pixel-wide lines of each block's clipped
     fractures."""
     if resolution < 8:
@@ -40,10 +40,11 @@ def rasterize_blocks(field_: TensorField, chunk: BlockChunk,
     # the column and its y index the row
     centers = rects[:, :2, None] + pitch[:, None, None] * (np.arange(r) + 0.5)
     ix, iy = field_.grid.cell_index(centers[:, 0], centers[:, 1])
-    table = np.concatenate([field_.k, np.ones(field_.grid.shape + (1,))],
-                           axis=-1).reshape(-1, 4)
-    images = np.take(table, ix[:, None, :] * field_.grid.ny + iy[:, :, None],
-                     axis=0)
+    cell = ix[:, None, :] * field_.grid.ny + iy[:, :, None]
+    images = np.empty((len(rects), 4, r, r))
+    for c, table in enumerate(np.moveaxis(field_.k, -1, 0).reshape(3, -1)):
+        np.take(table, cell, out=images[:, c])
+    images[:, 3] = 1.0
 
     # draw rank in ascending (block, aperture, -id) order: where fractures
     # overlap in a block, the highest rank (the widest, then the lowest id)
@@ -56,21 +57,15 @@ def rasterize_blocks(field_: TensorField, chunk: BlockChunk,
     scale = pitch[blk, None]
     seg, cells = supercover_cells((chunk.p0 - origin) / scale,
                                   (chunk.p1 - origin) / scale, r, r)
-    # owner and pixels are indexed flat, (block * R + row) * R + col
-    owner = np.full(images.shape[0] * r * r, -1, dtype=np.int64)
+    # owner is indexed by pixel, (block * R + row) * R + col; channel c of
+    # pixel p of block b is element (4 * b + c) * R * R + p of the images
+    owner = np.full(len(rects) * r * r, -1, dtype=np.int64)
     np.maximum.at(owner, (blk[seg] * r + cells[:, 1]) * r + cells[:, 0],
                   rank[seg])
     hit = np.flatnonzero(owner >= 0)
     drawn = order[owner[hit]]
-    images.reshape(-1, 4)[hit] = np.stack(
-        [chunk.conductivity[drawn], np.zeros(len(drawn)),
-         chunk.conductivity[drawn], chunk.aperture[drawn]], axis=1)
+    at = hit + 3 * r * r * (hit // (r * r))
+    k = chunk.conductivity[drawn]
+    for c, value in enumerate((k, 0.0, k, chunk.aperture[drawn])):
+        images.reshape(-1)[at + c * r * r] = value
     return images
-
-
-def rasterize_block(field_: TensorField, network: FractureNetwork | None,
-                    block: Rect, resolution: int) -> np.ndarray:
-    """The (R, R, 4) image of one block (see rasterize_blocks); the network's
-    fractures are clipped to it, and any that miss it are ignored."""
-    return rasterize_blocks(field_, clip_to_blocks(network, block),
-                            resolution)[0]

@@ -46,6 +46,8 @@ def add_plane_bias(planes, bias):
 # the desk architecture on 64 x 64 rasters, a whole chunk's conv0 columns
 # (4.4 MB) made its forward pass about 1.7x slower.
 BAND_VALUES = 2 ** 16
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 
 def _column_bands(x):
@@ -89,7 +91,7 @@ class Conv3x3(Layer):
         """(kernel, bias) of this convolution followed by bn on its running
         moments, as one convolution: computed in float64 from the current
         parameters and running moments, then cast to the layer dtype."""
-        s = bn.params["scale"] / np.sqrt(bn.running_var + bn.eps)
+        s = bn.params["scale"] / np.sqrt(bn.running_var + BN_EPS)
         kernel = self.params["kernel"] * s
         bias = (self.params["bias"] - bn.running_mean) * s \
             + bn.params["shift"]
@@ -132,24 +134,21 @@ class BatchNorm(Layer):
     batch statistics. Inference runs it only folded into its convolution
     (Conv3x3.fold), on the running moments that training updates."""
 
-    def __init__(self, channels, dtype=np.float32, momentum=0.1,
-                 eps=1e-5):
+    def __init__(self, channels, dtype=np.float32):
         super().__init__()
         self.params["scale"] = np.ones(channels, dtype=dtype)
         self.params["shift"] = np.zeros(channels, dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
-        self.momentum = momentum
-        self.eps = eps
 
     def forward(self, x):
         mean = x.mean(axis=(1, 2, 3), dtype=np.float64, keepdims=True)
         var = x.var(axis=(1, 2, 3), dtype=np.float64, keepdims=True)
-        self.running_mean = ((1 - self.momentum) * self.running_mean
-                             + self.momentum * mean.ravel())
-        self.running_var = ((1 - self.momentum) * self.running_var
-                            + self.momentum * var.ravel())
-        inv_std = (1.0 / np.sqrt(var + self.eps)).astype(x.dtype)
+        self.running_mean = ((1 - BN_MOMENTUM) * self.running_mean
+                             + BN_MOMENTUM * mean.ravel())
+        self.running_var = ((1 - BN_MOMENTUM) * self.running_var
+                            + BN_MOMENTUM * var.ravel())
+        inv_std = (1.0 / np.sqrt(var + BN_EPS)).astype(x.dtype)
         xhat = x - mean.astype(x.dtype)
         xhat *= inv_std
         self._cache = (xhat, inv_std)

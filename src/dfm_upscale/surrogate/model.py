@@ -1,12 +1,12 @@
 """Fixed-topology convolutional regressor.
 
 forward (the inference pass) and loss_and_backward (the training pass)
-take (B, R, R, 4) rasters and run the conv stages on channel planes
+take (B, 4, R, R) rasters and run the conv stages on channel planes
 (4, B, R, R). Each conv stage is
 Conv3x3 -> BatchNorm -> ReLU -> MaxPool2x2 (inference folds the BatchNorm
 into the convolution and pools before the bias and ReLU), so a side of
 length s maps to floor((s - 2) / 2). The default stack of
-config.TrainSection on 256x256x4 input yields sides 127/62/30/14/6 and a
+config.TrainSection on 4x256x256 input yields sides 127/62/30/14/6 and a
 9216-wide flatten, followed by its dense layers and a 3-wide linear output.
 """
 
@@ -108,19 +108,23 @@ class SurrogateModel:
                                       dtype=dtype)
 
     # ------------------------------------------------------------------
-    def _planes(self, batch: np.ndarray) -> np.ndarray:
-        """The (B, R, R, 4) rasters of batch as channel planes (4, B, R, R)
-        in the model dtype; ValueError for any other shape."""
+    def check_input(self, batch: np.ndarray):
+        """ValueError unless batch is a (B, 4, R, R) stack for this model."""
         arch = self.architecture
-        expected = (arch.resolution, arch.resolution, arch.in_channels)
+        expected = (arch.in_channels, arch.resolution, arch.resolution)
         if batch.ndim != 4 or batch.shape[1:] != expected:
             raise ValueError(
                 f"input: expected (B, {expected[0]}, {expected[1]}, "
                 f"{expected[2]}), got {batch.shape}")
-        return batch.astype(self.dtype, copy=False).transpose(3, 0, 1, 2)
+
+    def _planes(self, batch: np.ndarray) -> np.ndarray:
+        """The (B, 4, R, R) rasters of batch as a (4, B, R, R) view of
+        channel planes; each pass copies it into the model dtype."""
+        self.check_input(batch)
+        return batch.transpose(1, 0, 2, 3)
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
-        """The inference pass: (B, 3) predictions of (B, R, R, 4) rasters,
+        """The inference pass: (B, 3) predictions of (B, 4, R, R) rasters,
         PREDICT_BATCH images at a time, keeping no backward buffer.
 
         Each conv stage runs its Conv3x3 with the BatchNorm folded in (from
@@ -139,7 +143,8 @@ class SurrogateModel:
                  for i in range(len(self.architecture.dense_widths))]
         out = []
         for start in range(0, planes.shape[1], PREDICT_BATCH):
-            x = np.ascontiguousarray(planes[:, start:start + PREDICT_BATCH])
+            x = np.ascontiguousarray(planes[:, start:start + PREDICT_BATCH],
+                                     dtype=self.dtype)
             for kernel, bias in folds:
                 x = relu(add_plane_bias(MaxPool2.forward_planes(
                     Conv3x3.convolve_planes(x, kernel)), bias))
@@ -156,7 +161,7 @@ class SurrogateModel:
         """MSE loss (summed over components, averaged over samples) and
         parameter gradients via reverse-mode differentiation: the training
         pass runs every layer's forward, BatchNorm on batch statistics."""
-        preds = np.ascontiguousarray(self._planes(batch))
+        preds = np.ascontiguousarray(self._planes(batch), dtype=self.dtype)
         for layer in self.layers.values():
             preds = layer.forward(preds)
         targets = np.asarray(targets, dtype=preds.dtype)

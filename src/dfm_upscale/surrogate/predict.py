@@ -11,7 +11,7 @@ from .model import SurrogateModel
 
 
 def predict_samples(model: SurrogateModel, images: np.ndarray) -> np.ndarray:
-    """Raw-space (k_xx, k_xy, k_yy) per raster of the (n, R, R, 4) stack
+    """Raw-space (k_xx, k_xy, k_yy) per raster of the (n, 4, R, R) stack
     ``images``, shape (n, 3).
 
     The rasters are preprocessed with the model's statistics, the forward
@@ -20,8 +20,9 @@ def predict_samples(model: SurrogateModel, images: np.ndarray) -> np.ndarray:
     """
     if model.stats is None:
         raise ValueError("the model has no preprocessing statistics")
+    model.check_input(images)
     prepped, _, xbars = preprocess(images, None, model.stats)
-    preds = model.forward(prepped.astype(np.float32))
+    preds = model.forward(prepped)
     return inverse_preprocess(None, preds.astype(float), model.stats,
                               xbars)[1]
 

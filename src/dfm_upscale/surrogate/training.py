@@ -13,15 +13,15 @@ from ..seeding import substream
 from .metrics import Metrics, compute_metrics
 from .model import SurrogateModel
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class Adam:
-    def __init__(self, model: SurrogateModel, lr: float,
-                 beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, model: SurrogateModel, lr: float):
         self.model = model
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(layer.params[key], dtype=np.float64)
                   for name, layer, key in model.named_params()}
@@ -30,14 +30,14 @@ class Adam:
 
     def step(self):
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         for name, layer, key in self.model.named_params():
             g = layer.grads[key].astype(np.float64)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
             update = self.lr * (self.m[name] / b1c) / (
-                np.sqrt(self.v[name] / b2c) + self.eps)
+                np.sqrt(self.v[name] / b2c) + ADAM_EPS)
             layer.params[key] = (layer.params[key]
                                  - update.astype(layer.params[key].dtype))
 

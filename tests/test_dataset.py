@@ -8,8 +8,8 @@ from dfm_upscale.config import (RATIO_CLASSES, ConfigError, RunConfig,
 from dfm_upscale.dataset_pipeline import (compute_stats, enforce_ratio,
                                           generate_dataset, generate_sample,
                                           inverse_preprocess, load_dataset,
-                                          preprocess, sample_matrix_mean,
-                                          split_indices)
+                                          preprocess, record_dtype,
+                                          sample_matrix_mean, split_indices)
 from dfm_upscale.frac_geom import PowerLawSpec, generate_dfn
 from dfm_upscale.geometry import Rect
 
@@ -28,9 +28,9 @@ def small_config(**dataset):
 
 def random_sample_arrays(rng, n, r=8):
     """Synthetic positive-definite-ish samples for preprocessing tests."""
-    images = np.exp(rng.normal(-6.0, 0.5, (n, r, r, 4)))
-    images[..., 1] = rng.normal(0.0, 1e-7, (n, r, r))
-    images[..., 3] = 1.0
+    images = np.exp(rng.normal(-6.0, 0.5, (n, 4, r, r)))
+    images[:, 1] = rng.normal(0.0, 1e-7, (n, r, r))
+    images[:, 3] = 1.0
     targets = np.exp(rng.normal(-6.0, 0.5, (n, 3)))
     targets[:, 1] = rng.normal(0.0, 1e-7, n)
     return images, targets
@@ -85,7 +85,7 @@ class TestGenerateSample:
         cfg = small_config()
         image, target, lam0 = generate_sample(cfg, 0, seed=11)
         _, _, lam4 = generate_sample(cfg, 4, seed=11)
-        assert image.shape == (16, 16, 4)
+        assert image.shape == (4, 16, 16)
         assert target.shape == (3,)
         assert lam0 == 0.0
         assert lam4 == 5.0  # index 4 -> lambdas[1]
@@ -133,37 +133,38 @@ class TestSplits:
 
 
 def reference_preprocess(image, stats3):
-    """(image, xbar) of one (H, W, 4) raster, in place on its channels-last
-    copy: the per-image form of preprocess's image path, kept as its
-    reference."""
+    """(image, xbar) of one (4, H, W) raster, computed in place on a
+    channels-last copy: the per-image form of preprocess's image path, kept
+    as its reference."""
     xbar = sample_matrix_mean(image)
-    out = image / xbar
-    out[..., 3] = image[..., 3]
+    pixels = np.moveaxis(image, 0, -1)
+    out = pixels / xbar
+    out[..., 3] = pixels[..., 3]
     for c, key in enumerate(("log_kxx", "kxy", "log_kyy")):
         v = out[..., c]
         if key.startswith("log"):
             np.log(v, out=v)
         v -= stats3[key]["avg"]
         v /= stats3[key]["std"]
-    return out, xbar
+    return np.moveaxis(out, -1, 0), xbar
 
 
 class TestPreprocessing:
     def test_matrix_mean_hand_example(self):
-        image = np.zeros((8, 8, 4))
-        image[..., 0] = 2.0
-        image[..., 1] = 1.0
-        image[..., 2] = 3.0
-        image[..., 3] = 1.0
-        image[0, 0, :] = [100.0, 0.0, 100.0, 5e-3]  # fracture pixel excluded
+        image = np.zeros((4, 8, 8))
+        image[0] = 2.0
+        image[1] = 1.0
+        image[2] = 3.0
+        image[3] = 1.0
+        image[:, 0, 0] = [100.0, 0.0, 100.0, 5e-3]  # fracture pixel excluded
         assert sample_matrix_mean(image) == pytest.approx(2.0)
 
     def test_normalize_divides_by_matrix_mean(self):
-        image = np.zeros((8, 8, 4))
-        image[..., 0] = 4.0
-        image[..., 1] = 2.0
-        image[..., 2] = 6.0
-        image[..., 3] = 1.0
+        image = np.zeros((4, 8, 8))
+        image[0] = 4.0
+        image[1] = 2.0
+        image[2] = 6.0
+        image[3] = 1.0
         # zero mean and unit spread: standardization leaves the logged
         # diagonal and k_xy of the normalized values as they are
         unit = {key: {"avg": 0.0, "std": 1.0}
@@ -171,9 +172,9 @@ class TestPreprocessing:
         out, tgt, xbar = preprocess(image, np.array([8.0, 4.0, 12.0]),
                                     {"input": unit, "target": unit})
         assert xbar == pytest.approx(4.0)
-        assert np.all(out[..., 0] == 0.0)  # log(4 / 4)
-        assert np.all(out[..., 1] == 0.5)
-        assert np.all(out[..., 3] == 1.0)  # cross-section untouched
+        assert np.all(out[0] == 0.0)  # log(4 / 4)
+        assert np.all(out[1] == 0.5)
+        assert np.all(out[3] == 1.0)  # cross-section untouched
         assert np.allclose(tgt, [np.log(2.0), 1.0, np.log(3.0)])
 
     def test_round_trip(self):
@@ -203,20 +204,18 @@ class TestPreprocessing:
     def test_matches_channels_last_reference(self):
         rng = np.random.default_rng(5)
         images, targets = random_sample_arrays(rng, 6)
-        images[:, 2, :, 3] = 1e-3  # a fracture row, left out of xbar
+        images[:, 3, 2, :] = 1e-3  # a fracture row, left out of xbar
         stats = compute_stats(images, targets, np.arange(4))
-        stack = images.reshape(2, 3, 8, 8, 4)
+        stack = images.reshape(2, 3, 4, 8, 8)
         for batch in (images, stack, images[0]):
             out, _, xbars = preprocess(batch, None, stats)
-            flat = out.reshape(-1, 8, 8, 4)
-            for i, image in enumerate(batch.reshape(-1, 8, 8, 4)):
+            flat = out.reshape(-1, 4, 8, 8)
+            for i, image in enumerate(batch.reshape(-1, 4, 8, 8)):
                 ref, xbar = reference_preprocess(image, stats["input"])
                 assert np.array_equal(flat[i], ref)
                 assert np.ravel(xbars)[i] == xbar
-            # channel-major memory: the model's (C, ..., H, W) transpose of
-            # the float32 cast is contiguous and copies nothing
-            planes = np.moveaxis(out.astype(np.float32), -1, 0)
-            assert planes.flags.c_contiguous
+            # every channel of every image is one contiguous plane
+            assert out.flags.c_contiguous
 
     def test_standardized_train_statistics(self):
         rng = np.random.default_rng(1)
@@ -226,7 +225,7 @@ class TestPreprocessing:
         logs = []
         for i in train:
             img, _, _ = preprocess(images[i], targets[i], stats)
-            logs.append(img[..., 0].ravel())
+            logs.append(img[0].ravel())
         pooled = np.concatenate(logs)
         assert pooled.mean() == pytest.approx(0.0, abs=1e-10)
         assert pooled.std() == pytest.approx(1.0, rel=1e-10)
@@ -236,7 +235,7 @@ class TestPreprocessing:
         images, targets = random_sample_arrays(rng, 6)
         stats = compute_stats(images, targets, np.arange(4))
         bad = np.array(images[0])
-        bad[2, 2, 0] = -1.0
+        bad[0, 2, 2] = -1.0
         with pytest.raises(ValueError, match="non-positive"):
             preprocess(bad, targets[0], stats)
 
@@ -293,7 +292,7 @@ class TestGenerateDataset:
         cfg = small_config()
         generate_dataset(cfg, seed=21, out_dir=tmp_path / "d")
         images, targets, manifest, stats = load_dataset(tmp_path / "d")
-        assert images.shape == (9, 16, 16, 4)
+        assert images.shape == (9, 4, 16, 16)
         assert targets.shape == (9, 3)
         # records agree with regenerating the first sample directly
         image, target, _ = generate_sample(cfg, 0, seed=21)
@@ -302,6 +301,20 @@ class TestGenerateDataset:
         # training's reductions read the arrays in this layout
         for arr in (images, targets):
             assert arr.dtype == np.float64 and arr.flags.c_contiguous
+
+    def test_shard_planes_are_the_float32_rasters(self, tmp_path):
+        cfg = small_config()
+        manifest, _ = generate_dataset(cfg, seed=21, out_dir=tmp_path / "d")
+        assert manifest["skipped"] == 0
+        records = np.fromfile(tmp_path / "d" / "shards" / "shard_00000.bin",
+                              record_dtype(16))
+        assert len(records) == 9
+        for i, record in enumerate(records):
+            image, target, _ = generate_sample(cfg, i, seed=21)
+            assert record["planes"].tobytes() == \
+                image.astype("<f4").tobytes()
+            assert record["target"].tobytes() == \
+                target.astype("<f4").tobytes()
 
     @pytest.mark.parametrize("change", [-1, 4])
     def test_shard_of_wrong_size_rejected(self, tmp_path, change):

@@ -1,7 +1,12 @@
 import copy
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -412,7 +417,7 @@ def reference_fracture_chains(seg_p0, seg_p1, snap_tol, target):
             continue
         pts = sorted(set([(0.0, None), (1.0, None)]
                          + [(t, k) for t, k in breakpoints[seg_idx]]),
-                     key=lambda p: p[0])
+                     key=lambda p: (p[0], p[1] is None, p[1]))
         cleaned = [pts[0]]
         for t, k in pts[1:]:
             if (t - cleaned[-1][0]) * seg_len <= snap_tol:
@@ -511,6 +516,21 @@ segment = st.one_of(st.tuples(point, point), st.tuples(point, point), short)
 segment_lists = st.lists(segment, min_size=1, max_size=9)
 
 
+# two verticals a fraction of snap_tol apart, left of the start of the unit
+# horizontal y = 0.5: both crossings clip to t = 0 on the horizontal, with
+# the keys (-1, k) and (0, k)
+EQUAL_T_SEGMENTS = ([(-1e-9, 0.0), (-2e-10, 0.0), (0.0, 0.5)],
+                    [(-1e-9, 1.0), (-2e-10, 1.0), (1.0, 0.5)])
+EQUAL_T_CHAINS = f"""
+import json
+import numpy as np
+from dfm_upscale.dfm_solver import _fracture_chains
+_, spans, _ = _fracture_chains(*map(np.array, {EQUAL_T_SEGMENTS!r}),
+                               1e-9 * np.sqrt(2), 0.09)
+print(json.dumps([a.tolist() for a in spans]))
+"""
+
+
 class TestFractureChains:
     @settings(max_examples=300, deadline=None)
     @given(segs=segment_lists)
@@ -547,6 +567,23 @@ class TestFractureChains:
         assert_chains_match([(0.0, 0.0), (0.0, 1.0), (0.5, 0.0)],
                             [(1.0, 1.0), (1.0, 0.0), (0.5, 1.0)],
                             UNIT_SNAP_TOL)
+
+    def test_equal_t_resolve_alike_in_every_process(self):
+        # at equal t the order must not follow hash(None), which differs
+        # between processes: keyed points come first, in ascending key order
+        src = str(Path(dfm_solver.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        outs = {subprocess.run([sys.executable, "-c", EQUAL_T_CHAINS],
+                               env=env, capture_output=True, text=True,
+                               check=True, timeout=120).stdout
+                for _ in range(8)}
+        assert len(outs) == 1
+        seg, _, _, start, end = map(np.array, json.loads(outs.pop()))
+        # the horizontal (segment 2) starts at the node of key (-1, k), its
+        # crossing with segment 0, which ends segment 0's first piece
+        first = {s: np.flatnonzero(seg == s)[0] for s in range(3)}
+        assert start[first[2]] == end[first[0]] != end[first[1]]
+        assert_chains_match(*EQUAL_T_SEGMENTS, 1e-9 * np.sqrt(2), 0.09)
 
     def test_empty(self):
         nodes, spans, dropped = _fracture_chains(

@@ -18,7 +18,7 @@ from dfm_upscale.homogenizer import (BlockResults, anisotropy_tensor,
                                      project_spd, upscale_domain,
                                      write_block_csv, _weighted_averages)
 from dfm_upscale.random_field import Grid, TensorField, sample_tensor_field
-from dfm_upscale.rasterizer import rasterize_block, rasterize_blocks
+from dfm_upscale.rasterizer import rasterize_blocks
 from dfm_upscale.surrogate import Architecture, SurrogateModel
 from dfm_upscale.surrogate.predict import surrogate_backend
 
@@ -457,21 +457,22 @@ class TestUpscaleDomain:
         assert block.max() < 20
         images = np.concatenate([rasterize_blocks(field, c, res)
                                  for c in chunks])
-        single = np.stack([rasterize_block(field, net, Rect(*rect), res)
-                           for rect in grid.rects])
+        single = np.concatenate([
+            rasterize_blocks(field, clip_to_blocks(net, rect), res)
+            for rect in grid.rects])
         assert np.array_equal(images, single)
         # the fractures of one block do not paint another
-        conductivity = images[:, :, :, 3] != 1.0
+        conductivity = images[:, 3] != 1.0
         assert not conductivity[20:].any()
-        drawn = [set(np.unique(image[..., 0][mask])) for image, mask
+        drawn = [set(np.unique(image[0][mask])) for image, mask
                  in zip(images, conductivity)]
         assert drawn[0] == {1.0, 2.0}            # (0, 0): fractures 0 and 1
         assert drawn[4] == {1.0}                 # (4, 0): fracture 0 only
         assert drawn[14] == {4.0}                # (4, 2): fracture 3 only
         # pixel (row, col) = (10, 10) of blocks 0 and 1 is where fracture 0
         # crosses fracture 1 and fracture 2
-        assert images[0, 10, 10, 0] == 1.0
-        assert images[1, 10, 10, 0] == 3.0
+        assert images[0, 0, 10, 10] == 1.0
+        assert images[1, 0, 10, 10] == 3.0
 
         rng = np.random.default_rng(0)
         stats = compute_stats(single, np.exp(rng.normal(-6, 0.5, (25, 3))),

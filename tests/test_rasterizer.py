@@ -6,14 +6,20 @@ from hypothesis import strategies as st
 from dfm_upscale.geometry import Rect, clip_segments, supercover_cells
 from dfm_upscale.frac_geom import clip_to_blocks
 from dfm_upscale.homogenizer import build_block_grid
-from dfm_upscale.rasterizer import rasterize_block, rasterize_blocks
+from dfm_upscale.rasterizer import rasterize_blocks
 from dfm_upscale.random_field import Grid, TensorField
 
 from conftest import make_fracture, network_of, uniform_field
 
 
 def matrix_mask(image):
-    return image[:, :, 3] == 1.0
+    return image[3] == 1.0
+
+
+def rasterize_block(field_, network, block, resolution):
+    """The (4, R, R) image of one block: its chunk of one."""
+    return rasterize_blocks(field_, clip_to_blocks(network, block),
+                            resolution)[0]
 
 
 def reference_rasterize_block(field_, network, block, resolution):
@@ -26,11 +32,11 @@ def reference_rasterize_block(field_, network, block, resolution):
     cx, cy = np.meshgrid(centers, centers_y, indexing="xy")
     ix, iy = field_.grid.cell_index(cx, cy)  # (r, r), row-major in y
 
-    image = np.empty((r, r, 4))
-    image[:, :, 0] = field_.k[ix, iy, 0]
-    image[:, :, 1] = field_.k[ix, iy, 1]
-    image[:, :, 2] = field_.k[ix, iy, 2]
-    image[:, :, 3] = 1.0
+    image = np.empty((4, r, r))
+    image[0] = field_.k[ix, iy, 0]
+    image[1] = field_.k[ix, iy, 1]
+    image[2] = field_.k[ix, iy, 2]
+    image[3] = 1.0
 
     order = np.lexsort((-network.id, network.aperture))
     rank = np.empty(len(order), dtype=np.int64)
@@ -43,10 +49,10 @@ def reference_rasterize_block(field_, network, block, resolution):
     np.maximum.at(owner, (cells[:, 1], cells[:, 0]), rank[kept[seg]])
     hit = owner >= 0
     drawn = order[owner[hit]]
-    image[hit, 0] = network.conductivity[drawn]
-    image[hit, 1] = 0.0
-    image[hit, 2] = network.conductivity[drawn]
-    image[hit, 3] = network.aperture[drawn]
+    image[0][hit] = network.conductivity[drawn]
+    image[1][hit] = 0.0
+    image[2][hit] = network.conductivity[drawn]
+    image[3][hit] = network.aperture[drawn]
     return image
 
 
@@ -63,11 +69,11 @@ class TestMatrixFill:
     def test_uniform_field(self, unit_rect):
         field = uniform_field(unit_rect, 2e-6, 3e-7, 1e-6)
         s = rasterize_block(field, network_of(), unit_rect, 16)
-        assert s.shape == (16, 16, 4)
-        assert np.all(s[:, :, 0] == 2e-6)
-        assert np.all(s[:, :, 1] == 3e-7)
-        assert np.all(s[:, :, 2] == 1e-6)
-        assert np.all(s[:, :, 3] == 1.0)
+        assert s.shape == (4, 16, 16)
+        assert np.all(s[0] == 2e-6)
+        assert np.all(s[1] == 3e-7)
+        assert np.all(s[2] == 1e-6)
+        assert np.all(s[3] == 1.0)
         assert np.all(matrix_mask(s))
 
     def test_image_orientation(self, unit_rect):
@@ -76,13 +82,13 @@ class TestMatrixFill:
         ky = np.tile(np.arange(8, dtype=float) + 1.0, (8, 1))  # [ix, iy]
         field = TensorField(grid, np.stack([ky, np.zeros((8, 8)), ky], -1))
         s = rasterize_block(field, network_of(), unit_rect, 8)
-        assert np.all(np.diff(s[:, 0, 0]) > 0)     # rows follow y
-        assert np.all(s[0, :, 0] == s[0, 0, 0])  # constant in x
+        assert np.all(np.diff(s[0, :, 0]) > 0)     # rows follow y
+        assert np.all(s[0, 0, :] == s[0, 0, 0])  # constant in x
 
     def test_reference_resolution(self, unit_rect):
         field = uniform_field(unit_rect, 1e-6)
         s = rasterize_block(field, network_of(), unit_rect, 256)
-        assert s.shape == (256, 256, 4)
+        assert s.shape == (4, 256, 256)
 
     def test_minimum_resolution(self, unit_rect):
         with pytest.raises(ValueError):
@@ -103,10 +109,10 @@ class TestFracturePixels:
         fr = make_fracture((0.0, 0.5), (1.0, 0.5), aperture=1e-3)
         s = rasterize_block(field, network_of(fr), unit_rect, 16)
         # y = 0.5 lies on the edge between rows 7 and 8: ties round up
-        assert np.all(s[8, :, 0] == fr.conductivity)
-        assert np.all(s[8, :, 1] == 0.0)
-        assert np.all(s[8, :, 2] == fr.conductivity)
-        assert np.all(s[8, :, 3] == 1e-3)
+        assert np.all(s[0, 8, :] == fr.conductivity)
+        assert np.all(s[1, 8, :] == 0.0)
+        assert np.all(s[2, 8, :] == fr.conductivity)
+        assert np.all(s[3, 8, :] == 1e-3)
         mask = matrix_mask(s)
         assert not mask[8].any()
         assert mask.sum() == 15 * 16
@@ -117,10 +123,10 @@ class TestFracturePixels:
         s = rasterize_block(field, network_of(fr), unit_rect, 32)
         frac = ~matrix_mask(s)
         assert frac.any()
-        assert np.all(s[frac, 0] == fr.conductivity)
-        assert np.all(s[frac, 1] == 0.0)
-        assert np.all(s[frac, 2] == fr.conductivity)
-        assert np.all(s[frac, 3] == 2e-3)
+        assert np.all(s[0][frac] == fr.conductivity)
+        assert np.all(s[1][frac] == 0.0)
+        assert np.all(s[2][frac] == fr.conductivity)
+        assert np.all(s[3][frac] == 2e-3)
 
     def test_larger_aperture_wins_on_overlap(self, unit_rect):
         field = uniform_field(unit_rect, 1e-6)
@@ -130,9 +136,9 @@ class TestFracturePixels:
                              frac_id=1)
         s = rasterize_block(field, network_of(thin, wide), unit_rect, 16)
         # the crossing pixel carries the wider fracture
-        assert s[8, 8, 3] == 3e-3
-        assert s[8, 8, 0] == wide.conductivity
-        assert s[8, 0, 3] == 1e-3  # away from the crossing
+        assert s[3, 8, 8] == 3e-3
+        assert s[0, 8, 8] == wide.conductivity
+        assert s[3, 8, 0] == 1e-3  # away from the crossing
 
     def test_equal_apertures_lower_id_wins(self, unit_rect):
         field = uniform_field(unit_rect, 1e-6)
@@ -142,7 +148,7 @@ class TestFracturePixels:
                              frac_id=7)
         for net in (network_of(low, high), network_of(high, low)):
             s = rasterize_block(field, net, unit_rect, 16)
-            assert s[8, 8, 0] == 1.0
+            assert s[0, 8, 8] == 1.0
 
     def test_three_crossing_resolve_by_rank(self, unit_rect):
         # three lines through the centre pixel (8, 8) of a 16 x 16 raster;
@@ -155,11 +161,11 @@ class TestFracturePixels:
         c = make_fracture((0.02, 0.02), (0.98, 0.98), aperture=2e-3,
                           frac_id=2)
         s = rasterize_block(field, network_of(a, b, c), unit_rect, 16)
-        assert s[8, 8, 3] == 3e-3      # a, b and c cross here
-        assert s[4, 8, 3] == 1e-3      # b alone
-        assert s[12, 12, 3] == 2e-3    # c alone
+        assert s[3, 8, 8] == 3e-3      # a, b and c cross here
+        assert s[3, 4, 8] == 1e-3      # b alone
+        assert s[3, 12, 12] == 2e-3    # c alone
         s = rasterize_block(field, network_of(b, c), unit_rect, 16)
-        assert s[8, 8, 3] == 2e-3      # c outranks b
+        assert s[3, 8, 8] == 2e-3      # c outranks b
 
     def test_input_order_does_not_matter(self, unit_rect):
         field = uniform_field(unit_rect, 1e-6)
@@ -249,7 +255,7 @@ class TestChunks:
         for a, b in zip([0] + cuts, cuts + [len(rects)]):
             images = rasterize_blocks(field, clip_to_blocks(net, rects[a:b]),
                                       8)
-            assert images.shape == (b - a, 8, 8, 4)
+            assert images.shape == (b - a, 4, 8, 8)
             for image, rect in zip(images, rects[a:b]):
                 assert np.array_equal(image, reference_rasterize_block(
                     field, net, Rect(*rect), 8))
@@ -282,7 +288,7 @@ class TestChunks:
                                 p0=chunk.p0[:, ::-1], p1=chunk.p1[:, ::-1])
         images = rasterize_blocks(field, chunk, 8)
         assert np.array_equal(rasterize_blocks(swapped, mirror, 8),
-                              images.transpose(0, 2, 1, 3)[..., [2, 1, 0, 3]])
+                              images.transpose(0, 1, 3, 2)[:, [2, 1, 0, 3]])
 
     def test_rejects_bad_resolution_and_non_square_blocks(self, unit_rect):
         field = uniform_field(Rect(0.0, 0.0, 2.0, 2.0), 1.0)

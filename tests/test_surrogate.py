@@ -27,8 +27,8 @@ def small_model(seed=0, dtype=np.float32):
 
 
 def planes(x):
-    """Channels-last (B, H, W, C) as channel planes (C, B, H, W)."""
-    return np.ascontiguousarray(x.transpose(3, 0, 1, 2))
+    """A (B, C, H, W) stack as channel planes (C, B, H, W)."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2, 3))
 
 
 def train_pass(model, x):
@@ -54,7 +54,8 @@ def unfolded_eval(model, x):
         if isinstance(layer, BatchNorm):
             mean, var, scale, shift = (
                 np.asarray(v).astype(h.dtype).reshape(-1, 1, 1, 1)
-                for v in (layer.running_mean, layer.running_var + layer.eps,
+                for v in (layer.running_mean,
+                          layer.running_var + layers.BN_EPS,
                           layer.params["scale"], layer.params["shift"]))
             h = (h - mean) / np.sqrt(var) * scale + shift
         elif isinstance(layer, MaxPool2):
@@ -67,9 +68,9 @@ def unfolded_eval(model, x):
 
 
 def synthetic_dataset(rng, n, r=16):
-    images = np.exp(rng.normal(-6.0, 0.5, (n, r, r, 4))).astype(np.float32)
-    images[..., 1] = rng.normal(0.0, 1e-8, (n, r, r))
-    images[..., 3] = 1.0
+    images = np.exp(rng.normal(-6.0, 0.5, (n, 4, r, r))).astype(np.float32)
+    images[:, 1] = rng.normal(0.0, 1e-8, (n, r, r))
+    images[:, 3] = 1.0
     targets = np.exp(rng.normal(-6.0, 0.5, (n, 3)))
     targets[:, 1] = rng.normal(0.0, 1e-8, n)
     return images, targets
@@ -104,7 +105,7 @@ class TestForward:
     def test_output_shape_and_intermediates(self):
         model = small_model()
         arch = model.architecture
-        x = np.random.default_rng(0).standard_normal((2, 16, 16, 4))
+        x = np.random.default_rng(0).standard_normal((2, 4, 16, 16))
         out = model.forward(x.astype(np.float32))
         assert out.shape == (2, 3)
         # every layer's output against the sides the architecture predicts
@@ -123,12 +124,12 @@ class TestForward:
     def test_fresh_model_maps_zero_to_zero(self):
         # zero biases/shifts everywhere: the all-zero image stays zero
         model = small_model()
-        out = model.forward(np.zeros((3, 16, 16, 4), dtype=np.float32))
+        out = model.forward(np.zeros((3, 4, 16, 16), dtype=np.float32))
         assert np.all(out == 0.0)
 
     def test_identical_inputs_identical_outputs(self):
         model = small_model(seed=3)
-        row = np.random.default_rng(1).standard_normal((16, 16, 4))
+        row = np.random.default_rng(1).standard_normal((4, 16, 16))
         batch = np.stack([row, row, row]).astype(np.float32)
         out = model.forward(batch)
         assert np.array_equal(out[0], out[1])
@@ -136,7 +137,7 @@ class TestForward:
 
     def test_inference_keeps_no_backward_state(self):
         model = small_model()
-        x = np.random.default_rng(3).standard_normal((4, 16, 16, 4)) \
+        x = np.random.default_rng(3).standard_normal((4, 4, 16, 16)) \
             .astype(np.float32)
         model.loss_and_backward(x, np.zeros((4, 3)))  # fills every cache
         layers = model.layers.values()
@@ -151,7 +152,7 @@ class TestForward:
                             dense_widths=(16,))
         model = SurrogateModel(arch, seed=2, dtype=dtype)
         rng = np.random.default_rng(6)
-        x = rng.standard_normal((3, 32, 32, 4)).astype(dtype)
+        x = rng.standard_normal((3, 4, 32, 32)).astype(dtype)
         bns = [layer for layer in model.layers.values()
                if isinstance(layer, BatchNorm)]
         for _ in range(2):  # the fold follows the current moments
@@ -172,7 +173,7 @@ class TestForward:
         # conv0's input gradient leaves every parameter gradient bit for bit
         model = small_model(seed=5)
         rng = np.random.default_rng(8)
-        x = rng.standard_normal((4, 16, 16, 4)).astype(np.float32)
+        x = rng.standard_normal((4, 4, 16, 16)).astype(np.float32)
         t = rng.standard_normal((4, 3))
         ref = train_pass(model, x)
         diff = ref - t.astype(ref.dtype)
@@ -187,13 +188,26 @@ class TestForward:
                    for name, layer, key in model.named_params())
 
     def test_empty_batch_predicts_nothing(self):
-        out = small_model().forward(np.zeros((0, 16, 16, 4), np.float32))
+        out = small_model().forward(np.zeros((0, 4, 16, 16), np.float32))
         assert out.shape == (0, 3) and out.dtype == np.float32
 
     def test_wrong_input_shape_rejected(self):
         model = small_model()
         with pytest.raises(ValueError, match="expected"):
-            model.forward(np.zeros((1, 8, 8, 4), dtype=np.float32))
+            model.forward(np.zeros((1, 4, 8, 8), dtype=np.float32))
+
+    def test_channels_last_stack_rejected(self):
+        # a (B, R, R, 4) stack holds as many values as (B, 4, R, R)
+        model = small_model()
+        model.stats = compute_stats(*synthetic_dataset(
+            np.random.default_rng(0), 2), np.arange(2))
+        x = np.ones((2, 16, 16, 4), dtype=np.float32)
+        for run in (model.forward, lambda b: predict_samples(model, b),
+                    lambda b: model.loss_and_backward(b, np.zeros((2, 3)))):
+            with pytest.raises(ValueError,
+                               match=r"expected \(B, 4, 16, 16\), got "
+                                     r"\(2, 16, 16, 4\)"):
+                run(x)
 
     def test_deterministic_init(self):
         a = small_model(seed=7)
@@ -206,7 +220,7 @@ class TestForward:
 class TestLossAndGradients:
     def test_zero_loss_zero_grads(self):
         model = small_model(seed=1)
-        x = np.random.default_rng(2).standard_normal((4, 16, 16, 4)) \
+        x = np.random.default_rng(2).standard_normal((4, 4, 16, 16)) \
             .astype(np.float32)
         preds = train_pass(model, x)
         loss = model.loss_and_backward(x, preds)
@@ -216,7 +230,7 @@ class TestLossAndGradients:
 
     def test_residual_doubling_quadruples_loss(self):
         model = small_model(seed=1)
-        x = np.random.default_rng(3).standard_normal((4, 16, 16, 4)) \
+        x = np.random.default_rng(3).standard_normal((4, 4, 16, 16)) \
             .astype(np.float32)
         preds = train_pass(model, x)
         d = np.random.default_rng(4).standard_normal(preds.shape)
@@ -228,7 +242,7 @@ class TestLossAndGradients:
         # a forward convolution per conv layer, and an input gradient per
         # conv layer but the first
         model = small_model(seed=5)
-        x = np.zeros((2, 16, 16, 4), dtype=np.float32)
+        x = np.zeros((2, 4, 16, 16), dtype=np.float32)
         calls = []
         convolve = Conv3x3.convolve_planes
         monkeypatch.setattr(Conv3x3, "convolve_planes", staticmethod(
@@ -240,7 +254,7 @@ class TestLossAndGradients:
     def test_finite_difference_gradient_check(self):
         model = SurrogateModel(SMALL_ARCH, seed=0, dtype=np.float64)
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((2, 16, 16, 4))
+        x = rng.standard_normal((2, 4, 16, 16))
         t = rng.standard_normal((2, 3))
         errors = finite_difference_grad_errors(model, x, t, eps=1e-3)
         assert errors  # every parameter tensor was checked
@@ -254,7 +268,7 @@ class TestLossAndGradients:
                             dense_widths=(64, 64))
         model = SurrogateModel(arch, seed=0)
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((64, 64, 64, 4)).astype(np.float32)
+        x = rng.standard_normal((64, 4, 64, 64)).astype(np.float32)
         t = rng.standard_normal((64, 3))
         model.loss_and_backward(x, t)
         tracemalloc.start()
@@ -267,7 +281,7 @@ class TestLossAndGradients:
 
     def test_nan_loss_rejected(self):
         model = small_model()
-        x = np.zeros((1, 16, 16, 4), dtype=np.float32)
+        x = np.zeros((1, 4, 16, 16), dtype=np.float32)
         with pytest.raises(FloatingPointError):
             model.loss_and_backward(x, np.full((1, 3), np.nan))
 
@@ -283,7 +297,7 @@ class TestBatchNorm:
         assert np.all(np.abs(y.mean(axis=(1, 2, 3))) < 1e-12)
         var = x.var(axis=(1, 2, 3))
         np.testing.assert_allclose(y.var(axis=(1, 2, 3)),
-                                   var / (var + bn.eps), rtol=1e-12)
+                                   var / (var + layers.BN_EPS), rtol=1e-12)
         assert np.array_equal(bn.running_mean,
                               0.1 * x.mean(axis=(1, 2, 3)))
 
@@ -301,7 +315,7 @@ class TestBatchNorm:
         kernel, bias = conv.fold(bn)
         y = conv.forward(x)
         expect = (y - bn.running_mean.reshape(2, 1, 1, 1)) \
-            / np.sqrt(bn.running_var + bn.eps).reshape(2, 1, 1, 1)
+            / np.sqrt(bn.running_var + layers.BN_EPS).reshape(2, 1, 1, 1)
         folded = Conv3x3.convolve_planes(x, kernel) + bias.reshape(2, 1, 1, 1)
         np.testing.assert_allclose(folded, expect, rtol=1e-12, atol=1e-12)
 
@@ -376,7 +390,7 @@ class TestInferenceKernels:
         x = rng.standard_normal((5, 3, 6, 7)).astype(np.float32)
         mean = x.mean(axis=(1, 2, 3), dtype=np.float64)
         var = x.var(axis=(1, 2, 3), dtype=np.float64)
-        inv_std = (1.0 / np.sqrt(var + bn.eps)).astype(np.float32)
+        inv_std = (1.0 / np.sqrt(var + layers.BN_EPS)).astype(np.float32)
         expect = ((x.transpose(1, 2, 3, 0) - mean.astype(np.float32))
                   * inv_std * bn.params["scale"] + bn.params["shift"])
         assert np.array_equal(bn.forward(x), expect.transpose(3, 0, 1, 2))
@@ -390,16 +404,17 @@ class TestInferenceKernels:
                          for j in range(3)], axis=3).reshape(24, 18)
         expect = (cols @ conv.params["kernel"].reshape(18, 3)
                   + conv.params["bias"]).reshape(2, 4, 3, 3)
-        out = conv.forward(planes(x))
+        out = conv.forward(np.ascontiguousarray(x.transpose(3, 0, 1, 2)))
         assert out.shape == (3, 2, 4, 3)
         assert np.array_equal(out.transpose(1, 2, 3, 0), expect)
 
     def test_flatten_rows_in_height_width_channel_order(self):
         # the order of the dense weights in weights.npz
-        x = np.random.default_rng(6).standard_normal((2, 3, 4, 5))
+        x = np.random.default_rng(6).standard_normal((2, 5, 3, 4))
+        rows = x.transpose(0, 2, 3, 1).reshape(2, -1)
         flat = layers.Flatten()
-        assert np.array_equal(flat.forward(planes(x)), x.reshape(2, -1))
-        assert np.array_equal(flat.backward(x.reshape(2, -1)), planes(x))
+        assert np.array_equal(flat.forward(planes(x)), rows)
+        assert np.array_equal(flat.backward(rows), planes(x))
 
     def test_planes_conv_matches_columns_in_any_bands(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -482,7 +497,7 @@ class TestTraining:
         # zero data: loss and gradients vanish, so validation never improves
         # after epoch 1 and the rate drops by 10x after the patience window
         model = small_model(seed=0)
-        images = np.zeros((8, 16, 16, 4), dtype=np.float32)
+        images = np.zeros((8, 4, 16, 16), dtype=np.float32)
         targets = np.zeros((8, 3))
         schedule = TrainSection(epochs=12, batch_size=4,
                                 learning_rate=0.0025, patience=10)
@@ -515,7 +530,7 @@ class TestTraining:
     def test_training_reduces_loss(self):
         model = small_model(seed=2)
         rng = np.random.default_rng(6)
-        x = rng.standard_normal((32, 16, 16, 4)).astype(np.float32)
+        x = rng.standard_normal((32, 4, 16, 16)).astype(np.float32)
         t = 0.1 * rng.standard_normal((32, 3))
         schedule = TrainSection(epochs=10, batch_size=8)
         result = train(model, x, t, x, t, schedule, seed=0)
@@ -523,14 +538,14 @@ class TestTraining:
 
     def test_empty_training_split_rejected(self):
         with pytest.raises(ValueError):
-            train(small_model(), np.zeros((0, 16, 16, 4)), np.zeros((0, 3)),
-                  np.zeros((1, 16, 16, 4), dtype=np.float32), np.zeros((1, 3)),
+            train(small_model(), np.zeros((0, 4, 16, 16)), np.zeros((0, 3)),
+                  np.zeros((1, 4, 16, 16), dtype=np.float32), np.zeros((1, 3)),
                   TrainSection(epochs=1), seed=0)
 
     def test_history_csv(self, tmp_path):
         import csv
         model = small_model(seed=0)
-        images = np.zeros((4, 16, 16, 4), dtype=np.float32)
+        images = np.zeros((4, 4, 16, 16), dtype=np.float32)
         targets = np.zeros((4, 3))
         result = train(model, images, targets, images, targets,
                        TrainSection(epochs=3, batch_size=2), seed=0)
@@ -544,7 +559,7 @@ class TestTraining:
 
     def test_learning_rate_recorded_without_epochs(self):
         model = small_model(seed=0)
-        images = np.zeros((4, 16, 16, 4), dtype=np.float32)
+        images = np.zeros((4, 4, 16, 16), dtype=np.float32)
         targets = np.zeros((4, 3))
         train(model, images, targets, images, targets,
               TrainSection(epochs=0, learning_rate=0.01), seed=0)
@@ -669,7 +684,7 @@ class TestSerialization:
         model = SurrogateModel(SMALL_ARCH, seed=9, stats=stats)
         model.training_state.epoch = 5
         # give batchnorm non-trivial running state
-        x = np.random.default_rng(0).standard_normal((4, 16, 16, 4)) \
+        x = np.random.default_rng(0).standard_normal((4, 4, 16, 16)) \
             .astype(np.float32)
         train_pass(model, x)
         model.save(tmp_path / "m")
