@@ -25,6 +25,8 @@ from .rasterizer import rasterize_blocks
 from .seeding import substream
 from .surrogate.metrics import compute_metrics
 
+AQUIFER_HEAD = 1.0  # the left-side head of bench_aquifer's problem
+
 
 @dataclass
 class BenchmarkReport:
@@ -98,12 +100,13 @@ def _compare(name: str, cfg: RunConfig, seed: int, n_samples: int,
 
 
 def bench_aquifer(cfg: RunConfig, seed: int, n_samples: int,
-                  backends: dict, head: float = 1.0) -> BenchmarkReport:
+                  backends: dict) -> BenchmarkReport:
     """Total horizontal outflow Y of the two upscaled coarse models."""
     return _compare(
         "aquifer", cfg, seed, n_samples, backends,
         lambda coarse, domain, res: aquifer_kx(coarse, None, domain, res,
-                                               head)[0], head=head)
+                                               AQUIFER_HEAD)[0],
+        head=AQUIFER_HEAD)
 
 
 def bench_anisotropy(cfg: RunConfig, seed: int, n_samples: int,

@@ -283,12 +283,15 @@ def _unpack(records: np.ndarray):
 def load_dataset(dataset_dir):
     """Load shards back into memory: (images, targets, manifest, stats);
     ValueError naming the key if manifest.json misses raster_resolution,
-    shards or splits, or an entry of shards misses file or records."""
+    shards or splits, splits misses train, val or test, or an entry of
+    shards misses file or records."""
     dataset_dir = Path(dataset_dir)
     where = dataset_dir / "manifest.json"
     with open(where) as f:
         manifest = json_object(json.load(f), where, (
             "raster_resolution", "shards", "splits"))
+    json_object(manifest["splits"], f"{where}: splits",
+                ("train", "val", "test"))
     with open(dataset_dir / "stats.json") as f:
         stats = json.load(f)
     dtype = record_dtype(manifest["raster_resolution"])

@@ -240,49 +240,51 @@ def _barycentric(x0, y0, hx, hy, nx: int, ny: int, x, y):
 
 
 def _collinear_candidates(start, delta, tol):
-    """Whether any pair i < j of the segments start[k] + [0, 1] * delta[k]
-    passes _merge_collinear's parallel and on-line test, with the loop's
-    arithmetic; scanned in row chunks of about _PAIR_CHUNK pairs."""
+    """The ascending rows i of the segments start[k] + [0, 1] * delta[k]
+    that have a later row j passing _merge_collinear's parallel and on-line
+    test against i, with the loop's arithmetic; scanned in row chunks of
+    about _PAIR_CHUNK pairs."""
     n = len(start)
     length = np.hypot(delta[:, 0], delta[:, 1])
     rows = max(1, _PAIR_CHUNK // max(n, 1))
+    found = np.zeros(n, dtype=bool)
     for r0 in range(0, n, rows):
         a = np.arange(r0, min(r0 + rows, n))
         di, lim = delta[a, None], tol * length[a, None]
         w = start[None, :] - start[a, None]
         cross = di[..., 0] * delta[:, 1] - di[..., 1] * delta[:, 0]
         off0 = di[..., 0] * w[..., 1] - di[..., 1] * w[..., 0]
-        if np.any((a[:, None] < np.arange(n)) & (np.abs(cross) < lim)
-                  & (np.abs(off0) < lim)):
-            return True
-    return False
+        found[a] = np.any((a[:, None] < np.arange(n)) & (np.abs(cross) < lim)
+                          & (np.abs(off0) < lim), axis=1)
+    return np.flatnonzero(found)
 
 
 def _merge_collinear(p0, p1, aperture, tol):
     """Merge overlapping collinear segments p0[k]-p1[k]. Returns (rows, p0,
     p1, merged count): per kept segment, the row k whose properties it takes
-    (of two merged rows, the one with the wider aperture), and its ends.
+    (of two merged rows, the wider-aperture one, the earlier at a tie), and
+    its ends.
 
-    Each segment is tested against all later ones at once; a merge changes
-    only the earlier segment, so the later ones keep their original arrays.
-    Without a candidate pair on the original arrays no merge can happen,
-    and the inputs are returned as they are.
+    Only candidate rows (see _collinear_candidates) are visited, each
+    tested against all later rows at once. A merge changes only the
+    earlier row, and rows change in ascending order, so a row is original
+    when the loop reaches it, and one that is no candidate finds no hit.
     """
-    start, delta = p0, p1 - p0
-    if not _collinear_candidates(start, delta, tol):
+    delta = p1 - p0
+    candidates = _collinear_candidates(p0, delta, tol)
+    if not len(candidates):
         return np.arange(len(p0)), p0, p1, 0
-    out = list(zip(range(len(p0)), p0, p1))
-    alive = np.ones(len(out), dtype=bool)
-    merged = 0
-    for i in range(len(out)):
+    rows, q0, q1 = np.arange(len(p0)), p0.copy(), p1.copy()
+    alive = np.ones(len(p0), dtype=bool)
+    for i in candidates.tolist():
         if not alive[i]:
             continue
         j = i + 1
         while True:
-            row_i, a0, a1 = out[i]
-            di = a1 - a0
+            a0 = q0[i]
+            di = q1[i] - a0
             li = np.hypot(*di)
-            w = start[j:] - a0
+            w = p0[j:] - a0
             cross = di[0] * delta[j:, 1] - di[1] * delta[j:, 0]
             off0 = di[0] * w[:, 1] - di[1] * w[:, 0]
             hits = np.flatnonzero(alive[j:] & (np.abs(cross) < tol * li)
@@ -290,37 +292,17 @@ def _merge_collinear(p0, p1, aperture, tol):
             if not len(hits):
                 break
             j += hits[0]
-            row_j, b0, b1 = out[j]
             t = di / li
-            s = np.sort(np.array([0.0, li, (b0 - a0) @ t, (b1 - a0) @ t]))
+            s = np.sort(np.array([0.0, li, (p0[j] - a0) @ t,
+                                  (p1[j] - a0) @ t]))
             lo, hi = s[0], s[-1]
             if hi - lo < li + np.hypot(*delta[j]) - tol:  # projections overlap
-                keep = row_i if aperture[row_i] >= aperture[row_j] else row_j
-                out[i] = (keep, a0 + lo * t, a0 + hi * t)
+                rows[i] = rows[i] if aperture[rows[i]] >= aperture[j] else j
+                q0[i], q1[i] = a0 + lo * t, a0 + hi * t
                 alive[j] = False
-                merged += 1
             j += 1
-    out = [seg for seg, keep in zip(out, alive) if keep]
-    return (np.array([row for row, _, _ in out], np.int64),
-            np.reshape([a0 for _, a0, _ in out], (-1, 2)),
-            np.reshape([a1 for _, _, a1 in out], (-1, 2)), merged)
-
-
-def _clean_chain(points, seg_len, tol):
-    """(t, share key) breakpoints of one segment plus its endpoints, sorted
-    by t, dropping each point within tol of the last kept one; a dropped
-    keyed point passes its key to a kept endpoint. At equal t, keyed points
-    come before an endpoint and in ascending key order."""
-    pts = sorted(set([(0.0, None), (1.0, None)] + points),
-                 key=lambda p: (p[0], p[1] is None, p[1]))
-    cleaned = [pts[0]]
-    for t, k in pts[1:]:
-        if (t - cleaned[-1][0]) * seg_len <= tol:
-            if cleaned[-1][1] is None and k is not None:
-                cleaned[-1] = (cleaned[-1][0], k)
-            continue
-        cleaned.append((t, k))
-    return cleaned
+    return (rows[alive], q0[alive], q1[alive],
+            int(np.count_nonzero(~alive)))
 
 
 def _fracture_chains(seg_p0, seg_p1, snap_tol, target):
@@ -365,35 +347,34 @@ def _fracture_chains(seg_p0, seg_p1, snap_tol, target):
     seg, t, key, keyed = seg[order], t[order], key[order], keyed[order]
 
     # A segment whose sorted points are all more than snap_tol apart keeps
-    # them all. The rest go through the scalar cleaning, which drops close
-    # points and resolves equal t in its own order.
+    # them all, in their order (it has no equal t). The points of the other
+    # segments are put in (t, keyed first, ascending key) order, and each
+    # point within snap_tol of the last kept one is dropped, passing its key
+    # to a kept unkeyed endpoint. A live segment keeps at least two points:
+    # its t = 1 endpoint is more than snap_tol from the first point, t = 0,
+    # so it stays, or a kept point between them dropped it.
     same = seg[1:] == seg[:-1]
     close = same & ~((t[1:] - t[:-1]) * seg_len[seg[1:]] > snap_tol)
     slow = np.zeros(len(seg_p0), dtype=bool)
     slow[seg[1:][close]] = True
     dropped = int(np.count_nonzero(~live))
-    fix = []  # (segment, t, key or None) along the cleaned slow chains
-    for s in np.flatnonzero(slow):
-        mine = np.flatnonzero(b_seg == s)
-        cleaned = _clean_chain(
-            list(zip(b_t[mine].tolist(), map(tuple, b_key[mine].tolist()))),
-            seg_len[s], snap_tol)
-        if len(cleaned) == 1:
-            dropped += 1
-        else:
-            fix += [(s, tc, k) for tc, k in cleaned]
-    if slow.any():
-        fast = ~slow[seg]
-        f_seg, f_t, f_key = zip(*fix) if fix else ((), (), ())
-        seg = np.concatenate([seg[fast], np.array(f_seg, np.int64)])
-        t = np.concatenate([t[fast], np.array(f_t, float)])
-        key = np.concatenate([key[fast], np.reshape(
-            np.array([k or (0, 0) for k in f_key], np.int64), (-1, 2))])
-        keyed = np.concatenate([keyed[fast],
-                                np.array([k is not None for k in f_key],
-                                         bool)])
-        order = np.argsort(seg, kind="stable")
-        seg, t, key, keyed = seg[order], t[order], key[order], keyed[order]
+    pts = np.flatnonzero(slow[seg])
+    if len(pts):
+        order = pts[np.lexsort((key[pts, 1], key[pts, 0], ~keyed[pts],
+                                t[pts], seg[pts]))]
+        seg[pts], t[pts], key[pts], keyed[pts] = (seg[order], t[order],
+                                                  key[order], keyed[order])
+        keep = np.ones(len(seg), dtype=bool)
+        last = -1  # the last kept point
+        for p in pts.tolist():
+            if (last >= 0 and seg[last] == seg[p]
+                    and (t[p] - t[last]) * seg_len[seg[p]] <= snap_tol):
+                keep[p] = False
+                if keyed[p] and not keyed[last]:
+                    key[last], keyed[last] = key[p], True
+            else:
+                last = p
+        seg, t, key, keyed = seg[keep], t[keep], key[keep], keyed[keep]
 
     # a keyed point takes the node of its key's first point, every other
     # point a new node; the stable sort keeps equal keys in point order

@@ -162,8 +162,10 @@ class SurrogateModel:
         parameter gradients via reverse-mode differentiation: the training
         pass runs every layer's forward, BatchNorm on batch statistics."""
         preds = np.ascontiguousarray(self._planes(batch), dtype=self.dtype)
-        for layer in self.layers.values():
-            preds = layer.forward(preds)
+        # a diverging model overflows here; the loss check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for layer in self.layers.values():
+                preds = layer.forward(preds)
         targets = np.asarray(targets, dtype=preds.dtype)
         diff = preds - targets
         loss = float(np.mean(np.sum(diff.astype(np.float64) ** 2, axis=1)))

@@ -408,6 +408,41 @@ class TestErrorHandling:
         assert err["message"] == (f"{ds / 'manifest.json'}: shards[{last}]: "
                                   f"missing keys [{key!r}]")
 
+    @pytest.mark.parametrize("key", ["train", "val", "test"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_manifest_split_missing_is_json_error(self, config_path, tmp_path,
+                                                  small_dataset, capsys,
+                                                  command, key):
+        ds = tmp_path / "dataset"
+        shutil.copytree(small_dataset, ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        del manifest["splits"][key]
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        argv = [command, "--config", config_path, "--dataset", str(ds),
+                "--out", str(tmp_path / "o")]
+        if command == "evaluate":  # the dataset is read before the model
+            argv += ["--model", str(tmp_path / "model")]
+        assert run(argv) == 1
+        err = single_error(capsys)
+        assert err["error"] == "ValueError"
+        assert err["message"] == \
+            f"{ds / 'manifest.json'}: splits: missing keys [{key!r}]"
+
+    def test_diverging_training_is_json_error(self, tmp_path, small_dataset,
+                                              capsys):
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(json.dumps(dict(
+            SMALL_CONFIG, train=dict(SMALL_CONFIG["train"],
+                                     learning_rate=1e30, conv_channels=[4],
+                                     dense_widths=[8]))))
+        capsys.readouterr()
+        assert run(["train", "--config", str(cfg), "--dataset",
+                    str(small_dataset), "--out", str(tmp_path / "o")]) == 1
+        err = single_error(capsys)
+        assert err == {"error": "FloatingPointError",
+                       "message": "NaN/inf in loss", "command": "train"}
+
     @pytest.mark.parametrize("key", ["raster_resolution", "shards", "splits"])
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_manifest_missing_key_is_json_error(self, config_path, tmp_path,

@@ -139,6 +139,36 @@ class TestDiscretize:
         assert np.all(sys_.frac_aperture == 2e-3)
         assert sys_.frac_len.sum() == pytest.approx(0.8)
 
+    @pytest.mark.parametrize("widest", [0, 1, 2])
+    def test_merge_reaches_through_the_grown_segment(self, unit_rect,
+                                                     widest):
+        # A overlaps B, and A + B overlaps C, which A alone does not reach
+        ends = [((0.1, 0.5), (0.4, 0.5)), ((0.3, 0.5), (0.6, 0.5)),
+                ((0.5, 0.5), (0.9, 0.5))]
+        apertures = [1e-3, 1e-3, 1e-3]
+        apertures[widest] = 2e-3
+        field = uniform_field(unit_rect, 1e-6)
+        fracs = [make_fracture(p0, p1, aperture=ap, frac_id=k)
+                 for k, ((p0, p1), ap) in enumerate(zip(ends, apertures))]
+        apart = discretize(field, network_of(fracs[0], fracs[2]), unit_rect,
+                           8, 8)
+        assert apart.merged_fractures == 0
+        sys_ = discretize(field, network_of(*fracs), unit_rect, 8, 8)
+        assert sys_.merged_fractures == 2
+        assert np.all(sys_.frac_aperture == 2e-3)
+        assert sys_.frac_len.sum() == pytest.approx(0.8)
+
+    def test_equal_apertures_keep_the_earlier_row(self, unit_rect):
+        field = uniform_field(unit_rect, 1e-6)
+        net = network_of(
+            make_fracture((0.1, 0.5), (0.6, 0.5), conductivity=1.0,
+                          frac_id=0),
+            make_fracture((0.4, 0.5), (0.9, 0.5), conductivity=2.0,
+                          frac_id=1))
+        sys_ = discretize(field, net, unit_rect, 8, 8)
+        assert sys_.merged_fractures == 1
+        assert np.all(sys_.frac_cond == 1.0)
+
     def test_spd_and_symmetric(self, unit_rect):
         field = random_tensor_field(unit_rect, 8, seed=0)
         net = network_of(make_fracture((0.1, 0.2), (0.9, 0.8)))
@@ -473,11 +503,12 @@ def assert_chains_match(seg_p0, seg_p1, snap_tol, target=0.75 / 8):
 
 def reference_discretize(field, network, domain, nx, ny):
     """discretize with the scalar chain loop, and the merge loop run on
-    every network instead of only on those the pre-screen passes."""
+    every row instead of only on the candidates of the pre-screen."""
     with mock.patch.object(dfm_solver, "_fracture_chains",
                            reference_fracture_chains), \
             mock.patch.object(dfm_solver, "_collinear_candidates",
-                              lambda *args: True):
+                              lambda start, delta, tol:
+                              np.arange(len(start))):
         return discretize(field, network, domain, nx, ny)
 
 
@@ -585,6 +616,12 @@ class TestFractureChains:
         assert start[first[2]] == end[first[0]] != end[first[1]]
         assert_chains_match(*EQUAL_T_SEGMENTS, 1e-9 * np.sqrt(2), 0.09)
 
+    def test_equal_t_in_ascending_key_not_hit_order(self):
+        # the verticals of EQUAL_T_SEGMENTS swapped: the hit with key (0, k)
+        # comes first, yet the horizontal starts at the node of (-1, k)
+        p0, p1 = ([pts[1], pts[0], pts[2]] for pts in EQUAL_T_SEGMENTS)
+        assert_chains_match(p0, p1, 1e-9 * np.sqrt(2), 0.09)
+
     def test_empty(self):
         nodes, spans, dropped = _fracture_chains(
             np.zeros((0, 2)), np.zeros((0, 2)), UNIT_SNAP_TOL, 0.1)
@@ -659,6 +696,7 @@ class TestSubnormalSegments:
 
 def reference_candidates(start, delta, tol):
     """Pair-by-pair form of _collinear_candidates."""
+    rows = []
     for i in range(len(start)):
         di = delta[i]
         li = np.hypot(*di)
@@ -667,8 +705,9 @@ def reference_candidates(start, delta, tol):
             cross = di[0] * delta[j, 1] - di[1] * delta[j, 0]
             off0 = di[0] * w[1] - di[1] * w[0]
             if abs(cross) < tol * li and abs(off0) < tol * li:
-                return True
-    return False
+                rows.append(i)
+                break
+    return rows
 
 
 class TestCollinearPreScreen:
@@ -677,18 +716,20 @@ class TestCollinearPreScreen:
     def test_matches_pairwise_reference(self, segs):
         start = np.array([a for a, _ in segs], float)
         delta = np.array([b for _, b in segs], float) - start
-        assert (_collinear_candidates(start, delta, UNIT_SNAP_TOL)
-                == reference_candidates(start, delta, UNIT_SNAP_TOL))
+        assert np.array_equal(
+            _collinear_candidates(start, delta, UNIT_SNAP_TOL),
+            reference_candidates(start, delta, UNIT_SNAP_TOL))
 
     def test_parallel_offset_is_no_candidate(self):
         start = np.array([[0.1, 0.2], [0.3, 0.7]])
         delta = np.array([[0.5, 0.0], [0.5, 0.0]])
-        assert not _collinear_candidates(start, delta, UNIT_SNAP_TOL)
+        assert not len(_collinear_candidates(start, delta, UNIT_SNAP_TOL))
 
     def test_collinear_disjoint_passes_but_does_not_merge(self, unit_rect):
         start = np.array([[0.1, 0.5], [0.6, 0.5]])
         delta = np.array([[0.2, 0.0], [0.3, 0.0]])
-        assert _collinear_candidates(start, delta, UNIT_SNAP_TOL)
+        assert np.array_equal(
+            _collinear_candidates(start, delta, UNIT_SNAP_TOL), [0])
         net = network_of(make_fracture((0.1, 0.5), (0.3, 0.5), frac_id=0),
                          make_fracture((0.6, 0.5), (0.9, 0.5), frac_id=1),
                          make_fracture((0.2, 0.1), (0.7, 0.9), frac_id=2))
@@ -727,7 +768,7 @@ class TestCollinearPreScreen:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not found
+        assert not len(found)
         assert peak < bound
 
 
